@@ -42,6 +42,18 @@ def int_from_json(value) -> int:
     return int(f)
 
 
+def _object(value, what):
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
+
+
+def _array(value, what):
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array")
+    return value
+
+
 def vector_to_json(vec):
     return [rational_to_json(x) for x in vec]
 
@@ -139,10 +151,14 @@ def element_from_json(data, s=None) -> torus.QTorusElement:
     terms = {}
     widths = set()
     for item in raw_terms:
-        exp = tuple(int_from_json(x) for x in item.get("exp", []))
+        _object(item, "term")
+        exp = tuple(int_from_json(x)
+                    for x in _array(item.get("exp", []), "term exp"))
         coeff = {}
-        for c in item.get("coeff", []):
-            qexp = tuple(int_from_json(x) for x in c.get("qexp", []))
+        for c in _array(item.get("coeff", []), "term coeff"):
+            _object(c, "coeff item")
+            qexp = tuple(int_from_json(x)
+                         for x in _array(c.get("qexp", []), "coeff qexp"))
             widths.add(len(qexp))
             coeff[qexp] = coeff.get(qexp, Fraction(0)) \
                 + rational_from_json(c.get("c"))
@@ -253,9 +269,9 @@ def base_from_json(data, n) -> symplectic.SymplecticBase:
         raise ValueError("base must be a JSON object")
     v0 = Subspace.from_rows(n, matrix_from_json(data.get("V0", []), n))
     blocks = tuple(Subspace.from_rows(n, matrix_from_json(b, n))
-                   for b in data.get("blocks", []))
-    lines = tuple(tuple(int_from_json(x) for x in w)
-                  for w in data.get("lines", []))
+                   for b in _array(data.get("blocks", []), "base blocks"))
+    lines = tuple(tuple(int_from_json(x) for x in _array(w, "base line"))
+                  for w in _array(data.get("lines", []), "base lines"))
     return symplectic.SymplecticBase(v0, blocks, lines)
 
 
@@ -267,12 +283,14 @@ def presentation_from_json(data) -> groups.Class2Presentation:
     if not isinstance(gens, list) or not isinstance(central, list):
         raise ValueError("generator lists must be JSON arrays")
     table = []
-    for item in data.get("commutators", []):
+    for item in _array(data.get("commutators", []), "commutators"):
+        _object(item, "commutator")
         a = int_from_json(item.get("a"))
         b = int_from_json(item.get("b"))
         if not (1 <= a <= len(gens) and 1 <= b <= len(gens)):
             raise ValueError("commutator index out of range (1-based)")
-        exps = tuple(int_from_json(x) for x in item.get("exps", []))
+        exps = tuple(int_from_json(x)
+                     for x in _array(item.get("exps", []), "commutator exps"))
         table.append((a - 1, b - 1, exps))
     return groups.Class2Presentation(tuple(str(g) for g in gens),
                                      tuple(str(z) for z in central),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def dot(a, b):
@@ -21,20 +21,72 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def clear_denominators(v):
+    """``(ints, den)`` with ``v == ints / den`` for a sequence ``v`` of
+    rationals, ``den`` the least common denominator of its entries."""
+    if all(type(x) is int for x in v):
+        return list(v), 1
+    fracs = [x if type(x) is Fraction else Fraction(x) for x in v]
+    den = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
+def clear_matrix(matrix):
+    """``(rows, den)`` with ``matrix == rows / den`` for one common ``den``."""
+    cleared = [clear_denominators(row) for row in matrix]
+    den = lcm(*(d for _, d in cleared))
+    return [r if d == den else [x * (den // d) for x in r]
+            for r, d in cleared], den
+
+
 def vec_primitive(v):
     """Scale a rational vector to the primitive integer vector with the same
     direction (the zero vector stays zero)."""
-    den = 1
-    fracs = [Fraction(x) for x in v]
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(f * den) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    ints, _ = clear_denominators(v)
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     return tuple(ints)
+
+
+def row_times(v, matrix):
+    """Integer row vector ``v`` times an integer matrix, skipping the zero
+    coordinates of ``v``."""
+    if len(v) != len(matrix):
+        raise ValueError("dimension mismatch in row_times")
+    acc = [0] * len(matrix[0]) if matrix else []
+    for x, row in zip(v, matrix):
+        if x:
+            acc = [a + x * b for a, b in zip(acc, row)]
+    return acc
+
+
+def congruence(basis, matrix, den=1):
+    """Exact ``B M B^T / den`` for basis rows ``B`` (r x n) and a square
+    rational matrix ``M`` (n x n): entry (i, j) is ``b_i . M . b_j / den``.
+
+    The denominators of ``M`` and of each row of ``B`` are cleared once, so
+    the rows of ``B M`` (O(r n^2)) and their pairings with ``B`` (O(r^2 n))
+    accumulate in ints, skipping zero coordinates of ``B``.  Each entry is
+    divided once at the end: an int where the divisor is 1, else a Fraction.
+    """
+    M, dm = clear_matrix(matrix)
+    den *= dm
+    n = len(M)
+    if any(len(row) != n for row in M) or any(len(b) != n for b in basis):
+        raise ValueError("dimension mismatch in congruence")
+    rows = [clear_denominators(b) for b in basis]
+    support = [[(k, x) for k, x in enumerate(b) if x] for b, _ in rows]
+    out = []
+    for b, db in rows:
+        bm = row_times(b, M)
+        line = []
+        for nz, (_, dc) in zip(support, rows):
+            num = sum(bm[k] * x for k, x in nz)
+            scale = den * db * dc
+            line.append(num if scale == 1 else Fraction(num, scale))
+        out.append(tuple(line))
+    return tuple(out)
 
 
 def _check_int_matrix(matrix):

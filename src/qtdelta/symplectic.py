@@ -16,9 +16,14 @@ from fractions import Fraction
 
 from .lattice import (
     Subspace,
+    clear_denominators,
+    clear_matrix,
+    congruence,
     dot,
     matrix_rank,
     null_space_int,
+    row_times,
+    rref,
     subspace_intersection,
     subspace_sum,
     vec_primitive,
@@ -27,14 +32,16 @@ from .rng import derive
 
 
 def _check_antisymmetric(mat, n):
-    rows = tuple(tuple(Fraction(x) for x in row) for row in mat)
+    """Fraction rows of an n x n antisymmetric matrix, with their integer
+    numerators and common denominator."""
+    rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+                 for row in mat)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError("matrix of wrong shape")
-    for i in range(n):
-        for j in range(n):
-            if rows[i][j] != -rows[j][i]:
-                raise ValueError("matrix is not antisymmetric")
-    return rows
+    ints, den = clear_matrix(rows)
+    if any(ints[i][j] != -ints[j][i] for i in range(n) for j in range(i, n)):
+        raise ValueError("matrix is not antisymmetric")
+    return rows, (ints, den)
 
 
 @dataclass(frozen=True)
@@ -48,23 +55,26 @@ class AlternatingMapQ:
     def __post_init__(self):
         if len(self.forms) != self.s:
             raise ValueError("expected one matrix per target coordinate")
-        object.__setattr__(self, "forms",
-                           tuple(_check_antisymmetric(m, self.n)
-                                 for m in self.forms))
+        checked = [_check_antisymmetric(m, self.n) for m in self.forms]
+        object.__setattr__(self, "forms", tuple(rows for rows, _ in checked))
+        # Integer numerators and common denominator of each form.
+        object.__setattr__(self, "_cleared", tuple(c for _, c in checked))
 
     def pairing(self, u, v):
-        return tuple(sum(Fraction(u[i]) * m[i][j] * Fraction(v[j])
-                         for i in range(self.n) for j in range(self.n))
-                     for m in self.forms)
+        ui, du = clear_denominators(u)
+        vi, dv = clear_denominators(v)
+        return tuple(Fraction(dot(row_times(ui, m), vi), den * du * dv)
+                     for m, den in self._cleared)
 
     def left_rows(self, v):
         """Rows (v^T Phi_k), the matrix of w -> phi(v, w)."""
-        return [tuple(sum(Fraction(v[i]) * m[i][j] for i in range(self.n))
-                      for j in range(self.n)) for m in self.forms]
+        vi, dv = clear_denominators(v)
+        return [tuple(Fraction(x, den * dv) for x in row_times(vi, m))
+                for m, den in self._cleared]
 
 
 def center(phi: AlternatingMapQ) -> Subspace:
-    rows = [row for m in phi.forms for row in m]
+    rows = [row for m, _ in phi._cleared for row in m]
     return Subspace.from_rows(phi.n, null_space_int(rows, phi.n))
 
 
@@ -105,14 +115,8 @@ def image_space(phi: AlternatingMapQ, space: Subspace) -> Subspace:
 
 
 def _restrict(phi: AlternatingMapQ, basis):
-    r = len(basis)
-    mats = []
-    for m in phi.forms:
-        mats.append(tuple(
-            tuple(sum(Fraction(basis[i][a]) * m[a][b] * Fraction(basis[j][b])
-                      for a in range(phi.n) for b in range(phi.n))
-                  for j in range(r)) for i in range(r)))
-    return AlternatingMapQ(r, phi.s, tuple(mats))
+    return AlternatingMapQ(len(basis), phi.s, tuple(
+        congruence(basis, m, den) for m, den in phi._cleared))
 
 
 def _line_key(space: Subspace):
@@ -217,25 +221,30 @@ class NoBaseFound:
 
 
 def _complement_columns(space: Subspace):
-    from .lattice import rref
-    _, pivots = rref(space.basis)
-    return [j for j in range(space.ambient_dim) if j not in set(pivots)]
+    pivots = set(rref(space.basis)[1])
+    return [j for j in range(space.ambient_dim) if j not in pivots]
 
 
 def _charpoly(mat):
     """Characteristic polynomial coefficients [1, c1, ..., cd] of a rational
-    matrix, by the trace recursion (Faddeev-LeVerrier)."""
+    matrix M, by the trace recursion (Faddeev-LeVerrier) run fraction-free.
+
+    The recursion runs on the integer matrix A = D M, D the least common
+    denominator of M's entries.  A's coefficients are integers, so each
+    division by k is exact; c_k of M is c_k of A divided by D^k.
+    """
     d = len(mat)
+    A, D = clear_matrix(mat)
     coeffs = [Fraction(1)]
-    N = [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
-    M = [[Fraction(x) for x in row] for row in mat]
+    N = [[int(i == j) for j in range(d)] for i in range(d)]
     for k in range(1, d + 1):
-        MN = [[sum(M[i][t] * N[t][j] for t in range(d)) for j in range(d)]
-              for i in range(d)]
-        ck = -sum(MN[i][i] for i in range(d)) / k
-        coeffs.append(ck)
-        N = [[MN[i][j] + (ck if i == j else 0) for j in range(d)]
-             for i in range(d)]
+        AN = [row_times(row, N) for row in A]
+        ck, rem = divmod(-sum(AN[i][i] for i in range(d)), k)
+        assert rem == 0, "inexact division in the trace recursion"
+        coeffs.append(Fraction(ck, D ** k))
+        for i in range(d):
+            AN[i][i] += ck
+        N = AN
     return coeffs
 
 
@@ -303,7 +312,7 @@ def compute_symplectic_base(phi: AlternatingMapQ, seed: int = 0,
             t = [rng.randint(-9, 9) for _ in range(s)]
             cand = [[sum(t[k] * restricted.forms[k][i][j] for k in range(s))
                      for j in range(m)] for i in range(m)]
-            if _is_invertible(cand):
+            if matrix_rank(cand) == m:
                 phi_t = cand
                 break
         if phi_t is None:
@@ -356,11 +365,6 @@ def compute_symplectic_base(phi: AlternatingMapQ, seed: int = 0,
         last_report = report
         reason = "candidate decomposition failed verification"
     return NoBaseFound(max(1, retries), last_report, reason)
-
-
-def _is_invertible(mat):
-    from .lattice import matrix_rank as mr
-    return mr(mat) == len(mat)
 
 
 def _solve_matrix(A, B):

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import Sublattice, kernel_lattice, matrix_rank, saturate
+from .lattice import (Sublattice, congruence, kernel_lattice, matrix_rank,
+                      saturate)
 
 
 def _check_square_int(mat, n):
@@ -53,13 +54,8 @@ class CocycleForm:
 
     def restrict(self, lattice: Sublattice) -> "CocycleForm":
         """Twist forms in the coordinates of a sublattice basis."""
-        H = lattice.basis
-        r = len(H)
-        mats = []
-        for m in self.forms:
-            mats.append(tuple(tuple(_bilinear(m, H[i], H[j])
-                                    for j in range(r)) for i in range(r)))
-        return CocycleForm(r, tuple(mats))
+        return CocycleForm(lattice.rank, tuple(congruence(lattice.basis, m)
+                                               for m in self.forms))
 
 
 @dataclass(frozen=True)
@@ -86,13 +82,9 @@ class AlternatingFormZ:
         return tuple(_bilinear(m, a, b) for m in self.forms)
 
     def restrict(self, lattice: Sublattice) -> "AlternatingFormZ":
-        H = lattice.basis
-        r = len(H)
-        mats = []
-        for m in self.forms:
-            mats.append(tuple(tuple(_bilinear(m, H[i], H[j])
-                                    for j in range(r)) for i in range(r)))
-        return AlternatingFormZ(r, tuple(mats))
+        return AlternatingFormZ(lattice.rank,
+                                tuple(congruence(lattice.basis, m)
+                                      for m in self.forms))
 
 
 def commutator_form(cocycle: CocycleForm) -> AlternatingFormZ:

@@ -67,6 +67,23 @@ def det_fraction(matrix):
     return det
 
 
+def restrict_double_sum(matrix, basis):
+    """B M B^T entry by entry: the O(r^2 n^2) double sum of Fraction
+    products b_i[a] * M[a][b] * b_j[b]."""
+    n = len(matrix)
+    return tuple(tuple(
+        sum(Fraction(bi[a]) * Fraction(matrix[a][b]) * Fraction(bj[b])
+            for a in range(n) for b in range(n))
+        for bj in basis) for bi in basis)
+
+
+def pairing_double_sum(phi, u, v):
+    """phi(u, v) as one Fraction double sum per target coordinate."""
+    return tuple(sum(Fraction(u[i]) * m[i][j] * Fraction(v[j])
+                     for i in range(phi.n) for j in range(phi.n))
+                 for m in phi.forms)
+
+
 def mat_mul(A, B):
     return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(len(B)))
                        for j in range(len(B[0]))) for i in range(len(A)))

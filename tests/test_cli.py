@@ -197,6 +197,29 @@ class TestErrorHandling:
                              tmp_path)
         assert code == 2
 
+    def test_non_object_term_exit_two(self, tmp_path):
+        payload = dict(TROPICAL, chi=[0, 0],
+                       relator={"rank": 2, "terms": [5]})
+        code, _ = run_inproc("tc", payload, tmp_path)
+        assert code == 2
+
+    def test_non_array_exp_exit_two(self, tmp_path):
+        payload = dict(TROPICAL, chi=[0, 0], relator={"rank": 2, "terms": [
+            {"exp": 5, "coeff": [{"qexp": [0], "c": 1}]}]})
+        code, _ = run_inproc("tc", payload, tmp_path)
+        assert code == 2
+
+    def test_non_object_commutator_exit_two(self, tmp_path):
+        payload = {"presentation": dict(HEISENBERG2["presentation"],
+                                        commutators=[7])}
+        code, _ = run_inproc("group-structure", payload, tmp_path)
+        assert code == 2
+
+    def test_non_array_base_blocks_exit_two(self, tmp_path):
+        payload = dict(TWO_BLOCK, base={"V0": [], "blocks": 5, "lines": []})
+        code, _ = run_inproc("verify-base", payload, tmp_path)
+        assert code == 2
+
     def test_zero_relator_exit_two(self, tmp_path):
         payload = {"relator": {"rank": 2, "terms": []},
                    "cocycle": TROPICAL["cocycle"]}

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qtdelta.lattice import Subspace, subspace_sum
+from qtdelta.lattice import Subspace, congruence, subspace_sum
 from qtdelta.symplectic import (
     AlternatingMapQ,
     NoBaseFound,
@@ -20,6 +20,7 @@ from qtdelta.symplectic import (
     vec_primitive_signed,
     verify_symplectic_base,
 )
+from qtdelta.symplectic import _charpoly, _restrict
 from qtdelta.rng import derive
 
 from oracles import (
@@ -27,8 +28,11 @@ from oracles import (
     block_form,
     conjugate_form,
     conjugated_block_instance,
+    det_fraction,
     distinct_lines,
+    pairing_double_sum,
     random_unimodular,
+    restrict_double_sum,
     standard_j,
 )
 
@@ -352,3 +356,84 @@ def test_image_space():
 def test_vec_primitive_signed():
     assert vec_primitive_signed((-2, 4)) == (1, -2)
     assert vec_primitive_signed((0, -3)) == (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# integer kernel against the Fraction double sums
+
+def _rational(rng):
+    return Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 4, 6, 9]))
+
+
+def _rational_antisymmetric(rng, n):
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = _rational(rng)
+            m[j][i] = -m[i][j]
+    return m
+
+
+def _rational_basis(rng, r, n):
+    """Rows with non-integer entries alternating with integer rows that are
+    not primitive."""
+    return [tuple(_rational(rng) for _ in range(n)) if i % 2 == 0
+            else tuple(3 * rng.randint(-2, 2) for _ in range(n))
+            for i in range(r)]
+
+
+class TestIntegerKernel:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_congruence_matches_double_sum(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        M = [[_rational(rng) for _ in range(n)] for _ in range(n)]
+        basis = _rational_basis(rng, rng.randint(0, 4), n)
+        expected = restrict_double_sum(M, basis)
+        assert congruence(basis, M) == expected
+        assert congruence(basis, M, 6) == tuple(
+            tuple(x / 6 for x in row) for row in expected)
+
+    def test_congruence_of_integers_stays_integral(self):
+        M = ((1, -2, 0), (3, 0, 5), (0, 4, -1))
+        basis = ((2, 0, 4), (0, 6, 3))
+        out = congruence(basis, M)
+        assert out == restrict_double_sum(M, basis)
+        assert all(type(x) is int for row in out for x in row)
+
+    def test_congruence_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            congruence([(1, 0)], [(1, 2)])
+        with pytest.raises(ValueError):
+            congruence([(1, 0, 0)], [(0, 1), (-1, 0)])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_restrict_pairing_left_rows_match_double_sum(self, seed):
+        rng = random.Random(100 + seed)
+        n, s = rng.randint(2, 6), rng.randint(1, 3)
+        phi = AlternatingMapQ(n, s, tuple(_rational_antisymmetric(rng, n)
+                                          for _ in range(s)))
+        basis = _rational_basis(rng, rng.randint(1, 4), n)
+        assert _restrict(phi, basis).forms == tuple(
+            restrict_double_sum(m, basis) for m in phi.forms)
+        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        for u in basis:
+            for v in basis:
+                assert phi.pairing(u, v) == pairing_double_sum(phi, u, v)
+            rows = phi.left_rows(u)
+            for j, e in enumerate(units):
+                assert tuple(row[j] for row in rows) == \
+                    pairing_double_sum(phi, u, e)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_charpoly_matches_determinant(self, seed):
+        rng = random.Random(200 + seed)
+        d = rng.randint(0, 5)
+        M = [[_rational(rng) for _ in range(d)] for _ in range(d)]
+        coeffs = _charpoly(M)
+        assert len(coeffs) == d + 1
+        for lam in range(-3, 4):
+            value = sum(c * lam ** (d - k) for k, c in enumerate(coeffs))
+            shifted = [[(lam if i == j else 0) - M[i][j] for j in range(d)]
+                       for i in range(d)]
+            assert value == det_fraction(shifted)

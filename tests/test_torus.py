@@ -18,7 +18,7 @@ from qtdelta.torus import (
     verify_theorem42,
 )
 
-from oracles import random_cocycle, random_relator
+from oracles import random_cocycle, random_relator, restrict_double_sum
 
 J2 = AlternatingFormZ(2, (((0, 1), (-1, 0)),))
 
@@ -273,3 +273,20 @@ def test_element_accessors_return_copies():
     coeff = el.coefficient((1, 0))
     coeff[(5,)] = Fraction(1)
     assert el.coefficient((1, 0)) == {(0,): Fraction(1, 2)}
+
+
+def test_restrict_matches_double_sum():
+    rng = random.Random(7)
+    for _ in range(10):
+        n, s = rng.randint(1, 4), rng.randint(1, 2)
+        cocycle = random_cocycle(rng, n, s)
+        rows = [tuple(2 * rng.randint(-2, 2) for _ in range(n))
+                for _ in range(rng.randint(1, n))]
+        lattice = Sublattice.from_rows(n, rows)
+        restricted = cocycle.restrict(lattice)
+        assert restricted.forms == tuple(
+            restrict_double_sum(m, lattice.basis) for m in cocycle.forms)
+        alt = commutator_form(cocycle).restrict(lattice)
+        assert alt.forms == tuple(
+            restrict_double_sum(m, lattice.basis)
+            for m in commutator_form(cocycle).forms)
