@@ -147,10 +147,9 @@ def cmd_check_dim(args):
     data = _load(args)
     module = _module_from(data)
     if args.sample:
-        fan = polyhedral.delta_star(delta.delta_set(module))
         full = delta.delta_set(module)
-        top = [i for i, c in enumerate(full.cones)
-               if c.dim == polyhedral.fan_dim(full)]
+        dim = polyhedral.fan_dim(full)
+        top = [i for i, c in enumerate(full.cones) if c.dim == dim]
         if not top:
             raise InputError("the Delta set is empty; nothing to sample")
         chis = [delta.sample_delta_point(module, top[i % len(top)],
@@ -271,11 +270,11 @@ def cmd_check_ample(args):
     phi = jsonio.alternating_q_from_json(_require(data, "form"))
     space = jsonio.subspace_from_json(_require(data, "X"), ambient=phi.n)
     omega = [jsonio.subspace_from_json(u, ambient=phi.n)
-             for u in _require(data, "Omega")]
+             for u in jsonio._array(_require(data, "Omega"), "Omega")]
     probes = None
     if "probes" in data:
         probes = [jsonio.subspace_from_json(u, ambient=phi.n)
-                  for u in data["probes"]]
+                  for u in jsonio._array(data["probes"], "probes")]
     try:
         report = symplectic.check_ample(phi, space, omega, probes=probes,
                                         seed=args.seed)
@@ -297,7 +296,8 @@ def cmd_group_structure(args):
 def cmd_verify_thm42(args):
     data = _load(args)
     form = jsonio.alternating_z_from_json(_require(data, "form"))
-    parts = [jsonio.sublattice_from_json(p) for p in _require(data, "parts")]
+    parts = [jsonio.sublattice_from_json(p)
+             for p in jsonio._array(_require(data, "parts"), "parts")]
     try:
         report = torus.verify_theorem42(form, parts)
     except ValueError as exc:

@@ -58,7 +58,7 @@ class Character:
 
     def kernel(self) -> Sublattice:
         """Saturated kernel sublattice of Z^n."""
-        return saturate(kernel_lattice([self.coords], self.n))
+        return kernel_lattice([self.coords], self.n)
 
     @property
     def rank(self):

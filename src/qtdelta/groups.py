@@ -16,11 +16,11 @@ from . import symplectic, torus
 from .lattice import (
     Sublattice,
     Subspace,
+    congruence,
     kernel_lattice,
     solve_left,
     subspace_to_lattice,
 )
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -199,16 +199,9 @@ def structure_report(pres: Class2Presentation, seed: int = 0,
         if lift is None:
             raise AssertionError("quotient projection is not surjective")
         lifts.append(lift)
-    quotient_forms = []
-    for mat in form.forms:
-        quotient_forms.append(tuple(
-            tuple(sum(lifts[i][a] * mat[a][b] * lifts[j][b]
-                      for a in range(n) for b in range(n))
-                  for j in range(m)) for i in range(m)))
-    quotient_form = torus.AlternatingFormZ(m, tuple(quotient_forms))
-    phi = symplectic.AlternatingMapQ(
-        m, pres.s, tuple(tuple(tuple(Fraction(x) for x in row) for row in mat)
-                         for mat in quotient_form.forms))
+    quotient_form = torus.AlternatingFormZ(
+        m, tuple(congruence(lifts, mat) for mat in form.forms))
+    phi = symplectic.AlternatingMapQ(m, pres.s, quotient_form.forms)
     outcome = symplectic.compute_symplectic_base(phi, seed=seed,
                                                  retries=retries)
     diagnostics = {

@@ -6,6 +6,10 @@ mathematical equality.  All arithmetic is arbitrary-precision (python ints
 and fractions.Fraction); there is deliberately no floating point and no
 numpy in this package.  Matrices are tuples of row tuples and every public
 value is immutable, hence safe to share between threads.
+
+``rref_int`` is the one rational elimination, run fraction-free on integer
+rows; ``rref`` divides each of its rows once, and ``solve`` (A^-1 B) is read
+off ``rref``.  ``hnf`` is the integer (unimodular) elimination.
 """
 
 from __future__ import annotations
@@ -19,6 +23,14 @@ def dot(a, b):
     if len(a) != len(b):
         raise ValueError("dimension mismatch in dot product")
     return sum(x * y for x, y in zip(a, b))
+
+
+def as_int(x):
+    """``x`` as an int when it is an integral rational; ValueError for any
+    other entry, floats included, so that no entry is silently truncated."""
+    if isinstance(x, (int, Fraction)) and x.denominator == 1:
+        return int(x)
+    raise ValueError(f"integer entry expected, got {x!r}")
 
 
 def clear_denominators(v):
@@ -39,14 +51,23 @@ def clear_matrix(matrix):
             for r, d in cleared], den
 
 
+def _primitive(ints):
+    """An integer list divided by the gcd of its entries."""
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
 def vec_primitive(v):
     """Scale a rational vector to the primitive integer vector with the same
     direction (the zero vector stays zero)."""
-    ints, _ = clear_denominators(v)
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    return tuple(_primitive(clear_denominators(v)[0]))
+
+
+def vec_primitive_signed(v):
+    """Primitive representative with canonical sign (first nonzero > 0)."""
+    p = vec_primitive(v)
+    lead = next((x for x in p if x != 0), 0)
+    return tuple(-x for x in p) if lead < 0 else p
 
 
 def row_times(v, matrix):
@@ -151,41 +172,76 @@ def hnf(matrix):
     return tuple(map(tuple, H)), tuple(map(tuple, U))
 
 
-def rref(matrix):
-    """Reduced row echelon form over Q.
+def rref_int(matrix):
+    """Reduced row echelon form over Q, fraction-free: ``(rows, pivots)``
+    with each nonzero RREF row scaled to a primitive integer list whose
+    pivot entry is positive, and the pivot column of each row.
 
-    Returns ``(rows, pivots)`` where ``rows`` holds only the nonzero rows
-    (entries are Fractions) and ``pivots`` the pivot column of each row.
+    Rows are cleared of denominators once.  Pivot ``p`` of row r clears
+    entry ``a`` of row i by ``row_i <- (p/g) row_i - (a/g) row_r``,
+    ``g = gcd(p, a)``, after which row_i is divided by the gcd of its
+    entries, so every row stays a primitive integer multiple of its
+    Gauss-Jordan counterpart (integer-preserving elimination, Bareiss,
+    Math. Comp. 22, 1968).
     """
-    M = [[Fraction(x) for x in row] for row in matrix]
+    M = [_primitive(clear_denominators(row)[0]) for row in matrix]
     m = len(M)
     n = len(M[0]) if m else 0
     pivots = []
     r = 0
     for c in range(n):
-        pivot_row = None
-        for i in range(r, m):
-            if M[i][c] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, m) if M[i][c]), None)
         if pivot_row is None:
             continue
         M[r], M[pivot_row] = M[pivot_row], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
+        prow = M[r]
+        p = prow[c]
         for i in range(m):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+            a = M[i][c]
+            if a and i != r:
+                g = gcd(p, a)
+                pg, ag = p // g, a // g
+                M[i] = _primitive([pg * x - ag * y
+                                   for x, y in zip(M[i], prow)])
         pivots.append(c)
         r += 1
         if r == m:
             break
-    return tuple(tuple(row) for row in M[:r]), tuple(pivots)
+    rows = [row if row[c] > 0 else [-x for x in row]
+            for row, c in zip(M, pivots)]
+    return rows, tuple(pivots)
+
+
+def rref(matrix):
+    """Reduced row echelon form over Q: ``(rows, pivots)``, the nonzero
+    rows (Fraction entries) and the pivot column of each.  The rows of
+    ``rref_int`` are divided by their pivots, once each."""
+    rows, pivots = rref_int(matrix)
+    return tuple(tuple(Fraction(x, row[c]) for x in row)
+                 for row, c in zip(rows, pivots)), pivots
+
+
+def solve(A, B):
+    """``A^-1 B`` (Fraction rows) for a square rational ``A``, read off one
+    ``rref`` of ``[A | B]``; ValueError when ``A`` is singular."""
+    n = len(A)
+    if len(B) != n or any(len(row) != n for row in A):
+        raise ValueError("dimension mismatch in solve")
+    rows, pivots = rref([tuple(a) + tuple(b) for a, b in zip(A, B)])
+    if pivots[:n] != tuple(range(n)):
+        raise ValueError("singular matrix")
+    return tuple(row[n:] for row in rows)
+
+
+def complement_columns(rows, n):
+    """The non-pivot columns of ``rows`` among 0..n-1: their unit vectors
+    span the canonical complement of the row space."""
+    pivots = set(rref_int(rows)[1])
+    return [j for j in range(n) if j not in pivots]
 
 
 def matrix_rank(matrix):
-    return len(rref(matrix)[0])
+    return len(rref_int(matrix)[1])
 
 
 def null_space_int(matrix, n):
@@ -194,17 +250,16 @@ def null_space_int(matrix, n):
     The basis is derived from the RREF of ``matrix`` so it depends only on
     the row space, one vector per free column, ordered by free column.
     """
-    rows = [row for row in matrix if any(x != 0 for x in row)]
-    R, piv = rref(rows)
+    R, piv = rref_int(matrix)
     pivset = set(piv)
     basis = []
     for f in range(n):
         if f in pivset:
             continue
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for r, c in enumerate(piv):
-            v[c] = -R[r][f]
+        v = [0] * n
+        v[f] = 1
+        for row, c in zip(R, piv):
+            v[c] = Fraction(-row[f], row[c])
         basis.append(vec_primitive(v))
     return tuple(basis)
 
@@ -264,7 +319,7 @@ class Sublattice:
         for row in rows:
             if len(row) != ambient_rank:
                 raise ValueError("generator of wrong length")
-        H, _ = hnf(tuple(tuple(int(x) for x in row) for row in rows))
+        H, _ = hnf(tuple(tuple(as_int(x) for x in row) for row in rows))
         nonzero = tuple(row for row in H if any(row))
         return Sublattice(ambient_rank, nonzero)
 

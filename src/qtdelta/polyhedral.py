@@ -19,11 +19,13 @@ from fractions import Fraction
 
 from .lattice import (
     Subspace,
+    complement_columns,
     dot,
     matrix_rank,
     null_space_int,
-    rref,
+    rref_int,
     vec_primitive,
+    vec_primitive_signed,
 )
 
 
@@ -40,25 +42,6 @@ def _norm_constraints(vectors, dim):
     return tuple(out)
 
 
-def _fraction_inverse(rows):
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0)
-                                         for j in range(n)]
-           for i, row in enumerate(rows)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
-
-
 def _dd_pointed(constraints, dim):
     """Extreme rays of the pointed cone {z in Q^dim : a.z >= 0 for all a}.
 
@@ -66,27 +49,22 @@ def _dd_pointed(constraints, dim):
     ``dim`` independent constraints, then clip with the remaining ones,
     keeping only adjacent positive/negative ray pairs (combinatorial test).
     Pointedness (constraint rank equal to ``dim``) is a precondition.
+
+    The start comes from one fraction-free ``rref_int`` of ``[A^T | I]``,
+    A the constraint rows: its pivots are the first ``dim`` independent
+    constraints ``sel`` and its right block is then a positive row scaling
+    of ``(A_sel^T)^-1``, whose primitive rows are the rays of the
+    simplicial cone, ray j tight on every selected constraint but the j-th.
     """
     if dim == 0:
         return ()
-    sel = []
-    echelon = []
-    for idx, a in enumerate(constraints):
-        row = [Fraction(x) for x in a]
-        for e in echelon:
-            pivot = next(c for c, x in enumerate(e) if x != 0)
-            if row[pivot]:
-                f = row[pivot] / e[pivot]
-                row = [x - f * y for x, y in zip(row, e)]
-        if any(row):
-            echelon.append(row)
-            sel.append(idx)
-        if len(sel) == dim:
-            break
-    if len(sel) < dim:
+    k = len(constraints)
+    rows, sel = rref_int([[a[t] for a in constraints]
+                          + [int(t == j) for j in range(dim)]
+                          for t in range(dim)])
+    if sel[-1] >= k:
         raise ValueError("cone is not pointed")
-    inv = _fraction_inverse([constraints[i] for i in sel])
-    rays = [vec_primitive([inv[i][j] for i in range(dim)]) for j in range(dim)]
+    rays = [vec_primitive(row[k:]) for row in rows]
     processed = list(sel)
     selset = set(sel)
     for idx, a in enumerate(constraints):
@@ -125,8 +103,7 @@ def _vrep(dim, equalities, inequalities):
     the returned rays depend only on the point set.
     """
     lineality = null_space_int(list(equalities) + list(inequalities), dim)
-    _, lin_pivots = rref(lineality)
-    wcols = [j for j in range(dim) if j not in set(lin_pivots)]
+    wcols = complement_columns(lineality, dim)
     eq_w = _norm_constraints([[a[j] for j in wcols] for a in equalities],
                              len(wcols))
     K = null_space_int(eq_w, len(wcols))
@@ -399,13 +376,6 @@ def carrier_spaces(fan):
     return [spans[k] for k in sorted(spans)]
 
 
-def _oriented(v):
-    """Primitive representative with canonical sign (first nonzero > 0)."""
-    p = vec_primitive(v)
-    lead = next((x for x in p if x != 0), 0)
-    return tuple(-x for x in p) if lead < 0 else p
-
-
 def _relint_of_closure(dim, eqs, closed):
     """Relative-interior point (sum of extreme rays) and V-data of the cone
     {eqs = 0, closed >= 0}."""
@@ -491,9 +461,9 @@ def fan_equal(f1, f2):
     for f in (f1, f2):
         for c in f.cones:
             for e in c.equalities:
-                hyperplanes.add(_oriented(e))
+                hyperplanes.add(vec_primitive_signed(e))
             for a in c.inequalities:
-                hyperplanes.add(_oriented(a))
+                hyperplanes.add(vec_primitive_signed(a))
     hyperplanes = sorted(hyperplanes)
     if not all(f2.member(p) for p in _cells(f1, hyperplanes)):
         return False

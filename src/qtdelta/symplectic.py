@@ -18,15 +18,16 @@ from .lattice import (
     Subspace,
     clear_denominators,
     clear_matrix,
+    complement_columns,
     congruence,
     dot,
     matrix_rank,
     null_space_int,
     row_times,
-    rref,
+    solve,
     subspace_intersection,
     subspace_sum,
-    vec_primitive,
+    vec_primitive_signed,
 )
 from .rng import derive
 
@@ -125,12 +126,6 @@ def _line_key(space: Subspace):
     return vec_primitive_signed(space.basis[0])
 
 
-def vec_primitive_signed(v):
-    p = vec_primitive(v)
-    lead = next((x for x in p if x != 0), 0)
-    return tuple(-x for x in p) if lead < 0 else p
-
-
 @dataclass(frozen=True)
 class SymplecticBase:
     """Candidate decomposition: radical, blocks and their image lines."""
@@ -220,11 +215,6 @@ class NoBaseFound:
         }
 
 
-def _complement_columns(space: Subspace):
-    pivots = set(rref(space.basis)[1])
-    return [j for j in range(space.ambient_dim) if j not in pivots]
-
-
 def _charpoly(mat):
     """Characteristic polynomial coefficients [1, c1, ..., cd] of a rational
     matrix M, by the trace recursion (Faddeev-LeVerrier) run fraction-free.
@@ -295,7 +285,7 @@ def compute_symplectic_base(phi: AlternatingMapQ, seed: int = 0,
     """
     n, s = phi.n, phi.s
     V0 = center(phi)
-    wcols = _complement_columns(V0)
+    wcols = complement_columns(V0.basis, n)
     m = len(wcols)
     comp_basis = [tuple(Fraction(1 if j == c else 0) for j in range(n))
                   for c in wcols]
@@ -321,7 +311,7 @@ def compute_symplectic_base(phi: AlternatingMapQ, seed: int = 0,
         t2 = [rng.randint(-9, 9) for _ in range(s)]
         phi_t2 = [[sum(t2[k] * restricted.forms[k][i][j] for k in range(s))
                    for j in range(m)] for i in range(m)]
-        M = _solve_matrix(phi_t, phi_t2)
+        M = solve(phi_t, phi_t2)
         split = _eigen_split(M)
         if split is None:
             reason = "pencil spectrum not rational-diagonalizable"
@@ -365,15 +355,6 @@ def compute_symplectic_base(phi: AlternatingMapQ, seed: int = 0,
         last_report = report
         reason = "candidate decomposition failed verification"
     return NoBaseFound(max(1, retries), last_report, reason)
-
-
-def _solve_matrix(A, B):
-    """A^-1 B for square rational matrices."""
-    from .polyhedral import _fraction_inverse
-    inv = _fraction_inverse(A)
-    d = len(A)
-    return [[sum(inv[i][t] * Fraction(B[t][j]) for t in range(d))
-             for j in range(d)] for i in range(d)]
 
 
 def _lift(vec, wcols, n):

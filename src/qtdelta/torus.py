@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import (Sublattice, congruence, kernel_lattice, matrix_rank,
-                      saturate)
+from .lattice import (Sublattice, as_int, congruence, kernel_lattice,
+                      matrix_rank, saturate)
 
 
 def _check_square_int(mat, n):
-    rows = tuple(tuple(int(x) for x in row) for row in mat)
+    rows = tuple(tuple(as_int(x) for x in row) for row in mat)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError("matrix of wrong shape")
     return rows

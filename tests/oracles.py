@@ -12,12 +12,10 @@ import random
 from fractions import Fraction
 
 from qtdelta import torus
-from qtdelta.lattice import Subspace, dot, solve_left
-from qtdelta.polyhedral import _fraction_inverse
+from qtdelta.lattice import Subspace, dot, solve_left, vec_primitive_signed
 from qtdelta.symplectic import (
     AlternatingMapQ,
     SymplecticBase,
-    vec_primitive_signed,
     verify_symplectic_base,
 )
 
@@ -65,6 +63,43 @@ def det_fraction(matrix):
                 f = M[i][c]
                 M[i] = [x - f * y for x, y in zip(M[i], M[c])]
     return det
+
+
+def rref_fraction(matrix):
+    """Reduced row echelon form by Gauss-Jordan elimination on Fractions:
+    ``(nonzero rows, pivot columns)``, the reference for ``lattice.rref``."""
+    M = [[Fraction(x) for x in row] for row in matrix]
+    m = len(M)
+    n = len(M[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        pivot_row = next((i for i in range(r, m) if M[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        M[r], M[pivot_row] = M[pivot_row], M[r]
+        inv = 1 / M[r][c]
+        M[r] = [x * inv for x in M[r]]
+        for i in range(m):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return tuple(tuple(row) for row in M[:r]), tuple(pivots)
+
+
+def inverse_fraction(matrix):
+    """Inverse of a square rational matrix: the right block of the
+    ``rref_fraction`` of ``[matrix | I]``."""
+    n = len(matrix)
+    rows, pivots = rref_fraction([list(row) + [int(i == j) for j in range(n)]
+                                  for i, row in enumerate(matrix)])
+    if pivots[:n] != tuple(range(n)):
+        raise ValueError("singular matrix")
+    return [list(row[n:]) for row in rows]
 
 
 def restrict_double_sum(matrix, basis):
@@ -376,7 +411,7 @@ def conjugated_block_instance(rng, dims, lines, s, central=0, ops=12):
     n = phi0.n
     G = random_unimodular(rng, n, ops)
     phi = conjugate_form(phi0, G)
-    ginv = _fraction_inverse([list(r) for r in G])
+    ginv = inverse_fraction(G)
     expected = []
     off = 0
     for d in dims:

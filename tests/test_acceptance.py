@@ -48,6 +48,7 @@ from oracles import (
     conjugate_form,
     conjugated_block_instance,
     distinct_lines,
+    inverse_fraction,
     random_character,
     random_cocycle,
     random_monomial,
@@ -195,7 +196,6 @@ def test_criterion_5_symplectic_roundtrip():
 def test_criterion_6_abelian_decomposition_suite():
     t0 = time.perf_counter()
     rng = random.Random(606)
-    from qtdelta.polyhedral import _fraction_inverse
     decomposed = 0
     rejected = 0
     while decomposed < 200:
@@ -209,7 +209,7 @@ def test_criterion_6_abelian_decomposition_suite():
         n = sum(dims)
         G = random_unimodular(rng, n, ops=8)
         phi = conjugate_form(block_form(dims, lines, s), G)
-        ginv = _fraction_inverse([list(r) for r in G])
+        ginv = inverse_fraction(G)
         base = compute_symplectic_base(phi, seed=decomposed)
         if isinstance(base, NoBaseFound):
             continue

@@ -22,6 +22,31 @@ HEISENBERG2 = {"presentation": {
     "commutators": [{"a": 1, "b": 3, "exps": [1]},
                     {"a": 2, "b": 4, "exps": [1]}]}}
 
+INDUCED = {
+    "relator": {"rank": 2, "terms": [
+        {"exp": [0, 0], "coeff": [{"qexp": [0], "c": 1}]},
+        {"exp": [1, 0], "coeff": [{"qexp": [0], "c": 1}]}]},
+    "cocycle": {"rank": 2, "s": 1, "B": [[[0, 0], [0, 0]]]},
+    "A1": {"ambient_rank": 2, "basis": [[1, 0]]},
+}
+
+TORUS_MUL = {
+    "a": {"rank": 2, "terms": [
+        {"exp": [1, 0], "coeff": [{"qexp": [0], "c": 1}]}]},
+    "b": {"rank": 2, "terms": [
+        {"exp": [0, 1], "coeff": [{"qexp": [0], "c": 1}]}]},
+    "cocycle": {"rank": 2, "s": 1, "B": [[[0, 1], [0, 0]]]},
+}
+
+AMPLE = {"form": {"n": 2, "s": 1, "phi": [[[0, 1], [-1, 0]]]},
+         "X": [[1, 0], [0, 1]],
+         "Omega": [[[1, 0]], [[0, 1]]],
+         "probes": [[[1, 0]], [[0, 1]], [[1, 1]]]}
+
+THM42 = {"form": TWO_BLOCK["form"],
+         "parts": [{"ambient_rank": 4, "basis": [[1, 0, 0, 0], [0, 1, 0, 0]]},
+                   {"ambient_rank": 4, "basis": [[0, 0, 1, 0], [0, 0, 0, 1]]}]}
+
 
 def run_cli(command, payload, *flags):
     proc = subprocess.run(
@@ -77,26 +102,12 @@ class TestSubcommands:
         code, out = run_inproc("check-dim", TROPICAL, tmp_path,
                                "--sample", "6")
         assert code == 0 and json.loads(out)["all_hold"]
-        payload = {
-            "relator": {"rank": 2, "terms": [
-                {"exp": [0, 0], "coeff": [{"qexp": [0], "c": 1}]},
-                {"exp": [1, 0], "coeff": [{"qexp": [0], "c": 1}]}]},
-            "cocycle": {"rank": 2, "s": 1, "B": [[[0, 0], [0, 0]]]},
-            "A1": {"ambient_rank": 2, "basis": [[1, 0]]},
-        }
-        code, out = run_inproc("check-induced", payload, tmp_path,
+        code, out = run_inproc("check-induced", INDUCED, tmp_path,
                                "--sample", "5", "--seed", "2")
         assert code == 0 and json.loads(out)["all_equal"]
 
     def test_torus_mul(self, tmp_path):
-        payload = {
-            "a": {"rank": 2, "terms": [
-                {"exp": [1, 0], "coeff": [{"qexp": [0], "c": 1}]}]},
-            "b": {"rank": 2, "terms": [
-                {"exp": [0, 1], "coeff": [{"qexp": [0], "c": 1}]}]},
-            "cocycle": {"rank": 2, "s": 1, "B": [[[0, 1], [0, 0]]]},
-        }
-        code, out = run_inproc("torus-mul", payload, tmp_path)
+        code, out = run_inproc("torus-mul", TORUS_MUL, tmp_path)
         assert code == 0
         assert json.loads(out) == {"rank": 2, "terms": [
             {"exp": [1, 1], "coeff": [{"qexp": [1], "c": 1}]}]}
@@ -136,11 +147,7 @@ class TestSubcommands:
             == [[0, 0, 1, 0], [1, 0, 0, 0]]
 
     def test_check_ample(self, tmp_path):
-        payload = {"form": {"n": 2, "s": 1, "phi": [[[0, 1], [-1, 0]]]},
-                   "X": [[1, 0], [0, 1]],
-                   "Omega": [[[1, 0]], [[0, 1]]],
-                   "probes": [[[1, 0]], [[0, 1]], [[1, 1]]]}
-        code, out = run_inproc("check-ample", payload, tmp_path)
+        code, out = run_inproc("check-ample", AMPLE, tmp_path)
         assert code == 0 and json.loads(out)["passed"]
 
     def test_group_structure(self, tmp_path):
@@ -151,13 +158,7 @@ class TestSubcommands:
         assert [b["rank"] for b in payload["heisenberg_blocks"]] == [2]
 
     def test_verify_thm42(self, tmp_path):
-        payload = {"form": {"n": 4, "s": 2, "phi": TWO_BLOCK["form"]["phi"]},
-                   "parts": [
-                       {"ambient_rank": 4,
-                        "basis": [[1, 0, 0, 0], [0, 1, 0, 0]]},
-                       {"ambient_rank": 4,
-                        "basis": [[0, 0, 1, 0], [0, 0, 0, 1]]}]}
-        code, out = run_inproc("verify-thm42", payload, tmp_path)
+        code, out = run_inproc("verify-thm42", THM42, tmp_path)
         assert code == 0 and json.loads(out)["passed"]
 
     def test_verify_thm42_twin_fails(self, tmp_path):
@@ -220,6 +221,21 @@ class TestErrorHandling:
         code, _ = run_inproc("verify-base", payload, tmp_path)
         assert code == 2
 
+    def test_non_array_parts_exit_two(self, tmp_path):
+        payload = {"form": TWO_BLOCK["form"], "parts": 5}
+        code, _ = run_inproc("verify-thm42", payload, tmp_path)
+        assert code == 2
+
+    def test_non_array_omega_exit_two(self, tmp_path):
+        payload = dict(AMPLE, Omega=5)
+        code, _ = run_inproc("check-ample", payload, tmp_path)
+        assert code == 2
+
+    def test_non_array_probes_exit_two(self, tmp_path):
+        payload = dict(AMPLE, probes=7)
+        code, _ = run_inproc("check-ample", payload, tmp_path)
+        assert code == 2
+
     def test_zero_relator_exit_two(self, tmp_path):
         payload = {"relator": {"rank": 2, "terms": []},
                    "cocycle": TROPICAL["cocycle"]}
@@ -247,3 +263,69 @@ class TestDeterminism:
         b = run_cli("delta", TROPICAL, "--format", "pretty")
         assert a == b
         assert a[1].startswith("{\n")
+
+
+MUTANTS = (5, -1, "x", [], {}, None, True, 2.5)
+
+
+def _valid_payloads(tmp_path):
+    """One valid (command, payload, flags) per subcommand."""
+    _, fan = run_inproc("delta", TROPICAL, tmp_path)
+    _, out = run_inproc("symbase", TWO_BLOCK, tmp_path)
+    base = json.loads(out)["base"]
+    return [
+        ("delta", TROPICAL, ()),
+        ("initform", dict(TROPICAL, chi=[0, 1]), ()),
+        ("tc", dict(TROPICAL, chi=[0, 1]), ()),
+        ("lc", {"fan": json.loads(fan), "point": [0, 1]}, ()),
+        ("check-lemma31", dict(TROPICAL, chi=[0, 1]), ()),
+        ("check-dim", dict(TROPICAL, chi=[0, 1]), ()),
+        ("check-induced", dict(INDUCED, chi=[1, 2]), ()),
+        ("torus-mul", TORUS_MUL, ()),
+        ("center", TWO_BLOCK, ()),
+        ("symbase", TWO_BLOCK, ("--retries", "2")),
+        ("verify-base", dict(TWO_BLOCK, base=base), ()),
+        ("abelian-split", dict(TWO_BLOCK, base=base,
+                               U=[[1, 0, 0, 0], [0, 0, 1, 0]]), ()),
+        ("check-ample", AMPLE, ()),
+        ("group-structure", HEISENBERG2, ()),
+        ("verify-thm42", THM42, ()),
+    ]
+
+
+def _mutations(payload):
+    """Copies of ``payload`` with one top-level field, or one field one
+    level below it, replaced by each value of MUTANTS."""
+    for key, value in payload.items():
+        for bad in MUTANTS:
+            yield dict(payload, **{key: bad})
+        if isinstance(value, dict):
+            children = list(value)
+        elif isinstance(value, list):
+            children = range(len(value))
+        else:
+            continue
+        for child in children:
+            for bad in MUTANTS:
+                inner = dict(value) if isinstance(value, dict) else list(value)
+                inner[child] = bad
+                yield dict(payload, **{key: inner})
+
+
+def test_cli_contract_under_field_mutation(tmp_path):
+    """Every mutated payload exits 0, 1 or 2 without an escaping
+    exception, and exit 1 comes with a JSON report."""
+    inp, out = tmp_path / "in.json", tmp_path / "out.json"
+    commands = set()
+    for command, payload, flags in _valid_payloads(tmp_path):
+        commands.add(command)
+        assert run_inproc(command, payload, tmp_path, *flags)[0] == 0
+        for mutant in _mutations(payload):
+            inp.write_text(json.dumps(mutant))
+            out.unlink(missing_ok=True)
+            code = main([command, "--input", str(inp), "--output", str(out),
+                         *flags])
+            assert code in (0, 1, 2), (command, mutant, code)
+            if code == 1:
+                json.loads(out.read_text())
+    assert len(commands) == 15

@@ -12,7 +12,10 @@ from qtdelta.lattice import (
     lattice_intersection,
     matrix_rank,
     null_space_int,
+    rref,
+    rref_int,
     saturate,
+    solve,
     solve_left,
     subspace_image,
     subspace_intersection,
@@ -22,26 +25,18 @@ from qtdelta.lattice import (
     vec_primitive,
 )
 
-from oracles import det_fraction, is_row_hnf, mat_mul, saturation_points_bruteforce
+from oracles import (
+    det_fraction,
+    inverse_fraction,
+    is_row_hnf,
+    mat_mul,
+    rref_fraction,
+    saturation_points_bruteforce,
+)
 
 
 def inverse_times(U, H):
-    n = len(U)
-    inv = [[Fraction(0)] * n for _ in range(n)]
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0)
-                                         for j in range(n)]
-           for i, row in enumerate(U)]
-    for c in range(n):
-        p = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[p] = aug[p], aug[c]
-        f = 1 / aug[c][c]
-        aug[c] = [x * f for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                g = aug[i][c]
-                aug[i] = [x - g * y for x, y in zip(aug[i], aug[c])]
-    inv = [row[n:] for row in aug]
-    return mat_mul(inv, H)
+    return mat_mul(inverse_fraction(U), H)
 
 
 class TestHnf:
@@ -89,6 +84,12 @@ class TestSublattice:
         assert lat.contains_vector((4, 3))
         assert not lat.contains_vector((1, 0))
         assert not lat.contains_vector((Fraction(1, 2), 0))
+        # generators must be integral: no entry is silently truncated
+        assert Sublattice.from_rows(2, [(Fraction(4, 2), 1)]).basis \
+            == ((2, 1),)
+        for bad in (Fraction(1, 2), 1.0, 0.5):
+            with pytest.raises(ValueError):
+                Sublattice.from_rows(2, [(bad, 1)])
 
     def test_saturate_index_two(self):
         lat = Sublattice.from_rows(2, [(2, 0)])
@@ -286,3 +287,76 @@ def test_null_space_vs_rank():
         for v in ns:
             for row in M:
                 assert sum(a * b for a, b in zip(row, v)) == 0
+
+
+def _random_rational_matrix(rng):
+    """A random rational matrix of any shape (wide, tall or empty) with
+    zero rows, rank deficiency, negative pivots and non-primitive rows."""
+    m, n = rng.randint(0, 6), rng.randint(1, 7)
+    rows = []
+    for _ in range(m):
+        kind = rng.random()
+        if kind < 0.15:
+            row = [0] * n
+        elif kind < 0.3:
+            row = [rng.choice((-6, -4, 4, 6)) * rng.randint(-3, 3)
+                   for _ in range(n)]
+        else:
+            row = [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                   if rng.random() < 0.7 else 0 for _ in range(n)]
+        rows.append(row)
+    if m >= 3 and rng.random() < 0.4:
+        rows[-1] = [2 * a - Fraction(1, 3) * b
+                    for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+class TestRref:
+    def test_matches_fraction_gauss_jordan(self):
+        rng = random.Random(4242)
+        for _ in range(1500):
+            M = _random_rational_matrix(rng)
+            rows, pivots = rref(M)
+            assert (rows, pivots) == rref_fraction(M)
+            assert all(type(x) is Fraction for row in rows for x in row)
+            int_rows, int_pivots = rref_int(M)
+            assert int_pivots == pivots
+            for row, c, frac_row in zip(int_rows, pivots, rows):
+                assert all(type(x) is int for x in row) and row[c] > 0
+                assert vec_primitive(row) == tuple(row)
+                assert [Fraction(x, row[c]) for x in row] == list(frac_row)
+
+    def test_negative_pivot_and_zero_rows(self):
+        M = [(0, 0, 0), (0, -2, 4), (Fraction(-3, 2), 3, 0), (0, 0, 0)]
+        assert rref(M) == rref_fraction(M)
+        assert rref_int(M) == ([[1, 0, -4], [0, 1, -2]], (0, 1))
+
+
+class TestSolve:
+    def test_matches_oracle_inverse(self):
+        rng = random.Random(515)
+        solved = 0
+        while solved < 200:
+            n = rng.randint(1, 5)
+            A = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                  for _ in range(n)] for _ in range(n)]
+            if det_fraction(A) == 0:
+                continue
+            width = rng.randint(1, 4)
+            B = tuple(tuple(rng.randint(-4, 4) for _ in range(width))
+                      for _ in range(n))
+            X = solve(A, B)
+            assert X == mat_mul(inverse_fraction(A), B)
+            assert mat_mul(A, X) == B
+            solved += 1
+
+    def test_singular_raises(self):
+        with pytest.raises(ValueError):
+            solve([(1, 2), (2, 4)], [(1, 0), (0, 1)])
+        with pytest.raises(ValueError):
+            solve([(0, 0), (0, 0)], [(1,), (1,)])
+        with pytest.raises(ValueError):
+            inverse_fraction([(1, 2), (Fraction(1, 2), 1)])
+
+    def test_empty(self):
+        assert solve([], []) == ()

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from qtdelta.lattice import Subspace, congruence, subspace_sum
+from qtdelta.lattice import (
+    Subspace,
+    congruence,
+    subspace_sum,
+    vec_primitive_signed,
+)
 from qtdelta.symplectic import (
     AlternatingMapQ,
     NoBaseFound,
@@ -17,7 +22,6 @@ from qtdelta.symplectic import (
     image_space,
     is_abelian,
     random_abelian_subspace,
-    vec_primitive_signed,
     verify_symplectic_base,
 )
 from qtdelta.symplectic import _charpoly, _restrict
@@ -30,6 +34,7 @@ from oracles import (
     conjugated_block_instance,
     det_fraction,
     distinct_lines,
+    inverse_fraction,
     pairing_double_sum,
     random_unimodular,
     restrict_double_sum,
@@ -257,8 +262,7 @@ class TestDecomposeAbelian:
         n = sum(dims)
         G = random_unimodular(rng, n, ops=8)
         phi = conjugate_form(block_form(dims, lines, s), G)
-        from qtdelta.polyhedral import _fraction_inverse
-        ginv = _fraction_inverse([list(r) for r in G])
+        ginv = inverse_fraction(G)
         # abelian subspace: graph of a symmetric matrix inside each block
         rows = []
         off = 0

@@ -248,6 +248,15 @@ class TestTheorem42:
 def test_antisymmetry_validated():
     with pytest.raises(ValueError):
         AlternatingFormZ(2, (((0, 1), (1, 0)),))
+    # entries must be integral rationals; none is truncated to an int
+    for bad in (Fraction(1, 2), Fraction(3, 2), 1.0):
+        with pytest.raises(ValueError):
+            AlternatingFormZ(2, (((0, bad), (-bad, 0)),))
+        with pytest.raises(ValueError):
+            CocycleForm(2, (((0, bad), (0, 0)),))
+    two = Fraction(4, 2)
+    assert AlternatingFormZ(2, (((0, two), (-two, 0)),)).forms \
+        == (((0, 2), (-2, 0)),)
 
 
 def test_saturate_image_line():
