@@ -35,7 +35,6 @@ from .polyhedral import (
     Cone,
     Fan,
     carrier_spaces,
-    cone_dim,
     delta_star,
     fan_dim,
     fan_equal,
@@ -91,7 +90,6 @@ __all__ = [
     "commensurable",
     "commutator_form",
     "compute_symplectic_base",
-    "cone_dim",
     "decompose_abelian",
     "delta_set",
     "delta_star",

@@ -2,6 +2,10 @@
 
 Exit codes: 0 on success (verified or computed), 1 when a checked property
 fails (the report carries a witness), 2 on malformed input or bad usage.
+
+Each ``cmd_*`` maps the parsed arguments and the loaded JSON to
+``(payload, passed)``; :func:`main` alone loads the input, emits the payload
+and turns the verdict, or a ValueError, into the exit code.
 """
 
 from __future__ import annotations
@@ -11,10 +15,11 @@ import json
 import sys
 
 from . import delta, groups, jsonio, polyhedral, symplectic, torus
+from .lattice import subspace_to_lattice
 from .rng import derive, rational
 
 
-class InputError(Exception):
+class InputError(ValueError):
     pass
 
 
@@ -48,6 +53,12 @@ def _emit(args, payload):
         sys.stdout.write(text)
 
 
+def _require(data, key):
+    if not isinstance(data, dict) or key not in data:
+        raise InputError(f"missing input field {key!r}")
+    return data[key]
+
+
 def _module_from(data):
     relator = jsonio.element_from_json(_require(data, "relator"))
     cocycle = jsonio.cocycle_from_json(_require(data, "cocycle"))
@@ -55,218 +66,159 @@ def _module_from(data):
         raise InputError("relator and cocycle parameter counts differ")
     if relator.s != cocycle.s:
         relator = torus.QTorusElement(relator.rank, cocycle.s, relator.terms)
-    try:
-        return delta.OneRelatorModule(relator, cocycle)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return delta.OneRelatorModule(relator, cocycle)
 
 
-def _require(data, key):
-    if not isinstance(data, dict) or key not in data:
-        raise InputError(f"missing input field {key!r}")
-    return data[key]
+def _grid_point(rng, rank):
+    return delta.Character(tuple(rational(rng) for _ in range(rank)))
 
 
-def _sample_characters(module, count, seed):
-    """Deterministic character sample: relative-interior points of the
-    Delta cones alternating with rational grid points."""
+def _sample_mixed(module, count, seed):
+    """Relative-interior points of the Delta cones alternating with
+    rational grid points."""
     fan = delta.delta_set(module)
     out = []
     rng = derive(seed, "grid")
-    idx = 0
-    while len(out) < count:
+    for idx in range(count):
         if fan.cones and idx % 2 == 0:
             cone_index = (idx // 2) % len(fan.cones)
             out.append(delta.sample_delta_point(module, cone_index,
                                                 seed + idx))
         else:
-            out.append(delta.Character(tuple(
-                rational(rng) for _ in range(module.rank))))
-        idx += 1
+            out.append(_grid_point(rng, module.rank))
     return out
 
 
-def _chi_list(args, data, module):
+def _sample_top_cones(module, count, seed):
+    """Relative-interior points of the top-dimensional Delta cones, in
+    turn."""
+    full = delta.delta_set(module)
+    dim = polyhedral.fan_dim(full)
+    top = [i for i, c in enumerate(full.cones) if c.dim == dim]
+    if not top:
+        raise InputError("the Delta set is empty; nothing to sample")
+    return [delta.sample_delta_point(module, top[i % len(top)], seed + i)
+            for i in range(count)]
+
+
+def _sample_grid(module, count, seed):
+    """Rational grid points."""
+    rng = derive(seed, "induced-grid")
+    return [_grid_point(rng, module.rank) for _ in range(count)]
+
+
+def _chis(args, data, module, sampler):
+    """``--sample N`` characters drawn by ``sampler``, else the input's
+    ``chi``."""
     if args.sample:
-        return _sample_characters(module, args.sample, args.seed)
+        return sampler(module, args.sample, args.seed)
     if "chi" not in data:
         raise InputError("provide a 'chi' field or --sample N")
     return [jsonio.character_from_json(data["chi"], module.rank)]
 
 
-def cmd_delta(args):
-    module = _module_from(_load(args))
-    _emit(args, jsonio.fan_to_json(delta.delta_set(module)))
-    return 0
+def _verdict(reports, key, ok):
+    """Every report, ``key`` true when attribute ``ok`` holds on all of
+    them, and the first report where it fails as the witness."""
+    failed = [r for r in reports if not getattr(r, ok)]
+    payload = {"checks": [r.to_json() for r in reports], key: not failed}
+    if failed:
+        payload["witness"] = failed[0].to_json()
+    return payload, not failed
 
 
-def cmd_initform(args):
-    data = _load(args)
+def cmd_delta(args, data):
+    return jsonio.fan_to_json(delta.delta_set(_module_from(data))), True
+
+
+def cmd_initform(args, data):
     module = _module_from(data)
     chi = jsonio.character_from_json(_require(data, "chi"), module.rank)
     init = delta.initial_form(module, chi)
-    _emit(args, {
+    return {
         "r_chi": jsonio.element_to_json(init.relator),
         "B": jsonio.sublattice_to_json(init.kernel),
-    })
-    return 0
+    }, True
 
 
-def cmd_tc(args):
-    data = _load(args)
+def cmd_tc(args, data):
     module = _module_from(data)
     chi = jsonio.character_from_json(_require(data, "chi"), module.rank)
-    _emit(args, jsonio.fan_to_json(delta.tc_delta(module, chi)))
-    return 0
+    return jsonio.fan_to_json(delta.tc_delta(module, chi)), True
 
 
-def cmd_lc(args):
-    data = _load(args)
+def cmd_lc(args, data):
     fan = jsonio.fan_from_json(_require(data, "fan"))
     point = jsonio.vector_from_json(_require(data, "point"), fan.ambient_dim)
-    _emit(args, jsonio.fan_to_json(polyhedral.local_cone(fan, point)))
-    return 0
+    return jsonio.fan_to_json(polyhedral.local_cone(fan, point)), True
 
 
-def cmd_check_lemma31(args):
-    data = _load(args)
+def cmd_check_lemma31(args, data):
     module = _module_from(data)
-    reports = [delta.check_lemma31(module, chi)
-               for chi in _chi_list(args, data, module)]
-    payload = {
-        "checks": [r.to_json() for r in reports],
-        "all_equal": all(r.equal for r in reports),
-    }
-    if not payload["all_equal"]:
-        payload["witness"] = next(r.to_json() for r in reports if not r.equal)
-    _emit(args, payload)
-    return 0 if payload["all_equal"] else 1
+    return _verdict([delta.check_lemma31(module, chi)
+                     for chi in _chis(args, data, module, _sample_mixed)],
+                    "all_equal", "equal")
 
 
-def cmd_check_dim(args):
-    data = _load(args)
+def cmd_check_dim(args, data):
     module = _module_from(data)
-    if args.sample:
-        full = delta.delta_set(module)
-        dim = polyhedral.fan_dim(full)
-        top = [i for i, c in enumerate(full.cones) if c.dim == dim]
-        if not top:
-            raise InputError("the Delta set is empty; nothing to sample")
-        chis = [delta.sample_delta_point(module, top[i % len(top)],
-                                         args.seed + i)
-                for i in range(args.sample)]
-    else:
-        if "chi" not in data:
-            raise InputError("provide a 'chi' field or --sample N")
-        chis = [jsonio.character_from_json(data["chi"], module.rank)]
-    reports = []
-    for chi in chis:
-        try:
-            reports.append(delta.check_dim_identity(module, chi))
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-    payload = {
-        "checks": [r.to_json() for r in reports],
-        "all_hold": all(r.holds for r in reports),
-    }
-    if not payload["all_hold"]:
-        payload["witness"] = next(r.to_json() for r in reports if not r.holds)
-    _emit(args, payload)
-    return 0 if payload["all_hold"] else 1
+    return _verdict([delta.check_dim_identity(module, chi)
+                     for chi in _chis(args, data, module, _sample_top_cones)],
+                    "all_hold", "holds")
 
 
-def cmd_check_induced(args):
-    data = _load(args)
+def cmd_check_induced(args, data):
     module = _module_from(data)
     lattice = jsonio.sublattice_from_json(_require(data, "A1"))
-    if args.sample:
-        rng = derive(args.seed, "induced-grid")
-        chis = [delta.Character(tuple(rational(rng)
-                                      for _ in range(module.rank)))
-                for _ in range(args.sample)]
-    else:
-        if "chi" not in data:
-            raise InputError("provide a 'chi' field or --sample N")
-        chis = [jsonio.character_from_json(data["chi"], module.rank)]
-    reports = []
-    for chi in chis:
-        try:
-            reports.append(delta.check_induced(module, lattice, chi))
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-    payload = {
-        "checks": [r.to_json() for r in reports],
-        "all_equal": all(r.equal for r in reports),
-    }
-    if not payload["all_equal"]:
-        payload["witness"] = next(r.to_json() for r in reports if not r.equal)
-    _emit(args, payload)
-    return 0 if payload["all_equal"] else 1
+    return _verdict([delta.check_induced(module, lattice, chi)
+                     for chi in _chis(args, data, module, _sample_grid)],
+                    "all_equal", "equal")
 
 
-def cmd_torus_mul(args):
-    data = _load(args)
+def cmd_torus_mul(args, data):
     cocycle = jsonio.cocycle_from_json(_require(data, "cocycle"))
-    a = jsonio.element_from_json(_require(data, "a"), s=None)
-    b = jsonio.element_from_json(_require(data, "b"), s=None)
-    for el in (a, b):
-        if el.rank != cocycle.rank:
-            raise InputError("element rank does not match the cocycle")
-    a = torus.QTorusElement(a.rank, cocycle.s, a.terms)
-    b = torus.QTorusElement(b.rank, cocycle.s, b.terms)
-    _emit(args, jsonio.element_to_json(torus.multiply(a, b, cocycle)))
-    return 0
+    a, b = (jsonio.element_from_json(_require(data, key)) for key in "ab")
+    if {a.rank, b.rank} != {cocycle.rank}:
+        raise InputError("element rank does not match the cocycle")
+    a, b = (torus.QTorusElement(el.rank, cocycle.s, el.terms) for el in (a, b))
+    return jsonio.element_to_json(torus.multiply(a, b, cocycle)), True
 
 
-def cmd_center(args):
-    data = _load(args)
-    phi = jsonio.alternating_q_from_json(_require(data, "form"))
-    sub = symplectic.center(phi)
-    from .lattice import subspace_to_lattice
-    _emit(args, {
+def cmd_center(args, data):
+    sub = symplectic.center(jsonio.alternating_q_from_json(
+        _require(data, "form")))
+    return {
         "subspace": jsonio.subspace_to_json(sub),
         "lattice": jsonio.sublattice_to_json(subspace_to_lattice(sub)),
-    })
-    return 0
+    }, True
 
 
-def cmd_symbase(args):
-    data = _load(args)
+def cmd_symbase(args, data):
     phi = jsonio.alternating_q_from_json(_require(data, "form"))
     outcome = symplectic.compute_symplectic_base(phi, seed=args.seed,
                                                  retries=args.retries)
     if isinstance(outcome, symplectic.NoBaseFound):
-        _emit(args, {"no_base": outcome.to_json()})
-    else:
-        _emit(args, {"base": jsonio.base_to_json(outcome)})
-    return 0
+        return {"no_base": outcome.to_json()}, True
+    return {"base": jsonio.base_to_json(outcome)}, True
 
 
-def cmd_verify_base(args):
-    data = _load(args)
+def cmd_verify_base(args, data):
     phi = jsonio.alternating_q_from_json(_require(data, "form"))
     base = jsonio.base_from_json(_require(data, "base"), phi.n)
     report = symplectic.verify_symplectic_base(phi, base)
-    _emit(args, report.to_json())
-    return 0 if report.passed else 1
+    return report.to_json(), report.passed
 
 
-def cmd_abelian_split(args):
-    data = _load(args)
+def cmd_abelian_split(args, data):
     phi = jsonio.alternating_q_from_json(_require(data, "form"))
     base = jsonio.base_from_json(_require(data, "base"), phi.n)
     space = jsonio.subspace_from_json(_require(data, "U"), ambient=phi.n)
-    try:
-        components = symplectic.decompose_abelian(phi, base, space)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    _emit(args, {"components": [jsonio.subspace_to_json(c)
-                                for c in components]})
-    return 0
+    components = symplectic.decompose_abelian(phi, base, space)
+    return {"components": [jsonio.subspace_to_json(c)
+                           for c in components]}, True
 
 
-def cmd_check_ample(args):
-    data = _load(args)
+def cmd_check_ample(args, data):
     phi = jsonio.alternating_q_from_json(_require(data, "form"))
     space = jsonio.subspace_from_json(_require(data, "X"), ambient=phi.n)
     omega = [jsonio.subspace_from_json(u, ambient=phi.n)
@@ -275,35 +227,24 @@ def cmd_check_ample(args):
     if "probes" in data:
         probes = [jsonio.subspace_from_json(u, ambient=phi.n)
                   for u in jsonio._array(data["probes"], "probes")]
-    try:
-        report = symplectic.check_ample(phi, space, omega, probes=probes,
-                                        seed=args.seed)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    _emit(args, report.to_json())
-    return 0 if report.passed else 1
+    report = symplectic.check_ample(phi, space, omega, probes=probes,
+                                    seed=args.seed)
+    return report.to_json(), report.passed
 
 
-def cmd_group_structure(args):
-    data = _load(args)
+def cmd_group_structure(args, data):
     pres = jsonio.presentation_from_json(_require(data, "presentation"))
     report = groups.structure_report(pres, seed=args.seed,
                                      retries=args.retries)
-    _emit(args, report.to_json())
-    return 0
+    return report.to_json(), True
 
 
-def cmd_verify_thm42(args):
-    data = _load(args)
+def cmd_verify_thm42(args, data):
     form = jsonio.alternating_z_from_json(_require(data, "form"))
     parts = [jsonio.sublattice_from_json(p)
              for p in jsonio._array(_require(data, "parts"), "parts")]
-    try:
-        report = torus.verify_theorem42(form, parts)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    _emit(args, report.to_json())
-    return 0 if report.passed else 1
+    report = torus.verify_theorem42(form, parts)
+    return report.to_json(), report.passed
 
 
 _COMMANDS = {
@@ -328,6 +269,13 @@ _COMMANDS = {
 }
 
 
+def _count(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qtdelta",
@@ -339,7 +287,7 @@ def build_parser():
         p.add_argument("--output", help="output path (default: stdout)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for all randomized behaviour")
-        p.add_argument("--sample", type=int, default=0,
+        p.add_argument("--sample", type=_count, default=0,
                        help="number of sampled characters for the checkers")
         p.add_argument("--format", choices=("json", "pretty"),
                        default="json")
@@ -349,20 +297,15 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     fn = _COMMANDS[args.command][0]
     try:
-        return fn(args)
-    except InputError as exc:
-        print(f"qtdelta: {exc}", file=sys.stderr)
-        return 2
+        payload, passed = fn(args, _load(args))
     except ValueError as exc:
         print(f"qtdelta: {exc}", file=sys.stderr)
         return 2
-
-
-run = main
+    _emit(args, payload)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

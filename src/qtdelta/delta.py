@@ -210,25 +210,8 @@ def check_dim_identity(module: OneRelatorModule, chi: Character) -> DimReport:
                      polyhedral.fan_dim(fan))
 
 
-@dataclass(frozen=True)
-class InducedReport:
-    chi: Character
-    lhs: Fan
-    rhs: Fan
-    equal: bool
-
-    def to_json(self):
-        from . import jsonio
-        return {
-            "chi": jsonio.vector_to_json(self.chi.coords),
-            "lhs": jsonio.fan_to_json(self.lhs),
-            "rhs": jsonio.fan_to_json(self.rhs),
-            "equal": self.equal,
-        }
-
-
 def check_induced(module: OneRelatorModule, sublattice: Sublattice,
-                  chi: Character) -> InducedReport:
+                  chi: Character) -> LocalConeReport:
     """Induced-module law: the trailing-coefficient Delta set of a relator
     supported in a saturated sublattice A1 equals the pullback, along the
     restriction of ker(chi) to ker(chi) - cap - A1, of the one computed
@@ -265,7 +248,7 @@ def check_induced(module: OneRelatorModule, sublattice: Sublattice,
             raise AssertionError("kernel intersection escaped the kernel")
         restriction.append(coeffs)
     rhs = polyhedral.preimage(inner_fan, restriction, domain_dim=B.rank)
-    return InducedReport(chi, lhs, rhs, polyhedral.fan_equal(lhs, rhs))
+    return LocalConeReport(chi, lhs, rhs, polyhedral.fan_equal(lhs, rhs))
 
 
 def generic_for(module: OneRelatorModule, chi: Character,

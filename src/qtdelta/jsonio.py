@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import groups, symplectic, torus
 from .delta import Character
-from .lattice import Sublattice, Subspace
+from .lattice import Sublattice, Subspace, as_int
 from .polyhedral import Cone, Fan
 
 
@@ -59,9 +59,7 @@ def vector_to_json(vec):
 
 
 def vector_from_json(data, length=None):
-    if not isinstance(data, list):
-        raise ValueError("vector must be a JSON array")
-    out = tuple(rational_from_json(x) for x in data)
+    out = tuple(rational_from_json(x) for x in _array(data, "vector"))
     if length is not None and len(out) != length:
         raise ValueError(f"vector of length {len(out)}, expected {length}")
     return out
@@ -72,9 +70,7 @@ def matrix_to_json(rows):
 
 
 def matrix_from_json(data, width=None):
-    if not isinstance(data, list):
-        raise ValueError("matrix must be a JSON array of rows")
-    rows = tuple(vector_from_json(row, width) for row in data)
+    rows = tuple(vector_from_json(row, width) for row in _array(data, "matrix"))
     if width is None and rows:
         w = len(rows[0])
         if any(len(r) != w for r in rows):
@@ -83,16 +79,8 @@ def matrix_from_json(data, width=None):
 
 
 def int_matrix_from_json(data, width=None):
-    rows = matrix_from_json(data, width)
-    out = []
-    for row in rows:
-        ints = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("expected integer matrix entries")
-            ints.append(int(x))
-        out.append(tuple(ints))
-    return tuple(out)
+    return tuple(tuple(as_int(x) for x in row)
+                 for row in matrix_from_json(data, width))
 
 
 def cone_to_json(cone: Cone):
@@ -104,9 +92,7 @@ def cone_to_json(cone: Cone):
 
 
 def cone_from_json(data) -> Cone:
-    if not isinstance(data, dict):
-        raise ValueError("cone must be a JSON object")
-    dim = int_from_json(data.get("dim"))
+    dim = int_from_json(_object(data, "cone").get("dim"))
     eq = matrix_from_json(data.get("eq", []), dim)
     ineq = matrix_from_json(data.get("ineq", []), dim)
     return Cone.from_constraints(dim, eq, ineq)
@@ -120,13 +106,9 @@ def fan_to_json(fan: Fan):
 
 
 def fan_from_json(data) -> Fan:
-    if not isinstance(data, dict):
-        raise ValueError("fan must be a JSON object")
-    dim = int_from_json(data.get("dim"))
-    cones = data.get("cones", [])
-    if not isinstance(cones, list):
-        raise ValueError("fan cones must be a JSON array")
-    return Fan(dim, [cone_from_json(c) for c in cones])
+    dim = int_from_json(_object(data, "fan").get("dim"))
+    return Fan(dim, [cone_from_json(c)
+                     for c in _array(data.get("cones", []), "fan cones")])
 
 
 def element_to_json(element: torus.QTorusElement):
@@ -142,15 +124,10 @@ def element_to_json(element: torus.QTorusElement):
 
 
 def element_from_json(data, s=None) -> torus.QTorusElement:
-    if not isinstance(data, dict):
-        raise ValueError("element must be a JSON object")
-    rank = int_from_json(data.get("rank"))
-    raw_terms = data.get("terms", [])
-    if not isinstance(raw_terms, list):
-        raise ValueError("terms must be a JSON array")
+    rank = int_from_json(_object(data, "element").get("rank"))
     terms = {}
     widths = set()
-    for item in raw_terms:
+    for item in _array(data.get("terms", []), "terms"):
         _object(item, "term")
         exp = tuple(int_from_json(x)
                     for x in _array(item.get("exp", []), "term exp"))
@@ -179,28 +156,26 @@ def cocycle_to_json(cocycle: torus.CocycleForm):
     }
 
 
-def cocycle_from_json(data) -> torus.CocycleForm:
-    if not isinstance(data, dict):
-        raise ValueError("cocycle must be a JSON object")
-    rank = int_from_json(data.get("rank"))
+def _matrices(data, what, size_key, mats_key, parse):
+    """``(size, s, matrices)`` of a JSON object holding a size, ``s`` and
+    an array of ``s`` square matrices read by ``parse``."""
+    size = int_from_json(_object(data, what).get(size_key))
     s = int_from_json(data.get("s"))
-    mats = data.get("B", [])
-    if not isinstance(mats, list) or len(mats) != s:
-        raise ValueError("expected s twist matrices")
-    return torus.CocycleForm(rank, tuple(int_matrix_from_json(m, rank)
-                                         for m in mats))
+    mats = _array(data.get(mats_key, []), f"{what} {mats_key}")
+    if len(mats) != s:
+        raise ValueError(f"expected s {what} matrices")
+    return size, s, tuple(parse(m, size) for m in mats)
+
+
+def cocycle_from_json(data) -> torus.CocycleForm:
+    rank, _, mats = _matrices(data, "cocycle", "rank", "B",
+                              int_matrix_from_json)
+    return torus.CocycleForm(rank, mats)
 
 
 def alternating_z_from_json(data) -> torus.AlternatingFormZ:
-    if not isinstance(data, dict):
-        raise ValueError("form must be a JSON object")
-    n = int_from_json(data.get("n"))
-    s = int_from_json(data.get("s"))
-    mats = data.get("phi", [])
-    if not isinstance(mats, list) or len(mats) != s:
-        raise ValueError("expected s form matrices")
-    return torus.AlternatingFormZ(n, tuple(int_matrix_from_json(m, n)
-                                           for m in mats))
+    n, _, mats = _matrices(data, "form", "n", "phi", int_matrix_from_json)
+    return torus.AlternatingFormZ(n, mats)
 
 
 def alternating_q_to_json(phi: symplectic.AlternatingMapQ):
@@ -212,15 +187,8 @@ def alternating_q_to_json(phi: symplectic.AlternatingMapQ):
 
 
 def alternating_q_from_json(data) -> symplectic.AlternatingMapQ:
-    if not isinstance(data, dict):
-        raise ValueError("form must be a JSON object")
-    n = int_from_json(data.get("n"))
-    s = int_from_json(data.get("s"))
-    mats = data.get("phi", [])
-    if not isinstance(mats, list) or len(mats) != s:
-        raise ValueError("expected s form matrices")
     return symplectic.AlternatingMapQ(
-        n, s, tuple(matrix_from_json(m, n) for m in mats))
+        *_matrices(data, "form", "n", "phi", matrix_from_json))
 
 
 def sublattice_to_json(lattice: Sublattice):
@@ -229,9 +197,7 @@ def sublattice_to_json(lattice: Sublattice):
 
 
 def sublattice_from_json(data) -> Sublattice:
-    if not isinstance(data, dict):
-        raise ValueError("sublattice must be a JSON object")
-    n = int_from_json(data.get("ambient_rank"))
+    n = int_from_json(_object(data, "sublattice").get("ambient_rank"))
     return Sublattice.from_rows(n, int_matrix_from_json(data.get("basis", []), n))
 
 
@@ -265,9 +231,8 @@ def base_to_json(base: symplectic.SymplecticBase):
 
 
 def base_from_json(data, n) -> symplectic.SymplecticBase:
-    if not isinstance(data, dict):
-        raise ValueError("base must be a JSON object")
-    v0 = Subspace.from_rows(n, matrix_from_json(data.get("V0", []), n))
+    v0 = Subspace.from_rows(
+        n, matrix_from_json(_object(data, "base").get("V0", []), n))
     blocks = tuple(Subspace.from_rows(n, matrix_from_json(b, n))
                    for b in _array(data.get("blocks", []), "base blocks"))
     lines = tuple(tuple(int_from_json(x) for x in _array(w, "base line"))
@@ -276,12 +241,9 @@ def base_from_json(data, n) -> symplectic.SymplecticBase:
 
 
 def presentation_from_json(data) -> groups.Class2Presentation:
-    if not isinstance(data, dict):
-        raise ValueError("presentation must be a JSON object")
-    gens = data.get("generators", [])
-    central = data.get("central", [])
-    if not isinstance(gens, list) or not isinstance(central, list):
-        raise ValueError("generator lists must be JSON arrays")
+    gens = _array(_object(data, "presentation").get("generators", []),
+                  "generators")
+    central = _array(data.get("central", []), "central generators")
     table = []
     for item in _array(data.get("commutators", []), "commutators"):
         _object(item, "commutator")

@@ -338,21 +338,15 @@ class Sublattice:
         return len(self.basis)
 
     def contains_vector(self, v):
-        if len(v) != self.ambient_rank:
-            raise ValueError("dimension mismatch")
-        ints = []
-        for x in v:
-            f = Fraction(x)
-            if f.denominator != 1:
-                return False
-            ints.append(int(f))
-        return solve_left(self.basis, tuple(ints)) is not None if self.basis \
-            else all(x == 0 for x in ints)
+        return self.coordinates(v) is not None
 
     def coordinates(self, v):
-        """Coefficients of the lattice vector ``v`` in this basis (or None)."""
-        if not self.basis:
-            return () if all(x == 0 for x in v) else None
+        """Coefficients of ``v`` in this basis, or None when ``v`` is not a
+        lattice vector (a non-integral one included)."""
+        if len(v) != self.ambient_rank:
+            raise ValueError("dimension mismatch")
+        if any(Fraction(x).denominator != 1 for x in v):
+            return None
         return solve_left(self.basis, tuple(int(x) for x in v))
 
 
@@ -489,11 +483,6 @@ def subspace_image(matrix):
         raise ValueError("empty matrix has no codomain dimension")
     cols = tuple(tuple(row[i] for row in matrix) for i in range(len(matrix[0])))
     return Subspace.from_rows(m, cols)
-
-
-def lattice_span(lattice):
-    """Rational span of a sublattice."""
-    return Subspace.from_rows(lattice.ambient_rank, lattice.basis)
 
 
 def subspace_to_lattice(subspace):

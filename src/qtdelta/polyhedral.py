@@ -296,19 +296,11 @@ class Fan:
         return f"Fan(dim={self.ambient_dim}, cones={len(self.cones)})"
 
 
-def cone_dim(cone):
-    return cone.dim
-
-
 def fan_dim(fan):
     """Dimension of the underlying point set; -1 for the empty fan."""
     if fan.is_empty:
         return -1
     return max(c.dim for c in fan.cones)
-
-
-def member(cone_or_fan, point):
-    return cone_or_fan.member(point)
 
 
 def local_cone(fan, point):

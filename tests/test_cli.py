@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -236,6 +237,11 @@ class TestErrorHandling:
         code, _ = run_inproc("check-ample", payload, tmp_path)
         assert code == 2
 
+    def test_negative_sample_exit_two(self):
+        for command in ("check-lemma31", "check-dim", "check-induced"):
+            code, out, err = run_cli(command, INDUCED, "--sample", "-3")
+            assert code == 2 and out == "" and "--sample" in err, command
+
     def test_zero_relator_exit_two(self, tmp_path):
         payload = {"relator": {"rank": 2, "terms": []},
                    "cocycle": TROPICAL["cocycle"]}
@@ -293,23 +299,37 @@ def _valid_payloads(tmp_path):
     ]
 
 
+def _paths(value, prefix=()):
+    """Every key path into the nested objects and arrays of ``value``."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _replace(value, path, new):
+    """Copy of ``value`` with the field at ``path`` set to ``new``."""
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replace(value[path[0]], path[1:], new)
+    return copy
+
+
 def _mutations(payload):
-    """Copies of ``payload`` with one top-level field, or one field one
-    level below it, replaced by each value of MUTANTS."""
-    for key, value in payload.items():
-        for bad in MUTANTS:
-            yield dict(payload, **{key: bad})
-        if isinstance(value, dict):
-            children = list(value)
-        elif isinstance(value, list):
-            children = range(len(value))
-        else:
-            continue
-        for child in children:
-            for bad in MUTANTS:
-                inner = dict(value) if isinstance(value, dict) else list(value)
-                inner[child] = bad
-                yield dict(payload, **{key: inner})
+    """Copies of ``payload`` with one field at any depth replaced by a
+    value of the wrong kind: each value of MUTANTS for a top-level field
+    or a field one level below it, and the next value of MUTANTS in turn
+    for every deeper field."""
+    deeper = itertools.cycle(MUTANTS)
+    for path in _paths(payload):
+        for bad in MUTANTS if len(path) <= 2 else (next(deeper),):
+            yield _replace(payload, path, bad)
 
 
 def test_cli_contract_under_field_mutation(tmp_path):

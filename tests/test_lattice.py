@@ -84,6 +84,13 @@ class TestSublattice:
         assert lat.contains_vector((4, 3))
         assert not lat.contains_vector((1, 0))
         assert not lat.contains_vector((Fraction(1, 2), 0))
+        # a non-integral vector has no coordinates, it is not truncated
+        full = Sublattice.full(2)
+        assert full.coordinates((Fraction(3, 2), 1)) is None
+        assert not full.contains_vector((Fraction(3, 2), 1))
+        assert full.coordinates((Fraction(4, 2), 1)) == (2, 1)
+        with pytest.raises(ValueError):
+            full.coordinates((1, 2, 3))
         # generators must be integral: no entry is silently truncated
         assert Sublattice.from_rows(2, [(Fraction(4, 2), 1)]).basis \
             == ((2, 1),)

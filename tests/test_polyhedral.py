@@ -8,12 +8,10 @@ from qtdelta.polyhedral import (
     Cone,
     Fan,
     carrier_spaces,
-    cone_dim,
     delta_star,
     fan_dim,
     fan_equal,
     local_cone,
-    member,
     preimage,
 )
 
@@ -49,22 +47,22 @@ def random_fan(rng, n, max_cones=3):
 
 class TestConeBasics:
     def test_full_space_dim(self):
-        assert cone_dim(Cone.full(2)) == 2
+        assert Cone.full(2).dim == 2
 
     def test_ray_dim(self):
         ray = Cone.from_constraints(2, [(0, 1)], [(1, 0)])
-        assert cone_dim(ray) == 1
+        assert ray.dim == 1
         assert ray.rays == ((1, 0),)
 
     def test_origin(self):
         o = Cone.origin(3)
-        assert cone_dim(o) == 0 and o.rays == () and o.lineality == ()
+        assert o.dim == 0 and o.rays == () and o.lineality == ()
 
     def test_membership(self):
         q = quadrant()
-        assert member(q, (0, 0))
-        assert member(q, (Fraction(1, 2), 3))
-        assert not member(q, (-1, 2))
+        assert q.member((0, 0))
+        assert q.member((Fraction(1, 2), 3))
+        assert not q.member((-1, 2))
 
     def test_canonical_equality_across_representations(self):
         # {x = 0} given as an equality or as two opposite inequalities
