@@ -1,11 +1,13 @@
 """Command-line front end with JSON input/output and deterministic seeds.
 
 Exit codes: 0 on success (verified or computed), 1 when a checked property
-fails (the report carries a witness), 2 on malformed input or bad usage.
+fails (the report carries a witness), 2 on malformed input or bad usage
+(an unreadable ``--input`` or unwritable ``--output`` included), 3 on an
+internal failure (a failed self-check), reported on stderr only.
 
 Each ``cmd_*`` maps the parsed arguments and the loaded JSON to
 ``(payload, passed)``; :func:`main` alone loads the input, emits the payload
-and turns the verdict, or a ValueError, into the exit code.
+and turns the verdict, or an exception, into the exit code.
 """
 
 from __future__ import annotations
@@ -25,11 +27,8 @@ class InputError(ValueError):
 
 def _load(args):
     if args.input:
-        try:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read input: {exc}") from exc
+        with open(args.input, "r", encoding="utf-8") as fh:
+            text = fh.read()
     else:
         text = sys.stdin.read()
     try:
@@ -301,10 +300,14 @@ def main(argv=None) -> int:
     fn = _COMMANDS[args.command][0]
     try:
         payload, passed = fn(args, _load(args))
-    except ValueError as exc:
+        _emit(args, payload)
+    except (OSError, ValueError) as exc:
         print(f"qtdelta: {exc}", file=sys.stderr)
         return 2
-    _emit(args, payload)
+    except Exception as exc:
+        print(f"qtdelta: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 3
     return 0 if passed else 1
 
 

@@ -22,6 +22,7 @@ from . import polyhedral, torus
 from .lattice import (
     Sublattice,
     Subspace,
+    as_rational,
     dot,
     kernel_lattice,
     saturate,
@@ -39,7 +40,7 @@ class Character:
 
     def __post_init__(self):
         object.__setattr__(self, "coords",
-                           tuple(Fraction(x) for x in self.coords))
+                           tuple(as_rational(x) for x in self.coords))
 
     @staticmethod
     def zero(n):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from . import symplectic, torus
 from .lattice import (
     Sublattice,
-    Subspace,
+    as_int,
     congruence,
     kernel_lattice,
     solve_left,
@@ -36,7 +36,7 @@ class Class2Presentation:
         s = len(self.central)
         folded = {}
         for a, b, exps in self.table:
-            exps = tuple(int(e) for e in exps)
+            a, b, exps = as_int(a), as_int(b), tuple(as_int(e) for e in exps)
             if len(exps) != s:
                 raise ValueError("commutator exponent vector of wrong length")
             if not (0 <= a < n and 0 <= b < n):
@@ -201,8 +201,7 @@ def structure_report(pres: Class2Presentation, seed: int = 0,
         lifts.append(lift)
     quotient_form = torus.AlternatingFormZ(
         m, tuple(congruence(lifts, mat) for mat in form.forms))
-    phi = symplectic.AlternatingMapQ(m, pres.s, quotient_form.forms)
-    outcome = symplectic.compute_symplectic_base(phi, seed=seed,
+    outcome = symplectic.compute_symplectic_base(quotient_form, seed=seed,
                                                  retries=retries)
     diagnostics = {
         "radical_basis": [list(r) for r in radical.basis],

@@ -33,6 +33,13 @@ def as_int(x):
     raise ValueError(f"integer entry expected, got {x!r}")
 
 
+def as_rational(x):
+    """``x`` as a Fraction; ValueError unless it is an int or a Fraction."""
+    if isinstance(x, (int, Fraction)):
+        return x if type(x) is Fraction else Fraction(x)
+    raise ValueError(f"rational entry expected, got {x!r}")
+
+
 def clear_denominators(v):
     """``(ints, den)`` with ``v == ints / den`` for a sequence ``v`` of
     rationals, ``den`` the least common denominator of its entries."""

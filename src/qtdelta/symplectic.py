@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .lattice import (
     Subspace,
+    as_rational,
     clear_denominators,
     clear_matrix,
     complement_columns,
@@ -35,8 +36,7 @@ from .rng import derive
 def _check_antisymmetric(mat, n):
     """Fraction rows of an n x n antisymmetric matrix, with their integer
     numerators and common denominator."""
-    rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
-                 for row in mat)
+    rows = tuple(tuple(as_rational(x) for x in row) for row in mat)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError("matrix of wrong shape")
     ints, den = clear_matrix(rows)
@@ -86,15 +86,24 @@ def centralizer(phi: AlternatingMapQ, space: Subspace) -> Subspace:
     return Subspace.from_rows(phi.n, null_space_int(rows, phi.n))
 
 
+def pairings(phi: AlternatingMapQ, basis):
+    """Pairings phi(b_i, b_j), i < j, of basis rows, lazily (early exit)."""
+    for i, u in enumerate(basis):
+        for v in basis[i + 1:]:
+            yield phi.pairing(u, v)
+
+
+def orthogonal(phi: AlternatingMapQ, parts) -> bool:
+    """True when the basis rows of any two distinct parts pair to zero."""
+    return not any(any(phi.pairing(a, b))
+                   for i, p in enumerate(parts) for q in parts[i + 1:]
+                   for a in p.basis for b in q.basis)
+
+
 def is_abelian(phi: AlternatingMapQ, space: Subspace) -> bool:
     if space.ambient_dim != phi.n:
         raise ValueError("dimension mismatch")
-    basis = space.basis
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if any(phi.pairing(basis[i], basis[j])):
-                return False
-    return True
+    return not any(any(p) for p in pairings(phi, space.basis))
 
 
 def centralizer_codim(phi: AlternatingMapQ, v) -> int:
@@ -107,12 +116,7 @@ def centralizer_codim(phi: AlternatingMapQ, v) -> int:
 
 def image_space(phi: AlternatingMapQ, space: Subspace) -> Subspace:
     """Span of the pairings of basis pairs, a subspace of Q^s."""
-    basis = space.basis
-    vecs = []
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            vecs.append(phi.pairing(basis[i], basis[j]))
-    return Subspace.from_rows(phi.s, vecs)
+    return Subspace.from_rows(phi.s, list(pairings(phi, space.basis)))
 
 
 def _restrict(phi: AlternatingMapQ, basis):
@@ -175,13 +179,7 @@ def verify_symplectic_base(phi: AlternatingMapQ,
     direct = (sum(p.dim for p in pieces) == n
               and matrix_rank(stacked) == n)
     centre_ok = cand.V0 == center(phi)
-    orth = True
-    for i in range(len(cand.blocks)):
-        for j in range(i + 1, len(cand.blocks)):
-            for a in cand.blocks[i].basis:
-                for b in cand.blocks[j].basis:
-                    if any(phi.pairing(a, b)):
-                        orth = False
+    orth = orthogonal(phi, cand.blocks)
     nondeg = True
     lines = []
     for block in cand.blocks:

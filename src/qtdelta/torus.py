@@ -16,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import (Sublattice, as_int, congruence, kernel_lattice,
-                      matrix_rank, saturate)
+from .lattice import (Sublattice, Subspace, as_int, as_rational, congruence,
+                      kernel_lattice, matrix_rank, saturate)
+from .symplectic import (AlternatingMapQ, _restrict, is_abelian, orthogonal,
+                         pairings)
 
 
 def _check_square_int(mat, n):
@@ -59,51 +61,34 @@ class CocycleForm:
 
 
 @dataclass(frozen=True)
-class AlternatingFormZ:
-    """Antisymmetric integer forms, the commutator data of the twist."""
+class AlternatingFormZ(AlternatingMapQ):
+    """Integral ``AlternatingMapQ`` on Z^rank: commutator data of the twist."""
 
-    rank: int
-    forms: tuple
-
-    def __post_init__(self):
-        mats = tuple(_check_square_int(m, self.rank) for m in self.forms)
-        for m in mats:
-            for i in range(self.rank):
-                for j in range(self.rank):
-                    if m[i][j] != -m[j][i]:
-                        raise ValueError("form is not antisymmetric")
-        object.__setattr__(self, "forms", mats)
-
-    @property
-    def s(self):
-        return len(self.forms)
-
-    def pairing(self, a, b):
-        return tuple(_bilinear(m, a, b) for m in self.forms)
+    def __init__(self, rank, forms):
+        forms = tuple(_check_square_int(m, rank) for m in forms)
+        super().__init__(rank, len(forms), forms)
+        object.__setattr__(self, "forms", forms)
 
     def restrict(self, lattice: Sublattice) -> "AlternatingFormZ":
         return AlternatingFormZ(lattice.rank,
-                                tuple(congruence(lattice.basis, m)
-                                      for m in self.forms))
+                                _restrict(self, lattice.basis).forms)
 
 
 def commutator_form(cocycle: CocycleForm) -> AlternatingFormZ:
     """Antisymmetrisation B_k - B_k^T; its pairing gives the q-exponents by
     which x^a x^b and x^b x^a differ."""
     n = cocycle.rank
-    mats = []
-    for m in cocycle.forms:
-        mats.append(tuple(tuple(m[i][j] - m[j][i] for j in range(n))
-                          for i in range(n)))
-    return AlternatingFormZ(n, tuple(mats))
+    return AlternatingFormZ(n, tuple(
+        tuple(tuple(m[i][j] - m[j][i] for j in range(n)) for i in range(n))
+        for m in cocycle.forms))
 
 
 def _normalize_coeff(coeff):
     out = {}
     for qexp, c in coeff.items():
-        f = Fraction(c)
+        f = as_rational(c)
         if f:
-            key = tuple(int(e) for e in qexp)
+            key = tuple(as_int(e) for e in qexp)
             out[key] = out.get(key, Fraction(0)) + f
     return {k: v for k, v in out.items() if v}
 
@@ -119,11 +104,11 @@ class QTorusElement:
     __slots__ = ("rank", "s", "_terms", "_key")
 
     def __init__(self, rank, s, terms):
-        self.rank = int(rank)
-        self.s = int(s)
+        self.rank = as_int(rank)
+        self.s = as_int(s)
         clean = {}
         for exp, coeff in terms.items():
-            key = tuple(int(x) for x in exp)
+            key = tuple(as_int(x) for x in exp)
             if len(key) != self.rank:
                 raise ValueError("exponent of wrong rank")
             c = _normalize_coeff(coeff)
@@ -143,7 +128,7 @@ class QTorusElement:
     @staticmethod
     def monomial(rank, s, exp, coeff=1, qexp=None):
         q = tuple(qexp) if qexp is not None else (0,) * s
-        return QTorusElement(rank, s, {tuple(exp): {q: Fraction(coeff)}})
+        return QTorusElement(rank, s, {tuple(exp): {q: coeff}})
 
     @staticmethod
     def one(rank, s):
@@ -222,7 +207,7 @@ def multiply(alpha: QTorusElement, beta: QTorusElement,
 
 def monomial_inverse(exp, s, cocycle: CocycleForm) -> QTorusElement:
     """Two-sided inverse of the unit x^exp."""
-    a = tuple(int(x) for x in exp)
+    a = tuple(as_int(x) for x in exp)
     qexp = cocycle.twist(a, a)
     q = tuple(qexp) + (0,) * (s - len(qexp))
     return QTorusElement(cocycle.rank, s,
@@ -233,7 +218,7 @@ def chi_min(alpha: QTorusElement, chi) -> Fraction:
     """Minimum of the character over the support of a nonzero element."""
     if alpha.is_zero:
         raise ValueError("the zero element has no support minimum")
-    coords = tuple(Fraction(x) for x in chi)
+    coords = tuple(as_rational(x) for x in chi)
     if len(coords) != alpha.rank:
         raise ValueError("character of wrong length")
     return min(sum(c * e for c, e in zip(coords, exp))
@@ -243,32 +228,20 @@ def chi_min(alpha: QTorusElement, chi) -> Fraction:
 def center_lattice(form: AlternatingFormZ) -> Sublattice:
     """Saturated sublattice of exponents whose monomials are central:
     the radical of the commutator pairing intersected with Z^n."""
-    rows = [row for m in form.forms for row in m]
-    return kernel_lattice(rows, form.rank)
+    return kernel_lattice([row for m in form.forms for row in m], form.n)
 
 
 def is_commutative(form: AlternatingFormZ, lattice: Sublattice) -> bool:
-    if lattice.ambient_rank != form.rank:
-        raise ValueError("ambient rank mismatch")
-    basis = lattice.basis
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if any(form.pairing(basis[i], basis[j])):
-                return False
-    return True
+    return is_abelian(form, Subspace.from_rows(lattice.ambient_rank,
+                                               lattice.basis))
 
 
 def cocycle_image(form: AlternatingFormZ, lattice: Sublattice) -> Sublattice:
     """Sublattice of Z^s generated by the pairings of basis pairs; rank one
     models an infinite cyclic twist image, rank zero a commutative twist."""
-    if lattice.ambient_rank != form.rank:
+    if lattice.ambient_rank != form.n:
         raise ValueError("ambient rank mismatch")
-    basis = lattice.basis
-    vecs = []
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            vecs.append(form.pairing(basis[i], basis[j]))
-    return Sublattice.from_rows(form.s, vecs)
+    return Sublattice.from_rows(form.s, list(pairings(form, lattice.basis)))
 
 
 @dataclass(frozen=True)
@@ -307,7 +280,7 @@ def verify_theorem42(form: AlternatingFormZ, parts) -> Theorem42Report:
     saturated images are pairwise distinct lines; plus the finite-index
     requirement that the ranks sum to the ambient rank."""
     parts = list(parts)
-    n = form.rank
+    n = form.n
     for p in parts:
         if p.ambient_rank != n:
             raise ValueError("part with wrong ambient rank")
@@ -316,13 +289,7 @@ def verify_theorem42(form: AlternatingFormZ, parts) -> Theorem42Report:
     if matrix_rank(stacked) != total:
         raise ValueError("parts are not independent")
 
-    commute = True
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            for a in parts[i].basis:
-                for b in parts[j].basis:
-                    if any(form.pairing(a, b)):
-                        commute = False
+    commute = orthogonal(form, parts)
     centres = all(center_lattice(form.restrict(p)).rank == 0 for p in parts)
     images = [cocycle_image(form, p) for p in parts]
     rank_one = all(img.rank == 1 for img in images)

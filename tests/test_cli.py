@@ -1,8 +1,16 @@
+import contextlib
+import functools
+import io
 import itertools
 import json
 import subprocess
 import sys
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qtdelta import cli
 from qtdelta.cli import main
 
 TROPICAL = {
@@ -248,6 +256,29 @@ class TestErrorHandling:
         code, _ = run_inproc("delta", payload, tmp_path)
         assert code == 2
 
+    def test_unreadable_input_or_unwritable_output_exit_two(self, tmp_path,
+                                                            capsys):
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps(TWO_BLOCK))
+        missing = str(tmp_path / "missing" / "x.json")
+        for flags in (["--input", missing],
+                      ["--input", str(inp), "--output", missing]):
+            assert main(["center", *flags]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("qtdelta: ") and missing in err
+
+    def test_internal_error_exit_three(self, monkeypatch, capsys):
+        def failing_self_check(args, data):
+            raise AssertionError("identity failed")
+
+        monkeypatch.setitem(cli._COMMANDS, "center",
+                            (failing_self_check, "radical"))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(TWO_BLOCK)))
+        code = main(["center"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err == "qtdelta: internal error: AssertionError: identity failed\n"
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self):
@@ -349,3 +380,60 @@ def test_cli_contract_under_field_mutation(tmp_path):
             if code == 1:
                 json.loads(out.read_text())
     assert len(commands) == 15
+
+
+# Object keys the input parsers read, so that fuzzed objects reach past the
+# first missing-field check.
+FIELD_NAMES = ("rank", "terms", "exp", "coeff", "qexp", "c", "s", "B", "n",
+               "phi", "dim", "cones", "eq", "ineq", "ambient_rank", "basis",
+               "V0", "blocks", "lines", "generators", "central",
+               "commutators", "a", "b", "exps")
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["", "x", "2", "-1/2", "1/0", "z"]),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.sampled_from(FIELD_NAMES)
+                                        | st.text(max_size=2),
+                                        children, max_size=4)),
+    max_leaves=12)
+
+
+@pytest.fixture(scope="module")
+def valid_payloads(tmp_path_factory):
+    return {command: (payload, flags) for command, payload, flags
+            in _valid_payloads(tmp_path_factory.mktemp("payloads"))}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_cli_contract_fuzz(valid_payloads, monkeypatch, command):
+    """A path drawn in one valid payload per subcommand gets a drawn JSON
+    value; ``main`` in-process exits 0, 1 or 2, no exception escapes, and
+    exits 0 and 1 print a JSON payload on stdout.  About half the draws pick a
+    field at most two levels deep, where the container checks sit.  The
+    argument parser is built once for all draws."""
+    payload, flags = valid_payloads[command]
+    paths = [()] + list(_paths(payload))
+    shallow = [p for p in paths if len(p) <= 2]
+    monkeypatch.setattr(cli, "build_parser",
+                        functools.lru_cache(cli.build_parser))
+
+    @settings(max_examples=80, derandomize=True, database=None,
+              deadline=None)
+    @given(path=st.sampled_from(shallow) | st.sampled_from(paths),
+           value=JSON_VALUES)
+    def check(path, value):
+        stdin = io.StringIO(json.dumps(_replace(payload, path, value)))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with mock.patch.object(sys, "stdin", stdin), \
+                contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = main([command, *flags])
+        assert code in (0, 1, 2), (command, path, value, stderr.getvalue())
+        if code in (0, 1):
+            json.loads(stdout.getvalue())
+        else:
+            assert stdout.getvalue() == ""
+
+    check()

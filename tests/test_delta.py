@@ -340,6 +340,14 @@ class TestSamplePoint:
         assert a == b
 
 
+def test_character_rejects_non_rationals():
+    # a float is not read as its binary expansion
+    for bad in (0.1, 0.5, 1.0, "1/2", None):
+        with pytest.raises(ValueError):
+            Character((0, bad))
+    assert Character((1, Fraction(1, 2))).coords == (1, Fraction(1, 2))
+
+
 def test_character_rank():
     assert Character.zero(3).rank == 0
     assert Character((0, Fraction(1, 2), 0)).rank == 1

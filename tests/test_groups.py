@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -47,6 +48,17 @@ class TestPresentation:
     def test_self_commutator_rejected(self):
         with pytest.raises(ValueError):
             Class2Presentation(("a",), ("z",), ((0, 0, (1,)),))
+
+    def test_non_integral_entries_rejected(self):
+        # no index or exponent is truncated to an int
+        for a, b, exps in ((0, 1, (Fraction(3, 2),)), (0, 1, (1.0,)),
+                           (Fraction(1, 2), 1, (1,)), (0, "1", (1,)),
+                           (0, 1.0, (1,))):
+            with pytest.raises(ValueError):
+                Class2Presentation(("a", "b"), ("z",), ((a, b, exps),))
+        p = Class2Presentation(("a", "b"), ("z",),
+                               ((Fraction(2, 2), 0, (Fraction(4, 2),)),))
+        assert p.table == ((0, 1, (-2,)),)
 
     def test_conflicting_entries_rejected(self):
         with pytest.raises(ValueError):

@@ -71,6 +71,21 @@ def no_base_form():
                                   tuple(map(tuple, m2))))
 
 
+def test_map_validated():
+    with pytest.raises(ValueError):
+        AlternatingMapQ(2, 1, (((0, 1), (1, 0)),))
+    with pytest.raises(ValueError):
+        AlternatingMapQ(2, 1, (((0, 1, 0), (-1, 0, 0)),))
+    # entries are ints or Fractions; a float is not read as its binary
+    # expansion
+    for bad in (0.5, 0.1, 1.0):
+        with pytest.raises(ValueError):
+            AlternatingMapQ(2, 1, (((0, bad), (-bad, 0)),))
+    half = Fraction(1, 2)
+    assert AlternatingMapQ(2, 1, (((0, half), (-half, 0)),)).forms \
+        == (((0, half), (-half, 0)),)
+
+
 class TestCenterCentralizer:
     def test_zero_form(self):
         phi = AlternatingMapQ(3, 1, (tuple(tuple(0 for _ in range(3))

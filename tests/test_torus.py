@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qtdelta.lattice import Sublattice, saturate
+from qtdelta.symplectic import AlternatingMapQ
 from qtdelta.torus import (
     AlternatingFormZ,
     CocycleForm,
@@ -18,7 +19,8 @@ from qtdelta.torus import (
     verify_theorem42,
 )
 
-from oracles import random_cocycle, random_relator, restrict_double_sum
+from oracles import (pairing_double_sum, random_cocycle, random_relator,
+                     restrict_double_sum)
 
 J2 = AlternatingFormZ(2, (((0, 1), (-1, 0)),))
 
@@ -254,9 +256,53 @@ def test_antisymmetry_validated():
             AlternatingFormZ(2, (((0, bad), (-bad, 0)),))
         with pytest.raises(ValueError):
             CocycleForm(2, (((0, bad), (0, 0)),))
+        with pytest.raises(ValueError):
+            QTorusElement(1, 1, {(bad,): {(1,): 1}})
+        with pytest.raises(ValueError):
+            QTorusElement(1, 1, {(1,): {(bad,): 1}})
+        with pytest.raises(ValueError):
+            monomial_inverse((bad, 1), 1, CocycleForm(2, (((0, 1), (0, 0)),)))
     two = Fraction(4, 2)
     assert AlternatingFormZ(2, (((0, two), (-two, 0)),)).forms \
         == (((0, 2), (-2, 0)),)
+    assert QTorusElement(1, 1, {(two,): {(two,): 1}}) \
+        == QTorusElement.monomial(1, 1, (2,), qexp=(2,))
+
+
+def test_element_rejects_float_coefficients():
+    # a float is not read as its binary expansion
+    for bad in (0.1, 0.5, 1.0):
+        with pytest.raises(ValueError):
+            QTorusElement(1, 1, {(0,): {(0,): bad}})
+        with pytest.raises(ValueError):
+            QTorusElement.monomial(1, 1, (0,), coeff=bad)
+        with pytest.raises(ValueError):
+            chi_min(QTorusElement.one(1, 1), (bad,))
+    assert QTorusElement.monomial(1, 1, (1,), coeff=Fraction(1, 2)) \
+        .coefficient((1,)) == {(0,): Fraction(1, 2)}
+
+
+def test_integral_subtype_of_rational_map():
+    """AlternatingFormZ is an AlternatingMapQ with integer matrices whose
+    pairing matches the double sum and whose restriction stays integral."""
+    assert issubclass(AlternatingFormZ, AlternatingMapQ)
+    assert "restrict" in vars(AlternatingFormZ)
+    assert "pairing" not in vars(AlternatingFormZ)
+    rng = random.Random(31)
+    for _ in range(10):
+        n, s = rng.randint(2, 4), rng.randint(1, 2)
+        form = commutator_form(random_cocycle(rng, n, s))
+        assert (form.n, form.s) == (n, s)
+        for _ in range(5):
+            a, b = ([rng.randint(-3, 3) for _ in range(n)] for _ in "ab")
+            assert form.pairing(a, b) == pairing_double_sum(form, a, b)
+        rows = [tuple(rng.randint(-2, 2) for _ in range(n))
+                for _ in range(rng.randint(1, n))]
+        lattice = Sublattice.from_rows(n, rows)
+        restricted = form.restrict(lattice)
+        assert type(restricted) is AlternatingFormZ
+        assert all(type(x) is int for m in restricted.forms
+                   for row in m for x in row)
 
 
 def test_saturate_image_line():
