@@ -29,7 +29,13 @@ from .delta import (
     sample_delta_point,
     tc_delta,
 )
-from .groups import Class2Presentation, heisenberg, structure_report
+from .groups import (
+    Class2Presentation,
+    add_cyclic,
+    central_product,
+    heisenberg,
+    structure_report,
+)
 from .lattice import Sublattice, Subspace, commensurable, hnf, kernel_lattice, saturate
 from .polyhedral import (
     Cone,
@@ -79,8 +85,10 @@ __all__ = [
     "Sublattice",
     "Subspace",
     "SymplecticBase",
+    "add_cyclic",
     "carrier_spaces",
     "center_lattice",
+    "central_product",
     "check_ample",
     "check_dim_identity",
     "check_induced",

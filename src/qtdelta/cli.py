@@ -276,22 +276,27 @@ def _count(text):
 
 
 def build_parser():
+    """One parser for every command: all of them take the same options,
+    which may come before or after the command name."""
     parser = argparse.ArgumentParser(
         prog="qtdelta",
-        description="Exact Delta-set, local-cone and symplectic-base toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_fn, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", help="input JSON path (default: stdin)")
-        p.add_argument("--output", help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for all randomized behaviour")
-        p.add_argument("--sample", type=_count, default=0,
-                       help="number of sampled characters for the checkers")
-        p.add_argument("--format", choices=("json", "pretty"),
-                       default="json")
-        p.add_argument("--retries", type=int, default=8,
-                       help="retry budget for the base search")
+        description="Exact Delta-set, local-cone and symplectic-base toolkit",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<17}{help_text}"
+            for name, (_fn, help_text) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="one of the commands listed below")
+    parser.add_argument("--input", help="input JSON path (default: stdin)")
+    parser.add_argument("--output", help="output path (default: stdout)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed for all randomized behaviour")
+    parser.add_argument("--sample", type=_count, default=0,
+                        help="number of sampled characters for the checkers")
+    parser.add_argument("--format", choices=("json", "pretty"),
+                        default="json")
+    parser.add_argument("--retries", type=int, default=8,
+                        help="retry budget for the base search")
     return parser
 
 

@@ -1,8 +1,10 @@
-"""JSON schemas for the CLI and for golden files.
+"""JSON schemas of the CLI's input and output.
 
 Rationals serialize as plain ints when integral and as "p/q" strings
-otherwise; vectors and matrices are arrays of those.  Every converter has a
-strict parser counterpart that raises ValueError on malformed data.
+otherwise; vectors and matrices are arrays of those.  Every CLI input has a
+strict reader that raises ValueError on malformed data; writers exist only
+for what the CLI outputs (vectors, fans, elements, sublattices, subspaces
+and symplectic bases).
 """
 
 from __future__ import annotations
@@ -148,14 +150,6 @@ def element_from_json(data, s=None) -> torus.QTorusElement:
     return torus.QTorusElement(rank, inferred, terms)
 
 
-def cocycle_to_json(cocycle: torus.CocycleForm):
-    return {
-        "rank": cocycle.rank,
-        "s": cocycle.s,
-        "B": [matrix_to_json(m) for m in cocycle.forms],
-    }
-
-
 def _matrices(data, what, size_key, mats_key, parse):
     """``(size, s, matrices)`` of a JSON object holding a size, ``s`` and
     an array of ``s`` square matrices read by ``parse``."""
@@ -176,14 +170,6 @@ def cocycle_from_json(data) -> torus.CocycleForm:
 def alternating_z_from_json(data) -> torus.AlternatingFormZ:
     n, _, mats = _matrices(data, "form", "n", "phi", int_matrix_from_json)
     return torus.AlternatingFormZ(n, mats)
-
-
-def alternating_q_to_json(phi: symplectic.AlternatingMapQ):
-    return {
-        "n": phi.n,
-        "s": phi.s,
-        "phi": [matrix_to_json(m) for m in phi.forms],
-    }
 
 
 def alternating_q_from_json(data) -> symplectic.AlternatingMapQ:
@@ -258,11 +244,3 @@ def presentation_from_json(data) -> groups.Class2Presentation:
                                      tuple(str(z) for z in central),
                                      tuple(table))
 
-
-def presentation_to_json(pres: groups.Class2Presentation):
-    return {
-        "generators": list(pres.generators),
-        "central": list(pres.central),
-        "commutators": [{"a": a + 1, "b": b + 1, "exps": list(exps)}
-                        for a, b, exps in pres.table],
-    }

@@ -45,7 +45,7 @@ def clear_denominators(v):
     rationals, ``den`` the least common denominator of its entries."""
     if all(type(x) is int for x in v):
         return list(v), 1
-    fracs = [x if type(x) is Fraction else Fraction(x) for x in v]
+    fracs = [x if type(x) is Fraction else as_rational(x) for x in v]
     den = lcm(*(f.denominator for f in fracs))
     return [f.numerator * (den // f.denominator) for f in fracs], den
 
@@ -349,12 +349,14 @@ class Sublattice:
 
     def coordinates(self, v):
         """Coefficients of ``v`` in this basis, or None when ``v`` is not a
-        lattice vector (a non-integral one included)."""
+        lattice vector (a non-integral one included); ValueError for an
+        entry that is not an int or a Fraction."""
         if len(v) != self.ambient_rank:
             raise ValueError("dimension mismatch")
-        if any(Fraction(x).denominator != 1 for x in v):
+        v = [as_rational(x) for x in v]
+        if any(x.denominator != 1 for x in v):
             return None
-        return solve_left(self.basis, tuple(int(x) for x in v))
+        return solve_left(self.basis, tuple(x.numerator for x in v))
 
 
 def kernel_lattice(matrix, n):
@@ -398,24 +400,6 @@ def commensurable(l1, l2):
     return saturate(l1) == saturate(l2)
 
 
-def lattice_intersection(l1, l2):
-    if l1.ambient_rank != l2.ambient_rank:
-        raise ValueError("ambient rank mismatch")
-    n = l1.ambient_rank
-    r1 = len(l1.basis)
-    stacked = list(l1.basis) + [tuple(-x for x in row) for row in l2.basis]
-    if not stacked:
-        return Sublattice.zero(n)
-    transposed = tuple(tuple(row[i] for row in stacked)
-                       for i in range(n))
-    K = kernel_lattice(transposed, len(stacked))
-    gens = []
-    for coeffs in K.basis:
-        gens.append(tuple(sum(coeffs[i] * l1.basis[i][j] for i in range(r1))
-                          for j in range(n)))
-    return Sublattice.from_rows(n, gens)
-
-
 @dataclass(frozen=True)
 class Subspace:
     """Linear subspace of Q^n with canonical RREF basis rows."""
@@ -449,7 +433,7 @@ class Subspace:
     def contains_vector(self, v):
         if len(v) != self.ambient_dim:
             raise ValueError("dimension mismatch")
-        residual = [Fraction(x) for x in v]
+        residual = [as_rational(x) for x in v]
         for row in self.basis:
             pivot = next(c for c, x in enumerate(row) if x != 0)
             f = residual[pivot]
@@ -476,20 +460,6 @@ def subspace_intersection(s1, s2):
     k1 = null_space_int(s1.basis, n)
     k2 = null_space_int(s2.basis, n)
     return Subspace.from_rows(n, null_space_int(list(k1) + list(k2), n))
-
-
-def subspace_kernel(matrix, n):
-    """Null space {x in Q^n : matrix . x = 0} as a Subspace."""
-    return Subspace.from_rows(n, null_space_int(matrix, n))
-
-
-def subspace_image(matrix):
-    """Column space of ``matrix`` (the image of x -> matrix.x)."""
-    m = len(matrix)
-    if m == 0:
-        raise ValueError("empty matrix has no codomain dimension")
-    cols = tuple(tuple(row[i] for row in matrix) for i in range(len(matrix[0])))
-    return Subspace.from_rows(m, cols)
 
 
 def subspace_to_lattice(subspace):

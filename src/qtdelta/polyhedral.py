@@ -126,6 +126,12 @@ def _vrep(dim, equalities, inequalities):
     return tuple(sorted(set(rays))), lineality
 
 
+def _ray_sum(dim, rays):
+    """Sum of the extreme rays: a relative-interior point of the cone they
+    span with any lineality (the origin when there are no rays)."""
+    return tuple(map(sum, zip(*rays))) if rays else (0,) * dim
+
+
 def _hrep_from_generators(dim, rays, lineality):
     """Canonical H-representation (equalities, facet inequalities) of the
     cone generated by ``rays`` and ``lineality``: the facets are the extreme
@@ -160,17 +166,6 @@ class Cone:
         for g in list(rays) + list(lineality):
             if any(dot(e, g) != 0 for e in eq) or any(dot(a, g) < 0 for a in ineq):
                 raise AssertionError("double description produced an invalid generator")
-        return cone
-
-    @classmethod
-    def from_generators(cls, ambient_dim, rays=(), lineality=()):
-        gens_r = _norm_constraints(rays, ambient_dim)
-        gens_l = _norm_constraints(lineality, ambient_dim)
-        eq, ineq = _hrep_from_generators(ambient_dim, gens_r, gens_l)
-        cone = cls.from_constraints(ambient_dim, eq, ineq)
-        for g in gens_r + gens_l:
-            if not cone.member(g):
-                raise AssertionError("generator outside reconstructed cone")
         return cone
 
     @classmethod
@@ -233,10 +228,7 @@ class Cone:
     def relint_point(self):
         """Canonical rational point in the relative interior (sum of the
         extreme rays; the origin when the cone is a subspace)."""
-        p = [0] * self.ambient_dim
-        for r in self.rays:
-            p = [a + b for a, b in zip(p, r)]
-        return tuple(p)
+        return _ray_sum(self.ambient_dim, self.rays)
 
     def span(self):
         return Subspace.from_rows(self.ambient_dim,
@@ -368,16 +360,6 @@ def carrier_spaces(fan):
     return [spans[k] for k in sorted(spans)]
 
 
-def _relint_of_closure(dim, eqs, closed):
-    """Relative-interior point (sum of extreme rays) and V-data of the cone
-    {eqs = 0, closed >= 0}."""
-    rays, lin = _vrep(dim, eqs, closed)
-    p = [0] * dim
-    for r in rays:
-        p = [a + b for a, b in zip(p, r)]
-    return tuple(p), rays, lin
-
-
 def _cells(fan, hyperplanes):
     """One exact rational relative-interior point per relatively open cell
     of the hyperplane arrangement covering the fan.
@@ -412,8 +394,9 @@ def _cells(fan, hyperplanes):
                     candidates.append((-1, eqs,
                                        stricts + [tuple(-x for x in h)]))
                 for sign, new_eqs, new_stricts in candidates:
-                    p, c_rays, c_lin = _relint_of_closure(
-                        n, new_eqs, base_closed + new_stricts)
+                    c_rays, c_lin = _vrep(n, new_eqs,
+                                          base_closed + new_stricts)
+                    p = _ray_sum(n, c_rays)
                     if all(dot(s, p) > 0 for s in new_stricts):
                         next_regions.append((new_eqs, new_stricts,
                                              sig + (sign,), list(c_rays),
@@ -421,10 +404,7 @@ def _cells(fan, hyperplanes):
             regions = next_regions
         for eqs, stricts, sig, rays, lin in regions:
             if sig not in reps:
-                p = [0] * n
-                for r in rays:
-                    p = [a + b for a, b in zip(p, r)]
-                reps[sig] = tuple(p)
+                reps[sig] = _ray_sum(n, rays)
     return list(reps.values())
 
 
@@ -439,7 +419,7 @@ def fan_equal(f1, f2):
     """
     if f1.ambient_dim != f2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    if {c.key for c in f1.cones} == {c.key for c in f2.cones}:
+    if f1 == f2:
         return True
     for a, b in ((f1, f2), (f2, f1)):
         for c in a.cones:

@@ -106,14 +106,6 @@ def is_abelian(phi: AlternatingMapQ, space: Subspace) -> bool:
     return not any(any(p) for p in pairings(phi, space.basis))
 
 
-def centralizer_codim(phi: AlternatingMapQ, v) -> int:
-    """Codimension of the centralizer of a vector: the rank of the s x n
-    matrix with rows v^T Phi_k."""
-    if len(v) != phi.n:
-        raise ValueError("dimension mismatch")
-    return matrix_rank(phi.left_rows(v))
-
-
 def image_space(phi: AlternatingMapQ, space: Subspace) -> Subspace:
     """Span of the pairings of basis pairs, a subspace of Q^s."""
     return Subspace.from_rows(phi.s, list(pairings(phi, space.basis)))

@@ -3,6 +3,7 @@ import functools
 import io
 import itertools
 import json
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -245,10 +246,47 @@ class TestErrorHandling:
         code, _ = run_inproc("check-ample", payload, tmp_path)
         assert code == 2
 
-    def test_negative_sample_exit_two(self):
+    def test_negative_sample_exit_two(self, capsys):
         for command in ("check-lemma31", "check-dim", "check-induced"):
             code, out, err = run_cli(command, INDUCED, "--sample", "-3")
             assert code == 2 and out == "" and "--sample" in err, command
+        with pytest.raises(SystemExit) as exc:
+            main(["--sample", "-3", "check-dim"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "" and "--sample" in err
+
+    def test_options_before_or_after_command(self, monkeypatch, capsys):
+        outs = []
+        for argv in (["check-lemma31", "--sample", "4", "--seed", "3"],
+                     ["--sample", "4", "--seed", "3", "check-lemma31"],
+                     ["--seed", "3", "check-lemma31", "--sample", "4"]):
+            monkeypatch.setattr(sys, "stdin",
+                                io.StringIO(json.dumps(TROPICAL)))
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert json.loads(outs[0])["all_equal"]
+        assert outs == [outs[0]] * 3
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0 and len(cli._COMMANDS) == 15
+        for name, (_fn, help_text) in cli._COMMANDS.items():
+            assert re.search(rf"^ +{re.escape(name)} +{re.escape(help_text)}$",
+                             out, re.MULTILINE), name
+
+    def test_unknown_command_exit_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.splitlines()[-1] == (
+            "qtdelta: error: argument command: invalid choice: 'bogus' "
+            "(choose from 'delta', 'initform', 'tc', 'lc', 'check-lemma31', "
+            "'check-dim', 'check-induced', 'torus-mul', 'center', 'symbase', "
+            "'verify-base', 'abelian-split', 'check-ample', "
+            "'group-structure', 'verify-thm42')")
 
     def test_zero_relator_exit_two(self, tmp_path):
         payload = {"relator": {"rank": 2, "terms": []},

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtdelta import polyhedral, torus
 from qtdelta.delta import (
@@ -16,7 +17,7 @@ from qtdelta.delta import (
     sample_delta_point,
     tc_delta,
 )
-from qtdelta.lattice import Sublattice, Subspace
+from qtdelta.lattice import Sublattice, Subspace, saturate
 from qtdelta.polyhedral import Cone, Fan, fan_dim, fan_equal
 
 from oracles import (
@@ -447,3 +448,91 @@ class TestInitialFormTwist:
             a2 = tuple(sum(y2[i] * B.basis[i][j] for i in range(B.rank))
                        for j in range(3))
             assert init.cocycle.twist(y1, y2) == m.cocycle.twist(a1, a2)
+
+
+# Property tests of the three checkers on drawn instances: rank <= 3, at
+# most six support points, drawn cocycles, coefficients and characters.  A
+# failing identity shrinks to a minimal module and character.
+PROPERTY = settings(max_examples=60, derandomize=True, database=None,
+                    deadline=None)
+GRID = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+def _vectors(n):
+    return st.tuples(*[st.integers(-2, 2)] * n)
+
+
+def _distinct_vectors(draw, n, min_size=1):
+    """Between ``min_size`` and six distinct vectors of [-2, 2]^n."""
+    k = min(draw(st.integers(min_size, 6)), 5 ** n)
+    return draw(st.lists(_vectors(n), min_size=k, max_size=k, unique=True))
+
+
+@st.composite
+def _modules(draw, n, points):
+    """A module of rank ``n`` whose support is the drawn ``points``, with
+    drawn Laurent-monomial coefficients and a drawn cocycle."""
+    s = draw(st.integers(1, 2))
+    terms = {a: {draw(_vectors(s)): draw(GRID.filter(bool))}
+             for a in points}
+    forms = tuple(tuple(draw(_vectors(n)) for _ in range(n))
+                  for _ in range(s))
+    return OneRelatorModule(torus.QTorusElement(n, s, terms),
+                            torus.CocycleForm(n, forms))
+
+
+@st.composite
+def _free_modules(draw, min_points=1):
+    n = draw(st.integers(1, 3))
+    return draw(_modules(n, _distinct_vectors(draw, n, min_points)))
+
+
+def _characters(draw, module, cones=None):
+    """The zero character, where the initial form is the whole relator, a
+    grid point and, when there are cones to sample, a seeded
+    relative-interior point of one of the indexed Delta cones (all of them
+    by default)."""
+    fan = delta_set(module)
+    cones = range(len(fan.cones)) if cones is None else cones
+    chis = [Character.zero(module.rank),
+            Character(tuple(draw(GRID) for _ in range(module.rank)))]
+    if cones:
+        chis.append(sample_delta_point(module, draw(st.sampled_from(cones)),
+                                       draw(st.integers(0, 1000))))
+    return chis
+
+
+class TestCheckerProperties:
+    @PROPERTY
+    @given(module=_free_modules(), data=st.data())
+    def test_lemma31(self, module, data):
+        for chi in _characters(data.draw, module):
+            assert check_lemma31(module, chi).equal
+
+    @PROPERTY
+    @given(module=_free_modules(min_points=2), data=st.data())
+    def test_dim_identity(self, module, data):
+        fan = delta_set(module)
+        top = [i for i, c in enumerate(fan.cones) if c.dim == fan_dim(fan)]
+        star = polyhedral.delta_star(fan)
+        for chi in _characters(data.draw, module, top):
+            if star.member(chi.coords):
+                assert check_dim_identity(module, chi).holds
+            else:
+                # only points of the regular part are accepted
+                with pytest.raises(ValueError):
+                    check_dim_identity(module, chi)
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_induced(self, data):
+        n = data.draw(st.integers(1, 3))
+        rows = data.draw(st.lists(_vectors(n), min_size=1, max_size=n))
+        lattice = saturate(Sublattice.from_rows(n, rows))
+        r = lattice.rank
+        points = [tuple(sum(y[i] * lattice.basis[i][j] for i in range(r))
+                        for j in range(n))
+                  for y in _distinct_vectors(data.draw, r)]
+        module = data.draw(_modules(n, points))
+        for chi in _characters(data.draw, module):
+            assert check_induced(module, lattice, chi).equal

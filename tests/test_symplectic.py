@@ -6,6 +6,7 @@ import pytest
 from qtdelta.lattice import (
     Subspace,
     congruence,
+    matrix_rank,
     subspace_sum,
     vec_primitive_signed,
 )
@@ -15,7 +16,6 @@ from qtdelta.symplectic import (
     SymplecticBase,
     center,
     centralizer,
-    centralizer_codim,
     check_ample,
     compute_symplectic_base,
     decompose_abelian,
@@ -110,9 +110,11 @@ class TestCenterCentralizer:
         assert not is_abelian(phi, Subspace.full(2))
 
     def test_codim_values(self):
-        assert centralizer_codim(two_block_form(), (1, 0, 0, 0)) == 1
-        assert centralizer_codim(two_block_form(), (1, 0, 1, 0)) == 2
-        assert centralizer_codim(two_block_form(), (0, 0, 0, 0)) == 0
+        # the centralizer of v has codimension rank(v^T Phi_k)
+        phi = two_block_form()
+        assert matrix_rank(phi.left_rows((1, 0, 0, 0))) == 1
+        assert matrix_rank(phi.left_rows((1, 0, 1, 0))) == 2
+        assert matrix_rank(phi.left_rows((0, 0, 0, 0))) == 0
 
 
 class TestVerifyBase:
@@ -226,11 +228,11 @@ class TestComputeBase:
         assert isinstance(base, SymplecticBase)
         for block in base.blocks:
             for row in block.basis:
-                assert centralizer_codim(phi, row) == 1
+                assert matrix_rank(phi.left_rows(row)) == 1
         # cross-block sums have codimension two
         v = tuple(a + b for a, b in zip(base.blocks[0].basis[0],
                                         base.blocks[1].basis[0]))
-        assert centralizer_codim(phi, v) == 2
+        assert matrix_rank(phi.left_rows(v)) == 2
 
 
 class TestDecomposeAbelian:
