@@ -63,8 +63,6 @@ def _module_from(data):
     cocycle = jsonio.cocycle_from_json(_require(data, "cocycle"))
     if relator.s not in (cocycle.s, 0):
         raise InputError("relator and cocycle parameter counts differ")
-    if relator.s != cocycle.s:
-        relator = torus.QTorusElement(relator.rank, cocycle.s, relator.terms)
     return delta.OneRelatorModule(relator, cocycle)
 
 

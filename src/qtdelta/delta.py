@@ -63,8 +63,8 @@ class Character:
 
     @property
     def rank(self):
-        """Rank of the image, computed as n - rank(kernel)."""
-        return self.n - self.kernel().rank
+        """Rank of the image in Q: one unless the character is zero."""
+        return 0 if self.is_zero else 1
 
 
 @dataclass(frozen=True)
@@ -85,31 +85,26 @@ class OneRelatorModule:
         return self.relator.rank
 
 
-def _delta_fan_of_support(support, n):
-    if len(support) < 2:
-        return Fan(n)
-    cones = []
-    for i in range(len(support)):
-        for j in range(i + 1, len(support)):
-            a, b = support[i], support[j]
-            eq = [tuple(x - y for x, y in zip(a, b))]
-            ineq = [tuple(x - y for x, y in zip(c, a))
-                    for c in support if c != a and c != b]
-            cones.append(Cone.from_constraints(n, eq, ineq))
-    return Fan(n, cones)
-
-
 def delta_set(module: OneRelatorModule) -> Fan:
     """Delta set of the module as a fan over the pairwise tie cones of the
     relator support, with redundant cones pruned."""
-    return _delta_fan_of_support(module.relator.support, module.rank)
+    support = module.relator.support
+    cones = []
+    for i, a in enumerate(support):
+        for b in support[i + 1:]:
+            eq = [tuple(x - y for x, y in zip(a, b))]
+            ineq = [tuple(x - y for x, y in zip(c, a))
+                    for c in support if c != a and c != b]
+            cones.append(Cone.from_constraints(module.rank, eq, ineq))
+    return Fan(module.rank, cones)
 
 
 @dataclass(frozen=True)
-class InitialFormResult:
-    relator: torus.QTorusElement      # in the coordinates of kernel.basis
-    kernel: Sublattice                # B = saturate(ker chi)
-    cocycle: torus.CocycleForm        # twist restricted to the kernel basis
+class InitialFormResult(OneRelatorModule):
+    """The initial form as a one-relator module over B = saturate(ker chi):
+    relator and cocycle are in the coordinates of ``kernel.basis``."""
+
+    kernel: Sublattice
 
 
 def initial_form(module: OneRelatorModule, chi: Character) -> InitialFormResult:
@@ -137,15 +132,14 @@ def initial_form(module: OneRelatorModule, chi: Character) -> InitialFormResult:
         if coords is None:
             raise AssertionError("initial form support escaped the kernel lattice")
         terms[coords] = shifted.coefficient(a)
-    restricted = torus.QTorusElement(B.rank, r.s, terms)
-    return InitialFormResult(restricted, B, module.cocycle.restrict(B))
+    restricted = torus.QTorusElement(B.rank, shifted.s, terms)
+    return InitialFormResult(restricted, module.cocycle.restrict(B), B)
 
 
 def tc_delta(module: OneRelatorModule, chi: Character) -> Fan:
     """Delta set of the trailing-coefficient module at chi, inside the dual
     of the kernel lattice; empty exactly when chi is outside the Delta set."""
-    init = initial_form(module, chi)
-    return _delta_fan_of_support(init.relator.support, init.kernel.rank)
+    return delta_set(initial_form(module, chi))
 
 
 @dataclass(frozen=True)
@@ -171,8 +165,7 @@ def check_lemma31(module: OneRelatorModule, chi: Character) -> LocalConeReport:
     fan = delta_set(module)
     lhs = polyhedral.local_cone(fan, chi.coords)
     init = initial_form(module, chi)
-    inner = _delta_fan_of_support(init.relator.support, init.kernel.rank)
-    rhs = polyhedral.preimage(inner, init.kernel.basis,
+    rhs = polyhedral.preimage(delta_set(init), init.kernel.basis,
                               domain_dim=module.rank)
     return LocalConeReport(chi, lhs, rhs, polyhedral.fan_equal(lhs, rhs))
 
@@ -235,10 +228,9 @@ def check_induced(module: OneRelatorModule, sublattice: Sublattice,
                                     module.cocycle.restrict(sublattice))
     chi1 = Character(tuple(dot(chi.coords, h) for h in H1))
 
-    lhs = tc_delta(module, chi)
-    B = chi.kernel()
-    inner_fan = tc_delta(inner_module, chi1)
-    B1 = chi1.kernel()
+    init = initial_form(module, chi)
+    inner_init = initial_form(inner_module, chi1)
+    B, B1 = init.kernel, inner_init.kernel
     # basis of B cap A1 aligned with the inner kernel basis
     rows_in_ambient = [tuple(dot(y, [h[j] for h in H1]) for j in range(n))
                        for y in B1.basis]
@@ -248,7 +240,9 @@ def check_induced(module: OneRelatorModule, sublattice: Sublattice,
         if coeffs is None:
             raise AssertionError("kernel intersection escaped the kernel")
         restriction.append(coeffs)
-    rhs = polyhedral.preimage(inner_fan, restriction, domain_dim=B.rank)
+    lhs = delta_set(init)
+    rhs = polyhedral.preimage(delta_set(inner_init), restriction,
+                              domain_dim=B.rank)
     return LocalConeReport(chi, lhs, rhs, polyhedral.fan_equal(lhs, rhs))
 
 

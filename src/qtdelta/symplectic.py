@@ -184,8 +184,7 @@ def verify_symplectic_base(phi: AlternatingMapQ,
                    for i in range(len(lines)) for j in range(i + 1, len(lines)))
     consistent = (len(cand.lines) == len(cand.blocks)
                   and all(line is not None and line == stored
-                          for line, stored in zip(lines, cand.lines))
-                  if cand.blocks else len(cand.lines) == 0)
+                          for line, stored in zip(lines, cand.lines)))
     return BaseReport(direct, centre_ok, orth, nondeg, distinct, consistent)
 
 
@@ -268,83 +267,57 @@ def compute_symplectic_base(phi: AlternatingMapQ, seed: int = 0,
 
     Two random target functionals t, t' contract phi to a pencil of forms on
     a complement of the radical; the eigenspaces of Phi(t)^-1 Phi(t') are
-    the candidate blocks (on a block with image line w the map is the scalar
-    <t',w>/<t,w>).  Candidates with equal image lines are merged and the
-    result is certified by the verifier; failed draws are retried up to
-    ``retries`` times before reporting NoBaseFound.
+    the candidate blocks, and the verifier alone decides whether they form
+    a base.  If a base exists, the map is the scalar <t',w>/<t,w> on each of
+    its blocks, w the block's image line; so an eigenspace is the sum of the
+    blocks of one line, and no two eigenspaces share a line.  Failed draws
+    are retried up to ``retries`` times (at least one) before reporting
+    NoBaseFound.
     """
+    if retries < 1:
+        raise ValueError(f"retries must be at least 1, got {retries}")
     n, s = phi.n, phi.s
     V0 = center(phi)
     wcols = complement_columns(V0.basis, n)
     m = len(wcols)
-    comp_basis = [tuple(Fraction(1 if j == c else 0) for j in range(n))
-                  for c in wcols]
-    restricted = _restrict(phi, comp_basis)
     if m == 0:
-        base = SymplecticBase(V0, (), ())
-        return base
+        return SymplecticBase(V0, (), ())
+    restricted = _restrict(phi, [_lift([int(i == j) for j in range(m)],
+                                       wcols, n) for i in range(m)])
+
+    def pencil(rng):
+        t = [rng.randint(-9, 9) for _ in range(s)]
+        return [[sum(t[k] * restricted.forms[k][i][j] for k in range(s))
+                 for j in range(m)] for i in range(m)]
+
     last_report = None
-    reason = "no attempt produced a verified base"
-    for attempt in range(max(1, retries)):
+    for attempt in range(retries):
         rng = derive(seed, "pencil", attempt)
-        phi_t = None
         for _ in range(32):
-            t = [rng.randint(-9, 9) for _ in range(s)]
-            cand = [[sum(t[k] * restricted.forms[k][i][j] for k in range(s))
-                     for j in range(m)] for i in range(m)]
-            if matrix_rank(cand) == m:
-                phi_t = cand
+            phi_t = pencil(rng)
+            if matrix_rank(phi_t) == m:
                 break
-        if phi_t is None:
+        else:
             reason = "could not draw an invertible pencil member"
             continue
-        t2 = [rng.randint(-9, 9) for _ in range(s)]
-        phi_t2 = [[sum(t2[k] * restricted.forms[k][i][j] for k in range(s))
-                   for j in range(m)] for i in range(m)]
-        M = solve(phi_t, phi_t2)
-        split = _eigen_split(M)
+        split = _eigen_split(solve(phi_t, pencil(rng)))
         if split is None:
             reason = "pencil spectrum not rational-diagonalizable"
             continue
-        groups = {}
-        degenerate = False
-        for _lam, basis in split:
-            vectors = [_lift(v, wcols, n) for v in basis]
-            block = Subspace.from_rows(n, vectors)
-            img = image_space(phi, block)
-            key = _line_key(img)
-            if key is None:
-                degenerate = True
-                break
-            groups.setdefault(key, []).append(block)
-        if degenerate:
+        blocks = sorted((Subspace.from_rows(n, [_lift(v, wcols, n)
+                                                for v in basis])
+                         for _lam, basis in split), key=lambda b: b.basis)
+        lines = [_line_key(image_space(phi, block)) for block in blocks]
+        if None in lines:
             reason = "candidate block without a one-dimensional image line"
             continue
-        blocks = []
-        lines = []
-        for key in sorted(groups):
-            merged = groups[key][0]
-            for extra in groups[key][1:]:
-                merged = subspace_sum(merged, extra)
-            img = image_space(phi, merged)
-            key2 = _line_key(img)
-            if key2 is None:
-                degenerate = True
-                break
-            blocks.append(merged)
-            lines.append(key2)
-        if degenerate:
-            reason = "merged block without a one-dimensional image line"
-            continue
-        order = sorted(range(len(blocks)), key=lambda i: blocks[i].basis)
-        cand = SymplecticBase(V0, tuple(blocks[i] for i in order),
-                              tuple(lines[i] for i in order))
+        cand = SymplecticBase(V0, blocks, lines)
         report = verify_symplectic_base(phi, cand)
         if report.passed:
             return cand
         last_report = report
         reason = "candidate decomposition failed verification"
-    return NoBaseFound(max(1, retries), last_report, reason)
+    return NoBaseFound(retries, last_report, reason)
 
 
 def _lift(vec, wcols, n):
@@ -373,9 +346,8 @@ def decompose_abelian(phi: AlternatingMapQ, base: SymplecticBase,
         raise ValueError("abelian subspace of dimension below half the space")
     components = [subspace_intersection(space, block)
                   for block in base.blocks]
-    total = Subspace.zero(phi.n)
-    for comp in components:
-        total = subspace_sum(total, comp)
+    total = Subspace.from_rows(phi.n, [row for c in components
+                                       for row in c.basis])
     if (total != space
             or sum(c.dim for c in components) != space.dim
             or any(2 * c.dim != b.dim
@@ -472,8 +444,8 @@ def check_ample(phi: AlternatingMapQ, space: Subspace, omega,
     if space.dim - zx.dim > 2:
         cond1 = all(
             any(u2 != u1
-                and subspace_intersection(u1, u2).contains(zx)
-                and subspace_intersection(u1, u2).dim > zx.dim
+                and (meet := subspace_intersection(u1, u2)).contains(zx)
+                and meet.dim > zx.dim
                 for u2 in omega)
             for u1 in omega)
     cond2 = all(

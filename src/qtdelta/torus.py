@@ -206,8 +206,10 @@ def multiply(alpha: QTorusElement, beta: QTorusElement,
 
 
 def monomial_inverse(exp, s, cocycle: CocycleForm) -> QTorusElement:
-    """Two-sided inverse of the unit x^exp."""
+    """Two-sided inverse of the unit x^exp, over max(s, cocycle.s)
+    parameters."""
     a = tuple(as_int(x) for x in exp)
+    s = max(s, cocycle.s)
     qexp = cocycle.twist(a, a)
     q = tuple(qexp) + (0,) * (s - len(qexp))
     return QTorusElement(cocycle.rank, s,

@@ -40,6 +40,32 @@ INDUCED = {
     "A1": {"ambient_rank": 2, "basis": [[1, 0]]},
 }
 
+# relators whose coefficients are plain rationals, with a nontrivial twist
+TWISTED = {
+    "relator": {"rank": 2, "terms": [
+        {"exp": [1, 1], "coeff": [{"qexp": [0], "c": 1}]},
+        {"exp": [2, 1], "coeff": [{"qexp": [0], "c": -2}]},
+        {"exp": [1, 2], "coeff": [{"qexp": [0], "c": 3}]}]},
+    "cocycle": {"rank": 2, "s": 1, "B": [[[0, 0], [1, 0]]]},
+}
+
+TWISTED_INDUCED = {
+    "relator": {"rank": 2, "terms": [
+        {"exp": [1, 0], "coeff": [{"qexp": [0], "c": 1}]},
+        {"exp": [2, 0], "coeff": [{"qexp": [0], "c": -2}]}]},
+    "cocycle": {"rank": 2, "s": 1, "B": [[[1, 1], [0, 0]]]},
+    "A1": {"ambient_rank": 2, "basis": [[1, 0]]},
+}
+
+
+def with_scalar_relator(payload):
+    """The same input with every relator coefficient written without
+    parameters (``"qexp": []``)."""
+    terms = [dict(term, coeff=[dict(c, qexp=[]) for c in term["coeff"]])
+             for term in payload["relator"]["terms"]]
+    return dict(payload, relator=dict(payload["relator"], terms=terms))
+
+
 TORUS_MUL = {
     "a": {"rank": 2, "terms": [
         {"exp": [1, 0], "coeff": [{"qexp": [0], "c": 1}]}]},
@@ -115,6 +141,21 @@ class TestSubcommands:
         code, out = run_inproc("check-induced", INDUCED, tmp_path,
                                "--sample", "5", "--seed", "2")
         assert code == 0 and json.loads(out)["all_equal"]
+
+    @pytest.mark.parametrize("command, payload, flags", [
+        ("delta", TWISTED, ()),
+        ("initform", dict(TWISTED, chi=[0, 1]), ()),
+        ("tc", dict(TWISTED, chi=[0, 1]), ()),
+        ("check-lemma31", TWISTED, ("--sample", "6")),
+        ("check-dim", TWISTED, ("--sample", "4")),
+        ("check-induced", dict(TWISTED_INDUCED, chi=[0, 1]), ()),
+    ])
+    def test_scalar_relator_coefficients(self, tmp_path, command, payload,
+                                         flags):
+        expected = run_inproc(command, payload, tmp_path, *flags)
+        assert expected[0] == 0
+        assert run_inproc(command, with_scalar_relator(payload), tmp_path,
+                          *flags) == expected
 
     def test_torus_mul(self, tmp_path):
         code, out = run_inproc("torus-mul", TORUS_MUL, tmp_path)
@@ -254,6 +295,16 @@ class TestErrorHandling:
             main(["--sample", "-3", "check-dim"])
         out, err = capsys.readouterr()
         assert exc.value.code == 2 and out == "" and "--sample" in err
+
+    def test_retries_below_one_exit_two(self, tmp_path, capsys):
+        for command, payload in (("symbase", TWO_BLOCK),
+                                 ("group-structure", HEISENBERG2)):
+            for retries in ("0", "-2"):
+                code, out = run_inproc(command, payload, tmp_path,
+                                       "--retries", retries)
+                err = capsys.readouterr().err
+                assert code == 2 and out == "", command
+                assert "retries must be at least 1" in err, command
 
     def test_options_before_or_after_command(self, monkeypatch, capsys):
         outs = []

@@ -449,6 +449,34 @@ class TestInitialFormTwist:
                        for j in range(3))
             assert init.cocycle.twist(y1, y2) == m.cocycle.twist(a1, a2)
 
+    def test_relator_with_fewer_parameters_than_cocycle(self):
+        # a relator over Q(q_1), or over Q, under a two-parameter twist is
+        # the relator with its parameter exponents padded by zeros
+        def padded(el, s):
+            return torus.QTorusElement(el.rank, s, {
+                a: {q + (0,) * (s - el.s): c
+                    for q, c in el.coefficient(a).items()}
+                for a in el.support})
+
+        rng = random.Random(4900)
+        for k in range(12):
+            if k % 2:
+                narrow = random_relator(rng, 2, 1)
+            else:
+                narrow = torus.QTorusElement(2, 0, {
+                    a: {(): Fraction(rng.randint(1, 5), rng.randint(1, 3))}
+                    for a in random_relator(rng, 2, 1).support})
+            cocycle = random_cocycle(rng, 2, 2)
+            m = OneRelatorModule(narrow, cocycle)
+            wide = OneRelatorModule(padded(narrow, 2), cocycle)
+            for chi in (Character((0, 1)), Character.zero(2),
+                        Character(random_character(rng, 2))):
+                init = initial_form(m, chi)
+                assert init.relator.s == 2
+                assert init == initial_form(wide, chi)
+                report = check_lemma31(m, chi)
+                assert report.equal and report == check_lemma31(wide, chi)
+
 
 # Property tests of the three checkers on drawn instances: rank <= 3, at
 # most six support points, drawn cocycles, coefficients and characters.  A

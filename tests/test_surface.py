@@ -1,9 +1,11 @@
 """The library holds no code that only tests reach.
 
-Every public module-level ``def`` and ``class`` in ``src/qtdelta`` is either
+Every module-level ``def`` and ``class`` in ``src/qtdelta`` is either
 exported from ``qtdelta.__all__`` or named by some other top-level statement
-of the package (a call, an attribute access or an import).  A helper that
-only the tests call fails here: delete it, or export and document it.
+of the package (a call, an attribute access or an import); a ``_private``
+helper must be named by another top-level statement.  A helper that only
+the tests call, or that nothing calls any more, fails here: delete it, or
+export and document it.
 """
 
 import ast
@@ -40,7 +42,7 @@ def _unreached(sources, exported):
                                 ast.ClassDef)):
             continue
         name = top.name
-        if name.startswith("_") or name in exported:
+        if name in exported:
             continue
         if not any(name in used for _, other, used in statements
                    if other is not top):
@@ -60,7 +62,11 @@ def test_guard_flags_a_definition_only_tests_call():
                "def helper():\n    pass\n\n\n"
                "class Exported:\n    pass\n\n\n"
                "def recursive(k):\n    return recursive(k - 1)\n\n\n"
-               "VALUE = helper()\n")
+               "def _orphan():\n    pass\n\n\n"
+               "def _helper():\n    pass\n\n\n"
+               "class _Private:\n    pass\n\n\n"
+               "VALUE = helper() + _helper()\n")
     sources = dict(_sources(), planted=planted)
     assert _unreached(sources, set(qtdelta.__all__) | {"Exported"}) \
-        == ["planted.orphan", "planted.recursive"]
+        == ["planted.orphan", "planted.recursive", "planted._orphan",
+            "planted._Private"]

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtdelta.lattice import (
     Subspace,
@@ -60,15 +61,22 @@ def merged_line_form():
     return block_form([2, 2], [(1,), (1,)], 1)
 
 
+def wedge_form(n, *forms):
+    """Alternating map with one matrix per form, each given as terms
+    (i, j, c) meaning c e_i ^ e_j."""
+    mats = []
+    for terms in forms:
+        m = [[0] * n for _ in range(n)]
+        for i, j, c in terms:
+            m[i][j] += c
+            m[j][i] -= c
+        mats.append(tuple(map(tuple, m)))
+    return AlternatingMapQ(n, len(mats), tuple(mats))
+
+
 def no_base_form():
     # (e1,e2) -> w1, (e3,e4) -> w1, (e1,e3) -> w2
-    m1 = [[0] * 4 for _ in range(4)]
-    m1[0][1], m1[1][0] = 1, -1
-    m1[2][3], m1[3][2] = 1, -1
-    m2 = [[0] * 4 for _ in range(4)]
-    m2[0][2], m2[2][0] = 1, -1
-    return AlternatingMapQ(4, 2, (tuple(map(tuple, m1)),
-                                  tuple(map(tuple, m2))))
+    return wedge_form(4, [(0, 1, 1), (2, 3, 1)], [(0, 2, 1)])
 
 
 def test_map_validated():
@@ -176,6 +184,53 @@ class TestComputeBase:
         assert isinstance(outcome, NoBaseFound)
         assert outcome.attempts == 8
 
+    def test_retries_below_one_rejected(self):
+        for retries in (0, -1):
+            with pytest.raises(ValueError, match="retries"):
+                compute_symplectic_base(two_block_form(), retries=retries)
+
+    def test_reason_no_invertible_pencil_member(self):
+        # odd dimension with trivial radical: every pencil member is singular
+        phi = wedge_form(3, [(0, 1, 1)], [(1, 2, 1)])
+        assert center(phi).dim == 0
+        outcome = compute_symplectic_base(phi, seed=0, retries=8)
+        assert outcome == NoBaseFound(
+            8, None, "could not draw an invertible pencil member")
+
+    def test_reason_irrational_spectrum(self):
+        # Pfaffian x^2 - 2y^2: the pencil eigenvalues are irrational
+        phi = wedge_form(4, [(0, 1, 1), (2, 3, 1)], [(0, 2, 1), (1, 3, 2)])
+        assert base_exists_oracle(phi) is False
+        outcome = compute_symplectic_base(phi, seed=0, retries=8)
+        assert outcome == NoBaseFound(
+            8, None, "pencil spectrum not rational-diagonalizable")
+
+    def test_reason_candidate_block_without_line(self):
+        # lines (1, 0) and (0, 1) have the eigenvalues t'_1/t_1 and
+        # t'_2/t_2; the first draw of seed 10 makes them equal, so the one
+        # eigenspace is all of Q^4, with a two-dimensional image
+        outcome = compute_symplectic_base(two_block_form(), seed=10,
+                                          retries=1)
+        assert outcome == NoBaseFound(
+            1, None, "candidate block without a one-dimensional image line")
+        base = compute_symplectic_base(two_block_form(), seed=10, retries=2)
+        assert isinstance(base, SymplecticBase)
+        assert verify_symplectic_base(two_block_form(), base).passed
+
+    def test_reason_failed_verification(self):
+        # e2^e3 -> w1, e2^e4 -> w2, e1^e4 -> w3: each eigenspace has one
+        # image line, but the eigenspaces do not centralize each other
+        phi = wedge_form(4, [(1, 2, 1)], [(1, 3, 1)], [(0, 3, 1)])
+        outcome = compute_symplectic_base(phi, seed=0, retries=8)
+        assert isinstance(outcome, NoBaseFound)
+        assert (outcome.attempts, outcome.reason) \
+            == (8, "candidate decomposition failed verification")
+        assert outcome.evidence.to_json() == {
+            "direct_sum": True, "centre_is_v0": True,
+            "blocks_orthogonal": False, "blocks_nondegenerate": True,
+            "lines_distinct": True, "lines_consistent": True,
+            "passed": False}
+
     def test_no_base_fixture_oracle(self):
         assert base_exists_oracle(no_base_form()) is False
         assert base_exists_oracle(two_block_form()) is True
@@ -233,6 +288,48 @@ class TestComputeBase:
         v = tuple(a + b for a, b in zip(base.blocks[0].basis[0],
                                         base.blocks[1].basis[0]))
         assert matrix_rank(phi.left_rows(v)) == 2
+
+
+@st.composite
+def repeated_line_instances(draw):
+    """Conjugated block forms, s in {2, 3}, with three or four blocks whose
+    lines come from a pool of at most two, so some line repeats."""
+    s = draw(st.sampled_from([2, 3]))
+    vectors = st.tuples(*[st.integers(-2, 2)] * s).filter(any)
+    pool = draw(st.lists(vectors, min_size=1, max_size=2))
+    t = draw(st.integers(3, 4))
+    lines = [tuple(k * x for x in draw(st.sampled_from(pool)))
+             for k in draw(st.lists(st.sampled_from([1, -1, 2]),
+                                    min_size=t, max_size=t))]
+    dims = [draw(st.sampled_from([2, 4]))] + [2] * (t - 1)
+    central = draw(st.integers(0, 1))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return conjugated_block_instance(rng, dims, lines, s, central) \
+        + (lines, draw(st.integers(0, 1000)))
+
+
+class TestRepeatedLines:
+    @settings(max_examples=40, derandomize=True, database=None,
+              deadline=None)
+    @given(instance=repeated_line_instances())
+    def test_blocks_grouped_by_line(self, instance):
+        # blocks sharing a line form one eigenspace of every pencil, so
+        # the search returns their sums, one per line
+        phi, expected, lines, seed = instance
+        grouped = {}
+        for block, w in zip(expected, lines):
+            key = vec_primitive_signed(w)
+            grouped[key] = subspace_sum(grouped.get(key, block), block)
+        assert len(grouped) < len(expected)
+        base = compute_symplectic_base(phi, seed=seed)
+        assert isinstance(base, SymplecticBase)
+        assert verify_symplectic_base(phi, base).passed
+        assert sorted(base.lines) == sorted(grouped)
+        # modulo the radical, as blocks are unique only up to it
+        got = {w: subspace_sum(base.V0, b)
+               for b, w in zip(base.blocks, base.lines)}
+        assert got == {w: subspace_sum(base.V0, b)
+                       for w, b in grouped.items()}
 
 
 class TestDecomposeAbelian:
