@@ -177,7 +177,8 @@ def cmd_torus_mul(args, data):
     a, b = (jsonio.element_from_json(_require(data, key)) for key in "ab")
     if {a.rank, b.rank} != {cocycle.rank}:
         raise InputError("element rank does not match the cocycle")
-    a, b = (torus.QTorusElement(el.rank, cocycle.s, el.terms) for el in (a, b))
+    if max(a.s, b.s) > cocycle.s:
+        raise InputError("element has more parameters than the cocycle")
     return jsonio.element_to_json(torus.multiply(a, b, cocycle)), True
 
 

@@ -6,6 +6,10 @@ of characters whose minimum over S is attained at least twice:
     Delta = union over pairs a != b in S of
             {chi : chi(a) = chi(b) <= chi(c) for all c in S}.
 
+That is the tropical hypersurface of r with trivial valuation, so its
+maximal cones are the normal cones of the edges of the Newton polytope
+conv(S); the fan is computed that way, once per module object.
+
 The initial form of r at a rational character chi keeps the chi-minimal
 terms, normalizes them into the kernel lattice B of chi, and generates the
 one-relator module over B whose Delta set describes the local cone of the
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import polyhedral, torus
 from .lattice import (
@@ -84,19 +89,37 @@ class OneRelatorModule:
     def rank(self):
         return self.relator.rank
 
+    @cached_property
+    def _delta_fan(self):
+        # stored in the instance dict: one fan per object, never shared by
+        # equal modules
+        return _edge_normal_fan(self.rank, self.relator.support)
+
+
+def _edge_normal_fan(rank, support):
+    """Normal cones {chi : chi(u) = chi(v) <= chi(w), w next to u or v} of
+    the edges [u, v] of conv(support).  They all have dimension rank - 1
+    and are pairwise distinct, so none contains another."""
+    graph = polyhedral.polytope_graph(support)
+    cones = []
+    for u, near_u in graph.items():
+        for v in near_u:
+            if u < v:
+                eq = [tuple(x - y for x, y in zip(u, v))]
+                ineq = [tuple(x - y for x, y in zip(w, u))
+                        for w in (near_u | graph[v]) - {u, v}]
+                cones.append(Cone.from_constraints(rank, eq, ineq))
+    return Fan.irredundant(rank, cones)
+
 
 def delta_set(module: OneRelatorModule) -> Fan:
-    """Delta set of the module as a fan over the pairwise tie cones of the
-    relator support, with redundant cones pruned."""
-    support = module.relator.support
-    cones = []
-    for i, a in enumerate(support):
-        for b in support[i + 1:]:
-            eq = [tuple(x - y for x, y in zip(a, b))]
-            ineq = [tuple(x - y for x, y in zip(c, a))
-                    for c in support if c != a and c != b]
-            cones.append(Cone.from_constraints(module.rank, eq, ineq))
-    return Fan(module.rank, cones)
+    """Delta set of the module: the union over pairs a != b of the relator
+    support S of the tie cones {chi : chi(a) = chi(b) <= chi(c), c in S},
+    as a fan without redundant cones.
+
+    Computed as the normal cones of the edges of conv(S), once per module
+    object; later calls on the same object return the same Fan."""
+    return module._delta_fan
 
 
 @dataclass(frozen=True)

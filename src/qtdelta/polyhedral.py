@@ -10,7 +10,8 @@ data, which gives cheap structural equality and hashing.
 
 Fans are plain unions of cones (no face structure is maintained):
 containment-redundant cones are pruned and the rest deterministically
-sorted.
+sorted.  ``Fan.irredundant`` skips the prune for cone lists that have no
+redundant cone by construction.
 """
 
 from __future__ import annotations
@@ -141,6 +142,40 @@ def _hrep_from_generators(dim, rays, lineality):
     return span_perp, facet_rays
 
 
+def polytope_graph(points):
+    """Vertex adjacency of the polytope conv(points): a dict from each vertex
+    to the set of vertices it shares an edge with.
+
+    One double description of the homogenised cone over the (1, p) gives
+    the facets.  A point is a vertex iff no other point is tight on every
+    facet it is tight on, and two vertices span an edge iff no third vertex
+    is tight on every facet the two share (the smallest face holding both
+    is the intersection of those facets).
+    """
+    points = sorted(set(map(tuple, points)))
+    if len(points) < 2:
+        return {p: set() for p in points}
+    lifted = [(1,) + p for p in points]
+    _, facets = _hrep_from_generators(len(lifted[0]), lifted, ())
+    tight = []
+    for g in lifted:
+        values = [dot(f, g) for f in facets]
+        if any(v < 0 for v in values):
+            raise AssertionError("facet inequality cuts off a point")
+        tight.append(frozenset(i for i, v in enumerate(values) if v == 0))
+    vertices = [i for i, t in enumerate(tight)
+                if not any(j != i and t <= u for j, u in enumerate(tight))]
+    graph = {points[i]: set() for i in vertices}
+    for x, i in enumerate(vertices):
+        for j in vertices[x + 1:]:
+            common = tight[i] & tight[j]
+            if not any(k != i and k != j and common <= tight[k]
+                       for k in vertices):
+                graph[points[i]].add(points[j])
+                graph[points[j]].add(points[i])
+    return graph
+
+
 class Cone:
     """Closed rational polyhedral cone containing 0."""
 
@@ -249,24 +284,38 @@ class Cone:
                 f"lineality={list(self.lineality)})")
 
 
+def _sorted_unique(ambient_dim, cones):
+    """The cones with duplicates dropped, sorted by canonical key."""
+    uniq = {}
+    for c in cones:
+        if c.ambient_dim != ambient_dim:
+            raise ValueError("cone ambient dimension mismatch")
+        uniq[c.key] = c
+    return tuple(uniq[k] for k in sorted(uniq))
+
+
 class Fan:
     """Finite union of cones of a common ambient dimension."""
 
     __slots__ = ("ambient_dim", "cones")
 
     def __init__(self, ambient_dim, cones=()):
-        uniq = {}
-        for c in cones:
-            if c.ambient_dim != ambient_dim:
-                raise ValueError("cone ambient dimension mismatch")
-            uniq[c.key] = c
-        items = list(uniq.values())
-        kept = [c for c in items
-                if not any(o.key != c.key and o.contains_cone(c)
-                           for o in items)]
-        kept.sort(key=lambda c: c.key)
+        items = _sorted_unique(ambient_dim, cones)
         self.ambient_dim = ambient_dim
-        self.cones = tuple(kept)
+        self.cones = tuple(c for c in items
+                           if not any(o is not c and o.contains_cone(c)
+                                      for o in items))
+
+    @classmethod
+    def irredundant(cls, ambient_dim, cones):
+        """Fan of cones none of which contains another (say, cones of one
+        dimension from a polyhedral fan, or a subset of a Fan's cones):
+        duplicates are dropped and the rest sorted, without the quadratic
+        containment prune of the constructor."""
+        fan = cls.__new__(cls)
+        fan.ambient_dim = ambient_dim
+        fan.cones = _sorted_unique(ambient_dim, cones)
+        return fan
 
     @property
     def is_empty(self):
@@ -340,11 +389,13 @@ def preimage(fan, matrix, domain_dim=None):
 
 def delta_star(fan):
     """Union of the cones of maximal dimension (for a fan of cones this is
-    the closure of the set of regular points)."""
+    the closure of the set of regular points).  A subset of a Fan's cones
+    is irredundant, so no containment prune runs."""
     if fan.is_empty:
         return fan
     top = fan_dim(fan)
-    return Fan(fan.ambient_dim, [c for c in fan.cones if c.dim == top])
+    return Fan.irredundant(fan.ambient_dim,
+                           [c for c in fan.cones if c.dim == top])
 
 
 def carrier_spaces(fan):

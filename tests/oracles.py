@@ -2,7 +2,9 @@
 
 The oracles deliberately avoid the code paths they check: brute-force
 enumeration for lattice saturation, direct min-evaluation for Delta
-membership, exact epsilon thresholds for local cones, and a pencil
+membership, one tie cone per support pair for Delta fans (the library
+builds them from the edges of the Newton polytope), exact epsilon
+thresholds for local cones, and a pencil
 determinant root search (via sympy) for symplectic base existence.
 """
 
@@ -13,6 +15,7 @@ from fractions import Fraction
 
 from qtdelta import torus
 from qtdelta.lattice import Subspace, dot, solve_left, vec_primitive_signed
+from qtdelta.polyhedral import Cone, Fan
 from qtdelta.symplectic import (
     AlternatingMapQ,
     SymplecticBase,
@@ -154,6 +157,20 @@ def delta_member_bruteforce(support, chi):
     values = [dot(chi, a) for a in support]
     m = min(values)
     return sum(1 for v in values if v == m) >= 2
+
+
+def delta_set_pairwise(module):
+    """Delta set by its definition: one tie cone per pair of support points,
+    with the full containment prune of ``Fan``."""
+    support = module.relator.support
+    cones = []
+    for i, a in enumerate(support):
+        for b in support[i + 1:]:
+            eq = [tuple(x - y for x, y in zip(a, b))]
+            ineq = [tuple(x - y for x, y in zip(c, a))
+                    for c in support if c != a and c != b]
+            cones.append(Cone.from_constraints(module.rank, eq, ineq))
+    return Fan(module.rank, cones)
 
 
 def local_cone_eps_oracle(fan, x, y):

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import io
 import itertools
 import json
@@ -58,6 +59,16 @@ TWISTED_INDUCED = {
 }
 
 
+WIDE3 = {
+    "relator": {"rank": 3, "terms": [
+        {"exp": e, "coeff": [{"qexp": [q], "c": c}]} for e, q, c in [
+            ([0, 0, 0], 0, 1), ([2, 0, 1], 1, -3), ([0, 2, 0], 0, "1/2"),
+            ([1, 1, 2], -1, 2), ([0, 0, 3], 0, 5), ([1, 0, 0], 2, -1)]]},
+    "cocycle": {"rank": 3, "s": 1,
+                "B": [[[0, 1, 0], [0, 0, -1], [2, 0, 0]]]},
+}
+
+
 def with_scalar_relator(payload):
     """The same input with every relator coefficient written without
     parameters (``"qexp": []``)."""
@@ -78,6 +89,14 @@ AMPLE = {"form": {"n": 2, "s": 1, "phi": [[[0, 1], [-1, 0]]]},
          "X": [[1, 0], [0, 1]],
          "Omega": [[[1, 0]], [[0, 1]]],
          "probes": [[[1, 0]], [[0, 1]], [[1, 1]]]}
+
+
+def _element_qexp(element, qexp):
+    """The element with every parameter exponent replaced by ``qexp``."""
+    return dict(element, terms=[
+        dict(t, coeff=[dict(c, qexp=qexp) for c in t["coeff"]])
+        for t in element["terms"]])
+
 
 THM42 = {"form": TWO_BLOCK["form"],
          "parts": [{"ambient_rank": 4, "basis": [[1, 0, 0, 0], [0, 1, 0, 0]]},
@@ -162,6 +181,32 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out) == {"rank": 2, "terms": [
             {"exp": [1, 1], "coeff": [{"qexp": [1], "c": 1}]}]}
+
+    @pytest.mark.parametrize("qexp_a,qexp_b", [([], [0]), ([0], []),
+                                               ([], [])],
+                             ids=["a", "b", "both"])
+    def test_torus_mul_factor_without_parameters(self, tmp_path, qexp_a,
+                                                 qexp_b):
+        payload = dict(TORUS_MUL, a=_element_qexp(TORUS_MUL["a"], qexp_a),
+                       b=_element_qexp(TORUS_MUL["b"], qexp_b))
+        assert run_inproc("torus-mul", payload, tmp_path) \
+            == run_inproc("torus-mul", TORUS_MUL, tmp_path)
+
+    def test_torus_mul_factor_with_extra_parameters(self, tmp_path):
+        payload = dict(TORUS_MUL, a=_element_qexp(TORUS_MUL["a"], [0, 0]))
+        assert run_inproc("torus-mul", payload, tmp_path) == (2, "")
+
+    @pytest.mark.parametrize("command,flags,digest", [
+        ("check-lemma31", ("--sample", "8", "--seed", "3"),
+         "a2d74c05c5709c5a4e3275a5009ddacf882c401981ce1728da509280a9bc6268"),
+        ("check-dim", ("--sample", "6", "--seed", "4"),
+         "2a1e86e11147ebc6e4f236467292ac4a075c8039a5827e81b1b6965dde1963f5"),
+    ])
+    def test_sampled_checks_pinned(self, tmp_path, command, flags, digest):
+        # digests of the output of the pairwise Delta builder
+        code, out = run_inproc(command, WIDE3, tmp_path, *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_center(self, tmp_path):
         code, out = run_inproc("center", TWO_BLOCK, tmp_path)

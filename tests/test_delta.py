@@ -1,4 +1,8 @@
+import hashlib
+import json
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,12 +26,17 @@ from qtdelta.polyhedral import Cone, Fan, fan_dim, fan_equal
 
 from oracles import (
     delta_member_bruteforce,
+    delta_set_pairwise,
     random_character,
     random_cocycle,
     random_relator,
     random_saturated_sublattice,
     random_unimodular,
 )
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.append(os.path.join(ROOT, "perfbench"))
+import workloads  # noqa: E402  (the benchmark's seeded op streams)
 
 
 def trivial_cocycle(n, s=1):
@@ -334,6 +343,17 @@ class TestSamplePoint:
         with pytest.raises(IndexError):
             sample_delta_point(m, 99, seed=0)
 
+    def test_points_pinned(self):
+        # digest of the points the pairwise Delta builder gave
+        m = module_from_support([(0, 0, 0), (2, 0, 1), (0, 2, 0), (1, 1, 2),
+                                 (0, 0, 3), (1, 0, 0)], 3)
+        fan = delta_set(m)
+        points = [[str(x) for x in sample_delta_point(m, i, 7 + i).coords]
+                  for i in range(len(fan.cones))]
+        assert len(points) == 11
+        assert hashlib.sha256(json.dumps(points).encode()).hexdigest() == (
+            "2991b91547b87b5f4cb523cefbd7312643ea679d7e58f3c71947eae3a902002a")
+
     def test_deterministic(self):
         m = tropical_line_module()
         a = sample_delta_point(m, 2, seed=11)
@@ -564,3 +584,93 @@ class TestCheckerProperties:
         module = data.draw(_modules(n, points))
         for chi in _characters(data.draw, module):
             assert check_induced(module, lattice, chi).equal
+
+
+# The Delta fan is built from the edges of the Newton polytope; the oracle
+# builds it by definition, one tie cone per support pair.
+def _keys(fan):
+    return [c.key for c in fan.cones]
+
+
+@st.composite
+def _flat_supports(draw):
+    """Rank 1-5 and 1-30 distinct points of an affine flat of dimension
+    1..rank: points of [-3, 3]^d mapped by x -> p + M x (dependent columns
+    of M give a smaller flat; d = 1 gives collinear points)."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, n))
+    size = min(draw(st.integers(1, 30)), 7 ** d)
+    local = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d),
+                          min_size=size, max_size=size, unique=True))
+    if d == n:
+        return n, sorted(local)
+    base = draw(st.tuples(*[st.integers(-3, 3)] * n))
+    cols = [draw(st.tuples(*[st.integers(-2, 2)] * n)) for _ in range(d)]
+    return n, sorted({tuple(base[i] + sum(x[j] * cols[j][i] for j in range(d))
+                            for i in range(n)) for x in local})
+
+
+class TestEdgeConstruction:
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=None)
+    @given(drawn=_flat_supports())
+    def test_matches_pairwise_oracle(self, drawn):
+        n, support = drawn
+        m = module_from_support(support, n)
+        assert _keys(delta_set(m)) == _keys(delta_set_pairwise(m))
+
+    @pytest.mark.parametrize("n,support", [
+        (1, [(2,)]),
+        (3, [(0, 1, 2)]),
+        (2, [(0, 0), (3, 1)]),
+        (4, [(0, 0, 0, 0), (1, -1, 2, 0)]),
+        (3, [(0, 0, 0), (1, 2, 3), (2, 4, 6), (-1, -2, -3)]),
+        (4, [(0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 1), (1, 1, 0, 1),
+             (2, 1, 0, 1)]),
+    ])
+    def test_degenerate_supports(self, n, support):
+        m = module_from_support(support, n)
+        assert _keys(delta_set(m)) == _keys(delta_set_pairwise(m))
+
+    @pytest.mark.parametrize("workload", ["local-cone", "wide-support"])
+    @pytest.mark.parametrize("seed", [101, 102])
+    def test_benchmark_streams(self, workload, seed):
+        w = workloads.WORKLOADS[workload](ROOT)
+        for i in range(len(w.strata) * w.cycles):
+            m = workloads._module(w.make_op(seed, i))
+            assert _keys(delta_set(m)) == _keys(delta_set_pairwise(m)), i
+
+    def test_no_containment_prune(self, monkeypatch):
+        # cones of one dimension from a polyhedral fan need no prune, and
+        # neither does a subset of a Fan's cones
+        def refuse(self, other):
+            raise AssertionError("containment prune ran")
+        monkeypatch.setattr(Cone, "contains_cone", refuse)
+        m = module_from_support([(0, 0, 0), (1, 0, 0), (0, 2, 0), (1, 1, 1),
+                                 (0, 0, 3)], 3)
+        fan = delta_set(m)
+        assert len(fan.cones) == 9
+        assert polyhedral.delta_star(fan) == fan
+        with pytest.raises(AssertionError, match="prune ran"):
+            Fan(3, fan.cones)
+
+
+class TestDeltaCache:
+    def test_same_object(self):
+        m = tropical_line_module()
+        assert delta_set(m) is delta_set(m)
+
+    def test_equal_modules_do_not_share(self):
+        a, b = tropical_line_module(), tropical_line_module()
+        assert a == b and a is not b
+        assert delta_set(a) == delta_set(b)
+        assert delta_set(a) is not delta_set(b)
+
+    def test_initial_form_caches_its_own_fan(self):
+        m = tropical_line_module()
+        init = initial_form(m, Character.zero(2))
+        assert isinstance(init, OneRelatorModule)
+        fan = delta_set(init)
+        assert fan is delta_set(init)
+        assert fan is not delta_set(m)
+        assert fan == delta_set_pairwise(init)

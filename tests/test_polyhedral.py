@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qtdelta.delta import OneRelatorModule, delta_set
+from qtdelta.jsonio import cone_to_json, fan_from_json
 from qtdelta.lattice import Subspace, dot
 from qtdelta.polyhedral import (
     Cone,
@@ -17,7 +19,13 @@ from qtdelta.polyhedral import (
     preimage,
 )
 
-from oracles import dyadic_eps_agreement, fans_distinguishable, local_cone_eps_oracle
+from oracles import (
+    dyadic_eps_agreement,
+    fans_distinguishable,
+    local_cone_eps_oracle,
+    random_cocycle,
+    random_relator,
+)
 
 
 def halfplane():
@@ -36,15 +44,17 @@ def tropical_line():
     ])
 
 
+def random_cone(rng, n):
+    eqs = [tuple(rng.randint(-2, 2) for _ in range(n))
+           for _ in range(rng.randint(0, 1))]
+    ineqs = [tuple(rng.randint(-2, 2) for _ in range(n))
+             for _ in range(rng.randint(0, 3))]
+    return Cone.from_constraints(n, eqs, ineqs)
+
+
 def random_fan(rng, n, max_cones=3):
-    cones = []
-    for _ in range(rng.randint(1, max_cones)):
-        eqs = [tuple(rng.randint(-2, 2) for _ in range(n))
-               for _ in range(rng.randint(0, 1))]
-        ineqs = [tuple(rng.randint(-2, 2) for _ in range(n))
-                 for _ in range(rng.randint(0, 3))]
-        cones.append(Cone.from_constraints(n, eqs, ineqs))
-    return Fan(n, cones)
+    return Fan(n, [random_cone(rng, n)
+                   for _ in range(rng.randint(1, max_cones))])
 
 
 class TestConeBasics:
@@ -303,6 +313,38 @@ class TestDeltaStarCarriers:
     def test_single_full_cone(self):
         spans = carrier_spaces(Fan(2, [Cone.full(2)]))
         assert spans == [Subspace.full(2)]
+
+
+def _fans_of_every_origin(seed):
+    """One fan from each of delta_set, local_cone, preimage and
+    fan_from_json, all from the same seeded stream."""
+    rng = random.Random(seed)
+    n = rng.choice([2, 3, 4])
+    s = rng.choice([1, 2])
+    module = OneRelatorModule(random_relator(rng, n, s),
+                              random_cocycle(rng, n, s))
+    base = random_fan(rng, n, max_cones=4)
+    point = base.cones[0].rays[0] if base.cones[0].rays else (0,) * n
+    matrix = [tuple(rng.randint(-2, 2) for _ in range(n - 1))
+              for _ in range(n)]
+    raw = [random_cone(rng, n) for _ in range(4)]
+    return [delta_set(module), local_cone(base, point),
+            preimage(base, matrix),
+            fan_from_json({"dim": n, "cones": [cone_to_json(c)
+                                               for c in raw]})]
+
+
+class TestDeltaStarPrune:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_pruned_top_cones(self, seed):
+        for f in _fans_of_every_origin(seed):
+            star = delta_star(f)
+            if f.is_empty:
+                assert star.is_empty
+                continue
+            top = [c for c in f.cones if c.dim == fan_dim(f)]
+            assert star == Fan(f.ambient_dim, top)
+            assert all(c in f.cones for c in star.cones)
 
 
 class TestDoubleDescriptionStress:
