@@ -7,8 +7,10 @@ of characters whose minimum over S is attained at least twice:
             {chi : chi(a) = chi(b) <= chi(c) for all c in S}.
 
 That is the tropical hypersurface of r with trivial valuation, so its
-maximal cones are the normal cones of the edges of the Newton polytope
-conv(S); the fan is computed that way, once per module object.
+maximal cones are the tie cones of the edges of the Newton polytope
+conv(S).  The fan is computed that way, once per module object, from one
+double description: the facets of conv(S) give its edges and the rays of
+their tie cones.
 
 The initial form of r at a rational character chi keeps the chi-minimal
 terms, normalizes them into the kernel lattice B of chi, and generates the
@@ -97,18 +99,41 @@ class OneRelatorModule:
 
 
 def _edge_normal_fan(rank, support):
-    """Normal cones {chi : chi(u) = chi(v) <= chi(w), w next to u or v} of
-    the edges [u, v] of conv(support).  They all have dimension rank - 1
-    and are pairwise distinct, so none contains another."""
-    graph = polyhedral.polytope_graph(support)
+    """Tie cones {chi : chi(u) = chi(v) <= chi(w), w in support} of the
+    edges [u, v] of conv(support).  They all have dimension rank - 1 and
+    are pairwise distinct, so none contains another.
+
+    One double description over the (1, p) gives the facets (f0, f),
+    f0 + f.p >= 0, of conv(support).  A point is a vertex iff no other point
+    is tight on every facet it is tight on, and two vertices span an edge
+    iff no third vertex is tight on every facet the two share (the smallest
+    face holding both is the intersection of those facets).  The inner
+    normals f of the shared facets are the rays of the edge's tie cone
+    modulo its lineality, the characters constant on the support.
+    """
+    lifted = [(1,) + p for p in support]
+    facets = polyhedral._vrep(rank + 1, (), lifted)[0]
+    tight = []
+    for g in lifted:
+        values = [dot(f, g) for f in facets]
+        if any(v < 0 for v in values):
+            raise AssertionError("facet inequality cuts off a point")
+        tight.append(frozenset(i for i, v in enumerate(values) if v == 0))
+    vertices = [i for i, t in enumerate(tight)
+                if not any(j != i and t <= u for j, u in enumerate(tight))]
     cones = []
-    for u, near_u in graph.items():
-        for v in near_u:
-            if u < v:
-                eq = [tuple(x - y for x, y in zip(u, v))]
-                ineq = [tuple(x - y for x, y in zip(w, u))
-                        for w in (near_u | graph[v]) - {u, v}]
-                cones.append(Cone.from_constraints(rank, eq, ineq))
+    for x, i in enumerate(vertices):
+        for j in vertices[x + 1:]:
+            common = tight[i] & tight[j]
+            if any(k != i and k != j and common <= tight[k]
+                   for k in vertices):
+                continue
+            u, v = support[i], support[j]
+            eq = [tuple(a - b for a, b in zip(u, v))]
+            ineq = [tuple(a - b for a, b in zip(w, u))
+                    for w in support if w != u and w != v]
+            cones.append(Cone.from_constraints(
+                rank, eq, ineq, rays=[facets[f][1:] for f in common]))
     return Fan.irredundant(rank, cones)
 
 
@@ -141,8 +166,9 @@ def initial_form(module: OneRelatorModule, chi: Character) -> InitialFormResult:
     r = module.relator
     if chi.n != module.rank:
         raise ValueError("character of wrong length")
-    minimum = torus.chi_min(r, chi.coords)
-    min_support = sorted(a for a in r.support if chi.value(a) == minimum)
+    values = {a: chi.value(a) for a in r.support}
+    minimum = min(values.values())
+    min_support = [a for a in r.support if values[a] == minimum]
     base = min_support[0]
     trimmed = torus.QTorusElement(r.rank, r.s,
                                   {a: r.coefficient(a) for a in min_support})

@@ -433,13 +433,7 @@ class Subspace:
     def contains_vector(self, v):
         if len(v) != self.ambient_dim:
             raise ValueError("dimension mismatch")
-        residual = [as_rational(x) for x in v]
-        for row in self.basis:
-            pivot = next(c for c, x in enumerate(row) if x != 0)
-            f = residual[pivot]
-            if f:
-                residual = [a - f * b for a, b in zip(residual, row)]
-        return not any(residual)
+        return matrix_rank(self.basis + (tuple(v),)) == self.dim
 
     def contains(self, other):
         if other.ambient_dim != self.ambient_dim:

@@ -6,7 +6,9 @@ canonical: the lineality basis comes from an RREF null-space computation and
 the rays are the extreme rays of the cone intersected with the canonical
 coordinate complement of the lineality, scaled to primitive integer vectors.
 Two cones are equal as point sets iff they carry identical (rays, lineality)
-data, which gives cheap structural equality and hashing.
+data, which gives cheap structural equality and hashing.  A caller that
+already knows the extreme rays (the Delta fans read them off the facets of
+a polytope) passes them in and skips the double description.
 
 Fans are plain unions of cones (no face structure is maintained):
 containment-redundant cones are pruned and the rest deterministically
@@ -108,14 +110,9 @@ def _vrep(dim, equalities, inequalities):
     eq_w = _norm_constraints([[a[j] for j in wcols] for a in equalities],
                              len(wcols))
     K = null_space_int(eq_w, len(wcols))
-    reduced = []
-    seen = set()
-    for a in inequalities:
-        asel = [a[j] for j in wcols]
-        row = vec_primitive([dot(k, asel) for k in K])
-        if any(row) and row not in seen:
-            seen.add(row)
-            reduced.append(row)
+    ineq_w = [[a[j] for j in wcols] for a in inequalities]
+    reduced = _norm_constraints([[dot(k, a) for k in K] for a in ineq_w],
+                                len(K))
     urays = _dd_pointed(reduced, len(K))
     rays = []
     for u in urays:
@@ -133,47 +130,26 @@ def _ray_sum(dim, rays):
     return tuple(map(sum, zip(*rays))) if rays else (0,) * dim
 
 
-def _hrep_from_generators(dim, rays, lineality):
-    """Canonical H-representation (equalities, facet inequalities) of the
-    cone generated by ``rays`` and ``lineality``: the facets are the extreme
-    rays of the dual cone, the equalities span the orthogonal complement of
-    the span (double dualization)."""
-    facet_rays, span_perp = _vrep(dim, lineality, rays)
-    return span_perp, facet_rays
+def _canonical_rays(rays, lineality):
+    """Each ray moved along the lineality into its canonical complement
+    (zero on the pivot columns of the lineality's RREF) and made primitive:
+    the rays ``_vrep`` gives when each ray is extreme modulo the lineality."""
+    rows, pivots = rref_int(lineality)
+    out = set()
+    for r in rays:
+        r = vec_primitive(r)
+        for row, c in zip(rows, pivots):
+            if r[c]:
+                r = [row[c] * x - r[c] * y for x, y in zip(r, row)]
+        out.add(vec_primitive(r))
+    return tuple(sorted(out))
 
 
-def polytope_graph(points):
-    """Vertex adjacency of the polytope conv(points): a dict from each vertex
-    to the set of vertices it shares an edge with.
-
-    One double description of the homogenised cone over the (1, p) gives
-    the facets.  A point is a vertex iff no other point is tight on every
-    facet it is tight on, and two vertices span an edge iff no third vertex
-    is tight on every facet the two share (the smallest face holding both
-    is the intersection of those facets).
-    """
-    points = sorted(set(map(tuple, points)))
-    if len(points) < 2:
-        return {p: set() for p in points}
-    lifted = [(1,) + p for p in points]
-    _, facets = _hrep_from_generators(len(lifted[0]), lifted, ())
-    tight = []
-    for g in lifted:
-        values = [dot(f, g) for f in facets]
-        if any(v < 0 for v in values):
-            raise AssertionError("facet inequality cuts off a point")
-        tight.append(frozenset(i for i, v in enumerate(values) if v == 0))
-    vertices = [i for i, t in enumerate(tight)
-                if not any(j != i and t <= u for j, u in enumerate(tight))]
-    graph = {points[i]: set() for i in vertices}
-    for x, i in enumerate(vertices):
-        for j in vertices[x + 1:]:
-            common = tight[i] & tight[j]
-            if not any(k != i and k != j and common <= tight[k]
-                       for k in vertices):
-                graph[points[i]].add(points[j])
-                graph[points[j]].add(points[i])
-    return graph
+def _check_generators(generators, equalities, inequalities):
+    for g in generators:
+        if (any(dot(e, g) != 0 for e in equalities)
+                or any(dot(a, g) < 0 for a in inequalities)):
+            raise AssertionError("a generator violates a constraint")
 
 
 class Cone:
@@ -193,15 +169,21 @@ class Cone:
         self._hash = None
 
     @classmethod
-    def from_constraints(cls, ambient_dim, equalities=(), inequalities=()):
+    def from_constraints(cls, ambient_dim, equalities=(), inequalities=(),
+                         rays=None):
+        """The cone cut out by the constraints.  A caller that knows its
+        extreme rays modulo the lineality passes them as ``rays`` in place
+        of the double description; they are brought to canonical form, so
+        the key is the one the double description would give."""
         eq = _norm_constraints(equalities, ambient_dim)
         ineq = _norm_constraints(inequalities, ambient_dim)
-        rays, lineality = _vrep(ambient_dim, eq, ineq)
-        cone = cls(ambient_dim, rays, lineality, eq, ineq)
-        for g in list(rays) + list(lineality):
-            if any(dot(e, g) != 0 for e in eq) or any(dot(a, g) < 0 for a in ineq):
-                raise AssertionError("double description produced an invalid generator")
-        return cone
+        if rays is None:
+            rays, lineality = _vrep(ambient_dim, eq, ineq)
+        else:
+            lineality = null_space_int(eq + ineq, ambient_dim)
+            rays = _canonical_rays(rays, lineality)
+        _check_generators(rays + lineality, eq, ineq)
+        return cls(ambient_dim, rays, lineality, eq, ineq)
 
     @classmethod
     def full(cls, ambient_dim):
@@ -219,11 +201,11 @@ class Cone:
 
     def _canonical_hrep(self):
         if self._hrep is None:
-            eq, ineq = _hrep_from_generators(self.ambient_dim, self.rays,
-                                             self.lineality)
-            for g in list(self.rays) + list(self.lineality):
-                if any(dot(e, g) != 0 for e in eq) or any(dot(a, g) < 0 for a in ineq):
-                    raise AssertionError("canonical H-representation mismatch")
+            # double dualization: the facets are the extreme rays of the
+            # dual cone, the equalities span the orthogonal complement of
+            # the span (the dual cone's lineality)
+            ineq, eq = _vrep(self.ambient_dim, self.lineality, self.rays)
+            _check_generators(self.rays + self.lineality, eq, ineq)
             self._hrep = (eq, ineq)
         return self._hrep
 

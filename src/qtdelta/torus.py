@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import (Sublattice, Subspace, as_int, as_rational, congruence,
-                      kernel_lattice, matrix_rank, saturate)
+                      dot, kernel_lattice, matrix_rank, row_times, saturate)
 from .symplectic import (AlternatingMapQ, _restrict, is_abelian, orthogonal,
                          pairings)
 
@@ -27,11 +27,6 @@ def _check_square_int(mat, n):
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError("matrix of wrong shape")
     return rows
-
-
-def _bilinear(mat, a, b):
-    return sum(a[i] * mat[i][j] * b[j] for i in range(len(a))
-               for j in range(len(b)))
 
 
 @dataclass(frozen=True)
@@ -52,7 +47,7 @@ class CocycleForm:
 
     def twist(self, a, b):
         """Parameter exponents of x^a * x^b relative to x^(a+b)."""
-        return tuple(_bilinear(m, a, b) for m in self.forms)
+        return tuple(dot(row_times(a, m), b) for m in self.forms)
 
     def restrict(self, lattice: Sublattice) -> "CocycleForm":
         """Twist forms in the coordinates of a sublattice basis."""

@@ -2,9 +2,10 @@
 
 The oracles deliberately avoid the code paths they check: brute-force
 enumeration for lattice saturation, direct min-evaluation for Delta
-membership, one tie cone per support pair for Delta fans (the library
-builds them from the edges of the Newton polytope), exact epsilon
-thresholds for local cones, and a pencil
+membership, one tie cone per support pair, each from its own double
+description, for Delta fans (the library takes one tie cone per edge of
+the Newton polytope, its rays read off the polytope's facets), exact
+epsilon thresholds for local cones, and a pencil
 determinant root search (via sympy) for symplectic base existence.
 """
 

@@ -674,3 +674,22 @@ class TestDeltaCache:
         assert fan is delta_set(init)
         assert fan is not delta_set(m)
         assert fan == delta_set_pairwise(init)
+
+    @pytest.mark.parametrize("n,support,edges", [
+        (1, [(2,)], 0),
+        (2, [(0, 0), (1, 0), (0, 1)], 3),
+        (3, [(0, 0, 0), (1, 0, 0), (0, 2, 0), (1, 1, 1), (0, 0, 3)], 9),
+        (2, [(x, y) for x in range(3) for y in range(3)], 4),
+    ])
+    def test_one_double_description(self, monkeypatch, n, support, edges):
+        # the facets of conv(S) give every edge's tie cone its rays
+        calls = []
+        vrep = polyhedral._vrep
+
+        def counted(*args):
+            calls.append(args)
+            return vrep(*args)
+        monkeypatch.setattr(polyhedral, "_vrep", counted)
+        fan = delta_set(module_from_support(support, n))
+        assert len(fan.cones) == edges
+        assert len(calls) == 1

@@ -393,6 +393,29 @@ class TestDoubleDescriptionStress:
         c2 = Cone.from_constraints(3, [(-2, 4, 0)], [(0, 1, 2), (1, 0, -2)])
         assert c1 == c2
 
+    def test_given_rays_give_the_double_description_key(self):
+        # rays known modulo the lineality, in any positive scale and off
+        # the canonical complement, are brought to the canonical key
+        rng = random.Random(4242)
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            eqs = [tuple(rng.randint(-2, 2) for _ in range(n))
+                   for _ in range(rng.randint(0, 2))]
+            ineqs = [tuple(rng.randint(-2, 2) for _ in range(n))
+                     for _ in range(rng.randint(0, 7))]
+            c = Cone.from_constraints(n, eqs, ineqs)
+            given = []
+            for r in c.rays:
+                scale = rng.randint(1, 5)
+                g = [scale * x for x in r]
+                for l in c.lineality:
+                    w = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    g = [a + w * b for a, b in zip(g, l)]
+                given.append(g)
+            rng.shuffle(given)
+            d = Cone.from_constraints(n, eqs, ineqs, rays=given)
+            assert d.key == c.key
+
 
 class TestFanEqualAdversarial:
     def test_quadrant_skew_split(self):
