@@ -32,8 +32,8 @@ from .lattice import (
     as_rational,
     dot,
     kernel_lattice,
+    row_times,
     saturate,
-    solve_left,
 )
 from .polyhedral import Cone, Fan
 from .rng import derive, rational
@@ -259,8 +259,7 @@ def check_induced(module: OneRelatorModule, sublattice: Sublattice,
     supported in a saturated sublattice A1 equals the pullback, along the
     restriction of ker(chi) to ker(chi) - cap - A1, of the one computed
     inside A1 at the restricted character."""
-    n = module.rank
-    if sublattice.ambient_rank != n:
+    if sublattice.ambient_rank != module.rank:
         raise ValueError("sublattice ambient rank mismatch")
     if saturate(sublattice) != sublattice:
         raise ValueError("sublattice must be saturated")
@@ -281,11 +280,9 @@ def check_induced(module: OneRelatorModule, sublattice: Sublattice,
     inner_init = initial_form(inner_module, chi1)
     B, B1 = init.kernel, inner_init.kernel
     # basis of B cap A1 aligned with the inner kernel basis
-    rows_in_ambient = [tuple(dot(y, [h[j] for h in H1]) for j in range(n))
-                       for y in B1.basis]
     restriction = []
-    for row in rows_in_ambient:
-        coeffs = solve_left(B.basis, row)
+    for y in B1.basis:
+        coeffs = B.coordinates(row_times(y, H1))
         if coeffs is None:
             raise AssertionError("kernel intersection escaped the kernel")
         restriction.append(coeffs)

@@ -17,8 +17,8 @@ from .lattice import (
     Sublattice,
     as_int,
     congruence,
+    hnf,
     kernel_lattice,
-    solve_left,
     subspace_to_lattice,
 )
 
@@ -191,14 +191,12 @@ def structure_report(pres: Class2Presentation, seed: int = 0,
     projection = kernel_lattice(radical.basis, n) if z else Sublattice.full(n)
     proj_rows = projection.basis
     m = len(proj_rows)
-    transposed = tuple(tuple(row[i] for row in proj_rows) for i in range(n))
-    lifts = []
-    for j in range(m):
-        target = tuple(1 if i == j else 0 for i in range(m))
-        lift = solve_left(transposed, target)
-        if lift is None:
-            raise AssertionError("quotient projection is not surjective")
-        lifts.append(lift)
+    # H = U P^T for the projection P; P maps Z^n onto Z^m exactly when the
+    # HNF is the identity on top, and then row j of U is a lift of e_j.
+    H, U = hnf([tuple(row[i] for row in proj_rows) for i in range(n)])
+    if H[:m] != tuple(tuple(int(i == j) for j in range(m)) for i in range(m)):
+        raise AssertionError("quotient projection is not surjective")
+    lifts = U[:m]
     quotient_form = torus.AlternatingFormZ(
         m, tuple(congruence(lifts, mat) for mat in form.forms))
     outcome = symplectic.compute_symplectic_base(quotient_form, seed=seed,

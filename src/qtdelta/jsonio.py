@@ -125,7 +125,7 @@ def element_to_json(element: torus.QTorusElement):
     return {"rank": element.rank, "terms": terms}
 
 
-def element_from_json(data, s=None) -> torus.QTorusElement:
+def element_from_json(data) -> torus.QTorusElement:
     rank = int_from_json(_object(data, "element").get("rank"))
     terms = {}
     widths = set()
@@ -144,10 +144,7 @@ def element_from_json(data, s=None) -> torus.QTorusElement:
         terms[exp] = coeff
     if len(widths) > 1:
         raise ValueError("inconsistent parameter exponent lengths")
-    inferred = widths.pop() if widths else (s if s is not None else 0)
-    if s is not None and inferred != s:
-        raise ValueError("parameter count mismatch")
-    return torus.QTorusElement(rank, inferred, terms)
+    return torus.QTorusElement(rank, widths.pop() if widths else 0, terms)
 
 
 def _matrices(data, what, size_key, mats_key, parse):
@@ -204,7 +201,7 @@ def subspace_from_json(data, ambient=None) -> Subspace:
     return Subspace.from_rows(n, rows)
 
 
-def character_from_json(data, n=None) -> Character:
+def character_from_json(data, n) -> Character:
     return Character(vector_from_json(data, n))
 
 

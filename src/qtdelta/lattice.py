@@ -9,7 +9,10 @@ value is immutable, hence safe to share between threads.
 
 ``rref_int`` is the one rational elimination, run fraction-free on integer
 rows; ``rref`` divides each of its rows once, and ``solve`` (A^-1 B) is read
-off ``rref``.  ``hnf`` is the integer (unimodular) elimination.
+off ``rref``.  ``hnf`` is the one integer (unimodular) elimination: lattice
+kernels and lifts are read off the rows of its transform U, and coordinates
+in a sublattice are found by back-substitution on the echelon basis, with
+no further elimination.
 """
 
 from __future__ import annotations
@@ -117,19 +120,6 @@ def congruence(basis, matrix, den=1):
     return tuple(out)
 
 
-def _check_int_matrix(matrix):
-    rows = [tuple(row) for row in matrix]
-    if rows:
-        n = len(rows[0])
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("ragged matrix")
-            for x in row:
-                if not isinstance(x, int):
-                    raise TypeError("integer matrix expected")
-    return rows
-
-
 def hnf(matrix):
     """Row Hermite normal form of an integer matrix.
 
@@ -138,10 +128,11 @@ def hnf(matrix):
     ``[0, pivot)``, rows are in echelon order and zero rows sit at the
     bottom.  ``H`` is the canonical representative of the row lattice.
     """
-    rows = _check_int_matrix(matrix)
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    H = [list(r) for r in rows]
+    H = [[as_int(x) for x in row] for row in matrix]
+    m = len(H)
+    n = len(H[0]) if m else 0
+    if any(len(row) != n for row in H):
+        raise ValueError("ragged matrix")
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
 
     def subtract(i, q, j):
@@ -271,36 +262,6 @@ def null_space_int(matrix, n):
     return tuple(basis)
 
 
-def solve_left(matrix, target):
-    """Integer row vector ``x`` with ``x * matrix = target``, or None.
-
-    ``matrix`` is a sequence of integer rows; ``target`` an integer vector.
-    """
-    rows = _check_int_matrix(matrix)
-    m = len(rows)
-    if m == 0:
-        return () if all(t == 0 for t in target) else None
-    n = len(rows[0])
-    if len(target) != n:
-        raise ValueError("dimension mismatch")
-    H, U = hnf(rows)
-    residual = list(target)
-    y = [0] * m
-    for r, row in enumerate(H):
-        pivot_col = next((c for c, x in enumerate(row) if x != 0), None)
-        if pivot_col is None:
-            break
-        if residual[pivot_col] % row[pivot_col] != 0:
-            return None
-        q = residual[pivot_col] // row[pivot_col]
-        if q:
-            y[r] = q
-            residual = [a - q * b for a, b in zip(residual, row)]
-    if any(residual):
-        return None
-    return tuple(sum(y[r] * U[r][i] for r in range(m)) for i in range(m))
-
-
 @dataclass(frozen=True)
 class Sublattice:
     """Sublattice of Z^n given by independent generator rows in row HNF."""
@@ -309,6 +270,8 @@ class Sublattice:
     basis: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "basis", tuple(tuple(as_int(x) for x in row)
+                                                for row in self.basis))
         n = self.ambient_rank
         prev_pivot = -1
         for row in self.basis:
@@ -326,7 +289,7 @@ class Sublattice:
         for row in rows:
             if len(row) != ambient_rank:
                 raise ValueError("generator of wrong length")
-        H, _ = hnf(tuple(tuple(as_int(x) for x in row) for row in rows))
+        H, _ = hnf(rows)
         nonzero = tuple(row for row in H if any(row))
         return Sublattice(ambient_rank, nonzero)
 
@@ -356,7 +319,19 @@ class Sublattice:
         v = [as_rational(x) for x in v]
         if any(x.denominator != 1 for x in v):
             return None
-        return solve_left(self.basis, tuple(x.numerator for x in v))
+        # Row r is the only row nonzero at its pivot column among rows r..,
+        # so the pivots, in order, fix the coefficients one by one.
+        residual = [x.numerator for x in v]
+        coords = []
+        for row in self.basis:
+            c = next(c for c, x in enumerate(row) if x)
+            q, rem = divmod(residual[c], row[c])
+            if rem:
+                return None
+            coords.append(q)
+            if q:
+                residual = [a - q * b for a, b in zip(residual, row)]
+        return None if any(residual) else tuple(coords)
 
 
 def kernel_lattice(matrix, n):
@@ -368,20 +343,12 @@ def kernel_lattice(matrix, n):
     for row in matrix:
         if len(row) != n:
             raise ValueError("dimension mismatch")
-        prim = vec_primitive(row)
-        if any(prim):
-            cleared.append(prim)
-    m = len(cleared)
-    # Rows (column i of the matrix | e_i) span {(Mx, x) : x in Z^n}; the HNF
-    # rows supported in the identity block are exactly the kernel.
-    big = []
-    for i in range(n):
-        head = tuple(cleared[k][i] for k in range(m))
-        tail = tuple(1 if j == i else 0 for j in range(n))
-        big.append(head + tail)
-    H, _ = hnf(big)
-    rows = tuple(r[m:] for r in H if not any(r[:m]) and any(r[m:]))
-    return Sublattice(n, rows)
+        cleared.append(vec_primitive(row))
+    # H = U M^T with U unimodular and the nonzero rows of H independent, so
+    # x M^T = 0 exactly for the x in the span of the rows of U beside the
+    # zero rows of H.
+    H, U = hnf([tuple(row[i] for row in cleared) for i in range(n)])
+    return Sublattice.from_rows(n, [u for h, u in zip(H, U) if not any(h)])
 
 
 def saturate(lattice):

@@ -15,7 +15,8 @@ import random
 from fractions import Fraction
 
 from qtdelta import torus
-from qtdelta.lattice import Subspace, dot, solve_left, vec_primitive_signed
+from qtdelta.lattice import (Sublattice, Subspace, dot,
+                             vec_primitive_signed)
 from qtdelta.polyhedral import Cone, Fan
 from qtdelta.symplectic import (
     AlternatingMapQ,
@@ -131,9 +132,7 @@ def mat_mul(A, B):
 def saturation_points_bruteforce(basis, n, box=3, k_max=12):
     """All x in the box with k*x in the generated lattice for some k>=1."""
     points = set()
-
-    def in_lattice(v):
-        return solve_left(basis, v) is not None if basis else not any(v)
+    in_lattice = Sublattice.from_rows(n, basis).contains_vector
 
     def walk(prefix):
         if len(prefix) == n:

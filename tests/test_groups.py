@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qtdelta import torus
+from qtdelta import groups, torus
 from qtdelta.groups import (
     Class2Presentation,
     add_cyclic,
@@ -157,3 +157,11 @@ class TestStructureReport:
                 image = tuple(sum(p[j] * lifted[j] for j in range(pres.n))
                               for p in proj)
                 assert image == tuple(quotient_row)
+
+    def test_projection_not_onto_raises(self, monkeypatch):
+        # the saturated kernel always maps onto the quotient; an index-two
+        # sublattice of it must trip the surjectivity self-check
+        monkeypatch.setattr(groups, "kernel_lattice", lambda rows, n:
+                            Sublattice.from_rows(n, [(2, 0, 0), (0, 1, 0)]))
+        with pytest.raises(AssertionError, match="not surjective"):
+            structure_report(add_cyclic(heisenberg(1)), seed=0)

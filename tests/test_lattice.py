@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from qtdelta import lattice
 from qtdelta.lattice import (
     Sublattice,
     Subspace,
@@ -15,7 +17,6 @@ from qtdelta.lattice import (
     rref_int,
     saturate,
     solve,
-    solve_left,
     subspace_intersection,
     subspace_sum,
     subspace_to_lattice,
@@ -69,6 +70,16 @@ class TestHnf:
         assert inverse_times(U, H) == tuple(tuple(Fraction(x) for x in row)
                                             for row in M)
 
+    def test_entries_are_integral_rationals(self):
+        # the same entry check as the constructors: an integral Fraction is
+        # read as its int, a float or a non-integral entry is bad input
+        H, U = hnf(((Fraction(4, 2), 1),))
+        assert H == ((2, 1),) and U == ((1,),)
+        assert all(type(x) is int for x in H[0])
+        for bad in (((1.5,),), ((Fraction(1, 2), 1),), ((1, 2), (3,))):
+            with pytest.raises(ValueError):
+                hnf(bad)
+
 
 class TestSublattice:
     def test_canonical_equality(self):
@@ -100,6 +111,8 @@ class TestSublattice:
         for bad in (Fraction(1, 2), 1.0, 0.5):
             with pytest.raises(ValueError):
                 Sublattice.from_rows(2, [(bad, 1)])
+            with pytest.raises(ValueError):
+                Sublattice(2, ((bad, 0),))
 
     def test_saturate_index_two(self):
         lat = Sublattice.from_rows(2, [(2, 0)])
@@ -205,6 +218,22 @@ class TestKernels:
             assert sum(c * x for c, x in zip(chi, row)) == 0
         assert saturate(ker) == ker
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_box_enumeration(self, seed):
+        rng = random.Random(600 + seed)
+        n = rng.randint(1, 4)
+        M = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+              if rng.random() < 0.7 else 0 for _ in range(n)]
+             for _ in range(rng.randint(0, 3))]
+        if len(M) == 3:
+            M[2] = [a - 2 * b for a, b in zip(M[0], M[1])]
+        K = kernel_lattice(M, n)
+        assert K.rank == n - matrix_rank(M)
+        for x in itertools.product(range(-3, 4), repeat=n):
+            in_kernel = all(sum(a * b for a, b in zip(row, x)) == 0
+                            for row in M)
+            assert K.contains_vector(x) == in_kernel
+
 
 class TestSubspaces:
     def test_rref_canonical(self):
@@ -235,6 +264,9 @@ class TestSubspaces:
 
 
 class TestSolveLeft:
+    """Integer left solves ``x * A = b``, run through the coordinates of
+    ``b`` in the sublattice that the rows of ``A`` generate."""
+
     @pytest.mark.parametrize("seed", range(10))
     def test_roundtrip(self, seed):
         rng = random.Random(500 + seed)
@@ -243,14 +275,34 @@ class TestSolveLeft:
                   for _ in range(m))
         x = tuple(rng.randint(-3, 3) for _ in range(m))
         b = tuple(sum(x[i] * A[i][j] for i in range(m)) for j in range(n))
-        y = solve_left(A, b)
+        lat = Sublattice.from_rows(n, A)
+        y = lat.coordinates(b)
         assert y is not None
-        assert tuple(sum(y[i] * A[i][j] for i in range(m))
+        assert tuple(sum(c * row[j] for c, row in zip(y, lat.basis))
                      for j in range(n)) == b
 
     def test_unsolvable(self):
-        assert solve_left(((2, 0),), (1, 0)) is None
-        assert solve_left(((1, 0),), (0, 1)) is None
+        assert Sublattice.from_rows(2, ((2, 0),)).coordinates((1, 0)) is None
+        assert Sublattice.from_rows(2, ((1, 0),)).coordinates((0, 1)) is None
+
+
+class TestCoordinates:
+    # an echelon basis built directly, entries above the pivots unreduced
+    ECHELON = Sublattice(3, ((1, 5, 7), (0, 2, 9), (0, 0, 4)))
+
+    def test_unreduced_echelon_basis(self):
+        assert self.ECHELON.coordinates((2, 12, 27)) == (2, 1, 1)
+        assert self.ECHELON.coordinates((3, 17, 33)) is None
+        assert Sublattice.zero(2).coordinates((0, 0)) == ()
+        assert Sublattice.zero(2).coordinates((0, 1)) is None
+
+    def test_calls_no_hnf(self, monkeypatch):
+        def no_hnf(matrix):
+            raise AssertionError("coordinates ran an HNF")
+
+        monkeypatch.setattr(lattice, "hnf", no_hnf)
+        assert self.ECHELON.coordinates((2, 12, 27)) == (2, 1, 1)
+        assert self.ECHELON.coordinates((3, 17, 33)) is None
 
 
 def test_vec_primitive():

@@ -6,6 +6,9 @@ of the package (a call, an attribute access or an import); a ``_private``
 helper must be named by another top-level statement.  A helper that only
 the tests call, or that nothing calls any more, fails here: delete it, or
 export and document it.
+
+Every name a module other than ``__init__`` imports is also used in that
+module, so a refactor that moves a call leaves no stale import behind.
 """
 
 import ast
@@ -70,3 +73,39 @@ def test_guard_flags_a_definition_only_tests_call():
     assert _unreached(sources, set(qtdelta.__all__) | {"Exported"}) \
         == ["planted.orphan", "planted.recursive", "planted._orphan",
             "planted._Private"]
+
+
+def _unused_imports(sources):
+    out = []
+    for module, text in sources.items():
+        if module == "__init__":
+            continue
+        tree = ast.parse(text)
+        used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    # "import a.b" binds "a"
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        out.append(f"{module}.{name}")
+    return out
+
+
+def test_every_import_is_used():
+    assert _unused_imports(_sources()) == []
+
+
+def test_guard_flags_an_unused_import():
+    planted = ("from __future__ import annotations\n\n"
+               "import json as js\n"
+               "import os.path\n"
+               "from fractions import Fraction\n"
+               "from .lattice import hnf, solve_left\n\n\n"
+               "def f(x: Fraction):\n"
+               "    import re\n"
+               "    return hnf(js.dumps(x))\n")
+    sources = {"__init__": "import os\n", "planted": planted}
+    assert _unused_imports(sources) \
+        == ["planted.os", "planted.solve_left", "planted.re"]
