@@ -113,27 +113,29 @@ def _edge_normal_fan(rank, support):
     """
     lifted = [(1,) + p for p in support]
     facets = polyhedral._vrep(rank + 1, (), lifted)[0]
+    # The incidence is recomputed by dot products, not read off the double
+    # description, because this pass is also the check of the facets.
     tight = []
     for g in lifted:
         values = [dot(f, g) for f in facets]
         if any(v < 0 for v in values):
             raise AssertionError("facet inequality cuts off a point")
-        tight.append(frozenset(i for i, v in enumerate(values) if v == 0))
-    vertices = [i for i, t in enumerate(tight)
-                if not any(j != i and t <= u for j, u in enumerate(tight))]
+        tight.append(sum(1 << i for i, v in enumerate(values) if v == 0))
+    vertices = [i for i in range(len(tight))
+                if polyhedral._adjacent(tight, i, i, 0)]
+    vtight = [tight[i] for i in vertices]
     cones = []
     for x, i in enumerate(vertices):
-        for j in vertices[x + 1:]:
-            common = tight[i] & tight[j]
-            if any(k != i and k != j and common <= tight[k]
-                   for k in vertices):
+        for y, j in enumerate(vertices[x + 1:], x + 1):
+            if not polyhedral._adjacent(vtight, x, y, 0):
                 continue
+            common = vtight[x] & vtight[y]
             u, v = support[i], support[j]
             eq = [tuple(a - b for a, b in zip(u, v))]
             ineq = [tuple(a - b for a, b in zip(w, u))
                     for w in support if w != u and w != v]
-            cones.append(Cone.from_constraints(
-                rank, eq, ineq, rays=[facets[f][1:] for f in common]))
+            cones.append(Cone.from_constraints(rank, eq, ineq, rays=[
+                f[1:] for b, f in enumerate(facets) if common >> b & 1]))
     return Fan.irredundant(rank, cones)
 
 

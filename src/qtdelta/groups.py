@@ -19,6 +19,7 @@ from .lattice import (
     congruence,
     hnf,
     kernel_lattice,
+    row_times,
     subspace_to_lattice,
 )
 
@@ -213,9 +214,7 @@ def structure_report(pres: Class2Presentation, seed: int = 0,
     for block, line in zip(outcome.blocks, outcome.lines):
         lattice = subspace_to_lattice(block)
         parts.append(lattice)
-        lifted = tuple(
-            tuple(sum(row[i] * lifts[i][j] for i in range(m)) for j in range(n))
-            for row in lattice.basis)
+        lifted = tuple(tuple(row_times(row, lifts)) for row in lattice.basis)
         blocks.append(HeisenbergBlock(block.dim // 2, lattice.basis, lifted,
                                       line))
     audit = torus.verify_theorem42(quotient_form, parts) if parts else None

@@ -81,8 +81,8 @@ def vec_primitive_signed(v):
 
 
 def row_times(v, matrix):
-    """Integer row vector ``v`` times an integer matrix, skipping the zero
-    coordinates of ``v``."""
+    """Row vector ``v`` times a matrix, skipping the zero coordinates of
+    ``v``; exact on Fraction entries too (the public ``preimage`` uses it)."""
     if len(v) != len(matrix):
         raise ValueError("dimension mismatch in row_times")
     acc = [0] * len(matrix[0]) if matrix else []

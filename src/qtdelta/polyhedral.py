@@ -18,14 +18,13 @@ redundant cone by construction.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .lattice import (
     Subspace,
     complement_columns,
     dot,
     matrix_rank,
     null_space_int,
+    row_times,
     rref_int,
     vec_primitive,
     vec_primitive_signed,
@@ -45,6 +44,18 @@ def _norm_constraints(vectors, dim):
     return tuple(out)
 
 
+def _adjacent(masks, i, j, need):
+    """Combinatorial adjacency test on tight sets held as int bitmasks: no
+    element but i and j is tight on every constraint the two share.  Pairs
+    sharing fewer than ``need`` constraints are rejected before the scan;
+    ``need`` must be a necessary bound (0 when there is none)."""
+    common = masks[i] & masks[j]
+    if common.bit_count() < need:
+        return False
+    return not any(k != i and k != j and m & common == common
+                   for k, m in enumerate(masks))
+
+
 def _dd_pointed(constraints, dim):
     """Extreme rays of the pointed cone {z in Q^dim : a.z >= 0 for all a}.
 
@@ -58,6 +69,14 @@ def _dd_pointed(constraints, dim):
     constraints ``sel`` and its right block is then a positive row scaling
     of ``(A_sel^T)^-1``, whose primitive rows are the rays of the
     simplicial cone, ray j tight on every selected constraint but the j-th.
+
+    Each ray carries its tight set over the constraints used so far as an
+    int bitmask: a kept ray gains the new bit when tight on the new
+    constraint, and a ray built from an adjacent pair (p, q) is tight where
+    both are, plus the new constraint.  Adjacent rays span a 2-face, tight
+    on constraints of rank dim - 2, so a pair sharing fewer is rejected
+    before the scan.  No ray repeats: a new ray lies inside the 2-face its
+    pair spans, which no other pair spans and which holds no kept ray.
     """
     if dim == 0:
         return ()
@@ -68,60 +87,51 @@ def _dd_pointed(constraints, dim):
     if sel[-1] >= k:
         raise ValueError("cone is not pointed")
     rays = [vec_primitive(row[k:]) for row in rows]
-    processed = list(sel)
+    start = sum(1 << i for i in sel)
+    masks = [start ^ (1 << i) for i in sel]
     selset = set(sel)
     for idx, a in enumerate(constraints):
         if idx in selset:
             continue
+        bit = 1 << idx
         vals = [dot(a, r) for r in rays]
-        if all(v >= 0 for v in vals):
-            processed.append(idx)
-            continue
-        act = [frozenset(j for j in processed if dot(constraints[j], r) == 0)
-               for r in rays]
-        pos = [i for i, v in enumerate(vals) if v > 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
+        keep = [i for i, v in enumerate(vals) if v >= 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
-        new = [rays[i] for i in pos] + [rays[i] for i in zero]
-        for p in pos:
+        new = [rays[i] for i in keep]
+        new_masks = [masks[i] if vals[i] else masks[i] | bit for i in keep]
+        for p in keep:
             for q in neg:
-                common = act[p] & act[q]
-                if any(k != p and k != q and common <= act[k]
-                       for k in range(len(rays))):
-                    continue
-                combo = [vals[p] * rays[q][t] - vals[q] * rays[p][t]
-                         for t in range(dim)]
-                new.append(vec_primitive(combo))
-        processed.append(idx)
-        seen = set()
-        rays = [r for r in new if not (r in seen or seen.add(r))]
-    return tuple(sorted(set(rays)))
+                if vals[p] and _adjacent(masks, p, q, dim - 2):
+                    new.append(vec_primitive(
+                        [vals[p] * y - vals[q] * x
+                         for x, y in zip(rays[p], rays[q])]))
+                    new_masks.append((masks[p] & masks[q]) | bit)
+        rays, masks = new, new_masks
+    return tuple(sorted(rays))
 
 
 def _vrep(dim, equalities, inequalities):
     """Canonical (extreme rays, lineality basis) of an H-described cone.
 
     The lineality is the common null space of all constraints; the pointed
-    part lives in the canonical coordinate complement of the lineality, so
-    the returned rays depend only on the point set.
+    part lives in the canonical coordinate complement W of the lineality,
+    so the returned rays depend only on the point set.  On W the
+    constraints have full rank, so one double description over the
+    inequalities and each equality as the pair +-e gives the rays.
     """
     lineality = null_space_int(list(equalities) + list(inequalities), dim)
     wcols = complement_columns(lineality, dim)
-    eq_w = _norm_constraints([[a[j] for j in wcols] for a in equalities],
-                             len(wcols))
-    K = null_space_int(eq_w, len(wcols))
-    ineq_w = [[a[j] for j in wcols] for a in inequalities]
-    reduced = _norm_constraints([[dot(k, a) for k in K] for a in ineq_w],
-                                len(K))
-    urays = _dd_pointed(reduced, len(K))
+    eq_w = [[a[j] for j in wcols] for a in equalities]
+    constraints = _norm_constraints(
+        eq_w + [[-x for x in e] for e in eq_w]
+        + [[a[j] for j in wcols] for a in inequalities], len(wcols))
     rays = []
-    for u in urays:
-        z = [dot(u, [k[i] for k in K]) for i in range(len(wcols))]
+    for u in _dd_pointed(constraints, len(wcols)):
         x = [0] * dim
-        for value, j in zip(z, wcols):
+        for value, j in zip(u, wcols):
             x[j] = value
-        rays.append(vec_primitive(x))
-    return tuple(sorted(set(rays))), lineality
+        rays.append(tuple(x))
+    return tuple(sorted(rays)), lineality
 
 
 def _ray_sum(dim, rays):
@@ -359,12 +369,8 @@ def preimage(fan, matrix, domain_dim=None):
     else:
         d = domain_dim
 
-    def pull(a):
-        return tuple(sum(Fraction(a[i]) * rows[i][j] for i in range(len(rows)))
-                     for j in range(d))
-
-    cones = [Cone.from_constraints(d, [pull(e) for e in c._raw_eq],
-                                   [pull(a) for a in c._raw_ineq])
+    cones = [Cone.from_constraints(d, [row_times(e, rows) for e in c._raw_eq],
+                                   [row_times(a, rows) for a in c._raw_ineq])
              for c in fan.cones]
     return Fan(d, cones)
 
@@ -444,24 +450,16 @@ def _cells(fan, hyperplanes):
 def fan_equal(f1, f2):
     """Exact equality of the underlying point sets of two fans.
 
-    Fast paths: identical canonical cone sets, then a generator-membership
-    witness search.  The full decision collects all bounding hyperplanes of
-    both fans, refines each fan into relatively open cells of the induced
-    arrangement and compares the cell sets through exact rational
-    relative-interior representatives.
+    Two paths: identical canonical cone sets decide at once; otherwise the
+    full decision collects all bounding hyperplanes of both fans, refines
+    each fan into relatively open cells of the induced arrangement and
+    compares the cell sets through exact rational relative-interior
+    representatives.
     """
     if f1.ambient_dim != f2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     if f1 == f2:
         return True
-    for a, b in ((f1, f2), (f2, f1)):
-        for c in a.cones:
-            for g in list(c.rays) + list(c.lineality):
-                if not b.member(g):
-                    return False
-            for g in c.lineality:
-                if not b.member([-x for x in g]):
-                    return False
     hyperplanes = set()
     for f in (f1, f2):
         for c in f.cones:

@@ -282,12 +282,12 @@ def compute_symplectic_base(phi: AlternatingMapQ, seed: int = 0,
     m = len(wcols)
     if m == 0:
         return SymplecticBase(V0, (), ())
-    restricted = _restrict(phi, [_lift([int(i == j) for j in range(m)],
-                                       wcols, n) for i in range(m)])
+    # phi on the unit vectors of wcols: the principal wcols submatrices
+    sub = [[[f[i][j] for j in wcols] for i in wcols] for f in phi.forms]
 
     def pencil(rng):
         t = [rng.randint(-9, 9) for _ in range(s)]
-        return [[sum(t[k] * restricted.forms[k][i][j] for k in range(s))
+        return [[sum(t[k] * sub[k][i][j] for k in range(s))
                  for j in range(m)] for i in range(m)]
 
     last_report = None

@@ -4,18 +4,20 @@ The oracles deliberately avoid the code paths they check: brute-force
 enumeration for lattice saturation, direct min-evaluation for Delta
 membership, one tie cone per support pair, each from its own double
 description, for Delta fans (the library takes one tie cone per edge of
-the Newton polytope, its rays read off the polytope's facets), exact
-epsilon thresholds for local cones, and a pencil
-determinant root search (via sympy) for symplectic base existence.
+the Newton polytope, its rays read off the polytope's facets), subset
+enumeration for extreme rays, exact epsilon thresholds for local cones,
+and a pencil determinant root search (via sympy) for symplectic base
+existence.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 from qtdelta import torus
-from qtdelta.lattice import (Sublattice, Subspace, dot,
+from qtdelta.lattice import (Sublattice, Subspace, dot, vec_primitive,
                              vec_primitive_signed)
 from qtdelta.polyhedral import Cone, Fan
 from qtdelta.symplectic import (
@@ -157,6 +159,27 @@ def delta_member_bruteforce(support, chi):
     values = [dot(chi, a) for a in support]
     m = min(values)
     return sum(1 for v in values if v == m) >= 2
+
+
+def extreme_rays_bruteforce(constraints, dim):
+    """Extreme rays of the pointed cone {z in Q^dim : a.z >= 0 for all a},
+    as sorted primitive integer vectors, by enumeration: each extreme ray
+    spans the one-dimensional kernel of some dim - 1 of the constraints,
+    so both signs of every such kernel vector are tried and the feasible
+    ones kept.  No double description and no adjacency test."""
+    rays = set()
+    for subset in itertools.combinations(constraints, dim - 1):
+        rows, pivots = rref_fraction(subset)
+        if len(pivots) != dim - 1:
+            continue
+        free = next(c for c in range(dim) if c not in pivots)
+        v = [Fraction(int(c == free)) for c in range(dim)]
+        for row, c in zip(rows, pivots):
+            v[c] = -row[free]
+        for w in (v, [-x for x in v]):
+            if all(dot(a, w) >= 0 for a in constraints):
+                rays.add(vec_primitive(w))
+    return tuple(sorted(rays))
 
 
 def delta_set_pairwise(module):

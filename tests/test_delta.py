@@ -27,6 +27,7 @@ from qtdelta.polyhedral import Cone, Fan, fan_dim, fan_equal
 from oracles import (
     delta_member_bruteforce,
     delta_set_pairwise,
+    extreme_rays_bruteforce,
     random_character,
     random_cocycle,
     random_relator,
@@ -639,6 +640,36 @@ class TestEdgeConstruction:
         for i in range(len(w.strata) * w.cycles):
             m = workloads._module(w.make_op(seed, i))
             assert _keys(delta_set(m)) == _keys(delta_set_pairwise(m)), i
+
+    @pytest.mark.parametrize("workload", ["local-cone", "wide-support"])
+    @pytest.mark.parametrize("seed", [101, 102])
+    def test_benchmark_double_descriptions(self, monkeypatch, workload,
+                                           seed):
+        # every double description the stream's first op runs, replayed
+        # against subset enumeration
+        calls = []
+        dd = polyhedral._dd_pointed
+
+        def recorded(constraints, dim):
+            calls.append((constraints, dim))
+            return dd(constraints, dim)
+        monkeypatch.setattr(polyhedral, "_dd_pointed", recorded)
+        w = workloads.WORKLOADS[workload](ROOT)
+        w.run(w.make_op(seed, 0))
+        assert calls
+        for constraints, dim in calls:
+            assert dd(constraints, dim) == extreme_rays_bruteforce(
+                constraints, dim)
+
+    def test_facet_check(self, monkeypatch):
+        vrep = polyhedral._vrep
+
+        def negated(*args):
+            facets, lineality = vrep(*args)
+            return tuple(tuple(-x for x in f) for f in facets), lineality
+        monkeypatch.setattr(polyhedral, "_vrep", negated)
+        with pytest.raises(AssertionError, match="cuts off a point"):
+            delta_set(tropical_line_module())
 
     def test_no_containment_prune(self, monkeypatch):
         # cones of one dimension from a polyhedral fan need no prune, and

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qtdelta import polyhedral
 from qtdelta.delta import OneRelatorModule, delta_set
 from qtdelta.jsonio import cone_to_json, fan_from_json
-from qtdelta.lattice import Subspace, dot
+from qtdelta.lattice import Subspace, dot, matrix_rank, vec_primitive
 from qtdelta.polyhedral import (
     Cone,
     Fan,
@@ -21,6 +22,7 @@ from qtdelta.polyhedral import (
 
 from oracles import (
     dyadic_eps_agreement,
+    extreme_rays_bruteforce,
     fans_distinguishable,
     local_cone_eps_oracle,
     random_cocycle,
@@ -415,6 +417,104 @@ class TestDoubleDescriptionStress:
             rng.shuffle(given)
             d = Cone.from_constraints(n, eqs, ineqs, rays=given)
             assert d.key == c.key
+
+
+def _random_constraints(rng, dim, count, box=2):
+    return [tuple(rng.randint(-box, box) for _ in range(dim))
+            for _ in range(count)]
+
+
+class TestDoubleDescriptionOracle:
+    """``_dd_pointed`` on pointed cones of dimension at most 5 against
+    ``extreme_rays_bruteforce``, which enumerates constraint subsets."""
+
+    @staticmethod
+    def rays(constraints, dim):
+        cons = polyhedral._norm_constraints(constraints, dim)
+        assert matrix_rank(cons) == dim
+        rays = polyhedral._dd_pointed(cons, dim)
+        assert rays == extreme_rays_bruteforce(cons, dim)
+        return rays
+
+    def test_random_cones(self):
+        rng = random.Random(5150)
+        checked = 0
+        while checked < 100:
+            dim = rng.randint(1, 5)
+            cons = _random_constraints(rng, dim, rng.randint(dim, dim + 5))
+            if matrix_rank(cons) == dim:
+                self.rays(cons, dim)
+                checked += 1
+
+    def test_many_constraints_through_one_ray(self):
+        # r spans the kernel of many more than dim - 1 constraints
+        rng = random.Random(77)
+        for _ in range(25):
+            dim = rng.randint(3, 5)
+            r = (1,) + tuple(rng.randint(-2, 2) for _ in range(dim - 1))
+            through = []
+            for a in _random_constraints(rng, dim, dim + rng.randint(1, 3),
+                                         box=3):
+                through.append(tuple(dot(r, r) * x - dot(a, r) * y
+                                     for x, y in zip(a, r)))
+            if matrix_rank(through) != dim - 1:
+                continue
+            rays = self.rays(through + [r], dim)
+            assert vec_primitive(r) in rays
+
+    def test_scaled_and_repeated_constraints(self):
+        rng = random.Random(808)
+        for _ in range(30):
+            dim = rng.randint(2, 5)
+            base = _random_constraints(rng, dim, dim + rng.randint(0, 4))
+            if matrix_rank(base) != dim:
+                continue
+            scales = [rng.randint(2, 4) for _ in base]
+            noisy = base + [tuple(k * x for x in a)
+                            for a, k in zip(base, scales)] + base[:2]
+            rng.shuffle(noisy)
+            rays = self.rays(base, dim)
+            assert self.rays(noisy, dim) == rays
+            # not deduplicated, a repeat only adds a redundant bit
+            assert polyhedral._dd_pointed(
+                [vec_primitive(a) for a in noisy], dim) == rays
+
+    def test_equality_pairs(self):
+        # each equality as the pair +-e, as _vrep passes it
+        rng = random.Random(4711)
+        checked = 0
+        while checked < 40:
+            dim = rng.randint(2, 5)
+            eqs = _random_constraints(rng, dim, rng.randint(1, dim - 1))
+            ineqs = _random_constraints(rng, dim, rng.randint(1, dim + 3))
+            cons = eqs + [tuple(-x for x in e) for e in eqs] + ineqs
+            if matrix_rank(cons) == dim:
+                rays = self.rays(cons, dim)
+                assert all(dot(e, g) == 0 for e in eqs for g in rays)
+                checked += 1
+
+
+class TestSelfChecks:
+    def test_not_pointed(self):
+        with pytest.raises(ValueError, match="not pointed"):
+            polyhedral._dd_pointed(((1, 0), (2, 0)), 2)
+
+    def test_given_ray_outside_the_cone(self):
+        with pytest.raises(AssertionError, match="violates a constraint"):
+            Cone.from_constraints(2, [], [(1, 0), (0, 1)], rays=[(-1, 1)])
+
+    def test_corrupted_double_description(self, monkeypatch):
+        cone = quadrant()
+        dd = polyhedral._dd_pointed
+
+        def negated(constraints, dim):
+            return tuple(tuple(-x for x in r) for r in dd(constraints, dim))
+        monkeypatch.setattr(polyhedral, "_dd_pointed", negated)
+        with pytest.raises(AssertionError, match="violates a constraint"):
+            quadrant()
+        # the canonical H-representation's facets are checked too
+        with pytest.raises(AssertionError, match="violates a constraint"):
+            cone.inequalities
 
 
 class TestFanEqualAdversarial:
