@@ -8,9 +8,8 @@ of characters whose minimum over S is attained at least twice:
 
 That is the tropical hypersurface of r with trivial valuation, so its
 maximal cones are the tie cones of the edges of the Newton polytope
-conv(S).  The fan is computed that way, once per module object, from one
-double description: the facets of conv(S) give its edges and the rays of
-their tie cones.
+conv(S), and ``polyhedral.edge_normal_fan`` computes the fan that way, once
+per module object, from the facets of conv(S).
 
 The initial form of r at a rational character chi keeps the chi-minimal
 terms, normalizes them into the kernel lattice B of chi, and generates the
@@ -35,7 +34,7 @@ from .lattice import (
     row_times,
     saturate,
 )
-from .polyhedral import Cone, Fan
+from .polyhedral import Fan
 from .rng import derive, rational
 
 
@@ -95,48 +94,7 @@ class OneRelatorModule:
     def _delta_fan(self):
         # stored in the instance dict: one fan per object, never shared by
         # equal modules
-        return _edge_normal_fan(self.rank, self.relator.support)
-
-
-def _edge_normal_fan(rank, support):
-    """Tie cones {chi : chi(u) = chi(v) <= chi(w), w in support} of the
-    edges [u, v] of conv(support).  They all have dimension rank - 1 and
-    are pairwise distinct, so none contains another.
-
-    One double description over the (1, p) gives the facets (f0, f),
-    f0 + f.p >= 0, of conv(support).  A point is a vertex iff no other point
-    is tight on every facet it is tight on, and two vertices span an edge
-    iff no third vertex is tight on every facet the two share (the smallest
-    face holding both is the intersection of those facets).  The inner
-    normals f of the shared facets are the rays of the edge's tie cone
-    modulo its lineality, the characters constant on the support.
-    """
-    lifted = [(1,) + p for p in support]
-    facets = polyhedral._vrep(rank + 1, (), lifted)[0]
-    # The incidence is recomputed by dot products, not read off the double
-    # description, because this pass is also the check of the facets.
-    tight = []
-    for g in lifted:
-        values = [dot(f, g) for f in facets]
-        if any(v < 0 for v in values):
-            raise AssertionError("facet inequality cuts off a point")
-        tight.append(sum(1 << i for i, v in enumerate(values) if v == 0))
-    vertices = [i for i in range(len(tight))
-                if polyhedral._adjacent(tight, i, i, 0)]
-    vtight = [tight[i] for i in vertices]
-    cones = []
-    for x, i in enumerate(vertices):
-        for y, j in enumerate(vertices[x + 1:], x + 1):
-            if not polyhedral._adjacent(vtight, x, y, 0):
-                continue
-            common = vtight[x] & vtight[y]
-            u, v = support[i], support[j]
-            eq = [tuple(a - b for a, b in zip(u, v))]
-            ineq = [tuple(a - b for a, b in zip(w, u))
-                    for w in support if w != u and w != v]
-            cones.append(Cone.from_constraints(rank, eq, ineq, rays=[
-                f[1:] for b, f in enumerate(facets) if common >> b & 1]))
-    return Fan.irredundant(rank, cones)
+        return polyhedral.edge_normal_fan(self.rank, self.relator.support)
 
 
 def delta_set(module: OneRelatorModule) -> Fan:
@@ -155,6 +113,18 @@ class InitialFormResult(OneRelatorModule):
     relator and cocycle are in the coordinates of ``kernel.basis``."""
 
     kernel: Sublattice
+
+
+def _in_coordinates(element, lattice):
+    """The element with each support point written in the coordinates of
+    the lattice's basis; None when a support point lies outside it."""
+    terms = {}
+    for a in element.support:
+        coords = lattice.coordinates(a)
+        if coords is None:
+            return None
+        terms[coords] = element.coefficient(a)
+    return torus.QTorusElement(lattice.rank, element.s, terms)
 
 
 def initial_form(module: OneRelatorModule, chi: Character) -> InitialFormResult:
@@ -177,13 +147,9 @@ def initial_form(module: OneRelatorModule, chi: Character) -> InitialFormResult:
     inverse = torus.monomial_inverse(base, r.s, module.cocycle)
     shifted = torus.multiply(inverse, trimmed, module.cocycle)
     B = chi.kernel()
-    terms = {}
-    for a in shifted.support:
-        coords = B.coordinates(a)
-        if coords is None:
-            raise AssertionError("initial form support escaped the kernel lattice")
-        terms[coords] = shifted.coefficient(a)
-    restricted = torus.QTorusElement(B.rank, shifted.s, terms)
+    restricted = _in_coordinates(shifted, B)
+    if restricted is None:
+        raise AssertionError("initial form support escaped the kernel lattice")
     return InitialFormResult(restricted, module.cocycle.restrict(B), B)
 
 
@@ -266,14 +232,9 @@ def check_induced(module: OneRelatorModule, sublattice: Sublattice,
     if saturate(sublattice) != sublattice:
         raise ValueError("sublattice must be saturated")
     H1 = sublattice.basis
-    inner_terms = {}
-    for a in module.relator.support:
-        coords = sublattice.coordinates(a)
-        if coords is None:
-            raise ValueError("relator support outside the sublattice")
-        inner_terms[coords] = module.relator.coefficient(a)
-    inner_relator = torus.QTorusElement(sublattice.rank, module.relator.s,
-                                        inner_terms)
+    inner_relator = _in_coordinates(module.relator, sublattice)
+    if inner_relator is None:
+        raise ValueError("relator support outside the sublattice")
     inner_module = OneRelatorModule(inner_relator,
                                     module.cocycle.restrict(sublattice))
     chi1 = Character(tuple(dot(chi.coords, h) for h in H1))
@@ -318,9 +279,7 @@ def sample_delta_point(module: OneRelatorModule, cone_index: int,
     cone = fan.cones[cone_index]
     rng = derive(seed, "delta-sample", cone_index)
     point = [Fraction(x) for x in cone.relint_point()]
-    weights = []
-    for _ in cone.lineality:
-        weights.append(rational(rng, nonzero=False))
+    weights = [rational(rng, nonzero=False) for _ in cone.lineality]
     if cone.lineality and not cone.rays and not any(weights):
         weights[0] = rational(rng, nonzero=True)
     for w, l in zip(weights, cone.lineality):

@@ -6,9 +6,9 @@ canonical: the lineality basis comes from an RREF null-space computation and
 the rays are the extreme rays of the cone intersected with the canonical
 coordinate complement of the lineality, scaled to primitive integer vectors.
 Two cones are equal as point sets iff they carry identical (rays, lineality)
-data, which gives cheap structural equality and hashing.  A caller that
-already knows the extreme rays (the Delta fans read them off the facets of
-a polytope) passes them in and skips the double description.
+data, which gives cheap structural equality and hashing.  The tie cones of
+the edges of a polytope (``edge_normal_fan``) share one lineality and read
+their rays off its facets; every other cone takes one double description.
 
 Fans are plain unions of cones (no face structure is maintained):
 containment-redundant cones are pruned and the rest deterministically
@@ -140,19 +140,14 @@ def _ray_sum(dim, rays):
     return tuple(map(sum, zip(*rays))) if rays else (0,) * dim
 
 
-def _canonical_rays(rays, lineality):
-    """Each ray moved along the lineality into its canonical complement
-    (zero on the pivot columns of the lineality's RREF) and made primitive:
-    the rays ``_vrep`` gives when each ray is extreme modulo the lineality."""
-    rows, pivots = rref_int(lineality)
-    out = set()
-    for r in rays:
-        r = vec_primitive(r)
-        for row, c in zip(rows, pivots):
-            if r[c]:
-                r = [row[c] * x - r[c] * y for x, y in zip(r, row)]
-        out.add(vec_primitive(r))
-    return tuple(sorted(out))
+def _into_complement(vector, rows, pivots):
+    """Primitive positive multiple of the vector plus a lineality vector,
+    zero on the pivots of the lineality's fraction-free RREF (rows, pivots)."""
+    r = vec_primitive(vector)
+    for row, c in zip(rows, pivots):
+        if r[c]:
+            r = [row[c] * x - r[c] * y for x, y in zip(r, row)]
+    return vec_primitive(r)
 
 
 def _check_generators(generators, equalities, inequalities):
@@ -179,19 +174,11 @@ class Cone:
         self._hash = None
 
     @classmethod
-    def from_constraints(cls, ambient_dim, equalities=(), inequalities=(),
-                         rays=None):
-        """The cone cut out by the constraints.  A caller that knows its
-        extreme rays modulo the lineality passes them as ``rays`` in place
-        of the double description; they are brought to canonical form, so
-        the key is the one the double description would give."""
+    def from_constraints(cls, ambient_dim, equalities=(), inequalities=()):
+        """The cone cut out by the constraints (one double description)."""
         eq = _norm_constraints(equalities, ambient_dim)
         ineq = _norm_constraints(inequalities, ambient_dim)
-        if rays is None:
-            rays, lineality = _vrep(ambient_dim, eq, ineq)
-        else:
-            lineality = null_space_int(eq + ineq, ambient_dim)
-            rays = _canonical_rays(rays, lineality)
+        rays, lineality = _vrep(ambient_dim, eq, ineq)
         _check_generators(rays + lineality, eq, ineq)
         return cls(ambient_dim, rays, lineality, eq, ineq)
 
@@ -329,6 +316,61 @@ class Fan:
         return f"Fan(dim={self.ambient_dim}, cones={len(self.cones)})"
 
 
+def edge_normal_fan(dim, points):
+    """Tie cones {chi : chi(u) = chi(v) <= chi(w), w in points} of the edges
+    [u, v] of conv(points), pairwise distinct and all of dimension dim - 1,
+    so none contains another.
+
+    One double description over the (1, p) gives the facets (f0, f),
+    f0 + f.p >= 0, of conv(points).  A point is a vertex iff no other point
+    is tight on every facet it is tight on, and two vertices span an edge
+    iff no third vertex is tight on every facet the two share (the smallest
+    face holding both is the intersection of those facets).  The inner
+    normals f of the shared facets are the rays of the edge's tie cone
+    modulo its lineality, the characters constant on the points, which all
+    edges share.  So one check per fan covers every edge cone: a canonical
+    normal r minimal exactly on its facet has r.(u - v) = 0 and
+    r.(w - u) = r.w - min >= 0 for each edge [u, v] on that facet.
+    """
+    lifted = [(1,) + p for p in points]
+    facets = _vrep(dim + 1, (), lifted)[0]
+    diffs = [tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]]
+    lineality = null_space_int(diffs, dim)
+    _check_generators(lineality, diffs, ())
+    # The incidence is recomputed by dot products, not read off the double
+    # description, because this pass is also the check of the facets.
+    tight = []
+    for g in lifted:
+        values = [dot(f, g) for f in facets]
+        if any(v < 0 for v in values):
+            raise AssertionError("facet inequality cuts off a point")
+        tight.append(sum(1 << i for i, v in enumerate(values) if v == 0))
+    vertices = [i for i in range(len(tight)) if _adjacent(tight, i, i, 0)]
+    vtight = [tight[i] for i in vertices]
+    edges = [(points[i], points[j], vtight[x] & vtight[y])
+             for x, i in enumerate(vertices)
+             for y, j in enumerate(vertices[x + 1:], x + 1)
+             if _adjacent(vtight, x, y, 0)]
+    if not edges:  # one point: its one facet is tight on no point
+        return Fan.irredundant(dim, ())
+    rows, pivots = rref_int(lineality)
+    normals = [_into_complement(f[1:], rows, pivots) for f in facets]
+    for b, r in enumerate(normals):
+        values = [dot(r, p) for p in points]
+        low = min(values)
+        if any((v == low) != bool(t >> b & 1) for v, t in zip(values, tight)):
+            raise AssertionError("facet normal not minimal on its facet")
+    cones = []
+    for u, v, common in edges:
+        eq = _norm_constraints([tuple(a - b for a, b in zip(u, v))], dim)
+        ineq = _norm_constraints([tuple(a - b for a, b in zip(w, u))
+                                  for w in points if w != u and w != v], dim)
+        rays = tuple(sorted(r for b, r in enumerate(normals)
+                            if common >> b & 1))
+        cones.append(Cone(dim, rays, lineality, eq, ineq))
+    return Fan.irredundant(dim, cones)
+
+
 def fan_dim(fan):
     """Dimension of the underlying point set; -1 for the empty fan."""
     if fan.is_empty:
@@ -463,9 +505,7 @@ def fan_equal(f1, f2):
     hyperplanes = set()
     for f in (f1, f2):
         for c in f.cones:
-            for e in c.equalities:
-                hyperplanes.add(vec_primitive_signed(e))
-            for a in c.inequalities:
+            for a in c.equalities + c.inequalities:
                 hyperplanes.add(vec_primitive_signed(a))
     hyperplanes = sorted(hyperplanes)
     if not all(f2.member(p) for p in _cells(f1, hyperplanes)):

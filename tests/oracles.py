@@ -4,7 +4,8 @@ The oracles deliberately avoid the code paths they check: brute-force
 enumeration for lattice saturation, direct min-evaluation for Delta
 membership, one tie cone per support pair, each from its own double
 description, for Delta fans (the library takes one tie cone per edge of
-the Newton polytope, its rays read off the polytope's facets), subset
+the Newton polytope, its rays read off the polytope's facets), argmin sets
+of box characters for the faces of a Newton polytope, subset
 enumeration for extreme rays, exact epsilon thresholds for local cones,
 and a pencil determinant root search (via sympy) for symplectic base
 existence.
@@ -159,6 +160,22 @@ def delta_member_bruteforce(support, chi):
     values = [dot(chi, a) for a in support]
     m = min(values)
     return sum(1 for v in values if v == m) >= 2
+
+
+def exposed_faces_bruteforce(support, box):
+    """The faces of conv(support) of dimension at least one that an integer
+    character of [-box, box]^n exposes, each as the frozenset of support
+    points on it: the box characters grouped by their argmin set, the sets
+    of two or more points kept.  No facet is computed, so a face whose
+    normal cone misses the box is missed."""
+    faces = set()
+    for chi in itertools.product(range(-box, box + 1), repeat=len(support[0])):
+        values = [dot(chi, a) for a in support]
+        low = min(values)
+        face = frozenset(a for a, v in zip(support, values) if v == low)
+        if len(face) >= 2:
+            faces.add(face)
+    return faces
 
 
 def extreme_rays_bruteforce(constraints, dim):

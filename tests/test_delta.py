@@ -21,12 +21,13 @@ from qtdelta.delta import (
     sample_delta_point,
     tc_delta,
 )
-from qtdelta.lattice import Sublattice, Subspace, saturate
+from qtdelta.lattice import Sublattice, Subspace, dot, saturate
 from qtdelta.polyhedral import Cone, Fan, fan_dim, fan_equal
 
 from oracles import (
     delta_member_bruteforce,
     delta_set_pairwise,
+    exposed_faces_bruteforce,
     extreme_rays_bruteforce,
     random_character,
     random_cocycle,
@@ -587,6 +588,89 @@ class TestCheckerProperties:
             assert check_induced(module, lattice, chi).equal
 
 
+def _strata(module):
+    """One relative-interior character per face of conv(S) of dimension at
+    least one, with the face's support points.  A face is an intersection
+    of facet tight sets (conv(S) itself the empty one), and the sum of the
+    inner normals of the facets through it lies in the relative interior of
+    its normal cone, where the local cone and the initial form are those of
+    the face."""
+    support = module.relator.support
+    facets = Cone.from_constraints(module.rank + 1, [],
+                                   [(1,) + a for a in support]).rays
+    tight = [frozenset(a for a in support if dot(f, (1,) + a) == 0)
+             for f in facets]
+    faces = {frozenset(support)}
+    for on in tight:
+        faces |= {on & face for face in faces}
+    for face in sorted(faces, key=sorted):
+        if len(face) >= 2:
+            normals = [f[1:] for f, on in zip(facets, tight) if face <= on]
+            yield face, Character(polyhedral._ray_sum(module.rank, normals))
+
+
+class TestStrata:
+    """Every combinatorial case of the three checkers: one character per
+    face of the Newton polytope, on drawn and on benchmark modules."""
+
+    @pytest.mark.parametrize("n,support,count", [
+        (1, [(2,)], 0),
+        (2, [(0, 0), (3, 1)], 1),
+        (2, [(x, y) for x in range(3) for y in range(3)], 5),
+        (3, [(0, 0, 0), (1, 0, 0), (0, 2, 0), (1, 1, 1), (0, 0, 3)], 16),
+        (3, [(0, 0, 0), (1, 1, 0), (2, 2, 0)], 1),
+    ])
+    def test_faces(self, n, support, count):
+        m = module_from_support(support, n)
+        strata = list(_strata(m))
+        assert len(strata) == count
+        assert {face for face, _ in strata} == exposed_faces_bruteforce(
+            m.relator.support, 4)
+
+    @PROPERTY
+    @given(module=_free_modules(min_points=2))
+    def test_characters_expose_their_faces(self, module):
+        strata = list(_strata(module))
+        support = module.relator.support
+        for face, chi in strata:
+            low = min(chi.value(a) for a in support)
+            assert face == {a for a in support if chi.value(a) == low}
+        assert exposed_faces_bruteforce(support, 3) <= {
+            face for face, _ in strata}
+
+    @PROPERTY
+    @given(module=_free_modules(min_points=2))
+    def test_lemma31_and_dim_identity(self, module):
+        for _, chi in _strata(module):
+            assert check_lemma31(module, chi).equal
+            assert check_dim_identity(module, chi).holds
+
+    @pytest.mark.parametrize("seed", [101, 102])
+    def test_local_cone_stream(self, seed):
+        # one module per (rank, size) stratum of the benchmark stream, ranks
+        # 2-4, where about half the local cones have more than one cone
+        w = workloads.WORKLOADS["local-cone"](ROOT)
+        for i in range(len(w.strata)):
+            m = workloads._module(w.make_op(seed, i))
+            for _, chi in _strata(m):
+                assert check_lemma31(m, chi).equal, i
+                assert check_dim_identity(m, chi).holds, i
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_induced(self, data):
+        n = data.draw(st.integers(1, 3))
+        rows = data.draw(st.lists(_vectors(n), min_size=1, max_size=n))
+        lattice = saturate(Sublattice.from_rows(n, rows))
+        r = lattice.rank
+        points = [tuple(sum(y[i] * lattice.basis[i][j] for i in range(r))
+                        for j in range(n))
+                  for y in _distinct_vectors(data.draw, r, 2)]
+        module = data.draw(_modules(n, points))
+        for _, chi in _strata(module):
+            assert check_induced(module, lattice, chi).equal
+
+
 # The Delta fan is built from the edges of the Newton polytope; the oracle
 # builds it by definition, one tie cone per support pair.
 def _keys(fan):
@@ -713,14 +797,22 @@ class TestDeltaCache:
         (2, [(x, y) for x in range(3) for y in range(3)], 4),
     ])
     def test_one_double_description(self, monkeypatch, n, support, edges):
-        # the facets of conv(S) give every edge's tie cone its rays
-        calls = []
-        vrep = polyhedral._vrep
+        # the facets of conv(S) give every edge's tie cone its rays, and
+        # every edge shares one lineality: two kernels per fan, the double
+        # description's and the lineality's
+        calls, kernels = [], []
+        vrep, kernel = polyhedral._vrep, polyhedral.null_space_int
 
         def counted(*args):
             calls.append(args)
             return vrep(*args)
+
+        def counted_kernel(*args):
+            kernels.append(args)
+            return kernel(*args)
         monkeypatch.setattr(polyhedral, "_vrep", counted)
+        monkeypatch.setattr(polyhedral, "null_space_int", counted_kernel)
         fan = delta_set(module_from_support(support, n))
         assert len(fan.cones) == edges
         assert len(calls) == 1
+        assert len(kernels) == 2

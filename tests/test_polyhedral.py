@@ -395,28 +395,27 @@ class TestDoubleDescriptionStress:
         c2 = Cone.from_constraints(3, [(-2, 4, 0)], [(0, 1, 2), (1, 0, -2)])
         assert c1 == c2
 
-    def test_given_rays_give_the_double_description_key(self):
-        # rays known modulo the lineality, in any positive scale and off
-        # the canonical complement, are brought to the canonical key
+    def test_edge_cones_give_the_double_description_key(self):
+        # edge cones read their rays off the facets and share one lineality;
+        # on flat supports too, each has the key and raw constraints that
+        # the double description of its own constraints gives
         rng = random.Random(4242)
+        flat = 0
         for _ in range(150):
             n = rng.randint(1, 5)
-            eqs = [tuple(rng.randint(-2, 2) for _ in range(n))
-                   for _ in range(rng.randint(0, 2))]
-            ineqs = [tuple(rng.randint(-2, 2) for _ in range(n))
-                     for _ in range(rng.randint(0, 7))]
-            c = Cone.from_constraints(n, eqs, ineqs)
-            given = []
-            for r in c.rays:
-                scale = rng.randint(1, 5)
-                g = [scale * x for x in r]
-                for l in c.lineality:
-                    w = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                    g = [a + w * b for a, b in zip(g, l)]
-                given.append(g)
-            rng.shuffle(given)
-            d = Cone.from_constraints(n, eqs, ineqs, rays=given)
-            assert d.key == c.key
+            cols = [[rng.randint(-2, 2) for _ in range(n)]
+                    for _ in range(rng.randint(1, n))]
+            points = sorted({tuple(sum(rng.randint(-2, 2) * c[i] for c in cols)
+                                   for i in range(n))
+                             for _ in range(rng.randint(1, 8))})
+            fan = polyhedral.edge_normal_fan(n, points)
+            for cone in fan.cones:
+                dd = Cone.from_constraints(n, cone._raw_eq, cone._raw_ineq)
+                assert dd.key == cone.key
+                assert (dd._raw_eq, dd._raw_ineq) == (cone._raw_eq,
+                                                      cone._raw_ineq)
+                flat += len(cone.lineality) > 0
+        assert flat > 100
 
 
 def _random_constraints(rng, dim, count, box=2):
@@ -499,9 +498,26 @@ class TestSelfChecks:
         with pytest.raises(ValueError, match="not pointed"):
             polyhedral._dd_pointed(((1, 0), (2, 0)), 2)
 
-    def test_given_ray_outside_the_cone(self):
+    def test_corrupted_facet_normal(self, monkeypatch):
+        into = polyhedral._into_complement
+
+        def negated(*args):
+            return tuple(-x for x in into(*args))
+        monkeypatch.setattr(polyhedral, "_into_complement", negated)
+        with pytest.raises(AssertionError, match="not minimal on its facet"):
+            polyhedral.edge_normal_fan(2, [(0, 0), (1, 0), (0, 1)])
+
+    def test_lineality_off_the_kernel(self, monkeypatch):
+        # a vector not constant on the collinear points joins their shared
+        # lineality; the kernel of the lifted points (n = 4) is left alone
+        kernel = polyhedral.null_space_int
+
+        def skewed(matrix, n):
+            basis = kernel(matrix, n)
+            return basis + ((1, 0, 0),) if n == 3 else basis
+        monkeypatch.setattr(polyhedral, "null_space_int", skewed)
         with pytest.raises(AssertionError, match="violates a constraint"):
-            Cone.from_constraints(2, [], [(1, 0), (0, 1)], rays=[(-1, 1)])
+            polyhedral.edge_normal_fan(3, [(0, 0, 0), (1, 1, 0), (2, 2, 0)])
 
     def test_corrupted_double_description(self, monkeypatch):
         cone = quadrant()
