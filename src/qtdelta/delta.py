@@ -21,7 +21,6 @@ the dimension identity and the induced-module law on concrete instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from . import polyhedral, torus
@@ -278,7 +277,7 @@ def sample_delta_point(module: OneRelatorModule, cone_index: int,
         raise IndexError("cone index out of range")
     cone = fan.cones[cone_index]
     rng = derive(seed, "delta-sample", cone_index)
-    point = [Fraction(x) for x in cone.relint_point()]
+    point = cone.relint_point()
     weights = [rational(rng, nonzero=False) for _ in cone.lineality]
     if cone.lineality and not cone.rays and not any(weights):
         weights[0] = rational(rng, nonzero=True)

@@ -18,17 +18,16 @@ from .polyhedral import Cone, Fan
 
 
 def rational_to_json(x):
-    f = Fraction(x)
-    if f.denominator == 1:
-        return int(f)
-    return f"{f.numerator}/{f.denominator}"
+    if x.denominator == 1:
+        return x.numerator
+    return f"{x.numerator}/{x.denominator}"
 
 
-def rational_from_json(value) -> Fraction:
+def rational_from_json(value):
     if isinstance(value, bool):
         raise ValueError("boolean is not a rational")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         try:
             return Fraction(value)
@@ -139,8 +138,7 @@ def element_from_json(data) -> torus.QTorusElement:
             qexp = tuple(int_from_json(x)
                          for x in _array(c.get("qexp", []), "coeff qexp"))
             widths.add(len(qexp))
-            coeff[qexp] = coeff.get(qexp, Fraction(0)) \
-                + rational_from_json(c.get("c"))
+            coeff[qexp] = coeff.get(qexp, 0) + rational_from_json(c.get("c"))
         terms[exp] = coeff
     if len(widths) > 1:
         raise ValueError("inconsistent parameter exponent lengths")

@@ -4,8 +4,10 @@ Sublattices of Z^n are kept in row Hermite normal form and subspaces of Q^n
 in reduced row echelon form, so that structural equality coincides with
 mathematical equality.  All arithmetic is arbitrary-precision (python ints
 and fractions.Fraction); there is deliberately no floating point and no
-numpy in this package.  Matrices are tuples of row tuples and every public
-value is immutable, hence safe to share between threads.
+numpy in this package.  An exact value keeps its type (``as_rational``): a
+Fraction is made only where a division happens, so integral data stays
+int.  Matrices are tuples of row tuples and every public value is
+immutable, hence safe to share between threads.
 
 ``rref_int`` is the one rational elimination, run fraction-free on integer
 rows; ``rref`` divides each of its rows once, and ``solve`` (A^-1 B) is read
@@ -37,9 +39,10 @@ def as_int(x):
 
 
 def as_rational(x):
-    """``x`` as a Fraction; ValueError unless it is an int or a Fraction."""
+    """``x`` unchanged, an int or a Fraction: an exact value keeps its type.
+    ValueError for any other entry, floats included."""
     if isinstance(x, (int, Fraction)):
-        return x if type(x) is Fraction else Fraction(x)
+        return x
     raise ValueError(f"rational entry expected, got {x!r}")
 
 
@@ -48,7 +51,7 @@ def clear_denominators(v):
     rationals, ``den`` the least common denominator of its entries."""
     if all(type(x) is int for x in v):
         return list(v), 1
-    fracs = [x if type(x) is Fraction else as_rational(x) for x in v]
+    fracs = [as_rational(x) for x in v]
     den = lcm(*(f.denominator for f in fracs))
     return [f.numerator * (den // f.denominator) for f in fracs], den
 
@@ -352,11 +355,10 @@ def kernel_lattice(matrix, n):
 
 
 def saturate(lattice):
-    """Isolated closure {a in Z^n : k*a in L for some k >= 1}."""
-    if lattice.rank == 0:
-        return lattice
-    perp = kernel_lattice(lattice.basis, lattice.ambient_rank)
-    return kernel_lattice(perp.basis, lattice.ambient_rank)
+    """Isolated closure {a in Z^n : k*a in L for some k >= 1}: the integer
+    points of the rational span of L."""
+    n = lattice.ambient_rank
+    return kernel_lattice(null_space_int(lattice.basis, n), n)
 
 
 def commensurable(l1, l2):

@@ -347,7 +347,7 @@ def edge_normal_fan(dim, points):
         tight.append(sum(1 << i for i, v in enumerate(values) if v == 0))
     vertices = [i for i in range(len(tight)) if _adjacent(tight, i, i, 0)]
     vtight = [tight[i] for i in vertices]
-    edges = [(points[i], points[j], vtight[x] & vtight[y])
+    edges = [(i, j, vtight[x] & vtight[y])
              for x, i in enumerate(vertices)
              for y, j in enumerate(vertices[x + 1:], x + 1)
              if _adjacent(vtight, x, y, 0)]
@@ -360,14 +360,18 @@ def edge_normal_fan(dim, points):
         low = min(values)
         if any((v == low) != bool(t >> b & 1) for v, t in zip(values, tight)):
             raise AssertionError("facet normal not minimal on its facet")
+    # The rows w - u, w in points, normalised once per vertex u and shared by
+    # its edges [u, v] to later vertices v: w = u gives the zero row, which
+    # is dropped, and v - u >= 0 is implied by the equality u - v = 0.
+    ineq = {i: _norm_constraints([tuple(a - b for a, b in zip(w, points[i]))
+                                  for w in points], dim)
+            for i in vertices[:-1]}
     cones = []
-    for u, v, common in edges:
-        eq = _norm_constraints([tuple(a - b for a, b in zip(u, v))], dim)
-        ineq = _norm_constraints([tuple(a - b for a, b in zip(w, u))
-                                  for w in points if w != u and w != v], dim)
+    for i, j, common in edges:
+        eq = (vec_primitive([a - b for a, b in zip(points[i], points[j])]),)
         rays = tuple(sorted(r for b, r in enumerate(normals)
                             if common >> b & 1))
-        cones.append(Cone(dim, rays, lineality, eq, ineq))
+        cones.append(Cone(dim, rays, lineality, eq, ineq[i]))
     return Fan.irredundant(dim, cones)
 
 

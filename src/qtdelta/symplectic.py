@@ -34,8 +34,8 @@ from .rng import derive
 
 
 def _check_antisymmetric(mat, n):
-    """Fraction rows of an n x n antisymmetric matrix, with their integer
-    numerators and common denominator."""
+    """Rows of an n x n antisymmetric rational matrix, entries as given,
+    with their integer numerators and common denominator."""
     rows = tuple(tuple(as_rational(x) for x in row) for row in mat)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError("matrix of wrong shape")
@@ -214,7 +214,7 @@ def _charpoly(mat):
     """
     d = len(mat)
     A, D = clear_matrix(mat)
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     N = [[int(i == j) for j in range(d)] for i in range(d)]
     for k in range(1, d + 1):
         AN = [row_times(row, N) for row in A]
@@ -228,7 +228,7 @@ def _charpoly(mat):
 
 
 def _rational_roots(coeffs):
-    """Rational roots of a polynomial given by Fraction coefficients
+    """Rational roots of a polynomial given by int or Fraction coefficients
     (leading first).  Exact; factorization is delegated to sympy."""
     import sympy
 
@@ -321,9 +321,9 @@ def compute_symplectic_base(phi: AlternatingMapQ, seed: int = 0,
 
 
 def _lift(vec, wcols, n):
-    out = [Fraction(0)] * n
+    out = [0] * n
     for value, j in zip(vec, wcols):
-        out[j] = Fraction(value)
+        out[j] = value
     return tuple(out)
 
 
@@ -395,9 +395,7 @@ def random_abelian_subspace(phi: AlternatingMapQ, space: Subspace, dim: int,
         if chosen.dim >= dim:
             break
         coeffs = [rng.randint(-2, 2) for _ in range(space.dim)]
-        v = tuple(sum(Fraction(c) * Fraction(row[j])
-                      for c, row in zip(coeffs, space.basis))
-                  for j in range(phi.n))
+        v = row_times(coeffs, space.basis)
         if not any(v) or chosen.contains_vector(v):
             continue
         if all(not any(phi.pairing(v, b)) for b in chosen.basis):

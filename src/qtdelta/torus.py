@@ -14,7 +14,6 @@ when all its twist exponents vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .lattice import (Sublattice, Subspace, as_int, as_rational, congruence,
                       dot, kernel_lattice, matrix_rank, row_times, saturate)
@@ -62,7 +61,6 @@ class AlternatingFormZ(AlternatingMapQ):
     def __init__(self, rank, forms):
         forms = tuple(_check_square_int(m, rank) for m in forms)
         super().__init__(rank, len(forms), forms)
-        object.__setattr__(self, "forms", forms)
 
     def restrict(self, lattice: Sublattice) -> "AlternatingFormZ":
         return AlternatingFormZ(lattice.rank,
@@ -84,7 +82,7 @@ def _normalize_coeff(coeff):
         f = as_rational(c)
         if f:
             key = tuple(as_int(e) for e in qexp)
-            out[key] = out.get(key, Fraction(0)) + f
+            out[key] = out.get(key, 0) + f
     return {k: v for k, v in out.items() if v}
 
 
@@ -151,7 +149,7 @@ class QTorusElement:
         for exp, c in other._terms.items():
             acc = terms.setdefault(exp, {})
             for qexp, v in c.items():
-                acc[qexp] = acc.get(qexp, Fraction(0)) + v
+                acc[qexp] = acc.get(qexp, 0) + v
         return QTorusElement(self.rank, self.s, terms)
 
     def __neg__(self):
@@ -196,7 +194,7 @@ def multiply(alpha: QTorusElement, beta: QTorusElement,
                     qb_s = qb + (0,) * (s - len(qb))
                     q = tuple(x + y + z for x, y, z in
                               zip(qa_s, qb_s, shift + (0,) * (s - len(shift))))
-                    acc[q] = acc.get(q, Fraction(0)) + va * vb
+                    acc[q] = acc.get(q, 0) + va * vb
     return QTorusElement(alpha.rank, s, terms)
 
 
@@ -208,11 +206,12 @@ def monomial_inverse(exp, s, cocycle: CocycleForm) -> QTorusElement:
     qexp = cocycle.twist(a, a)
     q = tuple(qexp) + (0,) * (s - len(qexp))
     return QTorusElement(cocycle.rank, s,
-                         {tuple(-x for x in a): {q: Fraction(1)}})
+                         {tuple(-x for x in a): {q: 1}})
 
 
-def chi_min(alpha: QTorusElement, chi) -> Fraction:
-    """Minimum of the character over the support of a nonzero element."""
+def chi_min(alpha: QTorusElement, chi):
+    """Minimum of the character over the support of a nonzero element, exact:
+    an int when the character is integral."""
     if alpha.is_zero:
         raise ValueError("the zero element has no support minimum")
     coords = tuple(as_rational(x) for x in chi)

@@ -516,6 +516,37 @@ def test_cli_contract_under_field_mutation(tmp_path):
     assert len(commands) == 15
 
 
+def _integers_as_strings(value, key=None):
+    """``value`` with every integral JSON number written as the string
+    "n/1", except under "generators" and "central", which hold names."""
+    if key in ("generators", "central"):
+        return value
+    if isinstance(value, dict):
+        return {k: _integers_as_strings(v, k) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_integers_as_strings(v, key) for v in value]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return f"{value}/1"
+    return value
+
+
+def test_output_independent_of_integer_representation(tmp_path):
+    """An integral number written as "n/1" is read as a Fraction, a JSON int
+    as an int; the exit code and the output bytes are the same for both."""
+    out = tmp_path / "out.json"
+    commands = set()
+    for command, payload, flags in _valid_payloads(tmp_path):
+        rewritten = _integers_as_strings(payload)
+        assert rewritten != payload
+        results = []
+        for data in (payload, rewritten):
+            out.unlink(missing_ok=True)
+            results.append(run_inproc(command, data, tmp_path, *flags))
+        assert results[0][0] == 0 and results[0] == results[1], command
+        commands.add(command)
+    assert len(commands) == 15
+
+
 # Object keys the input parsers read, so that fuzzed objects reach past the
 # first missing-field check.
 FIELD_NAMES = ("rank", "terms", "exp", "coeff", "qexp", "c", "s", "B", "n",

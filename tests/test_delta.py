@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -365,10 +366,15 @@ class TestSamplePoint:
 
 def test_character_rejects_non_rationals():
     # a float is not read as its binary expansion
-    for bad in (0.1, 0.5, 1.0, "1/2", None):
+    for bad in (0.1, 0.5, 1.0, "1", "1/2", None):
         with pytest.raises(ValueError):
             Character((0, bad))
-    assert Character((1, Fraction(1, 2))).coords == (1, Fraction(1, 2))
+    # an exact coordinate keeps its type: integral characters stay ints
+    for coords, types in [((1, Fraction(1, 2)), [int, Fraction]),
+                          ((1, -2), [int, int])]:
+        chi = Character(coords)
+        assert chi.coords == coords
+        assert [type(x) for x in chi.coords] == types
 
 
 def test_character_rank():
@@ -799,9 +805,11 @@ class TestDeltaCache:
     def test_one_double_description(self, monkeypatch, n, support, edges):
         # the facets of conv(S) give every edge's tie cone its rays, and
         # every edge shares one lineality: two kernels per fan, the double
-        # description's and the lineality's
-        calls, kernels = [], []
+        # description's and the lineality's; the constraints are normalised
+        # once for the double description and once per vertex, not per edge
+        calls, kernels, norms = [], [], []
         vrep, kernel = polyhedral._vrep, polyhedral.null_space_int
+        norm = polyhedral._norm_constraints
 
         def counted(*args):
             calls.append(args)
@@ -810,9 +818,21 @@ class TestDeltaCache:
         def counted_kernel(*args):
             kernels.append(args)
             return kernel(*args)
+
+        def counted_norm(*args):
+            norms.append(args)
+            return norm(*args)
         monkeypatch.setattr(polyhedral, "_vrep", counted)
         monkeypatch.setattr(polyhedral, "null_space_int", counted_kernel)
+        monkeypatch.setattr(polyhedral, "_norm_constraints", counted_norm)
         fan = delta_set(module_from_support(support, n))
         assert len(fan.cones) == edges
         assert len(calls) == 1
         assert len(kernels) == 2
+        # a vertex is the only minimiser of some character of a small box
+        vertices = set()
+        for chi in itertools.product(range(-3, 4), repeat=n):
+            values = [dot(chi, a) for a in support]
+            if values.count(min(values)) == 1:
+                vertices.add(values.index(min(values)))
+        assert len(norms) <= 1 + len(vertices)

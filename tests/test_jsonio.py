@@ -15,9 +15,16 @@ from oracles import random_cocycle, random_relator
 
 def test_rational_forms():
     assert jsonio.rational_to_json(Fraction(3, 1)) == 3
+    assert jsonio.rational_to_json(3) == 3
     assert jsonio.rational_to_json(Fraction(-1, 2)) == "-1/2"
     assert jsonio.rational_from_json("7/3") == Fraction(7, 3)
-    assert jsonio.rational_from_json(-4) == Fraction(-4)
+    # a JSON int is read as that int, a "p/q" string as a Fraction
+    for value in (3, -4):
+        assert type(jsonio.rational_from_json(value)) is int
+        assert jsonio.rational_from_json(value) == value
+    vector = jsonio.vector_from_json([1, "1/2"])
+    assert vector == (1, Fraction(1, 2))
+    assert [type(x) for x in vector] == [int, Fraction]
     with pytest.raises(ValueError):
         jsonio.rational_from_json("x/2")
     with pytest.raises(ValueError):

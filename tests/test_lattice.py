@@ -152,6 +152,27 @@ class TestSublattice:
         sat = saturate(lat)
         assert all(sat.contains_vector(row) for row in lat.basis)
 
+    def test_saturate_runs_two_hnfs(self, monkeypatch):
+        # the integer points of the rational span: one kernel_lattice, two
+        # HNFs (its own and the canonical from_rows of its result)
+        lattices = [Sublattice.zero(3), Sublattice.from_rows(2, [(2, 4)]),
+                    Sublattice.from_rows(3, [(2, 4, 6), (0, 0, 4)]),
+                    Sublattice.from_rows(2, [(2, 2), (0, 4)])]
+        expected = [Sublattice.zero(3), Sublattice.from_rows(2, [(1, 2)]),
+                    Sublattice.from_rows(3, [(1, 2, 0), (0, 0, 1)]),
+                    Sublattice.full(2)]
+        calls = []
+        real = lattice.hnf
+
+        def counted(matrix):
+            calls.append(matrix)
+            return real(matrix)
+        monkeypatch.setattr(lattice, "hnf", counted)
+        for lat, sat in zip(lattices, expected):
+            calls.clear()
+            assert saturate(lat) == sat
+            assert len(calls) == 2
+
 
 class TestCommensurable:
     def test_trivial_scalings(self):

@@ -9,6 +9,10 @@ export and document it.
 
 Every name a module other than ``__init__`` imports is also used in that
 module, so a refactor that moves a call leaves no stale import behind.
+
+An exact value keeps its type, so no call converts one to a Fraction:
+``Fraction(...)`` takes two arguments, a division, everywhere except in
+``jsonio.rational_from_json``, which parses a "p/q" string.
 """
 
 import ast
@@ -109,3 +113,53 @@ def test_guard_flags_an_unused_import():
     sources = {"__init__": "import os\n", "planted": planted}
     assert _unused_imports(sources) \
         == ["planted.os", "planted.solve_left", "planted.re"]
+
+
+def _fraction_conversions(sources):
+    """Where ``Fraction(...)`` is called with other than two arguments, as
+    "module.function" ("module.<module>" at top level), outside
+    ``jsonio.rational_from_json``."""
+    out = []
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id",
+                            getattr(node.func, "attr", None)) == "Fraction"
+                and len(node.args) + len(node.keywords) != 2
+                and (module, where) != ("jsonio", "rational_from_json")):
+            out.append(f"{module}.{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), module, "<module>")
+    return out
+
+
+def test_fraction_only_where_a_division_happens():
+    assert _fraction_conversions(_sources()) == []
+
+
+def test_guard_flags_a_fraction_conversion():
+    planted = ("import fractions\n"
+               "from fractions import Fraction\n\n\n"
+               "def rational_from_json(value):\n"
+               "    return Fraction(value)\n\n\n"
+               "def half(x):\n"
+               "    return Fraction(x, 2) + Fraction(x, denominator=3)\n\n\n"
+               "def widen(x):\n"
+               "    return [Fraction(y) for y in x]\n\n\n"
+               "class Box:\n"
+               "    def one(self):\n"
+               "        return fractions.Fraction(1)\n\n\n"
+               "ZERO = Fraction()\n")
+    jsonio = ("from fractions import Fraction\n\n\n"
+              "def rational_from_json(value):\n"
+              "    return Fraction(value)\n\n\n"
+              "def rational_to_json(x):\n"
+              "    return Fraction(x)\n")
+    assert _fraction_conversions({"jsonio": jsonio, "planted": planted}) \
+        == ["jsonio.rational_to_json", "planted.rational_from_json",
+            "planted.widen", "planted.one", "planted.<module>"]

@@ -92,6 +92,10 @@ def test_map_validated():
     half = Fraction(1, 2)
     assert AlternatingMapQ(2, 1, (((0, half), (-half, 0)),)).forms \
         == (((0, half), (-half, 0)),)
+    # an exact entry keeps its type: int rows stay int
+    forms = AlternatingMapQ(2, 1, (((0, 1), (-1, 0)),)).forms
+    assert forms == (((0, 1), (-1, 0)),)
+    assert all(type(x) is int for m in forms for row in m for x in row)
 
 
 class TestCenterCentralizer:

@@ -34,6 +34,11 @@ def shift_qexp(element, shift):
     return QTorusElement(element.rank, element.s, terms)
 
 
+def coefficient_types(element):
+    return {type(v) for exp in element.support
+            for v in element.coefficient(exp).values()}
+
+
 class TestMultiply:
     def test_identity(self):
         rng = random.Random(1)
@@ -52,6 +57,11 @@ class TestMultiply:
         assert multiply(x, y, c) == QTorusElement.monomial(2, 1, (1, 1),
                                                            qexp=(1,))
         assert multiply(y, x, c) == QTorusElement.monomial(2, 1, (1, 1))
+        # integral coefficients stay ints; a Fraction only where one was
+        # given
+        assert coefficient_types(multiply(x + x, y, c)) == {int}
+        half = QTorusElement.monomial(2, 1, (0, 1), coeff=Fraction(1, 2))
+        assert coefficient_types(multiply(x + x, half, c)) == {Fraction}
 
     def test_rank_mismatch(self):
         c = CocycleForm(2, (((0, 0), (0, 0)),))
@@ -82,6 +92,8 @@ class TestMultiply:
             one = QTorusElement.one(n, s)
             assert multiply(inv, x, c) == one
             assert multiply(x, inv, c) == one
+            assert coefficient_types(inv) \
+                == coefficient_types(multiply(inv, x, c)) == {int}
 
 
 class TestCommutatorForm:
@@ -122,6 +134,8 @@ class TestChiMin:
                  + QTorusElement.monomial(2, 1, (1, 0))
                  + QTorusElement.monomial(2, 1, (0, 1)))
         assert chi_min(alpha, (-1, 3)) == -1
+        assert type(chi_min(alpha, (-1, 3))) is int
+        assert chi_min(alpha, (Fraction(-1, 2), 3)) == Fraction(-1, 2)
 
     def test_zero_error(self):
         with pytest.raises(ValueError):
@@ -263,8 +277,9 @@ def test_antisymmetry_validated():
         with pytest.raises(ValueError):
             monomial_inverse((bad, 1), 1, CocycleForm(2, (((0, 1), (0, 0)),)))
     two = Fraction(4, 2)
-    assert AlternatingFormZ(2, (((0, two), (-two, 0)),)).forms \
-        == (((0, 2), (-2, 0)),)
+    forms = AlternatingFormZ(2, (((0, two), (-two, 0)),)).forms
+    assert forms == (((0, 2), (-2, 0)),)
+    assert all(type(x) is int for m in forms for row in m for x in row)
     assert QTorusElement(1, 1, {(two,): {(two,): 1}}) \
         == QTorusElement.monomial(1, 1, (2,), qexp=(2,))
 
