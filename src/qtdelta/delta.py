@@ -16,6 +16,11 @@ terms, normalizes them into the kernel lattice B of chi, and generates the
 one-relator module over B whose Delta set describes the local cone of the
 ambient Delta set at chi.  The checkers in this module verify that identity,
 the dimension identity and the induced-module law on concrete instances.
+
+Every question asked of chi here (membership, tangent cones, the
+chi-minimal face, ker chi) depends only on its positive ray, so the
+checkers pass ``Character.ray``, the primitive integer vector on that ray,
+down to ``polyhedral`` and ``lattice``; reports print chi as given.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .lattice import (
     kernel_lattice,
     row_times,
     saturate,
+    vec_primitive,
 )
 from .polyhedral import Fan
 from .rng import derive, rational
@@ -39,7 +45,10 @@ from .rng import derive, rational
 
 @dataclass(frozen=True)
 class Character:
-    """Rational point of Hom(A, R) for A = Z^n."""
+    """Rational point of Hom(A, R) for A = Z^n.
+
+    ``coords`` are kept as given; ``ray`` is the primitive integer vector
+    on the same positive ray, which is all the Delta layer reads."""
 
     coords: tuple
 
@@ -62,9 +71,17 @@ class Character:
     def value(self, exp):
         return dot(self.coords, exp)
 
+    @cached_property
+    def ray(self):
+        return vec_primitive(self.coords)
+
+    @cached_property
+    def _kernel(self):
+        return kernel_lattice([self.ray], self.n)
+
     def kernel(self) -> Sublattice:
-        """Saturated kernel sublattice of Z^n."""
-        return kernel_lattice([self.coords], self.n)
+        """Saturated kernel sublattice of Z^n, computed once per object."""
+        return self._kernel
 
     @property
     def rank(self):
@@ -137,7 +154,7 @@ def initial_form(module: OneRelatorModule, chi: Character) -> InitialFormResult:
     r = module.relator
     if chi.n != module.rank:
         raise ValueError("character of wrong length")
-    values = {a: chi.value(a) for a in r.support}
+    values = {a: dot(chi.ray, a) for a in r.support}
     minimum = min(values.values())
     min_support = [a for a in r.support if values[a] == minimum]
     base = min_support[0]
@@ -179,7 +196,7 @@ def check_lemma31(module: OneRelatorModule, chi: Character) -> LocalConeReport:
     """Compare the local cone of the Delta set at chi with the pullback of
     the trailing-coefficient Delta set along the restriction to ker chi."""
     fan = delta_set(module)
-    lhs = polyhedral.local_cone(fan, chi.coords)
+    lhs = polyhedral.local_cone(fan, chi.ray)
     init = initial_form(module, chi)
     rhs = polyhedral.preimage(delta_set(init), init.kernel.basis,
                               domain_dim=module.rank)
@@ -213,7 +230,7 @@ def check_dim_identity(module: OneRelatorModule, chi: Character) -> DimReport:
     the closure of the regular part of the Delta set."""
     fan = delta_set(module)
     star = polyhedral.delta_star(fan)
-    if not star.member(chi.coords):
+    if not star.member(chi.ray):
         raise ValueError("character outside the regular part of the Delta set")
     tc = tc_delta(module, chi)
     return DimReport(chi, chi.rank, polyhedral.fan_dim(tc),
@@ -236,7 +253,7 @@ def check_induced(module: OneRelatorModule, sublattice: Sublattice,
         raise ValueError("relator support outside the sublattice")
     inner_module = OneRelatorModule(inner_relator,
                                     module.cocycle.restrict(sublattice))
-    chi1 = Character(tuple(dot(chi.coords, h) for h in H1))
+    chi1 = Character(tuple(dot(chi.ray, h) for h in H1))
 
     init = initial_form(module, chi)
     inner_init = initial_form(inner_module, chi1)
@@ -260,10 +277,10 @@ def generic_for(module: OneRelatorModule, chi: Character,
     subspace.  The character itself must belong to the subspace."""
     if space.ambient_dim != module.rank:
         raise ValueError("subspace of wrong dimension")
-    if not space.contains_vector(chi.coords):
+    if not space.contains_vector(chi.ray):
         raise ValueError("character outside the subspace")
     star = polyhedral.delta_star(delta_set(module))
-    lc = polyhedral.local_cone(star, chi.coords)
+    lc = polyhedral.local_cone(star, chi.ray)
     return all(space.contains(c.span()) for c in lc.cones)
 
 

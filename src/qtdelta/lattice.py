@@ -11,10 +11,10 @@ immutable, hence safe to share between threads.
 
 ``rref_int`` is the one rational elimination, run fraction-free on integer
 rows; ``rref`` divides each of its rows once, and ``solve`` (A^-1 B) is read
-off ``rref``.  ``hnf`` is the one integer (unimodular) elimination: lattice
-kernels and lifts are read off the rows of its transform U, and coordinates
-in a sublattice are found by back-substitution on the echelon basis, with
-no further elimination.
+off ``rref``.  ``hnf`` is the one integer (unimodular) elimination: a
+lattice kernel is read off one HNF of ``[M^T | I]``, lifts off the rows of
+the transform U, and coordinates in a sublattice are found by
+back-substitution on the echelon basis, with no further elimination.
 """
 
 from __future__ import annotations
@@ -338,7 +338,7 @@ class Sublattice:
 
 
 def kernel_lattice(matrix, n):
-    """Saturated sublattice {x in Z^n : matrix . x = 0}.
+    """Saturated sublattice {x in Z^n : matrix . x = 0}, in row HNF.
 
     Rational entries are allowed; each row is cleared to integers first.
     """
@@ -347,16 +347,18 @@ def kernel_lattice(matrix, n):
         if len(row) != n:
             raise ValueError("dimension mismatch")
         cleared.append(vec_primitive(row))
-    # H = U M^T with U unimodular and the nonzero rows of H independent, so
-    # x M^T = 0 exactly for the x in the span of the rows of U beside the
-    # zero rows of H.
-    H, U = hnf([tuple(row[i] for row in cleared) for i in range(n)])
-    return Sublattice.from_rows(n, [u for h, u in zip(H, U) if not any(h)])
+    # The rows of [M^T | I] span {(x M^T, x) : x in Z^n}.  The HNF rows
+    # with pivots in the right block span its vectors with zero left block,
+    # so their right blocks are the HNF basis of the kernel.
+    m = len(cleared)
+    H, _ = hnf([tuple(row[i] for row in cleared)
+                + tuple(int(i == j) for j in range(n)) for i in range(n)])
+    return Sublattice(n, tuple(h[m:] for h in H if not any(h[:m])))
 
 
 def saturate(lattice):
     """Isolated closure {a in Z^n : k*a in L for some k >= 1}: the integer
-    points of the rational span of L."""
+    points of the rational span of L, one HNF."""
     n = lattice.ambient_rank
     return kernel_lattice(null_space_int(lattice.basis, n), n)
 

@@ -332,6 +332,8 @@ def edge_normal_fan(dim, points):
     normal r minimal exactly on its facet has r.(u - v) = 0 and
     r.(w - u) = r.w - min >= 0 for each edge [u, v] on that facet.
     """
+    if len(points) < 2:  # no edge
+        return Fan.irredundant(dim, ())
     lifted = [(1,) + p for p in points]
     facets = _vrep(dim + 1, (), lifted)[0]
     diffs = [tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]]
@@ -351,8 +353,6 @@ def edge_normal_fan(dim, points):
              for x, i in enumerate(vertices)
              for y, j in enumerate(vertices[x + 1:], x + 1)
              if _adjacent(vtight, x, y, 0)]
-    if not edges:  # one point: its one facet is tight on no point
-        return Fan.irredundant(dim, ())
     rows, pivots = rref_int(lineality)
     normals = [_into_complement(f[1:], rows, pivots) for f in facets]
     for b, r in enumerate(normals):
@@ -371,7 +371,9 @@ def edge_normal_fan(dim, points):
         eq = (vec_primitive([a - b for a, b in zip(points[i], points[j])]),)
         rays = tuple(sorted(r for b, r in enumerate(normals)
                             if common >> b & 1))
-        cones.append(Cone(dim, rays, lineality, eq, ineq[i]))
+        cone = Cone(dim, rays, lineality, eq, ineq[i])
+        cone._dim = dim - 1  # known, so no rank is computed for it
+        cones.append(cone)
     return Fan.irredundant(dim, cones)
 
 

@@ -5,11 +5,12 @@ import os
 import random
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtdelta import polyhedral, torus
+from qtdelta import jsonio, polyhedral, torus
 from qtdelta.delta import (
     Character,
     OneRelatorModule,
@@ -22,7 +23,7 @@ from qtdelta.delta import (
     sample_delta_point,
     tc_delta,
 )
-from qtdelta.lattice import Sublattice, Subspace, dot, saturate
+from qtdelta.lattice import Sublattice, Subspace, dot, matrix_rank, saturate
 from qtdelta.polyhedral import Cone, Fan, fan_dim, fan_equal
 
 from oracles import (
@@ -594,6 +595,72 @@ class TestCheckerProperties:
             assert check_induced(module, lattice, chi).equal
 
 
+POSITIVE = st.builds(Fraction, st.integers(1, 6), st.integers(1, 6))
+
+
+class TestCharacterRay:
+    """The Delta layer reads a character through its positive ray only."""
+
+    @PROPERTY
+    @given(module=_free_modules(), data=st.data())
+    def test_scaling_invariance(self, module, data):
+        lam = data.draw(POSITIVE)
+        star = polyhedral.delta_star(delta_set(module))
+        for chi in _characters(data.draw, module):
+            scaled = Character(tuple(lam * x for x in chi.coords))
+            a, b = initial_form(module, chi), initial_form(module, scaled)
+            assert (a.relator, a.cocycle, a.kernel) == (b.relator, b.cocycle,
+                                                        b.kernel)
+            assert delta_set(a) == delta_set(b)
+            reports = [check_lemma31(module, c) for c in (chi, scaled)]
+            assert reports[0].lhs == reports[1].lhs
+            assert reports[0].rhs == reports[1].rhs
+            if star.member(chi.coords):
+                dims = [check_dim_identity(module, c) for c in (chi, scaled)]
+                assert dims[0].holds
+                assert (dims[0].tc_dim, dims[0].delta_dim) == \
+                    (dims[1].tc_dim, dims[1].delta_dim)
+                reports += dims
+            else:
+                with pytest.raises(ValueError):
+                    check_dim_identity(module, scaled)
+            # reports print chi as it was passed in, not its ray
+            for report, c in zip(reports, [chi, scaled] * 2):
+                printed = report.to_json()["chi"]
+                assert [jsonio.rational_from_json(x) for x in printed] \
+                    == list(c.coords)
+
+    def test_delta_layer_reads_integer_rays(self, monkeypatch):
+        points = []
+        local_cone, member = polyhedral.local_cone, Cone.member
+
+        def recorded_local_cone(fan, point):
+            points.append(point)
+            return local_cone(fan, point)
+
+        def recorded_member(self, point):
+            points.append(point)
+            return member(self, point)
+        monkeypatch.setattr(polyhedral, "local_cone", recorded_local_cone)
+        monkeypatch.setattr(Cone, "member", recorded_member)
+        rng = random.Random(5150)
+        chars = 0
+        for _ in range(8):
+            module = random_module(rng)
+            fan = delta_set(module)
+            top = [i for i, c in enumerate(fan.cones)
+                   if c.dim == fan_dim(fan)]
+            samples = [sample_delta_point(module, i, 7) for i in top[:2]]
+            off = Character(random_character(rng, module.rank))
+            for chi in samples + [off]:
+                chars += any(type(x) is Fraction for x in chi.coords)
+                check_lemma31(module, chi)
+            for chi in samples:
+                check_dim_identity(module, chi)
+        assert chars and points
+        assert all(type(x) is int for p in points for x in p)
+
+
 def _strata(module):
     """One relative-interior character per face of conv(S) of dimension at
     least one, with the face's support points.  A face is an intersection
@@ -751,6 +818,21 @@ class TestEdgeConstruction:
             assert dd(constraints, dim) == extreme_rays_bruteforce(
                 constraints, dim)
 
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=None)
+    @given(drawn=_flat_supports())
+    def test_edge_cones_carry_their_dimension(self, drawn):
+        # each tie cone of an edge has dimension n - 1, set when it is built,
+        # so the top dimension and the regular part take no rank
+        n, support = drawn
+        fan = delta_set(module_from_support(support, n))
+        with mock.patch.object(polyhedral, "matrix_rank",
+                               side_effect=AssertionError("rank computed")):
+            assert polyhedral.delta_star(fan) == fan
+            assert fan_dim(fan) == (n - 1 if len(support) > 1 else -1)
+        for cone in fan.cones:
+            assert cone.dim == matrix_rank(cone.rays + cone.lineality)
+
     def test_facet_check(self, monkeypatch):
         vrep = polyhedral._vrep
 
@@ -806,7 +888,8 @@ class TestDeltaCache:
         # the facets of conv(S) give every edge's tie cone its rays, and
         # every edge shares one lineality: two kernels per fan, the double
         # description's and the lineality's; the constraints are normalised
-        # once for the double description and once per vertex, not per edge
+        # once for the double description and once per vertex, not per edge.
+        # A one-point support has no edge and runs none of these.
         calls, kernels, norms = [], [], []
         vrep, kernel = polyhedral._vrep, polyhedral.null_space_int
         norm = polyhedral._norm_constraints
@@ -827,8 +910,8 @@ class TestDeltaCache:
         monkeypatch.setattr(polyhedral, "_norm_constraints", counted_norm)
         fan = delta_set(module_from_support(support, n))
         assert len(fan.cones) == edges
-        assert len(calls) == 1
-        assert len(kernels) == 2
+        assert len(calls) == int(len(support) > 1)
+        assert len(kernels) == 2 * int(len(support) > 1)
         # a vertex is the only minimiser of some character of a small box
         vertices = set()
         for chi in itertools.product(range(-3, 4), repeat=n):

@@ -152,9 +152,9 @@ class TestSublattice:
         sat = saturate(lat)
         assert all(sat.contains_vector(row) for row in lat.basis)
 
-    def test_saturate_runs_two_hnfs(self, monkeypatch):
-        # the integer points of the rational span: one kernel_lattice, two
-        # HNFs (its own and the canonical from_rows of its result)
+    def test_saturate_runs_one_hnf(self, monkeypatch):
+        # the integer points of the rational span: one kernel_lattice, which
+        # reads its HNF basis off one HNF
         lattices = [Sublattice.zero(3), Sublattice.from_rows(2, [(2, 4)]),
                     Sublattice.from_rows(3, [(2, 4, 6), (0, 0, 4)]),
                     Sublattice.from_rows(2, [(2, 2), (0, 4)])]
@@ -171,7 +171,7 @@ class TestSublattice:
         for lat, sat in zip(lattices, expected):
             calls.clear()
             assert saturate(lat) == sat
-            assert len(calls) == 2
+            assert len(calls) == 1
 
 
 class TestCommensurable:
@@ -254,6 +254,24 @@ class TestKernels:
             in_kernel = all(sum(a * b for a, b in zip(row, x)) == 0
                             for row in M)
             assert K.contains_vector(x) == in_kernel
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_saturated_against_bruteforce(self, seed):
+        # the box points with a multiple in K, the box points of K and the
+        # box points of the kernel are one set: K is the whole kernel
+        rng = random.Random(700 + seed)
+        n = rng.randint(1, 3)
+        M = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+              if rng.random() < 0.6 else 0 for _ in range(n)]
+             for _ in range(rng.randint(1, 3))]
+        if len(M) > 1 and rng.random() < 0.5:
+            M[-1] = [Fraction(rng.randint(-2, 2), 3) * x for x in M[0]]
+        K = kernel_lattice(M, n)
+        kernel = {x for x in itertools.product(range(-3, 4), repeat=n)
+                  if all(sum(a * b for a, b in zip(row, x)) == 0
+                         for row in M)}
+        assert saturation_points_bruteforce(K.basis, n) == kernel
+        assert {x for x in kernel if K.contains_vector(x)} == kernel
 
 
 class TestSubspaces:
