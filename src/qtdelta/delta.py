@@ -68,9 +68,6 @@ class Character:
     def is_zero(self):
         return not any(self.coords)
 
-    def value(self, exp):
-        return dot(self.coords, exp)
-
     @cached_property
     def ray(self):
         return vec_primitive(self.coords)

@@ -193,7 +193,8 @@ def structure_report(pres: Class2Presentation, seed: int = 0,
     proj_rows = projection.basis
     m = len(proj_rows)
     # H = U P^T for the projection P; P maps Z^n onto Z^m exactly when the
-    # HNF is the identity on top, and then row j of U is a lift of e_j.
+    # HNF is the identity on top, and then row j of U is a lift of e_j.  U is
+    # canonical, so each lift is reduced modulo the radical (the rows below).
     H, U = hnf([tuple(row[i] for row in proj_rows) for i in range(n)])
     if H[:m] != tuple(tuple(int(i == j) for j in range(m)) for i in range(m)):
         raise AssertionError("quotient projection is not surjective")

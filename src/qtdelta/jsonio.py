@@ -59,9 +59,9 @@ def vector_to_json(vec):
     return [rational_to_json(x) for x in vec]
 
 
-def vector_from_json(data, length=None):
+def vector_from_json(data, length):
     out = tuple(rational_from_json(x) for x in _array(data, "vector"))
-    if length is not None and len(out) != length:
+    if len(out) != length:
         raise ValueError(f"vector of length {len(out)}, expected {length}")
     return out
 
@@ -70,16 +70,11 @@ def matrix_to_json(rows):
     return [vector_to_json(row) for row in rows]
 
 
-def matrix_from_json(data, width=None):
-    rows = tuple(vector_from_json(row, width) for row in _array(data, "matrix"))
-    if width is None and rows:
-        w = len(rows[0])
-        if any(len(r) != w for r in rows):
-            raise ValueError("ragged matrix")
-    return rows
+def matrix_from_json(data, width):
+    return tuple(vector_from_json(row, width) for row in _array(data, "matrix"))
 
 
-def int_matrix_from_json(data, width=None):
+def int_matrix_from_json(data, width):
     return tuple(tuple(as_int(x) for x in row)
                  for row in matrix_from_json(data, width))
 

@@ -11,10 +11,11 @@ immutable, hence safe to share between threads.
 
 ``rref_int`` is the one rational elimination, run fraction-free on integer
 rows; ``rref`` divides each of its rows once, and ``solve`` (A^-1 B) is read
-off ``rref``.  ``hnf`` is the one integer (unimodular) elimination: a
-lattice kernel is read off one HNF of ``[M^T | I]``, lifts off the rows of
-the transform U, and coordinates in a sublattice are found by
-back-substitution on the echelon basis, with no further elimination.
+off ``rref``.  ``hnf`` is the one integer (unimodular) elimination, one HNF
+of the augmented rows ``[M | I]``, so its transform U is canonical: a
+lattice kernel is read off the U of one ``hnf(M^T)``, lifts off the rows of
+U, and coordinates in a sublattice are found by back-substitution on the
+echelon basis, with no further elimination.
 """
 
 from __future__ import annotations
@@ -124,53 +125,57 @@ def congruence(basis, matrix, den=1):
 
 
 def hnf(matrix):
-    """Row Hermite normal form of an integer matrix.
+    """Row Hermite normal form of an integer matrix ``M`` (m x n) and its
+    transform, read off one HNF of the augmented rows ``[M | I]``, split
+    after column n.
 
-    Returns ``(H, U)`` with ``U`` unimodular over Z and ``H = U * matrix``.
+    Returns ``(H, U)`` with ``U`` unimodular over Z and ``H = U * M``.
     Pivots are positive, entries above a pivot are reduced into
     ``[0, pivot)``, rows are in echelon order and zero rows sit at the
-    bottom.  ``H`` is the canonical representative of the row lattice.
+    bottom, in ``H`` and in ``[H | U]`` alike.  ``[M | I]`` has full row
+    rank, so its HNF is unique: ``H`` is the canonical basis of the row
+    lattice of ``M``, ``U`` is a function of ``M`` alone, and the rows of
+    ``U`` beside the zero rows of ``H`` are the HNF basis of the left
+    kernel {x in Z^m : x M = 0}.
     """
-    H = [[as_int(x) for x in row] for row in matrix]
-    m = len(H)
-    n = len(H[0]) if m else 0
-    if any(len(row) != n for row in H):
+    A = [[as_int(x) for x in row] for row in matrix]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    if any(len(row) != n for row in A):
         raise ValueError("ragged matrix")
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    for i, row in enumerate(A):
+        row.extend(int(i == j) for j in range(m))
 
     def subtract(i, q, j):
         if q:
-            H[i] = [a - q * b for a, b in zip(H[i], H[j])]
-            U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+            A[i] = [a - q * b for a, b in zip(A[i], A[j])]
 
     r = 0
-    for c in range(n):
+    for c in range(n + m):
         if r == m:
             break
         while True:
-            nz = [i for i in range(r, m) if H[i][c] != 0]
+            nz = [i for i in range(r, m) if A[i][c] != 0]
             if not nz:
                 break
-            i0 = min(nz, key=lambda i: (abs(H[i][c]), i))
-            if i0 != r:
-                H[r], H[i0] = H[i0], H[r]
-                U[r], U[i0] = U[i0], U[r]
+            i0 = min(nz, key=lambda i: (abs(A[i][c]), i))
+            A[r], A[i0] = A[i0], A[r]
             done = True
             for i in range(r + 1, m):
-                if H[i][c] != 0:
-                    subtract(i, H[i][c] // H[r][c], r)
-                    if H[i][c] != 0:
+                if A[i][c] != 0:
+                    subtract(i, A[i][c] // A[r][c], r)
+                    if A[i][c] != 0:
                         done = False
             if done:
                 break
-        if H[r][c] != 0:
-            if H[r][c] < 0:
-                H[r] = [-a for a in H[r]]
-                U[r] = [-a for a in U[r]]
+        if A[r][c] != 0:
+            if A[r][c] < 0:
+                A[r] = [-a for a in A[r]]
             for i in range(r):
-                subtract(i, H[i][c] // H[r][c], r)
+                subtract(i, A[i][c] // A[r][c], r)
             r += 1
-    return tuple(map(tuple, H)), tuple(map(tuple, U))
+    return (tuple(tuple(row[:n]) for row in A),
+            tuple(tuple(row[n:]) for row in A))
 
 
 def rref_int(matrix):
@@ -215,10 +220,12 @@ def rref_int(matrix):
 
 def rref(matrix):
     """Reduced row echelon form over Q: ``(rows, pivots)``, the nonzero
-    rows (Fraction entries) and the pivot column of each.  The rows of
-    ``rref_int`` are divided by their pivots, once each."""
+    rows and the pivot column of each.  The rows of ``rref_int`` are
+    divided by their pivots, once each: a row whose pivot is 1 stays ints,
+    every other row has Fraction entries."""
     rows, pivots = rref_int(matrix)
-    return tuple(tuple(Fraction(x, row[c]) for x in row)
+    return tuple(tuple(row) if row[c] == 1
+                 else tuple(Fraction(x, row[c]) for x in row)
                  for row, c in zip(rows, pivots)), pivots
 
 
@@ -338,7 +345,9 @@ class Sublattice:
 
 
 def kernel_lattice(matrix, n):
-    """Saturated sublattice {x in Z^n : matrix . x = 0}, in row HNF.
+    """Saturated sublattice {x in Z^n : matrix . x = 0}, in row HNF.  It is
+    the left kernel of ``matrix^T``, so its HNF basis is read off the
+    transform U of one ``hnf(matrix^T)``: the rows beside the zero rows of H.
 
     Rational entries are allowed; each row is cleared to integers first.
     """
@@ -347,13 +356,8 @@ def kernel_lattice(matrix, n):
         if len(row) != n:
             raise ValueError("dimension mismatch")
         cleared.append(vec_primitive(row))
-    # The rows of [M^T | I] span {(x M^T, x) : x in Z^n}.  The HNF rows
-    # with pivots in the right block span its vectors with zero left block,
-    # so their right blocks are the HNF basis of the kernel.
-    m = len(cleared)
-    H, _ = hnf([tuple(row[i] for row in cleared)
-                + tuple(int(i == j) for j in range(n)) for i in range(n)])
-    return Sublattice(n, tuple(h[m:] for h in H if not any(h[:m])))
+    H, U = hnf([tuple(row[i] for row in cleared) for i in range(n)])
+    return Sublattice(n, tuple(u for h, u in zip(H, U) if not any(h)))
 
 
 def saturate(lattice):

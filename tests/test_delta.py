@@ -174,7 +174,7 @@ class TestInitialForm:
                     sum(y[i] * init.kernel.basis[i][j]
                         for i in range(init.kernel.rank))
                     for j in range(m.rank))
-                assert chi.value(ambient) == 0
+                assert dot(chi.coords, ambient) == 0
 
 
 class TestTcDelta:
@@ -447,7 +447,7 @@ class TestInitialFormTwist:
             minimum = torus.chi_min(m.relator, chi.coords)
             minimal_terms = {
                 a: m.relator.coefficient(a)
-                for a in m.relator.support if chi.value(a) == minimum}
+                for a in m.relator.support if dot(chi.coords, a) == minimum}
             trimmed = torus.QTorusElement(m.rank, m.relator.s, minimal_terms)
             base = min(sorted(minimal_terms))
             lifted_terms = {}
@@ -706,8 +706,8 @@ class TestStrata:
         strata = list(_strata(module))
         support = module.relator.support
         for face, chi in strata:
-            low = min(chi.value(a) for a in support)
-            assert face == {a for a in support if chi.value(a) == low}
+            low = min(dot(chi.coords, a) for a in support)
+            assert face == {a for a in support if dot(chi.coords, a) == low}
         assert exposed_faces_bruteforce(support, 3) <= {
             face for face, _ in strata}
 

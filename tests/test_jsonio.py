@@ -22,7 +22,7 @@ def test_rational_forms():
     for value in (3, -4):
         assert type(jsonio.rational_from_json(value)) is int
         assert jsonio.rational_from_json(value) == value
-    vector = jsonio.vector_from_json([1, "1/2"])
+    vector = jsonio.vector_from_json([1, "1/2"], 2)
     assert vector == (1, Fraction(1, 2))
     assert [type(x) for x in vector] == [int, Fraction]
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtdelta import lattice
 from qtdelta.lattice import (
@@ -35,6 +36,51 @@ from oracles import (
 
 def inverse_times(U, H):
     return mat_mul(inverse_fraction(U), H)
+
+
+def _random_int_matrix(rng):
+    """An m x n integer matrix, 0 <= m <= 5, 1 <= n <= 5; about a third of
+    its rows are integer combinations of the rows above them."""
+    m, n = rng.randint(0, 5), rng.randint(1, 5)
+    rows = []
+    for _ in range(m):
+        if rows and rng.random() < 0.35:
+            coeffs = [rng.randint(-3, 3) for _ in rows]
+            rows.append(tuple(sum(c * r[j] for c, r in zip(coeffs, rows))
+                              for j in range(n)))
+        else:
+            rows.append(tuple(rng.randint(-6, 6) for _ in range(n)))
+    return tuple(rows)
+
+
+@st.composite
+def _int_matrices(draw):
+    m, n = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    entry = st.integers(-6, 6)
+    rows = []
+    for _ in range(m):
+        if rows and draw(st.booleans()):
+            coeffs = draw(st.lists(entry, min_size=len(rows),
+                                   max_size=len(rows)))
+            rows.append(tuple(sum(c * r[j] for c, r in zip(coeffs, rows))
+                              for j in range(n)))
+        else:
+            rows.append(tuple(draw(st.lists(entry, min_size=n, max_size=n))))
+    return tuple(rows)
+
+
+def _check_augmented_hnf(M):
+    """[H | U] is the row HNF of [M | I].  That matrix has full row rank,
+    so its HNF is unique and these checks pin (H, U) exactly; the rows of U
+    beside the zero rows of H are then a basis of the left kernel of M."""
+    H, U = hnf(M)
+    assert is_row_hnf([h + u for h, u in zip(H, U)])
+    assert mat_mul(U, M) == H
+    assert abs(det_fraction(U)) == 1
+    kernel = [u for h, u in zip(H, U) if not any(h)]
+    assert len(kernel) == len(M) - len(rref_fraction(M)[1])
+    for x in kernel:
+        assert not any(mat_mul((x,), M)[0])
 
 
 class TestHnf:
@@ -79,6 +125,17 @@ class TestHnf:
         for bad in (((1.5,),), ((Fraction(1, 2), 1),), ((1, 2), (3,))):
             with pytest.raises(ValueError):
                 hnf(bad)
+
+    def test_transform_is_canonical_seeded(self):
+        rng = random.Random(1515)
+        for _ in range(300):
+            _check_augmented_hnf(_random_int_matrix(rng))
+
+    @settings(max_examples=200, derandomize=True, database=None,
+              deadline=None)
+    @given(M=_int_matrices())
+    def test_transform_is_canonical(self, M):
+        _check_augmented_hnf(M)
 
 
 class TestSublattice:
@@ -223,6 +280,24 @@ class TestKernels:
 
     def test_zero_map(self):
         assert kernel_lattice([(0, 0, 0)], 3) == Sublattice.full(3)
+
+    @pytest.mark.parametrize("M, n", [
+        ([(1, 0)], 2), ([(Fraction(1, 2), Fraction(1, 3))], 2),
+        ([(2, 4, 6), (1, 2, 3), (0, 1, -1)], 3), ([], 3), ([(0, 0, 0)], 3)])
+    def test_one_hnf_of_the_transpose(self, monkeypatch, M, n):
+        # the kernel is read off the transform of hnf(M^T): one n x m
+        # matrix goes in, with no identity block beside it
+        calls = []
+        real = lattice.hnf
+
+        def recorded(matrix):
+            calls.append(matrix)
+            return real(matrix)
+        monkeypatch.setattr(lattice, "hnf", recorded)
+        K = kernel_lattice(M, n)
+        assert [[tuple(row) for row in c] for c in calls] == [
+            [tuple(vec_primitive(r)[i] for r in M) for i in range(n)]]
+        assert K.rank == n - matrix_rank(M)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_character_kernel_rank(self, seed):
@@ -391,11 +466,14 @@ class TestRref:
             M = _random_rational_matrix(rng)
             rows, pivots = rref(M)
             assert (rows, pivots) == rref_fraction(M)
-            assert all(type(x) is Fraction for row in rows for x in row)
             int_rows, int_pivots = rref_int(M)
             assert int_pivots == pivots
             for row, c, frac_row in zip(int_rows, pivots, rows):
                 assert all(type(x) is int for x in row) and row[c] > 0
+                # a Fraction only where a division happens: a row whose
+                # pivot is 1 stays ints, any other row is all Fractions
+                kind = int if row[c] == 1 else Fraction
+                assert all(type(x) is kind for x in frac_row)
                 assert vec_primitive(row) == tuple(row)
                 assert [Fraction(x, row[c]) for x in row] == list(frac_row)
 
