@@ -73,12 +73,9 @@ class Character:
         return vec_primitive(self.coords)
 
     @cached_property
-    def _kernel(self):
-        return kernel_lattice([self.ray], self.n)
-
     def kernel(self) -> Sublattice:
         """Saturated kernel sublattice of Z^n, computed once per object."""
-        return self._kernel
+        return kernel_lattice([self.ray], self.n)
 
     @property
     def rank(self):
@@ -159,7 +156,7 @@ def initial_form(module: OneRelatorModule, chi: Character) -> InitialFormResult:
                                   {a: r.coefficient(a) for a in min_support})
     inverse = torus.monomial_inverse(base, r.s, module.cocycle)
     shifted = torus.multiply(inverse, trimmed, module.cocycle)
-    B = chi.kernel()
+    B = chi.kernel
     restricted = _in_coordinates(shifted, B)
     if restricted is None:
         raise AssertionError("initial form support escaped the kernel lattice")

@@ -257,6 +257,8 @@ def null_space_int(matrix, n):
 
     The basis is derived from the RREF of ``matrix`` so it depends only on
     the row space, one vector per free column, ordered by free column.
+    Free column f gets the value L, the lcm of the pivots of the rows that
+    meet it, so every pivot coordinate -row[f] * L / row[c] is an int.
     """
     R, piv = rref_int(matrix)
     pivset = set(piv)
@@ -264,11 +266,13 @@ def null_space_int(matrix, n):
     for f in range(n):
         if f in pivset:
             continue
+        meet = [(row, c) for row, c in zip(R, piv) if row[f]]
+        L = lcm(*(row[c] for row, c in meet))
         v = [0] * n
-        v[f] = 1
-        for row, c in zip(R, piv):
-            v[c] = Fraction(-row[f], row[c])
-        basis.append(vec_primitive(v))
+        v[f] = L
+        for row, c in meet:
+            v[c] = -row[f] * (L // row[c])
+        basis.append(tuple(_primitive(v)))
     return tuple(basis)
 
 

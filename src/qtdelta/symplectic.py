@@ -7,6 +7,9 @@ are pairwise distinct.  ``compute_symplectic_base`` searches for such a
 decomposition with a seeded pencil-eigenspace method and certifies any
 candidate through ``verify_symplectic_base``; a failure after the retry
 budget is reported as a NoBaseFound value, not an error.
+
+Both block verifiers, here and in ``torus``, read every pairing they need
+off one Gram matrix per form of the stacked block bases (``_block_pairings``).
 """
 
 from __future__ import annotations
@@ -86,34 +89,46 @@ def centralizer(phi: AlternatingMapQ, space: Subspace) -> Subspace:
     return Subspace.from_rows(phi.n, null_space_int(rows, phi.n))
 
 
-def pairings(phi: AlternatingMapQ, basis):
-    """Pairings phi(b_i, b_j), i < j, of basis rows, lazily (early exit)."""
-    for i, u in enumerate(basis):
-        for v in basis[i + 1:]:
-            yield phi.pairing(u, v)
-
-
-def orthogonal(phi: AlternatingMapQ, parts) -> bool:
-    """True when the basis rows of any two distinct parts pair to zero."""
-    return not any(any(phi.pairing(a, b))
-                   for i, p in enumerate(parts) for q in parts[i + 1:]
-                   for a in p.basis for b in q.basis)
-
-
 def is_abelian(phi: AlternatingMapQ, space: Subspace) -> bool:
     if space.ambient_dim != phi.n:
         raise ValueError("dimension mismatch")
-    return not any(any(p) for p in pairings(phi, space.basis))
+    basis = space.basis
+    return not any(any(phi.pairing(u, v))
+                   for i, u in enumerate(basis) for v in basis[i + 1:])
+
+
+def _block_pairings(phi: AlternatingMapQ, bases):
+    """Every pairing question about a family of bases, read off one Gram
+    matrix per form: ``G_k = congruence(stacked rows, Phi_k)``, entry (i, j)
+    phi_k(b_i, b_j).
+
+    Returns ``(orthogonal, blocks)``: whether all pairings between rows of
+    two distinct bases vanish, and per basis ``(pairs, rank)``, its pairings
+    (G_1[i][j], ..., G_s[i][j]) for i < j and the rank of its diagonal Gram
+    blocks stacked, which equals ``len(basis)`` exactly when phi restricted
+    to its span has trivial radical."""
+    stacked = [row for basis in bases for row in basis]
+    grams = [congruence(stacked, m, den) for m, den in phi._cleared]
+    spans, end = [], 0
+    for basis in bases:
+        spans.append(range(end, end + len(basis)))
+        end += len(basis)
+    orthogonal = not any(G[i][j] for a, own in enumerate(spans)
+                         for other in spans[a + 1:] for G in grams
+                         for i in own for j in other)
+    blocks = []
+    for own in spans:
+        pairs = [tuple(G[i][j] for G in grams)
+                 for i in own for j in range(i + 1, own.stop)]
+        diagonal = [G[i][own.start:own.stop] for G in grams for i in own]
+        blocks.append((pairs, matrix_rank(diagonal)))
+    return orthogonal, blocks
 
 
 def image_space(phi: AlternatingMapQ, space: Subspace) -> Subspace:
     """Span of the pairings of basis pairs, a subspace of Q^s."""
-    return Subspace.from_rows(phi.s, list(pairings(phi, space.basis)))
-
-
-def _restrict(phi: AlternatingMapQ, basis):
-    return AlternatingMapQ(len(basis), phi.s, tuple(
-        congruence(basis, m, den) for m, den in phi._cleared))
+    _, [(pairs, _)] = _block_pairings(phi, [space.basis])
+    return Subspace.from_rows(phi.s, pairs)
 
 
 def _line_key(space: Subspace):
@@ -171,14 +186,13 @@ def verify_symplectic_base(phi: AlternatingMapQ,
     direct = (sum(p.dim for p in pieces) == n
               and matrix_rank(stacked) == n)
     centre_ok = cand.V0 == center(phi)
-    orth = orthogonal(phi, cand.blocks)
+    orth, per_block = _block_pairings(phi, [b.basis for b in cand.blocks])
     nondeg = True
     lines = []
-    for block in cand.blocks:
-        restricted = _restrict(phi, block.basis)
-        img = image_space(phi, block)
+    for block, (pairs, rank) in zip(cand.blocks, per_block):
+        img = Subspace.from_rows(phi.s, pairs)
         lines.append(_line_key(img))
-        if img.dim != 1 or center(restricted).dim != 0:
+        if img.dim != 1 or rank != block.dim:
             nondeg = False
     distinct = all(lines[i] is None or lines[i] != lines[j]
                    for i in range(len(lines)) for j in range(i + 1, len(lines)))

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 from .lattice import (Sublattice, Subspace, as_int, as_rational, congruence,
                       dot, kernel_lattice, matrix_rank, row_times, saturate)
-from .symplectic import (AlternatingMapQ, _restrict, is_abelian, orthogonal,
-                         pairings)
+from .symplectic import AlternatingMapQ, _block_pairings, is_abelian
 
 
 def _check_square_int(mat, n):
@@ -63,8 +62,8 @@ class AlternatingFormZ(AlternatingMapQ):
         super().__init__(rank, len(forms), forms)
 
     def restrict(self, lattice: Sublattice) -> "AlternatingFormZ":
-        return AlternatingFormZ(lattice.rank,
-                                _restrict(self, lattice.basis).forms)
+        return AlternatingFormZ(lattice.rank, tuple(
+            congruence(lattice.basis, m) for m in self.forms))
 
 
 def commutator_form(cocycle: CocycleForm) -> AlternatingFormZ:
@@ -237,7 +236,8 @@ def cocycle_image(form: AlternatingFormZ, lattice: Sublattice) -> Sublattice:
     models an infinite cyclic twist image, rank zero a commutative twist."""
     if lattice.ambient_rank != form.n:
         raise ValueError("ambient rank mismatch")
-    return Sublattice.from_rows(form.s, list(pairings(form, lattice.basis)))
+    _, [(pairs, _)] = _block_pairings(form, [lattice.basis])
+    return Sublattice.from_rows(form.s, pairs)
 
 
 @dataclass(frozen=True)
@@ -285,9 +285,9 @@ def verify_theorem42(form: AlternatingFormZ, parts) -> Theorem42Report:
     if matrix_rank(stacked) != total:
         raise ValueError("parts are not independent")
 
-    commute = orthogonal(form, parts)
-    centres = all(center_lattice(form.restrict(p)).rank == 0 for p in parts)
-    images = [cocycle_image(form, p) for p in parts]
+    commute, per_part = _block_pairings(form, [p.basis for p in parts])
+    centres = all(rank == p.rank for p, (_, rank) in zip(parts, per_part))
+    images = [Sublattice.from_rows(form.s, pairs) for pairs, _ in per_part]
     rank_one = all(img.rank == 1 for img in images)
     saturated = [saturate(img) for img in images]
     distinct = all(saturated[i] != saturated[j]

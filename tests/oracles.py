@@ -7,7 +7,8 @@ description, for Delta fans (the library takes one tie cone per edge of
 the Newton polytope, its rays read off the polytope's facets), argmin sets
 of box characters for the faces of a Newton polytope, subset
 enumeration for extreme rays, exact epsilon thresholds for local cones,
-and a pencil determinant root search (via sympy) for symplectic base
+Fraction double sums for bilinear restrictions and block conditions, and
+a pencil determinant root search (via sympy) for symplectic base
 existence.
 """
 
@@ -125,6 +126,31 @@ def pairing_double_sum(phi, u, v):
     return tuple(sum(Fraction(u[i]) * m[i][j] * Fraction(v[j])
                      for i in range(phi.n) for j in range(phi.n))
                  for m in phi.forms)
+
+
+def block_conditions_oracle(phi, bases):
+    """The pairing conditions of Theorem 4.2 on a family of bases, from
+    ``pairing_double_sum`` and ``rref_fraction`` alone (no ``congruence``).
+
+    Returns ``(commute, parts)``: ``commute`` is true when every row of one
+    basis pairs to zero with every row of another, and ``parts`` holds, per
+    basis, ``(nondegenerate, image)``: whether the Gram rows phi_k(b_i, b_j)
+    of the basis, all k stacked, have full rank (phi restricted to the span
+    has trivial radical), and the ``rref_fraction`` rows of the span of its
+    pairings phi(b_i, b_j), i < j."""
+    commute = all(not any(pairing_double_sum(phi, a, b))
+                  for i, p in enumerate(bases) for q in bases[i + 1:]
+                  for a in p for b in q)
+    parts = []
+    for basis in bases:
+        gram = [[pairing_double_sum(phi, a, b) for b in basis] for a in basis]
+        stacked = [[value[k] for value in row]
+                   for k in range(phi.s) for row in gram]
+        pairs = [gram[i][j] for i in range(len(basis))
+                 for j in range(i + 1, len(basis))]
+        parts.append((len(rref_fraction(stacked)[1]) == len(basis),
+                      rref_fraction(pairs)[0]))
+    return commute, parts
 
 
 def mat_mul(A, B):

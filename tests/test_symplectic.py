@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtdelta.lattice import (
+    Sublattice,
     Subspace,
     congruence,
     matrix_rank,
     subspace_sum,
+    vec_primitive,
     vec_primitive_signed,
 )
 from qtdelta.symplectic import (
@@ -25,7 +27,8 @@ from qtdelta.symplectic import (
     random_abelian_subspace,
     verify_symplectic_base,
 )
-from qtdelta.symplectic import _charpoly, _restrict
+from qtdelta.symplectic import _block_pairings, _charpoly
+from qtdelta.torus import AlternatingFormZ
 from qtdelta.rng import derive
 
 from oracles import (
@@ -39,6 +42,7 @@ from oracles import (
     pairing_double_sum,
     random_unimodular,
     restrict_double_sum,
+    rref_fraction,
     standard_j,
 )
 
@@ -536,8 +540,30 @@ class TestIntegerKernel:
         phi = AlternatingMapQ(n, s, tuple(_rational_antisymmetric(rng, n)
                                           for _ in range(s)))
         basis = _rational_basis(rng, rng.randint(1, 4), n)
-        assert _restrict(phi, basis).forms == tuple(
-            restrict_double_sum(m, basis) for m in phi.forms)
+        grams = [restrict_double_sum(m, basis) for m in phi.forms]
+        r = len(basis)
+        # one part: its self pairings are every entry above the diagonal
+        _, [(pairs, rank)] = _block_pairings(phi, [basis])
+        assert pairs == [tuple(G[i][j] for G in grams)
+                         for i in range(r) for j in range(i + 1, r)]
+        assert rank == len(rref_fraction([row for G in grams
+                                          for row in G])[1])
+        # two parts at a seeded cut: self pairings, rank of the diagonal
+        # blocks and vanishing of the cross pairings, block by block
+        cut = rng.randint(0, r)
+        orth, blocks = _block_pairings(phi, [basis[:cut], basis[cut:]])
+        assert orth == all(G[i][j] == 0 for G in grams
+                           for i in range(cut) for j in range(cut, r))
+        for own, (pairs, rank) in zip((range(cut), range(cut, r)), blocks):
+            assert pairs == [tuple(G[i][j] for G in grams)
+                             for i in own for j in own if i < j]
+            assert rank == len(rref_fraction(
+                [[G[i][j] for j in own] for G in grams for i in own])[1])
+        # the integral restriction, on the numerators of phi
+        form = AlternatingFormZ(n, tuple(m for m, _ in phi._cleared))
+        lattice = Sublattice.from_rows(n, [vec_primitive(b) for b in basis])
+        assert form.restrict(lattice).forms == tuple(
+            restrict_double_sum(m, lattice.basis) for m in form.forms)
         units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
         for u in basis:
             for v in basis:

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from qtdelta.lattice import Sublattice, saturate
-from qtdelta.symplectic import AlternatingMapQ
+from qtdelta.lattice import (Sublattice, Subspace, saturate,
+                             vec_primitive_signed)
+from qtdelta.symplectic import (AlternatingMapQ, SymplecticBase, center,
+                                verify_symplectic_base)
 from qtdelta.torus import (
     AlternatingFormZ,
     CocycleForm,
@@ -19,8 +21,9 @@ from qtdelta.torus import (
     verify_theorem42,
 )
 
-from oracles import (pairing_double_sum, random_cocycle, random_relator,
-                     restrict_double_sum)
+from oracles import (block_conditions_oracle, pairing_double_sum,
+                     random_cocycle, random_relator, random_unimodular,
+                     restrict_double_sum, rref_fraction)
 
 J2 = AlternatingFormZ(2, (((0, 1), (-1, 0)),))
 
@@ -259,6 +262,98 @@ class TestTheorem42:
         report = verify_theorem42(phi, [BLOCK1, BLOCK2])
         assert report.rank_one_images
         assert not report.distinct_image_lines
+
+
+def wedge_z(n, s, *pairs):
+    """Integral form on Z^n with phi(e_i, e_j) = w in Z^s for each
+    (i, j, w)."""
+    mats = [[[0] * n for _ in range(n)] for _ in range(s)]
+    for i, j, w in pairs:
+        for m, x in zip(mats, w):
+            m[i][j] += x
+            m[j][i] -= x
+    return AlternatingFormZ(n, tuple(tuple(map(tuple, m)) for m in mats))
+
+
+def units(n, *cols):
+    return Sublattice.from_rows(n, [tuple(int(i == c) for i in range(n))
+                                    for c in cols])
+
+
+class TestBlockConditionsOracle:
+    """Both block verifiers against ``oracles.block_conditions_oracle``,
+    on one planted failure of each condition and on seeded families."""
+
+    @staticmethod
+    def check(form, parts):
+        commute, oracle = block_conditions_oracle(form,
+                                                  [p.basis for p in parts])
+        images = [img for _, img in oracle]
+        report = verify_theorem42(form, parts)
+        assert report.pairwise_commute == commute
+        assert report.trivial_centres == all(ok for ok, _ in oracle)
+        assert report.rank_one_images == all(len(img) == 1 for img in images)
+        assert report.distinct_image_lines \
+            == (len(set(images)) == len(images))
+        assert [rref_fraction(line)[0] for line in report.image_lines] \
+            == images
+        lines = [img[0] for img in images if len(img) == 1]
+        blocks = [Subspace.from_rows(form.n, p.basis) for p in parts]
+        stored = [vec_primitive_signed(img[0]) if len(img) == 1
+                  else (0,) * form.s for img in images]
+        base = verify_symplectic_base(
+            form, SymplecticBase(center(form), blocks, stored))
+        assert base.blocks_orthogonal == commute
+        assert base.blocks_nondegenerate == all(ok and len(img) == 1
+                                                for ok, img in oracle)
+        assert base.lines_distinct == (len(set(lines)) == len(lines))
+        assert base.lines_consistent == (len(lines) == len(parts))
+        return report, base
+
+    def test_nonzero_cross_pairing(self):
+        # the first and the last of three blocks fail to commute
+        form = wedge_z(6, 3, (0, 1, (1, 0, 0)), (2, 3, (0, 1, 0)),
+                       (4, 5, (0, 0, 1)), (0, 5, (1, 1, 0)))
+        report, base = self.check(form, [units(6, 0, 1), units(6, 2, 3),
+                                         units(6, 4, 5)])
+        assert not report.pairwise_commute and not base.blocks_orthogonal
+        assert report.trivial_centres and report.rank_one_images
+        assert report.distinct_image_lines and base.blocks_nondegenerate
+
+    def test_degenerate_block_with_rank_one_image(self):
+        form = wedge_z(5, 2, (0, 1, (1, 0)), (3, 4, (0, 1)))
+        report, base = self.check(form, [units(5, 0, 1, 2), units(5, 3, 4)])
+        assert not report.trivial_centres and not base.blocks_nondegenerate
+        assert report.pairwise_commute and report.rank_one_images
+        assert report.distinct_image_lines and report.finite_index
+
+    def test_rank_two_image(self):
+        report, base = self.check(two_block_form(), [Sublattice.full(4)])
+        assert report.image_lines == (((1, 0), (0, 1)),)
+        assert not report.rank_one_images and not base.blocks_nondegenerate
+        assert report.trivial_centres and not base.lines_consistent
+
+    def test_empty_part(self):
+        report, base = self.check(J2, [Sublattice.full(2),
+                                       Sublattice.zero(2)])
+        assert report.image_lines == (((1,),), ())
+        assert report.trivial_centres and not report.rank_one_images
+        assert report.pairwise_commute and base.blocks_orthogonal
+        assert not base.blocks_nondegenerate
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_seeded_families(self, seed):
+        # sparse forms on Z^n, split along a seeded unimodular basis
+        rng = random.Random(600 + seed)
+        n, s = rng.randint(2, 5), rng.randint(1, 2)
+        pairs = [(i, j, tuple(rng.choice((-1, 0, 0, 1)) for _ in range(s)))
+                 for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.5]
+        form = wedge_z(n, s, *pairs)
+        rows = random_unimodular(rng, n, ops=rng.randint(0, 4))
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+        self.check(form, [Sublattice.from_rows(n, rows[a:b])
+                          for a, b in zip([0] + cuts, cuts + [n])])
 
 
 def test_antisymmetry_validated():
