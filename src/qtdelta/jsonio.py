@@ -43,6 +43,13 @@ def int_from_json(value) -> int:
     return int(f)
 
 
+def size_from_json(value) -> int:
+    n = int_from_json(value)
+    if n < 0:
+        raise ValueError(f"expected a nonnegative size, got {value!r}")
+    return n
+
+
 def _object(value, what):
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object")
@@ -88,7 +95,7 @@ def cone_to_json(cone: Cone):
 
 
 def cone_from_json(data) -> Cone:
-    dim = int_from_json(_object(data, "cone").get("dim"))
+    dim = size_from_json(_object(data, "cone").get("dim"))
     eq = matrix_from_json(data.get("eq", []), dim)
     ineq = matrix_from_json(data.get("ineq", []), dim)
     return Cone.from_constraints(dim, eq, ineq)
@@ -102,7 +109,7 @@ def fan_to_json(fan: Fan):
 
 
 def fan_from_json(data) -> Fan:
-    dim = int_from_json(_object(data, "fan").get("dim"))
+    dim = size_from_json(_object(data, "fan").get("dim"))
     return Fan(dim, [cone_from_json(c)
                      for c in _array(data.get("cones", []), "fan cones")])
 
@@ -120,21 +127,20 @@ def element_to_json(element: torus.QTorusElement):
 
 
 def element_from_json(data) -> torus.QTorusElement:
-    rank = int_from_json(_object(data, "element").get("rank"))
+    rank = size_from_json(_object(data, "element").get("rank"))
     terms = {}
     widths = set()
     for item in _array(data.get("terms", []), "terms"):
         _object(item, "term")
         exp = tuple(int_from_json(x)
                     for x in _array(item.get("exp", []), "term exp"))
-        coeff = {}
+        coeff = terms.setdefault(exp, {})
         for c in _array(item.get("coeff", []), "term coeff"):
             _object(c, "coeff item")
             qexp = tuple(int_from_json(x)
                          for x in _array(c.get("qexp", []), "coeff qexp"))
             widths.add(len(qexp))
             coeff[qexp] = coeff.get(qexp, 0) + rational_from_json(c.get("c"))
-        terms[exp] = coeff
     if len(widths) > 1:
         raise ValueError("inconsistent parameter exponent lengths")
     return torus.QTorusElement(rank, widths.pop() if widths else 0, terms)
@@ -143,8 +149,8 @@ def element_from_json(data) -> torus.QTorusElement:
 def _matrices(data, what, size_key, mats_key, parse):
     """``(size, s, matrices)`` of a JSON object holding a size, ``s`` and
     an array of ``s`` square matrices read by ``parse``."""
-    size = int_from_json(_object(data, what).get(size_key))
-    s = int_from_json(data.get("s"))
+    size = size_from_json(_object(data, what).get(size_key))
+    s = size_from_json(data.get("s"))
     mats = _array(data.get(mats_key, []), f"{what} {mats_key}")
     if len(mats) != s:
         raise ValueError(f"expected s {what} matrices")
@@ -173,7 +179,7 @@ def sublattice_to_json(lattice: Sublattice):
 
 
 def sublattice_from_json(data) -> Sublattice:
-    n = int_from_json(_object(data, "sublattice").get("ambient_rank"))
+    n = size_from_json(_object(data, "sublattice").get("ambient_rank"))
     return Sublattice.from_rows(n, int_matrix_from_json(data.get("basis", []), n))
 
 
@@ -184,7 +190,7 @@ def subspace_to_json(space: Subspace):
 
 def subspace_from_json(data, ambient=None) -> Subspace:
     if isinstance(data, dict):
-        n = int_from_json(data.get("ambient_dim"))
+        n = size_from_json(data.get("ambient_dim"))
         rows = matrix_from_json(data.get("basis", []), n)
     elif isinstance(data, list) and ambient is not None:
         n = ambient

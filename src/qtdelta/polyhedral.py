@@ -13,7 +13,9 @@ their rays off its facets; every other cone takes one double description.
 Fans are plain unions of cones (no face structure is maintained):
 containment-redundant cones are pruned and the rest deterministically
 sorted.  ``Fan.irredundant`` skips the prune for cone lists that have no
-redundant cone by construction.
+redundant cone by construction.  ``fan_equal`` compares point sets: equal
+canonical cone sets, or each fan covered by the other, which one point per
+top-dimensional cell decides once the other fan's hyperplanes cut a cone.
 """
 
 from __future__ import annotations
@@ -447,73 +449,47 @@ def carrier_spaces(fan):
     return [spans[k] for k in sorted(spans)]
 
 
-def _cells(fan, hyperplanes):
-    """One exact rational relative-interior point per relatively open cell
-    of the hyperplane arrangement covering the fan.
+def _uncovered(fan, other):
+    """A rational point of ``fan`` outside ``other``, or None when ``other``
+    covers ``fan``.
 
-    Each cone of the fan is a disjoint union of such cells because all of
-    its bounding hyperplanes belong to ``hyperplanes``; any other fan built
-    from the same hyperplane family contains either all of a cell or none
-    of it, so a single interior point decides the whole cell.
+    Each cone C of ``fan`` is cut by the hyperplanes of ``other`` only, and
+    a region is split only where a hyperplane takes both signs on it (on a
+    ray of its closure, or on a lineality vector).  Every final region is
+    a cell of the dimension of C on whose relative interior each hyperplane
+    has one sign, so each cone of ``other`` either holds the cell or misses
+    its relative interior, and the cell's ray sum decides which.  The cells
+    cover C and ``other`` is closed, so C is covered iff every cell is.
     """
     n = fan.ambient_dim
-    reps = {}
+    hyperplanes = sorted({vec_primitive_signed(a) for c in other.cones
+                          for a in c.equalities + c.inequalities})
     for cone in fan.cones:
-        base_closed = list(cone.inequalities)
-        # region = (equalities, stricts, signature, closure rays)
-        regions = [(list(cone.equalities), [], (), list(cone.rays),
-                    list(cone.lineality))]
+        regions = [(cone.inequalities, cone.rays, cone.lineality)]
         for h in hyperplanes:
-            next_regions = []
-            for eqs, stricts, sig, rays, lin in regions:
-                rvals = [dot(h, g) for g in rays]
-                lvals = [dot(h, g) for g in lin]
-                if not any(rvals) and not any(lvals):
-                    next_regions.append((eqs + [h], stricts, sig + (0,),
-                                         rays, lin))
+            cut = []
+            for region in regions:
+                ineq, rays, lin = region
+                values = [dot(h, g) for g in rays]
+                if not (any(dot(h, g) for g in lin)
+                        or max(values, default=0) > 0 > min(values, default=0)):
+                    cut.append(region)
                     continue
-                # a nonzero value on a lineality vector puts points of the
-                # closure strictly on both sides of the hyperplane
-                candidates = [(0, eqs + [h], stricts)]
-                if any(v > 0 for v in rvals) or any(lvals):
-                    candidates.append((1, eqs, stricts + [h]))
-                if any(v < 0 for v in rvals) or any(lvals):
-                    candidates.append((-1, eqs,
-                                       stricts + [tuple(-x for x in h)]))
-                for sign, new_eqs, new_stricts in candidates:
-                    c_rays, c_lin = _vrep(n, new_eqs,
-                                          base_closed + new_stricts)
-                    p = _ray_sum(n, c_rays)
-                    if all(dot(s, p) > 0 for s in new_stricts):
-                        next_regions.append((new_eqs, new_stricts,
-                                             sig + (sign,), list(c_rays),
-                                             list(c_lin)))
-            regions = next_regions
-        for eqs, stricts, sig, rays, lin in regions:
-            if sig not in reps:
-                reps[sig] = _ray_sum(n, rays)
-    return list(reps.values())
+                for half in (h, tuple(-x for x in h)):
+                    halves = ineq + (half,)
+                    cut.append((halves,) + _vrep(n, cone.equalities, halves))
+            regions = cut
+        for _, rays, _ in regions:
+            point = _ray_sum(n, rays)
+            if not other.member(point):
+                return point
+    return None
 
 
 def fan_equal(f1, f2):
-    """Exact equality of the underlying point sets of two fans.
-
-    Two paths: identical canonical cone sets decide at once; otherwise the
-    full decision collects all bounding hyperplanes of both fans, refines
-    each fan into relatively open cells of the induced arrangement and
-    compares the cell sets through exact rational relative-interior
-    representatives.
-    """
+    """Exact equality of the underlying point sets of two fans: identical
+    canonical cone sets, or each fan covered by the other."""
     if f1.ambient_dim != f2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    if f1 == f2:
-        return True
-    hyperplanes = set()
-    for f in (f1, f2):
-        for c in f.cones:
-            for a in c.equalities + c.inequalities:
-                hyperplanes.add(vec_primitive_signed(a))
-    hyperplanes = sorted(hyperplanes)
-    if not all(f2.member(p) for p in _cells(f1, hyperplanes)):
-        return False
-    return all(f1.member(p) for p in _cells(f2, hyperplanes))
+    return f1 == f2 or (_uncovered(f1, f2) is None
+                        and _uncovered(f2, f1) is None)

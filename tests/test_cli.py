@@ -182,6 +182,18 @@ class TestSubcommands:
         assert json.loads(out) == {"rank": 2, "terms": [
             {"exp": [1, 1], "coeff": [{"qexp": [1], "c": 1}]}]}
 
+    def test_torus_mul_repeated_exponents_summed(self, tmp_path):
+        # a = x1 written as 1/2 x1 + 1/2 x1, and b as 2 x2 - x2: the
+        # product is the one of TORUS_MUL
+        half = {"qexp": [0], "c": "1/2"}
+        a = dict(TORUS_MUL["a"], terms=[
+            {"exp": [1, 0], "coeff": [half]}, {"exp": [1, 0], "coeff": [half]}])
+        b = dict(TORUS_MUL["b"], terms=[
+            {"exp": [0, 1], "coeff": [{"qexp": [0], "c": 2}]},
+            {"exp": [0, 1], "coeff": [{"qexp": [0], "c": -1}]}])
+        assert run_inproc("torus-mul", dict(TORUS_MUL, a=a, b=b), tmp_path) \
+            == run_inproc("torus-mul", TORUS_MUL, tmp_path)
+
     @pytest.mark.parametrize("qexp_a,qexp_b", [([], [0]), ([0], []),
                                                ([], [])],
                              ids=["a", "b", "both"])
@@ -271,6 +283,32 @@ class TestSubcommands:
         assert not report["distinct_image_lines"] and report["rank_one_images"]
 
 
+def _sized_inputs(n):
+    """One input per command that reads a size, with every size ``n`` and
+    no vector in it, so that the sign of ``n`` alone can make it bad."""
+    element = {"rank": n, "terms": []}
+    cocycle = {"rank": n, "s": 0, "B": []}
+    module = {"relator": dict(element, terms=[
+        {"exp": [], "coeff": [{"qexp": [], "c": 1}]}]), "cocycle": cocycle}
+    form = {"n": n, "s": 0, "phi": []}
+    base = {"V0": [], "blocks": [], "lines": []}
+    return {
+        "delta": module,
+        "check-induced": dict(module, A1={"ambient_rank": n, "basis": []},
+                              chi=[]),
+        "lc": {"fan": {"dim": n, "cones": [{"dim": n}]}, "point": []},
+        "torus-mul": {"a": element, "b": element, "cocycle": cocycle},
+        "center": {"form": form},
+        "symbase": {"form": form},
+        "verify-base": {"form": form, "base": base},
+        "abelian-split": {"form": form, "base": base, "U": []},
+        "check-ample": {"form": form, "Omega": [],
+                        "X": {"ambient_dim": n, "basis": []}},
+        "verify-thm42": {"form": form,
+                         "parts": [{"ambient_rank": n, "basis": []}]},
+    }
+
+
 class TestErrorHandling:
     def test_malformed_json_exit_two(self):
         proc = subprocess.run([sys.executable, "-m", "qtdelta.cli", "delta"],
@@ -340,6 +378,18 @@ class TestErrorHandling:
             main(["--sample", "-3", "check-dim"])
         out, err = capsys.readouterr()
         assert exc.value.code == 2 and out == "" and "--sample" in err
+
+    @pytest.mark.parametrize("command", list(_sized_inputs(0)))
+    def test_negative_size_exit_two(self, tmp_path, capsys, command):
+        code, out = run_inproc(command, _sized_inputs(0)[command], tmp_path)
+        assert code in (0, 1), command
+        for size in (-1, -2):
+            (tmp_path / "out.json").unlink(missing_ok=True)
+            code, out = run_inproc(command, _sized_inputs(size)[command],
+                                   tmp_path)
+            err = capsys.readouterr().err
+            assert code == 2 and out == "", (command, size)
+            assert f"expected a nonnegative size, got {size}" in err
 
     def test_retries_below_one_exit_two(self, tmp_path, capsys):
         for command, payload in (("symbase", TWO_BLOCK),

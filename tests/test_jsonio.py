@@ -51,6 +51,21 @@ def test_element_roundtrip():
         assert back == el
 
 
+def test_repeated_exponents_are_summed():
+    """A second term with the same exponent adds to the first, as a repeated
+    parameter exponent inside one term does; a sum of zero drops the term."""
+    def term(exp, *coeffs):
+        return {"exp": exp, "coeff": [{"qexp": [q], "c": c}
+                                      for q, c in coeffs]}
+
+    read = jsonio.element_from_json({"rank": 1, "terms": [
+        term([1], (0, 1)), term([1], (0, "1/2"), (1, 2)), term([1], (0, 1)),
+        term([0], (0, 1)), term(["0/1"], (0, -1))]})
+    assert read.terms == {(1,): {(0,): Fraction(5, 2), (1,): 2}}
+    assert read == jsonio.element_from_json({"rank": 1, "terms": [
+        term([1], (0, 1), (0, "1/2"), (1, 2), (0, 1))]})
+
+
 def test_cocycle_roundtrip():
     rng = random.Random(1)
     c = random_cocycle(rng, 3, 2)

@@ -46,12 +46,17 @@ def tropical_line():
     ])
 
 
-def random_cone(rng, n):
+def random_hrep(rng, n):
+    """Drawn (equalities, inequalities) of a cone in Q^n."""
     eqs = [tuple(rng.randint(-2, 2) for _ in range(n))
            for _ in range(rng.randint(0, 1))]
     ineqs = [tuple(rng.randint(-2, 2) for _ in range(n))
              for _ in range(rng.randint(0, 3))]
-    return Cone.from_constraints(n, eqs, ineqs)
+    return eqs, ineqs
+
+
+def random_cone(rng, n):
+    return Cone.from_constraints(n, *random_hrep(rng, n))
 
 
 def random_fan(rng, n, max_cones=3):
@@ -533,57 +538,131 @@ class TestSelfChecks:
             cone.inequalities
 
 
+def _fan(n, hreps):
+    """The fan of the cones cut out by (equalities, inequalities) pairs."""
+    return Fan(n, [Cone.from_constraints(n, eq, ineq) for eq, ineq in hreps])
+
+
+def _satisfies(point, hrep):
+    eq, ineq = hrep
+    return (all(dot(e, point) == 0 for e in eq)
+            and all(dot(a, point) >= 0 for a in ineq))
+
+
+def _separator(n, fan, other):
+    """``_uncovered`` on the fans of the constraint lists ``fan`` and
+    ``other``.  A point it returns must satisfy one list of ``fan`` and
+    violate a constraint of each list of ``other``, evaluated here by dot
+    products and not by ``Cone.member``."""
+    point = polyhedral._uncovered(_fan(n, fan), _fan(n, other))
+    if point is not None:
+        assert any(_satisfies(point, h) for h in fan)
+        assert not any(_satisfies(point, h) for h in other)
+    return point
+
+
+def _covers(n, fan, other, covered):
+    """The checked separator is None exactly when ``covered``."""
+    assert (_separator(n, fan, other) is None) == covered
+
+
 class TestFanEqualAdversarial:
+    """Planted, differently subdivided fans, so that every equality below is
+    decided by the covering test; each direction of it is checked too."""
+
     def test_quadrant_skew_split(self):
-        q = quadrant()
-        upper = Cone.from_constraints(2, [], [(1, 0), (-1, 1)])
-        lower = Cone.from_constraints(2, [], [(0, 1), (1, -1)])
-        assert fan_equal(Fan(2, [q]), Fan(2, [upper, lower]))
+        q = ((), [(1, 0), (0, 1)])
+        upper = ((), [(1, 0), (-1, 1)])
+        lower = ((), [(0, 1), (1, -1)])
+        assert fan_equal(_fan(2, [q]), _fan(2, [upper, lower]))
+        _covers(2, [q], [upper, lower], True)
+        _covers(2, [upper, lower], [q], True)
 
     def test_three_way_split_of_halfplane(self):
         # wedges [(1,0),(1,-1)], [(1,-1),(-1,-1)], [(-1,-1),(-1,0)]
-        pieces = [
-            Cone.from_constraints(2, [], [(0, -1), (1, 1)]),
-            Cone.from_constraints(2, [], [(-1, -1), (1, -1)]),
-            Cone.from_constraints(2, [], [(-1, 1), (0, -1)]),
-        ]
-        lower = Cone.from_constraints(2, [], [(0, -1)])
+        pieces = [((), [(0, -1), (1, 1)]),
+                  ((), [(-1, -1), (1, -1)]),
+                  ((), [(-1, 1), (0, -1)])]
+        lower = ((), [(0, -1)])
         # the three pieces tile {y <= 0}
-        assert fan_equal(Fan(2, [lower]), Fan(2, pieces))
+        assert fan_equal(_fan(2, [lower]), _fan(2, pieces))
+        _covers(2, [lower], pieces, True)
         # dropping the middle wedge leaves a hole
-        assert not fan_equal(Fan(2, [lower]), Fan(2, [pieces[0], pieces[2]]))
+        outer = [pieces[0], pieces[2]]
+        assert not fan_equal(_fan(2, [lower]), _fan(2, outer))
+        assert not fan_equal(_fan(2, outer), _fan(2, [lower]))
+        _covers(2, [lower], outer, False)
+        _covers(2, outer, [lower], True)
 
     def test_missing_sliver_detected(self):
-        q = quadrant()
-        narrow = Cone.from_constraints(2, [], [(1, 0), (-1, 2)])
-        wide_rest = Cone.from_constraints(2, [], [(0, 1), (2, -1)])
+        q = ((), [(1, 0), (0, 1)])
+        narrow = ((), [(1, 0), (-1, 2)])
+        wide_rest = ((), [(0, 1), (2, -1)])
         # narrow misses the open wedge between x/2 < y < 2x entirely
-        assert not fan_equal(Fan(2, [q]), Fan(2, [narrow]))
-        assert fan_equal(Fan(2, [q]), Fan(2, [narrow, wide_rest]))
+        assert not fan_equal(_fan(2, [q]), _fan(2, [narrow]))
+        _covers(2, [q], [narrow], False)
+        _covers(2, [narrow], [q], True)
+        assert fan_equal(_fan(2, [q]), _fan(2, [narrow, wide_rest]))
+        _covers(2, [narrow, wide_rest], [q], True)
 
     def test_line_vs_two_rays(self):
-        line = Cone.from_constraints(2, [(1, -1)])
-        up = Cone.from_constraints(2, [(1, -1)], [(1, 0)])
-        down = Cone.from_constraints(2, [(1, -1)], [(-1, 0)])
-        assert fan_equal(Fan(2, [line]), Fan(2, [up, down]))
-        assert not fan_equal(Fan(2, [line]), Fan(2, [up]))
+        line = ([(1, -1)], ())
+        up = ([(1, -1)], [(1, 0)])
+        down = ([(1, -1)], [(-1, 0)])
+        assert fan_equal(_fan(2, [line]), _fan(2, [up, down]))
+        _covers(2, [line], [up, down], True)
+        # the line's lineality crosses x = 0, which splits it in two
+        assert not fan_equal(_fan(2, [line]), _fan(2, [up]))
+        _covers(2, [line], [up], False)
+        _covers(2, [up], [line], True)
 
     def test_lower_dimensional_piece_difference(self):
-        q = quadrant()
-        extra_ray = Cone.from_constraints(2, [(1, 1)], [(1, 0)])
-        f1 = Fan(2, [q, extra_ray])
-        f2 = Fan(2, [q])
+        q = ((), [(1, 0), (0, 1)])
+        extra_ray = ([(1, 1)], [(1, 0)])
         # the stray ray {y = -x <= 0} is not inside the quadrant
-        assert not fan_equal(f1, f2)
+        assert not fan_equal(_fan(2, [q, extra_ray]), _fan(2, [q]))
+        assert not fan_equal(_fan(2, [q]), _fan(2, [q, extra_ray]))
+        _covers(2, [q, extra_ray], [q], False)
+        _covers(2, [q], [q, extra_ray], True)
 
     def test_three_dim_split(self):
-        octant = Cone.from_constraints(3, [], [(1, 0, 0), (0, 1, 0),
-                                               (0, 0, 1)])
-        a = Cone.from_constraints(3, [], [(1, 0, 0), (0, 1, 0), (0, 0, 1),
-                                          (1, -1, 0)])
-        b = Cone.from_constraints(3, [], [(1, 0, 0), (0, 1, 0), (0, 0, 1),
-                                          (-1, 1, 0)])
-        assert fan_equal(Fan(3, [octant]), Fan(3, [a, b]))
+        octant = ((), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        a = ((), octant[1] + [(1, -1, 0)])
+        b = ((), octant[1] + [(-1, 1, 0)])
+        assert fan_equal(_fan(3, [octant]), _fan(3, [a, b]))
+        _covers(3, [octant], [a, b], True)
+        _covers(3, [a], [octant], True)
+        _covers(3, [octant], [b], False)
+
+    def test_full_space_missing_a_quadrant(self):
+        # a cell with lineality: the full plane is cut by both axes
+        three = [((), [(sx, 0), (0, sy)])
+                 for sx, sy in ((1, 1), (1, -1), (-1, 1))]
+        _covers(2, [((), ())], three, False)
+        _covers(2, [((), ())], three + [((), [(-1, 0), (0, -1)])], True)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_separator_against_sampling_oracle(self, seed):
+        """On random fans and on random re-subdivisions of them, with a
+        piece dropped now and then, every separator is checked by dot
+        products, and a pair that sampling tells apart has one."""
+        rng = random.Random(1700 + seed)
+        for _ in range(12):
+            n = rng.randint(1, 3)
+            h1 = [random_hrep(rng, n) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.5:
+                h2 = [random_hrep(rng, n) for _ in range(rng.randint(1, 3))]
+            else:
+                h = tuple(rng.randint(-2, 2) for _ in range(n))
+                h2 = [(eq, list(ineq) + [tuple(sign * x for x in h)])
+                      for eq, ineq in h1 for sign in (1, -1)]
+                if rng.random() < 0.3:
+                    h2.pop(rng.randrange(len(h2)))
+            gaps = [_separator(n, h1, h2), _separator(n, h2, h1)]
+            f1, f2 = _fan(n, h1), _fan(n, h2)
+            assert fan_equal(f1, f2) == (gaps == [None, None])
+            if fans_distinguishable(rng, f1, f2, samples=150):
+                assert gaps != [None, None]
 
 
 PROPERTY = settings(max_examples=60, derandomize=True, database=None,
@@ -592,33 +671,34 @@ PROPERTY = settings(max_examples=60, derandomize=True, database=None,
 
 @st.composite
 def _split_cone(draw):
-    """A drawn cone C of dimension <= 3, one or two drawn hyperplanes h_i,
-    and the pieces C & {sign_i h_i >= 0}, one per sign pattern."""
+    """A drawn cone C of dimension <= 3 as (equalities, inequalities), one
+    or two drawn hyperplanes h_i, and the pieces C & {sign_i h_i >= 0}, one
+    per sign pattern, as constraint lists."""
     n = draw(st.integers(1, 3))
     vectors = st.tuples(*[st.integers(-2, 2)] * n)
-    cone = Cone.from_constraints(n, draw(st.lists(vectors, max_size=1)),
-                                 draw(st.lists(vectors, max_size=3)))
+    cone = (draw(st.lists(vectors, max_size=1)),
+            draw(st.lists(vectors, max_size=3)))
     hyperplanes = draw(st.lists(vectors, min_size=1, max_size=2))
     pieces = []
     for signs in itertools.product((1, -1), repeat=len(hyperplanes)):
         halves = [tuple(sign * x for x in h)
                   for sign, h in zip(signs, hyperplanes)]
-        pieces.append(Cone.from_constraints(
-            n, cone.equalities, list(cone.inequalities) + halves))
-    return cone, hyperplanes, pieces
+        pieces.append((cone[0], cone[1] + halves))
+    return n, cone, hyperplanes, pieces
 
 
 class TestFanEqualProperties:
-    """Drawn splits of one cone, which the cell refinement of
-    ``fan_equal`` decides whenever a hyperplane cuts the cone."""
+    """Drawn splits of one cone, which the covering test of ``fan_equal``
+    decides whenever a hyperplane cuts the cone."""
 
     @PROPERTY
     @given(split=_split_cone())
     def test_pieces_tile_the_cone(self, split):
-        cone, _, pieces = split
-        whole = Fan(cone.ambient_dim, [cone])
-        assert fan_equal(whole, Fan(cone.ambient_dim, pieces))
-        assert fan_equal(Fan(cone.ambient_dim, pieces), whole)
+        n, cone, _, pieces = split
+        assert fan_equal(_fan(n, [cone]), _fan(n, pieces))
+        assert fan_equal(_fan(n, pieces), _fan(n, [cone]))
+        _covers(n, [cone], pieces, True)
+        _covers(n, pieces, [cone], True)
 
     @PROPERTY
     @given(split=_split_cone(), data=st.data())
@@ -627,9 +707,12 @@ class TestFanEqualProperties:
         # vanishes on it, so the rest still covers the cone iff P lies in
         # one of the hyperplanes (a cone inside a finite union of subspaces
         # lies inside one of them).
-        cone, hyperplanes, pieces = split
+        n, cone, hyperplanes, pieces = split
         k = data.draw(st.integers(0, len(pieces) - 1))
-        gens = list(pieces[k].rays) + list(pieces[k].lineality)
+        dropped = Cone.from_constraints(n, *pieces[k])
+        gens = list(dropped.rays) + list(dropped.lineality)
         covered = any(all(dot(h, g) == 0 for g in gens) for h in hyperplanes)
-        rest = Fan(cone.ambient_dim, pieces[:k] + pieces[k + 1:])
-        assert fan_equal(Fan(cone.ambient_dim, [cone]), rest) == covered
+        rest = pieces[:k] + pieces[k + 1:]
+        assert fan_equal(_fan(n, [cone]), _fan(n, rest)) == covered
+        _covers(n, [cone], rest, covered)
+        _covers(n, rest, [cone], True)
