@@ -21,10 +21,6 @@ from .lattice import subspace_to_lattice
 from .rng import derive, rational
 
 
-class InputError(ValueError):
-    pass
-
-
 def _load(args):
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
@@ -34,7 +30,7 @@ def _load(args):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError(
+        raise ValueError(
             f"malformed JSON at line {exc.lineno} column {exc.colno} "
             f"(char {exc.pos}): {exc.msg}") from exc
 
@@ -54,7 +50,7 @@ def _emit(args, payload):
 
 def _require(data, key):
     if not isinstance(data, dict) or key not in data:
-        raise InputError(f"missing input field {key!r}")
+        raise ValueError(f"missing input field {key!r}")
     return data[key]
 
 
@@ -62,7 +58,7 @@ def _module_from(data):
     relator = jsonio.element_from_json(_require(data, "relator"))
     cocycle = jsonio.cocycle_from_json(_require(data, "cocycle"))
     if relator.s not in (cocycle.s, 0):
-        raise InputError("relator and cocycle parameter counts differ")
+        raise ValueError("relator and cocycle parameter counts differ")
     return delta.OneRelatorModule(relator, cocycle)
 
 
@@ -93,7 +89,7 @@ def _sample_top_cones(module, count, seed):
     dim = polyhedral.fan_dim(full)
     top = [i for i, c in enumerate(full.cones) if c.dim == dim]
     if not top:
-        raise InputError("the Delta set is empty; nothing to sample")
+        raise ValueError("the Delta set is empty; nothing to sample")
     return [delta.sample_delta_point(module, top[i % len(top)], seed + i)
             for i in range(count)]
 
@@ -110,7 +106,7 @@ def _chis(args, data, module, sampler):
     if args.sample:
         return sampler(module, args.sample, args.seed)
     if "chi" not in data:
-        raise InputError("provide a 'chi' field or --sample N")
+        raise ValueError("provide a 'chi' field or --sample N")
     return [jsonio.character_from_json(data["chi"], module.rank)]
 
 
@@ -176,9 +172,9 @@ def cmd_torus_mul(args, data):
     cocycle = jsonio.cocycle_from_json(_require(data, "cocycle"))
     a, b = (jsonio.element_from_json(_require(data, key)) for key in "ab")
     if {a.rank, b.rank} != {cocycle.rank}:
-        raise InputError("element rank does not match the cocycle")
+        raise ValueError("element rank does not match the cocycle")
     if max(a.s, b.s) > cocycle.s:
-        raise InputError("element has more parameters than the cocycle")
+        raise ValueError("element has more parameters than the cocycle")
     return jsonio.element_to_json(torus.multiply(a, b, cocycle)), True
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from . import symplectic, torus
 from .lattice import (
-    Sublattice,
     as_int,
     congruence,
     hnf,
@@ -187,9 +186,8 @@ def structure_report(pres: Class2Presentation, seed: int = 0,
     n = pres.n
     form = commutator_form(pres)
     radical = torus.center_lattice(form)
-    z = radical.rank
-    cyclic_rank = z
-    projection = kernel_lattice(radical.basis, n) if z else Sublattice.full(n)
+    cyclic_rank = radical.rank
+    projection = kernel_lattice(radical.basis, n)
     proj_rows = projection.basis
     m = len(proj_rows)
     # H = U P^T for the projection P; P maps Z^n onto Z^m exactly when the

@@ -23,12 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 def dot(a, b):
     if len(a) != len(b):
         raise ValueError("dimension mismatch in dot product")
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def as_int(x):
@@ -417,7 +418,7 @@ class Subspace:
     def contains(self, other):
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("dimension mismatch")
-        return all(self.contains_vector(row) for row in other.basis)
+        return matrix_rank(self.basis + other.basis) == self.dim
 
 
 def subspace_sum(s1, s2):

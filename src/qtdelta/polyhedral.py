@@ -163,7 +163,7 @@ class Cone:
     """Closed rational polyhedral cone containing 0."""
 
     __slots__ = ("ambient_dim", "rays", "lineality", "_raw_eq", "_raw_ineq",
-                 "_hrep", "_dim", "_hash")
+                 "_hrep", "_dim")
 
     def __init__(self, ambient_dim, rays, lineality, raw_eq, raw_ineq):
         self.ambient_dim = ambient_dim
@@ -173,7 +173,6 @@ class Cone:
         self._raw_ineq = raw_ineq
         self._hrep = None
         self._dim = None
-        self._hash = None
 
     @classmethod
     def from_constraints(cls, ambient_dim, equalities=(), inequalities=()):
@@ -256,9 +255,7 @@ class Cone:
                 and self.key == other.key)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ambient_dim, self.key))
-        return self._hash
+        return hash((self.ambient_dim, self.key))
 
     def __repr__(self):
         return (f"Cone(dim={self.ambient_dim}, rays={list(self.rays)}, "
@@ -398,39 +395,29 @@ def local_cone(fan, point):
     return Fan(fan.ambient_dim, tangents)
 
 
-def preimage(fan, matrix, domain_dim=None):
-    """Pull a fan back along the linear map y -> matrix . y.
+def preimage(fan, matrix, domain_dim):
+    """Pull a fan back along the linear map y -> matrix . y from Q^domain_dim.
 
-    ``matrix`` has ``fan.ambient_dim`` rows; a constraint vector a of a cone
-    pulls back to the vector a . matrix on the domain.
+    ``matrix`` has ``fan.ambient_dim`` rows of length ``domain_dim``; a
+    constraint vector a of a cone pulls back to the vector a . matrix.
     """
     rows = [tuple(r) for r in matrix]
     if len(rows) != fan.ambient_dim:
         raise ValueError("matrix rows must match fan ambient dimension")
-    if rows:
-        dims = {len(r) for r in rows}
-        if len(dims) != 1:
-            raise ValueError("ragged matrix")
-        d = dims.pop()
-        if domain_dim is not None and domain_dim != d:
-            raise ValueError("domain dimension mismatch")
-    elif domain_dim is None:
-        raise ValueError("domain dimension required for an empty matrix")
-    else:
-        d = domain_dim
+    if any(len(r) != domain_dim for r in rows):
+        raise ValueError("matrix rows must have length domain_dim")
 
-    cones = [Cone.from_constraints(d, [row_times(e, rows) for e in c._raw_eq],
+    cones = [Cone.from_constraints(domain_dim,
+                                   [row_times(e, rows) for e in c._raw_eq],
                                    [row_times(a, rows) for a in c._raw_ineq])
              for c in fan.cones]
-    return Fan(d, cones)
+    return Fan(domain_dim, cones)
 
 
 def delta_star(fan):
     """Union of the cones of maximal dimension (for a fan of cones this is
     the closure of the set of regular points).  A subset of a Fan's cones
     is irredundant, so no containment prune runs."""
-    if fan.is_empty:
-        return fan
     top = fan_dim(fan)
     return Fan.irredundant(fan.ambient_dim,
                            [c for c in fan.cones if c.dim == top])
@@ -438,8 +425,6 @@ def delta_star(fan):
 
 def carrier_spaces(fan):
     """Deduplicated linear spans of the maximal-dimension cones."""
-    if fan.is_empty:
-        return []
     top = fan_dim(fan)
     spans = {}
     for c in fan.cones:

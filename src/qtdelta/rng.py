@@ -17,9 +17,8 @@ def derive(seed, *labels) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def rational(rng: random.Random, num_bound=3, den_bound=3,
-             nonzero=False) -> Fraction:
+def rational(rng: random.Random, nonzero=False) -> Fraction:
     while True:
-        num = rng.randint(-num_bound, num_bound)
+        num = rng.randint(-3, 3)
         if num or not nonzero:
-            return Fraction(num, rng.randint(1, den_bound))
+            return Fraction(num, rng.randint(1, 3))

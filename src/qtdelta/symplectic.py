@@ -294,8 +294,6 @@ def compute_symplectic_base(phi: AlternatingMapQ, seed: int = 0,
     V0 = center(phi)
     wcols = complement_columns(V0.basis, n)
     m = len(wcols)
-    if m == 0:
-        return SymplecticBase(V0, (), ())
     # phi on the unit vectors of wcols: the principal wcols submatrices
     sub = [[[f[i][j] for j in wcols] for i in wcols] for f in phi.forms]
 
@@ -396,10 +394,6 @@ class AmpleReport:
         }
 
 
-def _centre_of(phi, space):
-    return subspace_intersection(centralizer(phi, space), space)
-
-
 def random_abelian_subspace(phi: AlternatingMapQ, space: Subspace, dim: int,
                             rng) -> Subspace:
     """Greedy seeded abelian subspace of the given dimension inside
@@ -438,7 +432,7 @@ def check_ample(phi: AlternatingMapQ, space: Subspace, omega,
             raise ValueError("Omega member outside the subspace")
         if u.dim != m or not is_abelian(phi, u):
             raise ValueError("Omega member is not an m-dimensional abelian subspace")
-    zx = _centre_of(phi, space)
+    zx = subspace_intersection(centralizer(phi, space), space)
     dim_ok = space.dim + zx.dim == 2 * m
     if probes is None:
         rng = derive(seed, "ample-probes")

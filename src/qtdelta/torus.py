@@ -93,7 +93,7 @@ class QTorusElement:
     immutable value objects.
     """
 
-    __slots__ = ("rank", "s", "_terms", "_key")
+    __slots__ = ("rank", "s", "_terms")
 
     def __init__(self, rank, s, terms):
         self.rank = as_int(rank)
@@ -110,8 +110,6 @@ class QTorusElement:
             if c:
                 clean[key] = c
         self._terms = clean
-        self._key = tuple(sorted(
-            (exp, tuple(sorted(c.items()))) for exp, c in clean.items()))
 
     @staticmethod
     def zero(rank, s):
@@ -162,10 +160,11 @@ class QTorusElement:
     def __eq__(self, other):
         return (isinstance(other, QTorusElement)
                 and (self.rank, self.s) == (other.rank, other.s)
-                and self._key == other._key)
+                and self._terms == other._terms)
 
     def __hash__(self):
-        return hash((self.rank, self.s, self._key))
+        return hash((self.rank, self.s, frozenset(
+            (exp, frozenset(c.items())) for exp, c in self._terms.items())))
 
     def __repr__(self):
         return f"QTorusElement(rank={self.rank}, s={self.s}, terms={self._terms!r})"

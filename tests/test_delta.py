@@ -125,7 +125,7 @@ class TestDeltaSet:
         base = OneRelatorModule(m.relator, trivial_cocycle(3, m.relator.s))
         # delta of the mapped module is the preimage of delta under U
         assert fan_equal(delta_set(mapped),
-                         polyhedral.preimage(delta_set(base), U))
+                         polyhedral.preimage(delta_set(base), U, 3))
 
     def test_dimension_with_affine_span(self):
         rng = random.Random(33)

@@ -69,6 +69,34 @@ def _int_matrices(draw):
     return tuple(rows)
 
 
+@st.composite
+def _subspace_pairs(draw):
+    """Two subspaces of one Q^n: each the zero space, the full space or
+    the span of fewer than n rational rows; the second is sometimes
+    spanned by integer combinations of the first's basis, with at most one
+    row from outside it."""
+    n = draw(st.integers(1, 4))
+    entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    row = st.lists(entry, min_size=n, max_size=n)
+
+    def space():
+        kind = draw(st.sampled_from(["zero", "full", "rows", "rows"]))
+        if kind == "zero":
+            return Subspace.zero(n)
+        if kind == "full":
+            return Subspace.full(n)
+        return Subspace.from_rows(n, draw(st.lists(row, max_size=n - 1)))
+
+    a = space()
+    if not draw(st.booleans()):
+        return a, space()
+    coeffs = draw(st.lists(st.lists(st.integers(-2, 2), min_size=a.dim,
+                                    max_size=a.dim), max_size=a.dim))
+    rows = [[sum(c * r[j] for c, r in zip(cs, a.basis)) for j in range(n)]
+            for cs in coeffs]
+    return a, Subspace.from_rows(n, rows + draw(st.lists(row, max_size=1)))
+
+
 def _check_augmented_hnf(M):
     """[H | U] is the row HNF of [M | I].  That matrix has full row rank,
     so its HNF is unique and these checks pin (H, U) exactly; the rows of U
@@ -369,6 +397,14 @@ class TestSubspaces:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             subspace_sum(Subspace.full(2), Subspace.full(3))
+
+    @settings(max_examples=300, derandomize=True, database=None,
+              deadline=None)
+    @given(pair=_subspace_pairs())
+    def test_contains_is_per_row_membership(self, pair):
+        a, b = pair
+        assert a.contains(b) == all(a.contains_vector(r) for r in b.basis)
+        assert b.contains(a) == all(b.contains_vector(r) for r in a.basis)
 
     def test_subspace_to_lattice(self):
         s = Subspace.from_rows(2, [(Fraction(1, 2), Fraction(1, 3))])

@@ -217,14 +217,26 @@ class TestLocalCone:
 
 class TestPreimage:
     def test_origin_pullback(self):
-        pre = preimage(Fan(1, [Cone.origin(1)]), [(1, 0)])
+        pre = preimage(Fan(1, [Cone.origin(1)]), [(1, 0)], 2)
         assert fan_equal(pre, Fan(2, [Cone.from_constraints(2, [(1, 0)])]))
 
     def test_full_and_empty(self):
         full = Fan(1, [Cone.full(1)])
-        assert fan_equal(preimage(full, [(1, 0)]),
+        assert fan_equal(preimage(full, [(1, 0)], 2),
                          Fan(2, [Cone.full(2)]))
-        assert preimage(Fan(1), [(1, 0)]).is_empty
+        assert preimage(Fan(1), [(1, 0)], 2).is_empty
+
+    def test_argument_check(self):
+        fan = Fan(2, [quadrant()])
+        with pytest.raises(ValueError):
+            preimage(fan, [(1, 0, 0)], 3)
+        with pytest.raises(ValueError):
+            preimage(fan, [(1, 0, 0), (0, 1, 0, 0)], 3)
+
+    def test_empty_matrix(self):
+        full = preimage(Fan(0, [Cone.full(0)]), [], 3)
+        assert full == Fan(3, [Cone.full(3)])
+        assert preimage(Fan(0), [], 3) == Fan(3)
 
     def test_commutes_with_union(self):
         rng = random.Random(11)
@@ -233,9 +245,9 @@ class TestPreimage:
             f1 = random_fan(rng, 2, 2)
             f2 = random_fan(rng, 2, 2)
             union = Fan(2, list(f1.cones) + list(f2.cones))
-            lhs = preimage(union, P)
-            rhs = Fan(3, list(preimage(f1, P).cones)
-                      + list(preimage(f2, P).cones))
+            lhs = preimage(union, P, 3)
+            rhs = Fan(3, list(preimage(f1, P, 3).cones)
+                      + list(preimage(f2, P, 3).cones))
             assert fan_equal(lhs, rhs)
 
     def test_respects_fan_equality(self):
@@ -243,7 +255,7 @@ class TestPreimage:
         f1 = Fan(2, [halfplane()])
         f2 = Fan(2, [quadrant(), quadrant(1, -1)])
         assert fan_equal(f1, f2)
-        assert fan_equal(preimage(f1, P), preimage(f2, P))
+        assert fan_equal(preimage(f1, P, 2), preimage(f2, P, 2))
 
 
 class TestFanEqual:
@@ -336,7 +348,7 @@ def _fans_of_every_origin(seed):
               for _ in range(n)]
     raw = [random_cone(rng, n) for _ in range(4)]
     return [delta_set(module), local_cone(base, point),
-            preimage(base, matrix),
+            preimage(base, matrix, n - 1),
             fan_from_json({"dim": n, "cones": [cone_to_json(c)
                                                for c in raw]})]
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtdelta.lattice import (Sublattice, Subspace, saturate,
                              vec_primitive_signed)
@@ -438,6 +439,39 @@ def test_element_accessors_return_copies():
     coeff = el.coefficient((1, 0))
     coeff[(5,)] = Fraction(1)
     assert el.coefficient((1, 0)) == {(0,): Fraction(1, 2)}
+
+
+@st.composite
+def _element_terms(draw):
+    rank, s = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    exps = st.tuples(*[st.integers(-2, 2)] * rank)
+    qexps = st.tuples(*[st.integers(-2, 2)] * s)
+    coeffs = st.dictionaries(qexps, st.integers(-5, 5).filter(bool),
+                             min_size=1, max_size=3)
+    return rank, s, draw(st.dictionaries(exps, coeffs, max_size=4))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(drawn=_element_terms(), data=st.data())
+def test_element_equality_ignores_representation(drawn, data):
+    rank, s, terms = drawn
+    el = QTorusElement(rank, s, terms)
+    # the same terms shuffled, as Fractions, with zero coefficients added
+    variant = {}
+    for exp, coeff in data.draw(st.permutations(list(terms.items()))):
+        items = data.draw(st.permutations(list(coeff.items())))
+        variant[exp] = {q: Fraction(c, 1) for q, c in items}
+        variant[exp].setdefault((3,) * s, 0)
+    variant[(3,) * rank] = {(0,) * s: 0}
+    same = QTorusElement(rank, s, variant)
+    assert el == same and hash(el) == hash(same)
+    # one coefficient changed
+    changed = {exp: dict(c) for exp, c in terms.items()}
+    exp = data.draw(st.sampled_from(sorted(changed) + [(3,) * rank]))
+    coeff = changed.setdefault(exp, {(0,) * s: 0})
+    q = data.draw(st.sampled_from(sorted(coeff)))
+    coeff[q] += data.draw(st.integers(-5, 5).filter(bool))
+    assert el != QTorusElement(rank, s, changed)
 
 
 def test_restrict_matches_double_sum():
