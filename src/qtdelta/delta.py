@@ -20,7 +20,17 @@ the dimension identity and the induced-module law on concrete instances.
 Every question asked of chi here (membership, tangent cones, the
 chi-minimal face, ker chi) depends only on its positive ray, so the
 checkers pass ``Character.ray``, the primitive integer vector on that ray,
-down to ``polyhedral`` and ``lattice``; reports print chi as given.
+down to ``polyhedral`` and ``lattice``; reports print chi as given.  For
+the same reason ``initial_form`` is computed once per module object and
+ray: the local-cone, dimension, trailing-coefficient and induced checkers
+at one chi share one ``InitialFormResult`` and its Delta fan.  Like the
+Delta fan, that cache lives on the object, so equal modules never share it.
+
+Input is validated at the boundary: ``Character``, ``OneRelatorModule``
+and the public constructors of ``torus`` check what a caller hands them.
+Elements this module builds from data it has just computed (the trimmed
+relator, coordinates in a lattice basis) go through the trusted private
+constructor ``QTorusElement._trusted``, which checks nothing.
 """
 
 from __future__ import annotations
@@ -106,6 +116,11 @@ class OneRelatorModule:
         # equal modules
         return polyhedral.edge_normal_fan(self.rank, self.relator.support)
 
+    @cached_property
+    def _initial_forms(self):
+        # initial_form's results by character ray, per object like the fan
+        return {}
+
 
 def delta_set(module: OneRelatorModule) -> Fan:
     """Delta set of the module: the union over pairs a != b of the relator
@@ -129,12 +144,12 @@ def _in_coordinates(element, lattice):
     """The element with each support point written in the coordinates of
     the lattice's basis; None when a support point lies outside it."""
     terms = {}
-    for a in element.support:
+    for a, coeff in element._terms.items():
         coords = lattice.coordinates(a)
         if coords is None:
             return None
-        terms[coords] = element.coefficient(a)
-    return torus.QTorusElement(lattice.rank, element.s, terms)
+        terms[coords] = coeff
+    return torus.QTorusElement._trusted(lattice.rank, element.s, terms)
 
 
 def initial_form(module: OneRelatorModule, chi: Character) -> InitialFormResult:
@@ -144,23 +159,31 @@ def initial_form(module: OneRelatorModule, chi: Character) -> InitialFormResult:
     at the lexicographically least minimizing support point (so the twist
     acts on the coefficients exactly) and re-expressed in the coordinates of
     the canonical basis of B = saturate(ker chi).
+
+    The result depends on chi only through its ray, so it is computed once
+    per module object and ray; later calls return the same object.
     """
-    r = module.relator
     if chi.n != module.rank:
         raise ValueError("character of wrong length")
-    values = {a: dot(chi.ray, a) for a in r.support}
+    ray = chi.ray
+    cache = module._initial_forms
+    if ray in cache:
+        return cache[ray]
+    r = module.relator
+    values = {a: dot(ray, a) for a in r.support}
     minimum = min(values.values())
     min_support = [a for a in r.support if values[a] == minimum]
     base = min_support[0]
-    trimmed = torus.QTorusElement(r.rank, r.s,
-                                  {a: r.coefficient(a) for a in min_support})
+    trimmed = torus.QTorusElement._trusted(
+        r.rank, r.s, {a: r._terms[a] for a in min_support})
     inverse = torus.monomial_inverse(base, r.s, module.cocycle)
     shifted = torus.multiply(inverse, trimmed, module.cocycle)
     B = chi.kernel
     restricted = _in_coordinates(shifted, B)
     if restricted is None:
         raise AssertionError("initial form support escaped the kernel lattice")
-    return InitialFormResult(restricted, module.cocycle.restrict(B), B)
+    cache[ray] = InitialFormResult(restricted, module.cocycle.restrict(B), B)
+    return cache[ray]
 
 
 def tc_delta(module: OneRelatorModule, chi: Character) -> Fan:

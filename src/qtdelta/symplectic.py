@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .lattice import (
     Subspace,
@@ -76,10 +77,18 @@ class AlternatingMapQ:
         return [tuple(Fraction(x, den * dv) for x in row_times(vi, m))
                 for m, den in self._cleared]
 
+    @cached_property
+    def _radical(self):
+        # stored in the instance dict: computed once per object, never
+        # shared by equal maps
+        rows = [row for m, _ in self._cleared for row in m]
+        return Subspace.from_rows(self.n, null_space_int(rows, self.n))
+
 
 def center(phi: AlternatingMapQ) -> Subspace:
-    rows = [row for m, _ in phi._cleared for row in m]
-    return Subspace.from_rows(phi.n, null_space_int(rows, phi.n))
+    """Radical {v : phi(v, w) = 0 for all w}, computed once per map object:
+    the base search, the verifier and ``check_ample`` share it."""
+    return phi._radical
 
 
 def centralizer(phi: AlternatingMapQ, space: Subspace) -> Subspace:

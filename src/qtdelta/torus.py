@@ -47,10 +47,20 @@ class CocycleForm:
         """Parameter exponents of x^a * x^b relative to x^(a+b)."""
         return tuple(dot(row_times(a, m), b) for m in self.forms)
 
+    @classmethod
+    def _trusted(cls, rank, forms):
+        """Private constructor over canonical data: ``forms`` a tuple of
+        rank x rank tuples of int tuples.  It checks nothing."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "forms", forms)
+        return self
+
     def restrict(self, lattice: Sublattice) -> "CocycleForm":
-        """Twist forms in the coordinates of a sublattice basis."""
-        return CocycleForm(lattice.rank, tuple(congruence(lattice.basis, m)
-                                               for m in self.forms))
+        """Twist forms in the coordinates of a sublattice basis; the
+        congruence of int forms by an int basis is already int."""
+        return CocycleForm._trusted(lattice.rank, tuple(
+            congruence(lattice.basis, m) for m in self.forms))
 
 
 @dataclass(frozen=True)
@@ -85,31 +95,57 @@ def _normalize_coeff(coeff):
     return {k: v for k, v in out.items() if v}
 
 
+def _drop_zeros(terms):
+    """Accumulated terms without the coefficients that cancelled to zero
+    and without the exponents left with none."""
+    out = {}
+    for exp, coeff in terms.items():
+        c = {q: v for q, v in coeff.items() if v}
+        if c:
+            out[exp] = c
+    return out
+
+
 class QTorusElement:
     """Finite formal sum of lattice monomials with Laurent coefficients.
 
     ``terms`` maps an exponent a in Z^n to a coefficient, itself a map from
     a parameter exponent in Z^s to a nonzero rational.  Instances are
     immutable value objects.
+
+    The public constructor validates and normalizes its input, then ends in
+    ``_fill``, the body of the private ``_trusted`` constructor through which
+    this module and ``delta`` hand over data they have just built.
     """
 
     __slots__ = ("rank", "s", "_terms")
 
     def __init__(self, rank, s, terms):
-        self.rank = as_int(rank)
-        self.s = as_int(s)
+        rank, s = as_int(rank), as_int(s)
         clean = {}
         for exp, coeff in terms.items():
             key = tuple(as_int(x) for x in exp)
-            if len(key) != self.rank:
+            if len(key) != rank:
                 raise ValueError("exponent of wrong rank")
             c = _normalize_coeff(coeff)
             for qexp in c:
-                if len(qexp) != self.s:
+                if len(qexp) != s:
                     raise ValueError("parameter exponent of wrong length")
             if c:
                 clean[key] = c
-        self._terms = clean
+        self._fill(rank, s, clean)
+
+    @classmethod
+    def _trusted(cls, rank, s, terms):
+        """Private constructor over canonical data: int ``rank`` and ``s``,
+        ``terms`` mapping int tuples of length ``rank`` to nonempty dicts
+        from int tuples of length ``s`` to nonzero ints or Fractions.  It
+        checks nothing and keeps ``terms`` as given."""
+        return object.__new__(cls)._fill(rank, s, terms)
+
+    def _fill(self, rank, s, terms):
+        self.rank, self.s, self._terms = rank, s, terms
+        return self
 
     @staticmethod
     def zero(rank, s):
@@ -147,10 +183,10 @@ class QTorusElement:
             acc = terms.setdefault(exp, {})
             for qexp, v in c.items():
                 acc[qexp] = acc.get(qexp, 0) + v
-        return QTorusElement(self.rank, self.s, terms)
+        return QTorusElement._trusted(self.rank, self.s, _drop_zeros(terms))
 
     def __neg__(self):
-        return QTorusElement(self.rank, self.s, {
+        return QTorusElement._trusted(self.rank, self.s, {
             exp: {q: -v for q, v in c.items()}
             for exp, c in self._terms.items()})
 
@@ -193,18 +229,20 @@ def multiply(alpha: QTorusElement, beta: QTorusElement,
                     q = tuple(x + y + z for x, y, z in
                               zip(qa_s, qb_s, shift + (0,) * (s - len(shift))))
                     acc[q] = acc.get(q, 0) + va * vb
-    return QTorusElement(alpha.rank, s, terms)
+    return QTorusElement._trusted(alpha.rank, s, _drop_zeros(terms))
 
 
 def monomial_inverse(exp, s, cocycle: CocycleForm) -> QTorusElement:
     """Two-sided inverse of the unit x^exp, over max(s, cocycle.s)
     parameters."""
     a = tuple(as_int(x) for x in exp)
-    s = max(s, cocycle.s)
+    if len(a) != cocycle.rank:
+        raise ValueError("exponent of wrong rank")
+    s = max(as_int(s), cocycle.s)
     qexp = cocycle.twist(a, a)
-    q = tuple(qexp) + (0,) * (s - len(qexp))
-    return QTorusElement(cocycle.rank, s,
-                         {tuple(-x for x in a): {q: 1}})
+    q = qexp + (0,) * (s - len(qexp))
+    return QTorusElement._trusted(cocycle.rank, s,
+                                  {tuple(-x for x in a): {q: 1}})
 
 
 def chi_min(alpha: QTorusElement, chi):

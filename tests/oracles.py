@@ -29,6 +29,21 @@ from qtdelta.symplectic import (
 )
 
 
+def assert_canonical_element(element):
+    """The element's stored terms are what the validating constructor keeps
+    of them: int exponents of the right lengths, no empty coefficient and
+    no zero value."""
+    assert element == torus.QTorusElement(element.rank, element.s,
+                                          element.terms)
+    for exp, coeff in element._terms.items():
+        assert len(exp) == element.rank
+        assert all(type(x) is int for x in exp)
+        assert coeff, "empty coefficient dict"
+        for q, v in coeff.items():
+            assert len(q) == element.s and all(type(x) is int for x in q)
+            assert type(v) in (int, Fraction) and v, "zero coefficient"
+
+
 # ---------------------------------------------------------------------------
 # lattice oracles
 

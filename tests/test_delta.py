@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtdelta import jsonio, polyhedral, torus
+from qtdelta import delta, jsonio, polyhedral, torus
 from qtdelta.delta import (
     Character,
     OneRelatorModule,
@@ -23,10 +23,12 @@ from qtdelta.delta import (
     sample_delta_point,
     tc_delta,
 )
-from qtdelta.lattice import Sublattice, Subspace, dot, matrix_rank, saturate
+from qtdelta.lattice import (Sublattice, Subspace, dot, matrix_rank,
+                             row_times, saturate)
 from qtdelta.polyhedral import Cone, Fan, fan_dim, fan_equal
 
 from oracles import (
+    assert_canonical_element,
     delta_member_bruteforce,
     delta_set_pairwise,
     exposed_faces_bruteforce,
@@ -608,22 +610,28 @@ class TestCharacterRay:
         star = polyhedral.delta_star(delta_set(module))
         for chi in _characters(data.draw, module):
             scaled = Character(tuple(lam * x for x in chi.coords))
-            a, b = initial_form(module, chi), initial_form(module, scaled)
+            # the scaled side runs on a fresh, equal module, so that it is
+            # computed again rather than read from the first one's cache
+            fresh = OneRelatorModule(module.relator, module.cocycle)
+            a, b = initial_form(module, chi), initial_form(fresh, scaled)
+            assert a is not b
             assert (a.relator, a.cocycle, a.kernel) == (b.relator, b.cocycle,
                                                         b.kernel)
             assert delta_set(a) == delta_set(b)
-            reports = [check_lemma31(module, c) for c in (chi, scaled)]
+            reports = [check_lemma31(module, chi),
+                       check_lemma31(fresh, scaled)]
             assert reports[0].lhs == reports[1].lhs
             assert reports[0].rhs == reports[1].rhs
             if star.member(chi.coords):
-                dims = [check_dim_identity(module, c) for c in (chi, scaled)]
+                dims = [check_dim_identity(module, chi),
+                        check_dim_identity(fresh, scaled)]
                 assert dims[0].holds
                 assert (dims[0].tc_dim, dims[0].delta_dim) == \
                     (dims[1].tc_dim, dims[1].delta_dim)
                 reports += dims
             else:
                 with pytest.raises(ValueError):
-                    check_dim_identity(module, scaled)
+                    check_dim_identity(fresh, scaled)
             # reports print chi as it was passed in, not its ray
             for report, c in zip(reports, [chi, scaled] * 2):
                 printed = report.to_json()["chi"]
@@ -868,6 +876,89 @@ class TestDeltaCache:
         assert a == b and a is not b
         assert delta_set(a) == delta_set(b)
         assert delta_set(a) is not delta_set(b)
+
+    def test_initial_form_once_per_ray(self):
+        m = tropical_line_module()
+        chi = Character((1, -2))
+        forms = [initial_form(m, Character(tuple(k * x for x in chi.coords)))
+                 for k in (1, 2, Fraction(3, 7))]
+        assert forms[0] is forms[1] is forms[2]
+        assert initial_form(m, Character((1, 2))) is not forms[0]
+        # the checkers at one character share it and its Delta fan
+        assert tc_delta(m, chi) is delta_set(forms[0])
+        sample = sample_delta_point(m, 0, 3)
+        built = []
+        fan = polyhedral.edge_normal_fan
+
+        def counted(*args):
+            built.append(args)
+            return fan(*args)
+        with mock.patch.object(polyhedral, "edge_normal_fan", counted):
+            check_lemma31(m, sample)
+            check_dim_identity(m, sample)
+            tc_delta(m, Character(tuple(5 * x for x in sample.coords)))
+            check_induced(m, Sublattice.full(2), sample)
+        # the module's fan was built before; one fan for the shared initial
+        # form, one for the induced law's inner module
+        assert len(built) == 2
+
+    def test_distinct_modules_sharing_a_ray(self):
+        # equal rays, different relators: a cache keyed by the ray alone
+        # would hand the second module the first one's initial form
+        a = module_from_support([(0, 0), (1, 0), (0, 1)], 2)
+        b = module_from_support([(0, 0), (1, 0), (0, 2)], 2)
+        chi = Character((1, 0))
+        init_a = initial_form(a, chi)
+        init_b = initial_form(b, Character((2, 0)))
+        assert init_a.relator.support == ((0,), (1,))
+        assert init_b.relator.support == ((0,), (2,))
+        for m, init in ((a, init_a), (b, init_b)):
+            fresh = OneRelatorModule(m.relator, m.cocycle)
+            assert initial_form(fresh, chi) == init
+
+    def test_wrong_length_rejected_before_lookup(self):
+        m = tropical_line_module()
+        initial_form(m, Character((1, 1)))
+        # even a planted entry under the wrong-length ray is never read
+        m._initial_forms[(1, 1, 1)] = initial_form(m, Character((1, 1)))
+        for chi in (Character((1, 1, 1)), Character((1,))):
+            with pytest.raises(ValueError, match="wrong length"):
+                initial_form(m, chi)
+
+    def test_internal_elements_are_canonical(self):
+        # the trimmed relator and the coordinates in a lattice basis are
+        # built through the trusted constructor; each must equal its
+        # validated construction
+        rng = random.Random(4242)
+        built = []
+        multiply = torus.multiply
+
+        def recorded(alpha, beta, cocycle):
+            built.extend((alpha, beta))
+            return multiply(alpha, beta, cocycle)
+        with mock.patch.object(torus, "multiply", recorded):
+            for _ in range(30):
+                module = random_module(rng)
+                n = module.rank
+                for chi in (Character(random_character(rng, n)),
+                            Character.zero(n)):
+                    init = initial_form(module, chi)
+                    built.extend((init.relator, module.relator))
+                lattice = random_saturated_sublattice(rng, n,
+                                                      rng.randint(1, n))
+                inside = {}
+                for _ in range(4):
+                    coeffs = [rng.randint(-2, 2) for _ in lattice.basis]
+                    a = tuple(row_times(coeffs, lattice.basis))
+                    inside[a] = {(0,): Fraction(1, 2)}
+                coords = delta._in_coordinates(
+                    torus.QTorusElement(n, 1, inside), lattice)
+                assert coords.support == tuple(sorted(
+                    lattice.coordinates(a) for a in inside))
+                built.append(coords)
+        assert len(built) > 150
+        for element in built:
+            assert_canonical_element(element)
 
     def test_initial_form_caches_its_own_fan(self):
         m = tropical_line_module()

@@ -13,6 +13,10 @@ module, so a refactor that moves a call leaves no stale import behind.
 An exact value keeps its type, so no call converts one to a Fraction:
 ``Fraction(...)`` takes two arguments, a division, everywhere except in
 ``jsonio.rational_from_json``, which parses a "p/q" string.
+
+Input is validated at the boundary: the private ``_trusted`` constructors,
+which check nothing, are called only from ``torus`` and ``delta``, where
+the library hands over data it has just built.
 """
 
 import ast
@@ -163,3 +167,37 @@ def test_guard_flags_a_fraction_conversion():
     assert _fraction_conversions({"jsonio": jsonio, "planted": planted}) \
         == ["jsonio.rational_to_json", "planted.rational_from_json",
             "planted.widen", "planted.one", "planted.<module>"]
+
+
+def _trusted_callers(sources):
+    """Modules that call a ``_trusted`` constructor, in source order."""
+    out = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id",
+                                getattr(node.func, "attr", None))
+                    == "_trusted"):
+                out.append(module)
+    return out
+
+
+def test_trusted_constructors_stay_inside():
+    # input is validated at the boundary: the readers and front ends
+    # (jsonio, cli) and the layers that build no elements (groups,
+    # symplectic) go through the validating constructors
+    callers = set(_trusted_callers(_sources()))
+    assert callers == {"torus", "delta"}
+
+
+def test_guard_flags_a_trusted_call_at_the_boundary():
+    planted = ("from . import torus\n\n\n"
+               "def element_from_json(d):\n"
+               "    return torus.QTorusElement._trusted(1, 0, d)\n\n\n"
+               "def trusted_name(d):\n"
+               "    return _trusted(d)\n\n\n"
+               "def fine(d):\n"
+               "    return torus.QTorusElement(1, 0, d), d._trusted\n")
+    sources = {"torus": "X = QTorusElement._trusted(1, 0, {})\n",
+               "jsonio": planted, "cli": "Y = CocycleForm._trusted(1, ())\n"}
+    assert _trusted_callers(sources) == ["torus", "jsonio", "jsonio", "cli"]

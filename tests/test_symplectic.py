@@ -125,6 +125,40 @@ class TestCenterCentralizer:
         assert is_abelian(phi, Subspace.from_rows(2, [(1, 0)]))
         assert not is_abelian(phi, Subspace.full(2))
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_radical_is_null_space_of_stacked_forms(self, seed):
+        rng = random.Random(seed)
+        s = rng.randint(1, 3)
+        dims = [rng.choice([2, 4]) for _ in range(rng.randint(1, 2))]
+        lines = [tuple(rng.randint(-2, 2) for _ in range(s)) for _ in dims]
+        phi, _ = conjugated_block_instance(rng, dims, lines, s,
+                                           central=rng.randint(0, 2))
+        if seed % 2:
+            half = Fraction(1, rng.randint(2, 5))
+            phi = AlternatingMapQ(phi.n, s, tuple(
+                tuple(tuple(half * x for x in row) for row in m)
+                for m in phi.forms))
+        n = phi.n
+        R, pivots = rref_fraction([row for m in phi.forms for row in m])
+        null = []
+        for f in (j for j in range(n) if j not in pivots):
+            v = [Fraction(int(j == f)) for j in range(n)]
+            for row, p in zip(R, pivots):
+                v[p] = -row[f]
+            null.append(v)
+        radical = center(phi)
+        assert radical == Subspace.from_rows(n, null)
+        # computed once per map object, never shared by an equal map
+        assert center(phi) is radical
+        again = AlternatingMapQ(n, s, phi.forms)
+        assert again == phi and center(again) is not radical
+        assert center(again) == radical
+        # the base search and its verifier read the same radical
+        base = compute_symplectic_base(phi, seed=seed)
+        if isinstance(base, SymplecticBase):
+            assert base.V0 is radical
+            assert verify_symplectic_base(phi, base).centre_is_v0
+
     def test_codim_values(self):
         # the centralizer of v has codimension rank(v^T Phi_k)
         phi = two_block_form()

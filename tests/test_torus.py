@@ -22,9 +22,9 @@ from qtdelta.torus import (
     verify_theorem42,
 )
 
-from oracles import (block_conditions_oracle, pairing_double_sum,
-                     random_cocycle, random_relator, random_unimodular,
-                     restrict_double_sum, rref_fraction)
+from oracles import (assert_canonical_element, block_conditions_oracle,
+                     pairing_double_sum, random_cocycle, random_relator,
+                     random_unimodular, restrict_double_sum, rref_fraction)
 
 J2 = AlternatingFormZ(2, (((0, 1), (-1, 0)),))
 
@@ -489,3 +489,95 @@ def test_restrict_matches_double_sum():
         assert alt.forms == tuple(
             restrict_double_sum(m, lattice.basis)
             for m in commutator_form(cocycle).forms)
+
+
+# Internal producers build their results through the trusted constructor
+# ``QTorusElement._trusted`` (``CocycleForm._trusted``), which checks nothing;
+# each must hand it exactly what the validating constructor would keep.
+
+@st.composite
+def _producer_inputs(draw):
+    rank, s = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    exps = st.tuples(*[st.integers(-2, 2)] * rank)
+    values = st.one_of(st.integers(-3, 3).filter(bool),
+                       st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                                 st.integers(2, 3)))
+
+    def element(width):
+        qexps = st.tuples(*[st.integers(-1, 1)] * width)
+        coeffs = st.dictionaries(qexps, values, min_size=1, max_size=3)
+        return QTorusElement(rank, width, draw(
+            st.dictionaries(exps, coeffs, max_size=4)))
+
+    entries = st.integers(-2, 2)
+    cocycle = CocycleForm(rank, tuple(
+        tuple(tuple(draw(entries) for _ in range(rank)) for _ in range(rank))
+        for _ in range(draw(st.integers(0, s)))))
+    return (element(s), element(s), element(draw(st.integers(0, s))),
+            cocycle)
+
+
+PRODUCERS = settings(max_examples=150, derandomize=True, database=None,
+                     deadline=None)
+
+
+@PRODUCERS
+@given(drawn=_producer_inputs())
+def test_producers_hand_canonical_terms(drawn):
+    # gamma may have fewer parameters than alpha and the cocycle
+    alpha, beta, gamma, cocycle = drawn
+    outputs = [multiply(alpha, beta, cocycle), multiply(gamma, alpha, cocycle),
+               multiply(alpha, gamma, cocycle), alpha + beta, alpha - alpha,
+               -alpha, alpha - beta]
+    for exp in alpha.support[:2] + gamma.support[:1]:
+        unit = QTorusElement.monomial(alpha.rank, gamma.s, exp)
+        inverse = monomial_inverse(exp, gamma.s, cocycle)
+        assert_canonical_element(inverse)
+        outputs.append(multiply(inverse, unit, cocycle))
+        assert outputs[-1] == QTorusElement.one(alpha.rank, inverse.s)
+    for out in outputs:
+        assert_canonical_element(out)
+    assert (alpha - alpha)._terms == {}
+
+
+def test_multiply_drops_cancelled_terms_and_coefficients():
+    c = CocycleForm(1, (((0,),),))
+    one = QTorusElement.one(1, 1)
+    x = QTorusElement.monomial(1, 1, (1,))
+    qx = QTorusElement.monomial(1, 1, (1,), qexp=(1,))
+    # (1 + x)(1 - x) = 1 - x^2: the x term cancels entirely
+    out = multiply(one + x, one - x, c)
+    assert out._terms == {(0,): {(0,): 1}, (2,): {(0,): -1}}
+    assert_canonical_element(out)
+    # (1 + x + qx)(1 - x): the q^0 x coefficient cancels, q^1 x stays
+    out = multiply(one + x + qx, one - x, c)
+    assert out._terms[(1,)] == {(1,): 1}
+    assert_canonical_element(out)
+    half = QTorusElement.monomial(1, 1, (1,), coeff=Fraction(1, 2))
+    assert multiply(half, x + x, c) - multiply(x, x, c) \
+        == QTorusElement.zero(1, 1)
+
+
+@PRODUCERS
+@given(drawn=_producer_inputs(), data=st.data())
+def test_restrict_hands_canonical_forms(drawn, data):
+    cocycle = drawn[-1]
+    n = cocycle.rank
+    rows = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n),
+                              min_size=1, max_size=n))
+    lattice = Sublattice.from_rows(n, rows)
+    out = cocycle.restrict(lattice)
+    assert out == CocycleForm(lattice.rank, out.forms)
+    assert out.rank == lattice.rank and out.s == cocycle.s
+    for m in out.forms:
+        assert len(m) == out.rank
+        assert all(len(row) == out.rank for row in m)
+        assert all(type(x) is int for row in m for x in row)
+
+
+def test_monomial_inverse_checks_its_exponent():
+    c = CocycleForm(2, ())
+    with pytest.raises(ValueError):
+        monomial_inverse((1, 0, 0), 1, c)
+    with pytest.raises(ValueError):
+        monomial_inverse((Fraction(1, 2), 0), 1, c)
