@@ -121,6 +121,11 @@ class OneRelatorModule:
         # initial_form's results by character ray, per object like the fan
         return {}
 
+    @cached_property
+    def _inner_modules(self):
+        # check_induced's module inside A1, by A1's basis, per object
+        return {}
+
 
 def delta_set(module: OneRelatorModule) -> Fan:
     """Delta set of the module: the union over pairs a != b of the relator
@@ -259,17 +264,20 @@ def check_induced(module: OneRelatorModule, sublattice: Sublattice,
     """Induced-module law: the trailing-coefficient Delta set of a relator
     supported in a saturated sublattice A1 equals the pullback, along the
     restriction of ker(chi) to ker(chi) - cap - A1, of the one computed
-    inside A1 at the restricted character."""
+    inside A1 at the restricted character.  The module inside A1 is built
+    once per module object and A1; a rejected A1 raises on every call."""
     if sublattice.ambient_rank != module.rank:
         raise ValueError("sublattice ambient rank mismatch")
-    if saturate(sublattice) != sublattice:
-        raise ValueError("sublattice must be saturated")
     H1 = sublattice.basis
-    inner_relator = _in_coordinates(module.relator, sublattice)
-    if inner_relator is None:
-        raise ValueError("relator support outside the sublattice")
-    inner_module = OneRelatorModule(inner_relator,
-                                    module.cocycle.restrict(sublattice))
+    inner_module = module._inner_modules.get(H1)
+    if inner_module is None:
+        if saturate(sublattice) != sublattice:
+            raise ValueError("sublattice must be saturated")
+        inner_relator = _in_coordinates(module.relator, sublattice)
+        if inner_relator is None:
+            raise ValueError("relator support outside the sublattice")
+        inner_module = module._inner_modules[H1] = OneRelatorModule(
+            inner_relator, module.cocycle.restrict(sublattice))
     chi1 = Character(tuple(dot(chi.ray, h) for h in H1))
 
     init = initial_form(module, chi)

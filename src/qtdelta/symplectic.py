@@ -6,7 +6,9 @@ nondegenerate with a one-dimensional image line in W, and the image lines
 are pairwise distinct.  ``compute_symplectic_base`` searches for such a
 decomposition with a seeded pencil-eigenspace method and certifies any
 candidate through ``verify_symplectic_base``; a failure after the retry
-budget is reported as a NoBaseFound value, not an error.
+budget is reported as a NoBaseFound value, not an error.  The pencil's
+spectrum is found over Z (``_eigenspaces``), and sympy is imported only
+inside ``_integer_roots``.
 
 Both block verifiers, here and in ``torus``, read every pairing they need
 off one Gram matrix per form of the stacked block bases (``_block_pairings``).
@@ -227,61 +229,50 @@ class NoBaseFound:
         }
 
 
-def _charpoly(mat):
-    """Characteristic polynomial coefficients [1, c1, ..., cd] of a rational
-    matrix M, by the trace recursion (Faddeev-LeVerrier) run fraction-free.
-
-    The recursion runs on the integer matrix A = D M, D the least common
-    denominator of M's entries.  A's coefficients are integers, so each
-    division by k is exact; c_k of M is c_k of A divided by D^k.
-    """
-    d = len(mat)
-    A, D = clear_matrix(mat)
+def _charpoly(A):
+    """Monic integer characteristic polynomial [1, c1, ..., cd] of an
+    integer matrix A, by the trace recursion (Faddeev-LeVerrier) run
+    fraction-free: A is integral, so each division by k is exact."""
+    d = len(A)
     coeffs = [1]
     N = [[int(i == j) for j in range(d)] for i in range(d)]
     for k in range(1, d + 1):
         AN = [row_times(row, N) for row in A]
         ck, rem = divmod(-sum(AN[i][i] for i in range(d)), k)
         assert rem == 0, "inexact division in the trace recursion"
-        coeffs.append(Fraction(ck, D ** k))
+        coeffs.append(ck)
         for i in range(d):
             AN[i][i] += ck
         N = AN
     return coeffs
 
 
-def _rational_roots(coeffs):
-    """Rational roots of a polynomial given by int or Fraction coefficients
-    (leading first).  Exact; factorization is delegated to sympy."""
+def _integer_roots(coeffs):
+    """Integer roots, ascending, of a monic integer polynomial (leading
+    coefficient first): all its rational roots, by the rational root
+    theorem.  Read off its linear factors over Z, found by sympy."""
     import sympy
 
-    x = sympy.Symbol("x")
-    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                       for c in coeffs], x)
-    out = []
-    for root, _mult in sympy.roots(poly, filter="Q").items():
-        out.append(Fraction(int(root.p), int(root.q)))
-    return sorted(out)
+    poly = sympy.Poly(coeffs, sympy.Symbol("x"), domain=sympy.ZZ)
+    return sorted(-int(f.nth(0)) for f, _mult in poly.factor_list()[1]
+                  if f.degree() == 1)
 
 
-def _eigen_split(mat):
-    """Rational eigenvalue/eigenspace pairs of a rational matrix; None when
-    the eigenspaces do not span (irrational or defective spectrum)."""
+def _eigenspaces(mat):
+    """Eigenspace bases of a rational matrix M; None when they do not span
+    (irrational or defective spectrum).  With A = D M integral, M's rational
+    eigenvalues are mu / D for the integer roots mu of A's characteristic
+    polynomial, and A - mu I has the row space, so the canonical null space
+    basis, of M - (mu / D) I."""
     d = len(mat)
     if d == 0:
         return []
-    roots = _rational_roots(_charpoly(mat))
-    pairs = []
-    total = 0
-    for lam in roots:
-        shifted = [[mat[i][j] - (lam if i == j else 0) for j in range(d)]
-                   for i in range(d)]
-        basis = null_space_int(shifted, d)
-        pairs.append((lam, basis))
-        total += len(basis)
-    if total != d:
-        return None
-    return pairs
+    A, _ = clear_matrix(mat)
+    spaces = [null_space_int([[a - mu if i == j else a
+                               for j, a in enumerate(row)]
+                              for i, row in enumerate(A)], d)
+              for mu in _integer_roots(_charpoly(A))]
+    return spaces if sum(map(len, spaces)) == d else None
 
 
 def compute_symplectic_base(phi: AlternatingMapQ, seed: int = 0,
@@ -321,13 +312,13 @@ def compute_symplectic_base(phi: AlternatingMapQ, seed: int = 0,
         else:
             reason = "could not draw an invertible pencil member"
             continue
-        split = _eigen_split(solve(phi_t, pencil(rng)))
+        split = _eigenspaces(solve(phi_t, pencil(rng)))
         if split is None:
             reason = "pencil spectrum not rational-diagonalizable"
             continue
         blocks = sorted((Subspace.from_rows(n, [_lift(v, wcols, n)
                                                 for v in basis])
-                         for _lam, basis in split), key=lambda b: b.basis)
+                         for basis in split), key=lambda b: b.basis)
         lines = [_line_key(image_space(phi, block)) for block in blocks]
         if None in lines:
             reason = "candidate block without a one-dimensional image line"

@@ -7,9 +7,10 @@ description, for Delta fans (the library takes one tie cone per edge of
 the Newton polytope, its rays read off the polytope's facets), argmin sets
 of box characters for the faces of a Newton polytope, subset
 enumeration for extreme rays, exact epsilon thresholds for local cones,
-Fraction double sums for bilinear restrictions and block conditions, and
-a pencil determinant root search (via sympy) for symplectic base
-existence.
+Fraction double sums for bilinear restrictions and block conditions,
+sympy's root finder over Q for the pencil spectrum (the library reads
+integer roots off a factorization over Z), and a pencil determinant root
+search (via sympy) for symplectic base existence.
 """
 
 from __future__ import annotations
@@ -326,6 +327,18 @@ def fans_distinguishable(rng, f1, f2, samples=200):
 
 # ---------------------------------------------------------------------------
 # symplectic oracles
+
+def rational_roots_oracle(coeffs):
+    """Rational roots, ascending, of a polynomial given by int or Fraction
+    coefficients (leading first), by ``sympy.roots`` over Q."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in coeffs], x)
+    return sorted(Fraction(int(root.p), int(root.q))
+                  for root in sympy.roots(poly, filter="Q"))
+
 
 def pencil_lines(phi):
     """Rational lines L in Q^2 with ker(mu*Phi1 - lam*Phi2) nonzero, from

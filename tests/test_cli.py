@@ -41,6 +41,16 @@ INDUCED = {
     "A1": {"ambient_rank": 2, "basis": [[1, 0]]},
 }
 
+# a rank-3 relator supported in a rank-2 saturated A1
+INDUCED3 = {
+    "relator": {"rank": 3, "terms": [
+        {"exp": e, "coeff": [{"qexp": [0], "c": c}]} for e, c in [
+            ([0, 0, 0], 1), ([1, 0, 1], -2), ([0, 1, 0], 3), ([1, 1, 1], 1)]]},
+    "cocycle": {"rank": 3, "s": 1,
+                "B": [[[0, 1, 0], [0, 0, 0], [0, 0, 0]]]},
+    "A1": {"ambient_rank": 3, "basis": [[1, 0, 1], [0, 1, 0]]},
+}
+
 # relators whose coefficients are plain rationals, with a nontrivial twist
 TWISTED = {
     "relator": {"rank": 2, "terms": [
@@ -160,6 +170,18 @@ class TestSubcommands:
         code, out = run_inproc("check-induced", INDUCED, tmp_path,
                                "--sample", "5", "--seed", "2")
         assert code == 0 and json.loads(out)["all_equal"]
+
+    def test_check_induced_builds_the_inner_module_once(self, tmp_path):
+        # one module and one A1 for all sampled characters: A1 is checked
+        # and the relator moved into it once, not once per character
+        with mock.patch.object(cli.delta, "saturate",
+                               wraps=cli.delta.saturate) as saturate:
+            code, out = run_inproc("check-induced", INDUCED3, tmp_path,
+                                   "--sample", "40", "--seed", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["all_equal"] and len(payload["checks"]) == 40
+        assert saturate.call_count == 1
 
     @pytest.mark.parametrize("command, payload, flags", [
         ("delta", TWISTED, ()),

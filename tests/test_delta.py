@@ -281,6 +281,34 @@ class TestInduced:
             check_induced(m, Sublattice.from_rows(2, [(2, 0)]),
                           Character((0, 1)))
 
+    def test_inner_module_cached_per_object(self):
+        support = [(0, 0, 0), (1, 0, 1), (0, 1, 0)]
+        lat = Sublattice.from_rows(3, [(1, 0, 1), (0, 1, 0)])
+        m, twin = (module_from_support(support, 3) for _ in range(2))
+        assert m == twin and m is not twin
+        chis = [Character((1, 0, 0)), Character((0, 1, -1))]
+        reports = [check_induced(m, lat, chi) for chi in chis]
+        inner = m._inner_modules[lat.basis]
+        assert list(m._inner_modules) == [lat.basis]
+        # equal modules never share the cache
+        assert "_inner_modules" not in twin.__dict__
+        twin_reports = [check_induced(twin, lat, chi) for chi in chis]
+        assert twin._inner_modules[lat.basis] is not inner
+        assert twin._inner_modules[lat.basis] == inner
+        assert reports == twin_reports
+        assert m._inner_modules[lat.basis] is inner
+
+    def test_rejected_sublattice_raises_on_every_call(self):
+        outside = module_from_support([(0, 0), (0, 1)], 2)
+        unsaturated = module_from_support([(0, 0), (2, 0)], 2)
+        for m, rows in ((outside, [(1, 0)]), (unsaturated, [(2, 0)])):
+            lat = Sublattice.from_rows(2, rows)
+            for chi in (Character((0, 1)), Character((0, 1)),
+                        Character((1, 2))):
+                with pytest.raises(ValueError):
+                    check_induced(m, lat, chi)
+            assert m._inner_modules == {}
+
     @pytest.mark.parametrize("seed", range(15))
     def test_random_embeddings(self, seed):
         rng = random.Random(3200 + seed)

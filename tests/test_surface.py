@@ -17,10 +17,18 @@ An exact value keeps its type, so no call converts one to a Fraction:
 Input is validated at the boundary: the private ``_trusted`` constructors,
 which check nothing, are called only from ``torus`` and ``delta``, where
 the library hands over data it has just built.
+
+sympy, whose import costs more than the rest of a cold CLI run, is imported
+in one place only, inside the function ``symplectic._integer_roots``, so
+commands that find no pencil spectrum never load it.
 """
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import qtdelta
 
@@ -119,20 +127,15 @@ def test_guard_flags_an_unused_import():
         == ["planted.os", "planted.solve_left", "planted.re"]
 
 
-def _fraction_conversions(sources):
-    """Where ``Fraction(...)`` is called with other than two arguments, as
-    "module.function" ("module.<module>" at top level), outside
-    ``jsonio.rational_from_json``."""
+def _located(sources, matches):
+    """"module.function" ("module.<module>" outside any function) of every
+    node for which ``matches(node, module, function)`` holds."""
     out = []
 
     def visit(node, module, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if (isinstance(node, ast.Call)
-                and getattr(node.func, "id",
-                            getattr(node.func, "attr", None)) == "Fraction"
-                and len(node.args) + len(node.keywords) != 2
-                and (module, where) != ("jsonio", "rational_from_json")):
+        if matches(node, module, where):
             out.append(f"{module}.{where}")
         for child in ast.iter_child_nodes(node):
             visit(child, module, where)
@@ -140,6 +143,17 @@ def _fraction_conversions(sources):
     for module, text in sources.items():
         visit(ast.parse(text), module, "<module>")
     return out
+
+
+def _fraction_conversions(sources):
+    """Where ``Fraction(...)`` is called with other than two arguments,
+    outside ``jsonio.rational_from_json``."""
+    return _located(sources, lambda node, module, where: (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id",
+                    getattr(node.func, "attr", None)) == "Fraction"
+        and len(node.args) + len(node.keywords) != 2
+        and (module, where) != ("jsonio", "rational_from_json")))
 
 
 def test_fraction_only_where_a_division_happens():
@@ -201,3 +215,65 @@ def test_guard_flags_a_trusted_call_at_the_boundary():
     sources = {"torus": "X = QTorusElement._trusted(1, 0, {})\n",
                "jsonio": planted, "cli": "Y = CocycleForm._trusted(1, ())\n"}
     assert _trusted_callers(sources) == ["torus", "jsonio", "jsonio", "cli"]
+
+
+def _sympy_imports(sources):
+    """Where a statement imports ``sympy`` or one of its submodules."""
+    def is_sympy(name):
+        return name is not None and name.split(".")[0] == "sympy"
+
+    return _located(sources, lambda node, module, where: (
+        isinstance(node, ast.Import)
+        and any(is_sympy(alias.name) for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and is_sympy(node.module)))
+
+
+def test_sympy_imported_once_inside_a_function():
+    assert _sympy_imports(_sources()) == ["symplectic._integer_roots"]
+
+
+def test_guard_flags_a_sympy_import():
+    planted = ("import sympy\n"
+               "from sympy.polys import factor_list\n"
+               "import sympyish\n\n\n"
+               "def roots(p):\n"
+               "    import sympy as sp\n"
+               "    from sympy import Poly\n"
+               "    return sp, Poly, factor_list, p\n\n\n"
+               "class Box:\n"
+               "    from sympy import ZZ\n")
+    assert _sympy_imports({"planted": planted}) \
+        == ["planted.<module>", "planted.<module>", "planted.roots",
+            "planted.roots", "planted.<module>"]
+
+
+# delta, then lc on the delta command's output, in one fresh interpreter;
+# a symbase run afterwards shows that the probe does see sympy when loaded
+_COLD_COMMANDS = """
+import json, sys
+from qtdelta.cli import main
+tropical, two_block, work = json.loads(sys.argv[1])
+def run(command, payload):
+    with open(work + "/in.json", "w") as f:
+        json.dump(payload, f)
+    code = main([command, "--input", work + "/in.json",
+                 "--output", work + "/out.json"])
+    with open(work + "/out.json") as f:
+        return code, json.load(f)
+code, fan = run("delta", tropical)
+codes = [code, run("lc", {"fan": fan, "point": [0, 1]})[0]]
+loaded = ["sympy" in sys.modules]
+codes.append(run("symbase", two_block)[0])
+print(json.dumps([codes, loaded + ["sympy" in sys.modules]]))
+"""
+
+
+def test_delta_and_lc_never_load_sympy(tmp_path):
+    from test_cli import TROPICAL, TWO_BLOCK
+
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_COMMANDS,
+         json.dumps([TROPICAL, TWO_BLOCK, str(tmp_path)])],
+        capture_output=True, text=True, env=env, check=True)
+    assert json.loads(proc.stdout) == [[0, 0, 0], [False, True]]

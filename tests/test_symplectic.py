@@ -27,7 +27,8 @@ from qtdelta.symplectic import (
     random_abelian_subspace,
     verify_symplectic_base,
 )
-from qtdelta.symplectic import _block_pairings, _charpoly
+from qtdelta.symplectic import (_block_pairings, _charpoly, _eigenspaces,
+                                _integer_roots)
 from qtdelta.torus import AlternatingFormZ
 from qtdelta.rng import derive
 
@@ -41,6 +42,7 @@ from oracles import (
     inverse_fraction,
     pairing_double_sum,
     random_unimodular,
+    rational_roots_oracle,
     restrict_double_sum,
     rref_fraction,
     standard_j,
@@ -611,11 +613,134 @@ class TestIntegerKernel:
     def test_charpoly_matches_determinant(self, seed):
         rng = random.Random(200 + seed)
         d = rng.randint(0, 5)
-        M = [[_rational(rng) for _ in range(d)] for _ in range(d)]
+        M = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
         coeffs = _charpoly(M)
-        assert len(coeffs) == d + 1
+        assert len(coeffs) == d + 1 and coeffs[0] == 1
+        assert all(type(c) is int for c in coeffs)
         for lam in range(-3, 4):
             value = sum(c * lam ** (d - k) for k, c in enumerate(coeffs))
             shifted = [[(lam if i == j else 0) - M[i][j] for j in range(d)]
                        for i in range(d)]
             assert value == det_fraction(shifted)
+
+
+# ---------------------------------------------------------------------------
+# pencil spectrum against sympy's root finder over Q
+
+IRREDUCIBLE = ((1, 0, -2), (1, 0, 1), (1, 0, 0, -2))  # x^2-2, x^2+1, x^3-2
+
+
+def _poly_mul(p, q):
+    """Product of two polynomials, coefficients leading first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _planted(roots, mults, irreducible):
+    """Monic integer polynomial with the given integer roots, each of the
+    given multiplicity, times the given irreducible factors."""
+    coeffs = [1]
+    for mu, k in zip(roots, mults):
+        for _ in range(k):
+            coeffs = _poly_mul(coeffs, [1, -mu])
+    for f in irreducible:
+        coeffs = _poly_mul(coeffs, list(f))
+    return coeffs
+
+
+def _similar(P, M):
+    """P M P^-1 for an invertible P."""
+    d = len(M)
+    PM = [[sum(P[i][k] * M[k][j] for k in range(d)) for j in range(d)]
+          for i in range(d)]
+    Pi = inverse_fraction(P)
+    return [[sum(PM[i][k] * Pi[k][j] for k in range(d)) for j in range(d)]
+            for i in range(d)]
+
+
+def _check_roots(coeffs, roots):
+    got = _integer_roots(coeffs)
+    assert got == sorted(set(roots))
+    assert all(type(mu) is int for mu in got)
+    assert got == rational_roots_oracle(coeffs)
+
+
+class TestPencilSpectrum:
+    def test_degrees_zero_and_one(self):
+        _check_roots([1], [])
+        _check_roots([1, 0], [0])
+        _check_roots([1, -5], [5])
+        _check_roots([1, 7], [-7])
+
+    def test_irreducible_factors_have_no_integer_root(self):
+        for f in IRREDUCIBLE:
+            _check_roots(list(f), [])
+        _check_roots(_planted([], [], IRREDUCIBLE), [])
+        _check_roots(_planted([0, 3], [2, 1], IRREDUCIBLE[1:]), [0, 3])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_planted_roots(self, seed):
+        rng = random.Random(900 + seed)
+        roots = rng.sample(range(-20, 21), rng.randint(0, 4))
+        if seed % 3 == 0 and 0 not in roots:
+            roots.append(0)
+        mults = [rng.randint(1, 3) for _ in roots]
+        irreducible = rng.sample(IRREDUCIBLE, rng.randint(0, 2))
+        _check_roots(_planted(roots, mults, irreducible), roots)
+
+    @pytest.mark.parametrize("roots", [[10 ** 12], [-10 ** 12 + 7, 10 ** 12],
+                                       [0, 999999999989, -3]])
+    def test_large_roots(self, roots):
+        _check_roots(_planted(roots, [1, 2, 3][:len(roots)], IRREDUCIBLE[:1]),
+                     roots)
+
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=None)
+    @given(planted=st.lists(st.tuples(st.integers(-10 ** 12, 10 ** 12),
+                                      st.integers(1, 3)),
+                            max_size=4, unique_by=lambda p: p[0]),
+           irreducible=st.lists(st.sampled_from(IRREDUCIBLE), max_size=2))
+    def test_planted_roots_drawn(self, planted, irreducible):
+        roots = [mu for mu, _ in planted]
+        _check_roots(_planted(roots, [k for _, k in planted], irreducible),
+                     roots)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_eigenspaces_are_the_planted_columns(self, seed):
+        rng = random.Random(1300 + seed)
+        d = rng.randint(1, 5)
+        pool = [_rational(rng) for _ in range(rng.randint(1, d))]
+        eigenvalues = [rng.choice(pool) for _ in range(d)]
+        P = [[_rational(rng) for _ in range(d)] for _ in range(d)]
+        while det_fraction(P) == 0:
+            P = [[_rational(rng) for _ in range(d)] for _ in range(d)]
+        diagonal = [[lam if i == j else 0 for j in range(d)]
+                    for i, lam in enumerate(eigenvalues)]
+        spaces = _eigenspaces(_similar(P, diagonal))
+        # one eigenspace per distinct eigenvalue, ascending, spanned by
+        # the columns of P it labels
+        assert spaces is not None and len(spaces) == len(set(eigenvalues))
+        for basis, lam in zip(spaces, sorted(set(eigenvalues))):
+            columns = [tuple(row[k] for row in P)
+                       for k in range(d) if eigenvalues[k] == lam]
+            assert Subspace.from_rows(d, basis) == \
+                Subspace.from_rows(d, columns)
+
+    def test_empty_matrix(self):
+        assert _eigenspaces([]) == []
+
+    @pytest.mark.parametrize("M", [
+        [[2, 1], [0, 2]],                                # Jordan block
+        [[Fraction(1, 2), 1, 0], [0, Fraction(1, 2), 0], [0, 0, 3]],
+        [[0, 2], [1, 0]],                                # x^2 - 2
+        [[0, -1], [1, 0]],                               # x^2 + 1
+        [[0, 0, 2], [1, 0, 0], [0, 1, 0]],               # x^3 - 2
+        [[Fraction(1, 3), 0, 0], [0, 0, 2], [0, 1, 0]],  # (3x - 1)(x^2 - 2)
+    ])
+    def test_defective_or_irrational_spectrum(self, M):
+        assert _eigenspaces(M) is None
+        P = random_unimodular(random.Random(len(M)), len(M))
+        assert _eigenspaces(_similar(P, M)) is None
