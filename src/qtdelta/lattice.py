@@ -51,7 +51,10 @@ def as_rational(x):
 def clear_denominators(v):
     """``(ints, den)`` with ``v == ints / den`` for a sequence ``v`` of
     rationals, ``den`` the least common denominator of its entries."""
-    if all(type(x) is int for x in v):
+    for x in v:
+        if type(x) is not int:
+            break
+    else:
         return list(v), 1
     fracs = [as_rational(x) for x in v]
     den = lcm(*(f.denominator for f in fracs))

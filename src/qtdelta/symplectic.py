@@ -86,6 +86,12 @@ class AlternatingMapQ:
         rows = [row for m, _ in self._cleared for row in m]
         return Subspace.from_rows(self.n, null_space_int(rows, self.n))
 
+    @cached_property
+    def _reports(self):
+        # the verifier's BaseReport by candidate base, per object like
+        # _radical: a report is a function of the (map, base) values
+        return {}
+
 
 def center(phi: AlternatingMapQ) -> Subspace:
     """Radical {v : phi(v, w) = 0 for all w}, computed once per map object:
@@ -191,6 +197,18 @@ class BaseReport:
 
 def verify_symplectic_base(phi: AlternatingMapQ,
                            cand: SymplecticBase) -> BaseReport:
+    """Check the conditions of a symplectic base, each as one report field.
+
+    The report is computed once per map object and base value: the search,
+    its caller and ``decompose_abelian`` read it back from ``phi``, and a
+    base that fails fails on every call."""
+    report = phi._reports.get(cand)
+    if report is None:
+        report = phi._reports[cand] = _verify(phi, cand)
+    return report
+
+
+def _verify(phi: AlternatingMapQ, cand: SymplecticBase) -> BaseReport:
     n = phi.n
     pieces = [cand.V0] + list(cand.blocks)
     stacked = [row for p in pieces for row in p.basis]

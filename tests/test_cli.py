@@ -4,6 +4,8 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -113,10 +115,21 @@ THM42 = {"form": TWO_BLOCK["form"],
                    {"ambient_rank": 4, "basis": [[0, 0, 1, 0], [0, 0, 0, 1]]}]}
 
 
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env():
+    """This environment with the checkout's ``src`` first on PYTHONPATH, so
+    a child ``python -m qtdelta.cli`` imports the package under test."""
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 def run_cli(command, payload, *flags):
     proc = subprocess.run(
         [sys.executable, "-m", "qtdelta.cli", command, *flags],
-        input=json.dumps(payload), capture_output=True, text=True)
+        input=json.dumps(payload), capture_output=True, text=True,
+        env=child_env())
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -334,7 +347,8 @@ def _sized_inputs(n):
 class TestErrorHandling:
     def test_malformed_json_exit_two(self):
         proc = subprocess.run([sys.executable, "-m", "qtdelta.cli", "delta"],
-                              input="{bad", capture_output=True, text=True)
+                              input="{bad", capture_output=True, text=True,
+                              env=child_env())
         assert proc.returncode == 2
         assert "line 1" in proc.stderr
 
@@ -346,7 +360,7 @@ class TestErrorHandling:
     def test_unknown_flag_rejected(self):
         proc = subprocess.run(
             [sys.executable, "-m", "qtdelta.cli", "delta", "--bogus"],
-            input="{}", capture_output=True, text=True)
+            input="{}", capture_output=True, text=True, env=child_env())
         assert proc.returncode == 2
 
     def test_check_dim_outside_regular_part(self, tmp_path):

@@ -13,6 +13,7 @@ from qtdelta.lattice import (
     vec_primitive,
     vec_primitive_signed,
 )
+from qtdelta import symplectic
 from qtdelta.symplectic import (
     AlternatingMapQ,
     NoBaseFound,
@@ -34,6 +35,7 @@ from qtdelta.rng import derive
 
 from oracles import (
     base_exists_oracle,
+    block_conditions_oracle,
     block_form,
     conjugate_form,
     conjugated_block_instance,
@@ -205,6 +207,104 @@ class TestVerifyBase:
                               ((0, 1),))
         report = verify_symplectic_base(phi, base)
         assert not report.lines_consistent and not report.passed
+
+
+def coordinate_base():
+    """Blocks span(e1, e2) and span(e3, e4) of Q^4, lines (1, 0), (0, 1)."""
+    return SymplecticBase(
+        Subspace.zero(4),
+        (Subspace.from_rows(4, [(1, 0, 0, 0), (0, 1, 0, 0)]),
+         Subspace.from_rows(4, [(0, 0, 1, 0), (0, 0, 0, 1)])),
+        ((1, 0), (0, 1)))
+
+
+class TestReportCache:
+    """The verifier's report is kept per map object and base value."""
+
+    def test_equal_maps_do_not_share_reports(self):
+        phi, twin = two_block_form(), two_block_form()
+        assert phi == twin and phi is not twin
+        base = compute_symplectic_base(phi, seed=0)
+        assert verify_symplectic_base(phi, base).passed
+        assert base in phi._reports
+        assert twin._reports == {} and twin._reports is not phi._reports
+
+    def test_same_base_value_judged_per_map(self):
+        # the coordinate base passes for two_block_form; for the second map
+        # both blocks have the line (1, 0), so its stored lines are wrong
+        passing = two_block_form()
+        failing = block_form([2, 2], [(1, 0), (1, 0)], 2)
+        base = coordinate_base()
+        for cand in (base, base, coordinate_base()):
+            assert verify_symplectic_base(passing, cand).passed
+            assert not verify_symplectic_base(failing, cand).passed
+
+    def test_failing_candidate_fails_on_every_call(self):
+        def phi():
+            return wedge_form(4, [(1, 2, 1)], [(1, 3, 1)], [(0, 3, 1)])
+
+        form = phi()
+        first = compute_symplectic_base(form, seed=0, retries=8)
+        assert isinstance(first, NoBaseFound) and not first.evidence.passed
+        assert compute_symplectic_base(form, seed=0, retries=8) == first
+        assert compute_symplectic_base(phi(), seed=0, retries=8) == first
+        reports = [verify_symplectic_base(form, coordinate_base())
+                   for _ in range(3)]
+        assert not reports[0].passed and reports == [reports[0]] * 3
+
+    def test_private_verifier_once_per_candidate(self, monkeypatch):
+        phi, _ = conjugated_block_instance(
+            random.Random(321), [2, 2, 2], [(1, 0), (0, 1), (1, 1)], 2)
+        runs, calls = [], []
+        verify, public = symplectic._verify, symplectic.verify_symplectic_base
+
+        def counted_verify(form, cand):
+            runs.append(cand)
+            return verify(form, cand)
+
+        def counted_public(form, cand):
+            calls.append(cand)
+            return public(form, cand)
+
+        monkeypatch.setattr(symplectic, "_verify", counted_verify)
+        monkeypatch.setattr(symplectic, "verify_symplectic_base",
+                            counted_public)
+        base = compute_symplectic_base(phi, seed=0)
+        assert isinstance(base, SymplecticBase)
+        assert symplectic.verify_symplectic_base(phi, base).passed
+        for k in range(2):
+            U = Subspace.from_rows(phi.n, [b.basis[k] for b in base.blocks])
+            parts = decompose_abelian(phi, base, U)
+            assert sum(p.dim for p in parts) == U.dim == phi.n // 2
+        assert base in runs and len(runs) == len(set(runs))
+        assert len(calls) == len(runs) + 3
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cached_block_fields_match_oracle(self, seed):
+        rng = random.Random(4300 + seed)
+        phi, _ = conjugated_block_instance(
+            rng, [2, rng.choice([2, 4])], [(1, 0), (0, 1)], 2)
+        found = compute_symplectic_base(phi, seed=seed)
+        assert isinstance(found, SymplecticBase)
+        # crossed block k spans row k of each of the first two found
+        # blocks: phi is zero on each crossed block, but not between them
+        crossed = SymplecticBase(
+            Subspace.zero(phi.n),
+            (Subspace.from_rows(phi.n, [found.blocks[0].basis[0],
+                                        found.blocks[1].basis[0]]),
+             Subspace.from_rows(phi.n, [found.blocks[0].basis[1],
+                                        found.blocks[1].basis[1]])),
+            found.lines)
+        for cand in (found, crossed, found, crossed, crossed):
+            report = verify_symplectic_base(phi, cand)
+            commute, parts = block_conditions_oracle(
+                phi, [b.basis for b in cand.blocks])
+            assert report.blocks_orthogonal == commute
+            assert report.blocks_nondegenerate == all(
+                nondegenerate and len(image) == 1
+                for nondegenerate, image in parts)
+        assert verify_symplectic_base(phi, found).passed
+        assert not verify_symplectic_base(phi, crossed).blocks_orthogonal
 
 
 class TestComputeBase:
