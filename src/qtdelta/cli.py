@@ -6,8 +6,9 @@ fails (the report carries a witness), 2 on malformed input or bad usage
 internal failure (a failed self-check), reported on stderr only.
 
 Each ``cmd_*`` maps the parsed arguments and the loaded JSON to
-``(payload, passed)``; :func:`main` alone loads the input, emits the payload
-and turns the verdict, or an exception, into the exit code.
+``(result, passed)``, the result a value; :func:`main` alone loads the
+input, writes ``jsonio.to_json(result)`` and turns the verdict, or an
+exception, into the exit code.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ def _load(args):
             f"(char {exc.pos}): {exc.msg}") from exc
 
 
-def _emit(args, payload):
+def _emit(args, result):
+    payload = jsonio.to_json(result)
     if args.format == "pretty":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
@@ -114,36 +116,33 @@ def _verdict(reports, key, ok):
     """Every report, ``key`` true when attribute ``ok`` holds on all of
     them, and the first report where it fails as the witness."""
     failed = [r for r in reports if not getattr(r, ok)]
-    payload = {"checks": [r.to_json() for r in reports], key: not failed}
+    result = {"checks": reports, key: not failed}
     if failed:
-        payload["witness"] = failed[0].to_json()
-    return payload, not failed
+        result["witness"] = failed[0]
+    return result, not failed
 
 
 def cmd_delta(args, data):
-    return jsonio.fan_to_json(delta.delta_set(_module_from(data))), True
+    return delta.delta_set(_module_from(data)), True
 
 
 def cmd_initform(args, data):
     module = _module_from(data)
     chi = jsonio.character_from_json(_require(data, "chi"), module.rank)
     init = delta.initial_form(module, chi)
-    return {
-        "r_chi": jsonio.element_to_json(init.relator),
-        "B": jsonio.sublattice_to_json(init.kernel),
-    }, True
+    return {"r_chi": init.relator, "B": init.kernel}, True
 
 
 def cmd_tc(args, data):
     module = _module_from(data)
     chi = jsonio.character_from_json(_require(data, "chi"), module.rank)
-    return jsonio.fan_to_json(delta.tc_delta(module, chi)), True
+    return delta.tc_delta(module, chi), True
 
 
 def cmd_lc(args, data):
     fan = jsonio.fan_from_json(_require(data, "fan"))
     point = jsonio.vector_from_json(_require(data, "point"), fan.ambient_dim)
-    return jsonio.fan_to_json(polyhedral.local_cone(fan, point)), True
+    return polyhedral.local_cone(fan, point), True
 
 
 def cmd_check_lemma31(args, data):
@@ -175,16 +174,13 @@ def cmd_torus_mul(args, data):
         raise ValueError("element rank does not match the cocycle")
     if max(a.s, b.s) > cocycle.s:
         raise ValueError("element has more parameters than the cocycle")
-    return jsonio.element_to_json(torus.multiply(a, b, cocycle)), True
+    return torus.multiply(a, b, cocycle), True
 
 
 def cmd_center(args, data):
     sub = symplectic.center(jsonio.alternating_q_from_json(
         _require(data, "form")))
-    return {
-        "subspace": jsonio.subspace_to_json(sub),
-        "lattice": jsonio.sublattice_to_json(subspace_to_lattice(sub)),
-    }, True
+    return {"subspace": sub, "lattice": subspace_to_lattice(sub)}, True
 
 
 def cmd_symbase(args, data):
@@ -192,15 +188,15 @@ def cmd_symbase(args, data):
     outcome = symplectic.compute_symplectic_base(phi, seed=args.seed,
                                                  retries=args.retries)
     if isinstance(outcome, symplectic.NoBaseFound):
-        return {"no_base": outcome.to_json()}, True
-    return {"base": jsonio.base_to_json(outcome)}, True
+        return {"no_base": outcome}, True
+    return {"base": outcome}, True
 
 
 def cmd_verify_base(args, data):
     phi = jsonio.alternating_q_from_json(_require(data, "form"))
     base = jsonio.base_from_json(_require(data, "base"), phi.n)
     report = symplectic.verify_symplectic_base(phi, base)
-    return report.to_json(), report.passed
+    return report, report.passed
 
 
 def cmd_abelian_split(args, data):
@@ -208,8 +204,7 @@ def cmd_abelian_split(args, data):
     base = jsonio.base_from_json(_require(data, "base"), phi.n)
     space = jsonio.subspace_from_json(_require(data, "U"), ambient=phi.n)
     components = symplectic.decompose_abelian(phi, base, space)
-    return {"components": [jsonio.subspace_to_json(c)
-                           for c in components]}, True
+    return {"components": components}, True
 
 
 def cmd_check_ample(args, data):
@@ -228,9 +223,8 @@ def cmd_check_ample(args, data):
 
 def cmd_group_structure(args, data):
     pres = jsonio.presentation_from_json(_require(data, "presentation"))
-    report = groups.structure_report(pres, seed=args.seed,
-                                     retries=args.retries)
-    return report.to_json(), True
+    return groups.structure_report(pres, seed=args.seed,
+                                   retries=args.retries), True
 
 
 def cmd_verify_thm42(args, data):
@@ -238,7 +232,7 @@ def cmd_verify_thm42(args, data):
     parts = [jsonio.sublattice_from_json(p)
              for p in jsonio._array(_require(data, "parts"), "parts")]
     report = torus.verify_theorem42(form, parts)
-    return report.to_json(), report.passed
+    return report, report.passed
 
 
 _COMMANDS = {
@@ -299,8 +293,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     fn = _COMMANDS[args.command][0]
     try:
-        payload, passed = fn(args, _load(args))
-        _emit(args, payload)
+        result, passed = fn(args, _load(args))
+        _emit(args, result)
     except (OSError, ValueError) as exc:
         print(f"qtdelta: {exc}", file=sys.stderr)
         return 2

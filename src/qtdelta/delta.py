@@ -82,11 +82,6 @@ class Character:
     def ray(self):
         return vec_primitive(self.coords)
 
-    @cached_property
-    def kernel(self) -> Sublattice:
-        """Saturated kernel sublattice of Z^n, computed once per object."""
-        return kernel_lattice([self.ray], self.n)
-
     @property
     def rank(self):
         """Rank of the image in Q: one unless the character is zero."""
@@ -183,7 +178,7 @@ def initial_form(module: OneRelatorModule, chi: Character) -> InitialFormResult:
         r.rank, r.s, {a: r._terms[a] for a in min_support})
     inverse = torus.monomial_inverse(base, r.s, module.cocycle)
     shifted = torus.multiply(inverse, trimmed, module.cocycle)
-    B = chi.kernel
+    B = kernel_lattice([ray], module.rank)
     restricted = _in_coordinates(shifted, B)
     if restricted is None:
         raise AssertionError("initial form support escaped the kernel lattice")
@@ -203,15 +198,6 @@ class LocalConeReport:
     lhs: Fan
     rhs: Fan
     equal: bool
-
-    def to_json(self):
-        from . import jsonio
-        return {
-            "chi": jsonio.vector_to_json(self.chi.coords),
-            "lhs": jsonio.fan_to_json(self.lhs),
-            "rhs": jsonio.fan_to_json(self.rhs),
-            "equal": self.equal,
-        }
 
 
 def check_lemma31(module: OneRelatorModule, chi: Character) -> LocalConeReport:
@@ -235,16 +221,6 @@ class DimReport:
     @property
     def holds(self):
         return self.chi_rank + self.tc_dim == self.delta_dim
-
-    def to_json(self):
-        from . import jsonio
-        return {
-            "chi": jsonio.vector_to_json(self.chi.coords),
-            "chi_rank": self.chi_rank,
-            "tc_dim": self.tc_dim,
-            "delta_dim": self.delta_dim,
-            "holds": self.holds,
-        }
 
 
 def check_dim_identity(module: OneRelatorModule, chi: Character) -> DimReport:

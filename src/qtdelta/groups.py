@@ -147,14 +147,6 @@ class HeisenbergBlock:
     lifted_basis: tuple   # representatives in the original generator lattice
     line: tuple           # primitive image line in Z^s
 
-    def to_json(self):
-        return {
-            "rank": self.rank,
-            "basis": [list(r) for r in self.basis],
-            "lifted_basis": [list(r) for r in self.lifted_basis],
-            "line": list(self.line),
-        }
-
 
 @dataclass(frozen=True)
 class StructureReport:
@@ -162,14 +154,6 @@ class StructureReport:
     cyclic_rank: int
     decomposed: bool
     diagnostics: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return {
-            "heisenberg_blocks": [b.to_json() for b in self.heisenberg_blocks],
-            "cyclic_rank": self.cyclic_rank,
-            "decomposed": self.decomposed,
-            "diagnostics": self.diagnostics,
-        }
 
 
 def structure_report(pres: Class2Presentation, seed: int = 0,
@@ -202,11 +186,11 @@ def structure_report(pres: Class2Presentation, seed: int = 0,
     outcome = symplectic.compute_symplectic_base(quotient_form, seed=seed,
                                                  retries=retries)
     diagnostics = {
-        "radical_basis": [list(r) for r in radical.basis],
-        "quotient_projection": [list(r) for r in proj_rows],
+        "radical_basis": radical.basis,
+        "quotient_projection": proj_rows,
     }
     if isinstance(outcome, symplectic.NoBaseFound):
-        diagnostics["no_base"] = outcome.to_json()
+        diagnostics["no_base"] = outcome
         return StructureReport((), cyclic_rank, False, diagnostics)
     blocks = []
     parts = []
@@ -219,7 +203,7 @@ def structure_report(pres: Class2Presentation, seed: int = 0,
     audit = torus.verify_theorem42(quotient_form, parts) if parts else None
     diagnostics["base_verified"] = True
     if audit is not None:
-        diagnostics["theorem42"] = audit.to_json()
+        diagnostics["theorem42"] = audit
     decomposed = audit is None or audit.passed
     report = StructureReport(tuple(blocks), cyclic_rank, decomposed,
                              diagnostics)

@@ -2,13 +2,18 @@
 
 Rationals serialize as plain ints when integral and as "p/q" strings
 otherwise; vectors and matrices are arrays of those.  Every CLI input has a
-strict reader that raises ValueError on malformed data; writers exist only
-for what the CLI outputs (vectors, fans, elements, sublattices, subspaces
-and symplectic bases).
+strict reader that raises ValueError on malformed data.
+
+This is the one module that writes JSON: :func:`to_json` turns any value
+the CLI outputs into JSON data.  Reports, sublattices and subspaces are
+written as objects of their dataclass fields plus their verdict property,
+so a new report field needs no writer; fans, elements and symplectic bases
+have the writers below.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
 
 from . import groups, symplectic, torus
@@ -21,6 +26,35 @@ def rational_to_json(x):
     if x.denominator == 1:
         return x.numerator
     return f"{x.numerator}/{x.denominator}"
+
+
+def to_json(value):
+    """JSON data of an output value: None, bools and strings as they are,
+    ints and Fractions by ``rational_to_json``, tuples and lists as arrays,
+    dicts as objects, a Character as its coords, fans, elements and
+    symplectic bases by their writers, and any other record as an object of
+    its dataclass fields plus its verdict (``passed`` or ``holds``)."""
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return rational_to_json(value)
+    if isinstance(value, (tuple, list)):
+        return [to_json(x) for x in value]
+    if isinstance(value, dict):
+        return {key: to_json(x) for key, x in value.items()}
+    if isinstance(value, Character):
+        return to_json(value.coords)
+    if isinstance(value, Fan):
+        return fan_to_json(value)
+    if isinstance(value, torus.QTorusElement):
+        return element_to_json(value)
+    if isinstance(value, symplectic.SymplecticBase):
+        return base_to_json(value)
+    out = {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    for verdict in ("passed", "holds"):
+        if hasattr(value, verdict):
+            out[verdict] = getattr(value, verdict)
+    return out
 
 
 def rational_from_json(value):
@@ -62,19 +96,11 @@ def _array(value, what):
     return value
 
 
-def vector_to_json(vec):
-    return [rational_to_json(x) for x in vec]
-
-
 def vector_from_json(data, length):
     out = tuple(rational_from_json(x) for x in _array(data, "vector"))
     if len(out) != length:
         raise ValueError(f"vector of length {len(out)}, expected {length}")
     return out
-
-
-def matrix_to_json(rows):
-    return [vector_to_json(row) for row in rows]
 
 
 def matrix_from_json(data, width):
@@ -89,8 +115,8 @@ def int_matrix_from_json(data, width):
 def cone_to_json(cone: Cone):
     return {
         "dim": cone.ambient_dim,
-        "eq": matrix_to_json(cone.equalities),
-        "ineq": matrix_to_json(cone.inequalities),
+        "eq": to_json(cone.equalities),
+        "ineq": to_json(cone.inequalities),
     }
 
 
@@ -173,19 +199,9 @@ def alternating_q_from_json(data) -> symplectic.AlternatingMapQ:
         *_matrices(data, "form", "n", "phi", matrix_from_json))
 
 
-def sublattice_to_json(lattice: Sublattice):
-    return {"ambient_rank": lattice.ambient_rank,
-            "basis": matrix_to_json(lattice.basis)}
-
-
 def sublattice_from_json(data) -> Sublattice:
     n = size_from_json(_object(data, "sublattice").get("ambient_rank"))
     return Sublattice.from_rows(n, int_matrix_from_json(data.get("basis", []), n))
-
-
-def subspace_to_json(space: Subspace):
-    return {"ambient_dim": space.ambient_dim,
-            "basis": matrix_to_json(space.basis)}
 
 
 def subspace_from_json(data, ambient=None) -> Subspace:
@@ -205,11 +221,9 @@ def character_from_json(data, n) -> Character:
 
 
 def base_to_json(base: symplectic.SymplecticBase):
-    return {
-        "V0": matrix_to_json(base.V0.basis),
-        "blocks": [matrix_to_json(b.basis) for b in base.blocks],
-        "lines": [list(w) for w in base.lines],
-    }
+    return to_json({"V0": base.V0.basis,
+                    "blocks": [b.basis for b in base.blocks],
+                    "lines": base.lines})
 
 
 def base_from_json(data, n) -> symplectic.SymplecticBase:

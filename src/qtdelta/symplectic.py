@@ -183,17 +183,6 @@ class BaseReport:
                 and self.blocks_orthogonal and self.blocks_nondegenerate
                 and self.lines_distinct and self.lines_consistent)
 
-    def to_json(self):
-        return {
-            "direct_sum": self.direct_sum,
-            "centre_is_v0": self.centre_is_v0,
-            "blocks_orthogonal": self.blocks_orthogonal,
-            "blocks_nondegenerate": self.blocks_nondegenerate,
-            "lines_distinct": self.lines_distinct,
-            "lines_consistent": self.lines_consistent,
-            "passed": self.passed,
-        }
-
 
 def verify_symplectic_base(phi: AlternatingMapQ,
                            cand: SymplecticBase) -> BaseReport:
@@ -238,13 +227,6 @@ class NoBaseFound:
     attempts: int
     evidence: BaseReport | None
     reason: str
-
-    def to_json(self):
-        return {
-            "attempts": self.attempts,
-            "evidence": self.evidence.to_json() if self.evidence else None,
-            "reason": self.reason,
-        }
 
 
 def _charpoly(A):

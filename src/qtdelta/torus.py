@@ -294,17 +294,6 @@ class Theorem42Report:
                 and self.rank_one_images and self.distinct_image_lines
                 and self.finite_index)
 
-    def to_json(self):
-        return {
-            "pairwise_commute": self.pairwise_commute,
-            "trivial_centres": self.trivial_centres,
-            "rank_one_images": self.rank_one_images,
-            "distinct_image_lines": self.distinct_image_lines,
-            "finite_index": self.finite_index,
-            "image_lines": [[list(r) for r in line] for line in self.image_lines],
-            "passed": self.passed,
-        }
-
 
 def verify_theorem42(form: AlternatingFormZ, parts) -> Theorem42Report:
     """Check a family of independent sublattices A_1..A_t against:

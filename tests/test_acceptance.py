@@ -339,7 +339,7 @@ def test_criterion_9_structure_pipeline():
     assert sorted(b.rank for b in rep.heisenberg_blocks) == sorted(ranks)
     assert {b.line for b in rep.heisenberg_blocks} \
         == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-    assert rep.diagnostics["theorem42"]["passed"]
+    assert rep.diagnostics["theorem42"].passed
 
     twin = central_product(heisenberg(1), heisenberg(1),
                            identify_centres=True)

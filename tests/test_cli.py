@@ -115,6 +115,47 @@ THM42 = {"form": TWO_BLOCK["form"],
                    {"ambient_rank": 4, "basis": [[0, 0, 1, 0], [0, 0, 0, 1]]}]}
 
 
+def _wedge(n, *forms):
+    """Form JSON with one matrix per form, each given as terms (i, j, c)
+    meaning c e_i ^ e_j."""
+    mats = []
+    for terms in forms:
+        m = [[0] * n for _ in range(n)]
+        for i, j, c in terms:
+            m[i][j] += c
+            m[j][i] -= c
+        mats.append(m)
+    return {"n": n, "s": len(mats), "phi": mats}
+
+
+NON_ORTHOGONAL_BASE = dict(TWO_BLOCK, base={
+    "V0": [], "blocks": [[[1, 0, 0, 0], [0, 1, 0, 0]],
+                         [[0, 0, 1, 0], [1, 0, 0, 1]]],
+    "lines": [[0, 1], [1, 0]]})
+
+RANK_TWO_AND_EMPTY_IMAGES = {
+    "form": _wedge(5, [(0, 1, 1)], [(2, 3, 1)]),
+    "parts": [{"ambient_rank": 5, "basis": [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0],
+                                            [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]},
+              {"ambient_rank": 5, "basis": [[0, 0, 0, 0, 1]]}]}
+
+TWIN_LINES = {"form": _wedge(4, [(0, 1, 1), (2, 3, 1)]),
+              "parts": THM42["parts"]}
+
+# e2^e3 -> w1, e2^e4 -> w2, e1^e4 -> w3: no symplectic base
+CROSSED_WEDGES = {"form": _wedge(4, [(1, 2, 1)], [(1, 3, 1)], [(0, 3, 1)])}
+
+CROSSED_PRESENTATION = {"presentation": {
+    "generators": ["a", "b", "c", "d"],
+    "central": ["u", "v", "w"],
+    "commutators": [{"a": 2, "b": 3, "exps": [1, 0, 0]},
+                    {"a": 2, "b": 4, "exps": [0, 1, 0]},
+                    {"a": 1, "b": 4, "exps": [0, 0, 1]}]}}
+
+HALF_FORM = {"form": {"n": 3, "s": 1,
+                      "phi": [[[0, 0, "1/2"], [0, 0, -1], ["-1/2", 1, 0]]]}}
+
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
@@ -255,6 +296,34 @@ class TestSubcommands:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("command,payload,flags,exit_code,digest", [
+        # blocks e1,e2 and e3,e1+e4 pair across; their lines are swapped
+        ("verify-base", NON_ORTHOGONAL_BASE, (), 1,
+         "fdfeeaec963e759029685fd4dd06c72c83eb69947a1eb5abf269ae84397f5756"),
+        # image lines [[1, 0], [0, 1]] and []
+        ("verify-thm42", RANK_TWO_AND_EMPTY_IMAGES, (), 1,
+         "1923c4cef0ffa1ac1e7ddc53653b722bdde2b454298d15b00d2cae605faaa597"),
+        ("verify-thm42", TWIN_LINES, (), 1,
+         "788278062b4f3dc7e21462a01a475c559b110bdec519b5a723640d1f82ff18c5"),
+        ("symbase", CROSSED_WEDGES, (), 0,
+         "4d98317de1732770a10298958e3301a3bfe03c62eff02e5b4928db95e20a1e2c"),
+        ("group-structure", CROSSED_PRESENTATION, (), 0,
+         "36c8d7aad68b3c88c9cf7c55dcac35852751bd91f82b08af17949769bff445d2"),
+        ("group-structure", CROSSED_PRESENTATION, ("--format", "pretty"), 0,
+         "7704bd309255faf9c9f4840dae45e4879665540cd1f18f0b89094894cd2747c1"),
+        # radical spanned by (1, 1/2, 0)
+        ("center", HALF_FORM, (), 0,
+         "4a5c3ccca5ae3d970be64d0a1baee1576eaa5461fa2c562d62f2bef93b44d804"),
+    ], ids=["verify-base", "thm42-images", "thm42-twin", "symbase-no-base",
+            "structure-no-base", "structure-no-base-pretty", "center-half"])
+    def test_failure_and_no_base_payloads_pinned(self, tmp_path, command,
+                                                 payload, flags, exit_code,
+                                                 digest):
+        # payloads that no perfbench/cli_cases.json case reaches
+        code, out = run_inproc(command, payload, tmp_path, *flags)
+        assert code == exit_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_center(self, tmp_path):
         code, out = run_inproc("center", TWO_BLOCK, tmp_path)
         assert code == 0
@@ -305,14 +374,7 @@ class TestSubcommands:
         assert code == 0 and json.loads(out)["passed"]
 
     def test_verify_thm42_twin_fails(self, tmp_path):
-        twin = [[[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]]
-        payload = {"form": {"n": 4, "s": 1, "phi": twin},
-                   "parts": [
-                       {"ambient_rank": 4,
-                        "basis": [[1, 0, 0, 0], [0, 1, 0, 0]]},
-                       {"ambient_rank": 4,
-                        "basis": [[0, 0, 1, 0], [0, 0, 0, 1]]}]}
-        code, out = run_inproc("verify-thm42", payload, tmp_path)
+        code, out = run_inproc("verify-thm42", TWIN_LINES, tmp_path)
         assert code == 1
         report = json.loads(out)
         assert not report["distinct_image_lines"] and report["rank_one_images"]

@@ -662,7 +662,7 @@ class TestCharacterRay:
                     check_dim_identity(fresh, scaled)
             # reports print chi as it was passed in, not its ray
             for report, c in zip(reports, [chi, scaled] * 2):
-                printed = report.to_json()["chi"]
+                printed = jsonio.to_json(report)["chi"]
                 assert [jsonio.rational_from_json(x) for x in printed] \
                     == list(c.coords)
 

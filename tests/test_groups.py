@@ -125,7 +125,7 @@ class TestStructureReport:
         lines = {b.line for b in report.heisenberg_blocks}
         assert lines == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
         audit = report.diagnostics["theorem42"]
-        assert audit["passed"]
+        assert audit.passed
 
     def test_identified_centres_merge(self):
         pres = central_product(heisenberg(1), heisenberg(1),

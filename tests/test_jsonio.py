@@ -77,9 +77,9 @@ def test_cocycle_roundtrip():
 
 def test_sublattice_subspace_roundtrip():
     lat = Sublattice.from_rows(3, [(1, 2, 3), (0, 4, 5)])
-    assert jsonio.sublattice_from_json(jsonio.sublattice_to_json(lat)) == lat
+    assert jsonio.sublattice_from_json(jsonio.to_json(lat)) == lat
     space = Subspace.from_rows(3, [(1, Fraction(1, 2), 0)])
-    assert jsonio.subspace_from_json(jsonio.subspace_to_json(space)) == space
+    assert jsonio.subspace_from_json(jsonio.to_json(space)) == space
 
 
 def test_alternating_roundtrip():

@@ -18,6 +18,11 @@ Input is validated at the boundary: the private ``_trusted`` constructors,
 which check nothing, are called only from ``torus`` and ``delta``, where
 the library hands over data it has just built.
 
+JSON is written in one place: ``jsonio.to_json`` writes every CLI result,
+so ``to_json`` is defined only there and in ``symplectic.AmpleReport``
+(whose probes the recorded check-ample output pins), and only ``jsonio``
+names ``rational_to_json``.
+
 sympy, whose import costs more than the rest of a cold CLI run, is imported
 in one place only, inside the function ``symplectic._integer_roots``, so
 commands that find no pencil spectrum never load it.
@@ -127,16 +132,18 @@ def test_guard_flags_an_unused_import():
         == ["planted.os", "planted.solve_left", "planted.re"]
 
 
-def _located(sources, matches):
-    """"module.function" ("module.<module>" outside any function) of every
-    node for which ``matches(node, module, function)`` holds."""
+def _located(sources, matches,
+             scopes=(ast.FunctionDef, ast.AsyncFunctionDef)):
+    """"module.scope" ("module.<module>" outside any scope) of every node
+    for which ``matches(node, module, scope)`` holds, the scope being the
+    innermost function (or other node of type ``scopes``) around it."""
     out = []
 
     def visit(node, module, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
         if matches(node, module, where):
             out.append(f"{module}.{where}")
+        if isinstance(node, scopes):
+            where = node.name
         for child in ast.iter_child_nodes(node):
             visit(child, module, where)
 
@@ -245,6 +252,45 @@ def test_guard_flags_a_sympy_import():
     assert _sympy_imports({"planted": planted}) \
         == ["planted.<module>", "planted.<module>", "planted.roots",
             "planted.roots", "planted.<module>"]
+
+
+def _json_writers(sources):
+    """Where ``to_json`` is defined, by the function or class around it, and
+    where ``rational_to_json`` is named (called, passed on, imported or
+    defined) outside ``jsonio``."""
+    return _located(sources, lambda node, module, where: (
+        isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name == "to_json"
+        or module != "jsonio"
+        and "rational_to_json" in (getattr(node, "id", None),
+                                   getattr(node, "attr", None),
+                                   getattr(node, "name", None))),
+        scopes=(ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+
+
+def test_one_json_writer():
+    assert _json_writers(_sources()) \
+        == ["jsonio.<module>", "symplectic.AmpleReport"]
+
+
+def test_guard_flags_a_second_json_writer():
+    planted = ("from . import jsonio\n"
+               "from .jsonio import rational_to_json\n\n\n"
+               "class Report:\n"
+               "    ok: bool\n\n"
+               "    def to_json(self):\n"
+               "        return {\"ok\": self.ok}\n\n\n"
+               "def vector(v):\n"
+               "    def to_json(x):\n"
+               "        return jsonio.rational_to_json(x)\n"
+               "    return list(map(rational_to_json, v))\n")
+    jsonio = ("def rational_to_json(x):\n"
+              "    return x\n\n\n"
+              "def to_json(value):\n"
+              "    return rational_to_json(value)\n")
+    assert _json_writers({"jsonio": jsonio, "planted": planted}) \
+        == ["jsonio.<module>", "planted.<module>", "planted.Report",
+            "planted.vector", "planted.to_json", "planted.vector"]
 
 
 # delta, then lc on the delta command's output, in one fresh interpreter;

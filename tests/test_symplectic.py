@@ -13,7 +13,7 @@ from qtdelta.lattice import (
     vec_primitive,
     vec_primitive_signed,
 )
-from qtdelta import symplectic
+from qtdelta import jsonio, symplectic
 from qtdelta.symplectic import (
     AlternatingMapQ,
     NoBaseFound,
@@ -369,7 +369,7 @@ class TestComputeBase:
         assert isinstance(outcome, NoBaseFound)
         assert (outcome.attempts, outcome.reason) \
             == (8, "candidate decomposition failed verification")
-        assert outcome.evidence.to_json() == {
+        assert jsonio.to_json(outcome.evidence) == {
             "direct_sum": True, "centre_is_v0": True,
             "blocks_orthogonal": False, "blocks_nondegenerate": True,
             "lines_distinct": True, "lines_consistent": True,
