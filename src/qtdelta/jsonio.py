@@ -1,8 +1,9 @@
 """JSON schemas of the CLI's input and output.
 
 Rationals serialize as plain ints when integral and as "p/q" strings
-otherwise; vectors and matrices are arrays of those.  Every CLI input has a
-strict reader that raises ValueError on malformed data.
+otherwise; vectors and matrices are arrays of those.  The readers accept
+that grammar only, a JSON int or a string ``-?[0-9]+(/[0-9]+)?`` with a
+nonzero denominator, and raise ValueError on any other data.
 
 This is the one module that writes JSON: :func:`to_json` turns any value
 the CLI outputs into JSON data.  Reports, sublattices and subspaces are
@@ -13,12 +14,13 @@ have the writers below.
 
 from __future__ import annotations
 
+import re
 from dataclasses import fields
 from fractions import Fraction
 
 from . import groups, symplectic, torus
 from .delta import Character
-from .lattice import Sublattice, Subspace, as_int
+from .lattice import Sublattice, Subspace
 from .polyhedral import Cone, Fan
 
 
@@ -57,17 +59,22 @@ def to_json(value):
     return out
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def rational_from_json(value):
+    """A JSON int as that int, a string "p" or "p/q" as Fraction(p, q)."""
     if isinstance(value, bool):
         raise ValueError("boolean is not a rational")
     if isinstance(value, int):
         return value
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad rational literal {value!r}") from exc
-    raise ValueError(f"bad rational value {value!r}")
+    match = isinstance(value, str) and _RATIONAL.fullmatch(value)
+    if not match:
+        raise ValueError(f"bad rational value {value!r}")
+    den = int(match[2] or 1)
+    if not den:
+        raise ValueError(f"zero denominator in {value!r}")
+    return Fraction(int(match[1]), den)
 
 
 def int_from_json(value) -> int:
@@ -105,11 +112,6 @@ def vector_from_json(data, length):
 
 def matrix_from_json(data, width):
     return tuple(vector_from_json(row, width) for row in _array(data, "matrix"))
-
-
-def int_matrix_from_json(data, width):
-    return tuple(tuple(as_int(x) for x in row)
-                 for row in matrix_from_json(data, width))
 
 
 def cone_to_json(cone: Cone):
@@ -172,36 +174,35 @@ def element_from_json(data) -> torus.QTorusElement:
     return torus.QTorusElement(rank, widths.pop() if widths else 0, terms)
 
 
-def _matrices(data, what, size_key, mats_key, parse):
+def _matrices(data, what, size_key, mats_key):
     """``(size, s, matrices)`` of a JSON object holding a size, ``s`` and
-    an array of ``s`` square matrices read by ``parse``."""
+    an array of ``s`` square rational matrices."""
     size = size_from_json(_object(data, what).get(size_key))
     s = size_from_json(data.get("s"))
     mats = _array(data.get(mats_key, []), f"{what} {mats_key}")
     if len(mats) != s:
         raise ValueError(f"expected s {what} matrices")
-    return size, s, tuple(parse(m, size) for m in mats)
+    return size, s, tuple(matrix_from_json(m, size) for m in mats)
 
 
 def cocycle_from_json(data) -> torus.CocycleForm:
-    rank, _, mats = _matrices(data, "cocycle", "rank", "B",
-                              int_matrix_from_json)
+    rank, _, mats = _matrices(data, "cocycle", "rank", "B")
     return torus.CocycleForm(rank, mats)
 
 
 def alternating_z_from_json(data) -> torus.AlternatingFormZ:
-    n, _, mats = _matrices(data, "form", "n", "phi", int_matrix_from_json)
+    n, _, mats = _matrices(data, "form", "n", "phi")
     return torus.AlternatingFormZ(n, mats)
 
 
 def alternating_q_from_json(data) -> symplectic.AlternatingMapQ:
     return symplectic.AlternatingMapQ(
-        *_matrices(data, "form", "n", "phi", matrix_from_json))
+        *_matrices(data, "form", "n", "phi"))
 
 
 def sublattice_from_json(data) -> Sublattice:
     n = size_from_json(_object(data, "sublattice").get("ambient_rank"))
-    return Sublattice.from_rows(n, int_matrix_from_json(data.get("basis", []), n))
+    return Sublattice.from_rows(n, matrix_from_json(data.get("basis", []), n))
 
 
 def subspace_from_json(data, ambient=None) -> Subspace:

@@ -252,6 +252,15 @@ def complement_columns(rows, n):
     return [j for j in range(n) if j not in pivots]
 
 
+def lift_columns(vec, cols, n):
+    """The vector of Q^n that is ``vec`` on the columns ``cols`` and 0
+    elsewhere.  For ascending ``cols`` it keeps lexicographic order."""
+    out = [0] * n
+    for value, j in zip(vec, cols):
+        out[j] = value
+    return tuple(out)
+
+
 def matrix_rank(matrix):
     return len(rref_int(matrix)[1])
 

@@ -24,6 +24,7 @@ from .lattice import (
     Subspace,
     complement_columns,
     dot,
+    lift_columns,
     matrix_rank,
     null_space_int,
     row_times,
@@ -127,13 +128,8 @@ def _vrep(dim, equalities, inequalities):
     constraints = _norm_constraints(
         eq_w + [[-x for x in e] for e in eq_w]
         + [[a[j] for j in wcols] for a in inequalities], len(wcols))
-    rays = []
-    for u in _dd_pointed(constraints, len(wcols)):
-        x = [0] * dim
-        for value, j in zip(u, wcols):
-            x[j] = value
-        rays.append(tuple(x))
-    return tuple(sorted(rays)), lineality
+    return tuple(lift_columns(u, wcols, dim)
+                 for u in _dd_pointed(constraints, len(wcols))), lineality
 
 
 def _ray_sum(dim, rays):

@@ -28,6 +28,7 @@ from .lattice import (
     complement_columns,
     congruence,
     dot,
+    lift_columns,
     matrix_rank,
     null_space_int,
     row_times,
@@ -316,7 +317,7 @@ def compute_symplectic_base(phi: AlternatingMapQ, seed: int = 0,
         if split is None:
             reason = "pencil spectrum not rational-diagonalizable"
             continue
-        blocks = sorted((Subspace.from_rows(n, [_lift(v, wcols, n)
+        blocks = sorted((Subspace.from_rows(n, [lift_columns(v, wcols, n)
                                                 for v in basis])
                          for basis in split), key=lambda b: b.basis)
         lines = [_line_key(image_space(phi, block)) for block in blocks]
@@ -330,13 +331,6 @@ def compute_symplectic_base(phi: AlternatingMapQ, seed: int = 0,
         last_report = report
         reason = "candidate decomposition failed verification"
     return NoBaseFound(retries, last_report, reason)
-
-
-def _lift(vec, wcols, n):
-    out = [0] * n
-    for value, j in zip(vec, wcols):
-        out[j] = value
-    return tuple(out)
 
 
 def decompose_abelian(phi: AlternatingMapQ, base: SymplecticBase,

@@ -155,6 +155,10 @@ CROSSED_PRESENTATION = {"presentation": {
 HALF_FORM = {"form": {"n": 3, "s": 1,
                       "phi": [[[0, 0, "1/2"], [0, 0, -1], ["-1/2", 1, 0]]]}}
 
+# e1^e2, e2^e3, e1^e3 on Q^3: the centre is 0, so 2m = 3 is odd
+ODD_AMPLE = {"form": _wedge(3, [(0, 1, 1)], [(1, 2, 1)], [(0, 2, 1)]),
+             "X": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "Omega": []}
+
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -314,8 +318,12 @@ class TestSubcommands:
         # radical spanned by (1, 1/2, 0)
         ("center", HALF_FORM, (), 0,
          "4a5c3ccca5ae3d970be64d0a1baee1576eaa5461fa2c562d62f2bef93b44d804"),
+        # the degenerate report: m is null and the check fails
+        ("check-ample", ODD_AMPLE, (), 1,
+         "0d0ee59fa28cbb04d3b348f991de18945cdff3fbb24e7377eb4420d8d40051da"),
     ], ids=["verify-base", "thm42-images", "thm42-twin", "symbase-no-base",
-            "structure-no-base", "structure-no-base-pretty", "center-half"])
+            "structure-no-base", "structure-no-base-pretty", "center-half",
+            "ample-degenerate"])
     def test_failure_and_no_base_payloads_pinned(self, tmp_path, command,
                                                  payload, flags, exit_code,
                                                  digest):
@@ -406,7 +414,70 @@ def _sized_inputs(n):
     }
 
 
+LINE_FAN = {"dim": 1, "cones": [{"dim": 1}]}
+
+# each payload reaches one boundary check, which names the fault on stderr
+BAD_INPUTS = {
+    "parameter-counts": ("delta", dict(TROPICAL, relator=_element_qexp(
+        TROPICAL["relator"], [0, 0])), (),
+        "relator and cocycle parameter counts differ"),
+    "ranks": ("delta", dict(TROPICAL, cocycle={
+        "rank": 3, "s": 1, "B": [[[0, 0, 0], [0, 0, 0], [0, 0, 0]]]}), (),
+        "relator and cocycle rank mismatch"),
+    "empty-delta-sample": ("check-dim", dict(TROPICAL, relator=dict(
+        TROPICAL["relator"], terms=TROPICAL["relator"]["terms"][:1])),
+        ("--sample", "2"), "the Delta set is empty; nothing to sample"),
+    "no-chi": ("check-lemma31", TROPICAL, (),
+               "provide a 'chi' field or --sample N"),
+    "fractional-exp": ("delta", dict(TROPICAL, relator=dict(
+        TROPICAL["relator"], terms=[{"exp": [0, "1/2"], "coeff": [
+            {"qexp": [0], "c": 1}]}])), (),
+        "expected an integer, got '1/2'"),
+    "fractional-cocycle": ("delta", dict(TROPICAL, cocycle={
+        "rank": 2, "s": 1, "B": [[[0, "1/2"], [0, 0]]]}), (),
+        "integer entry expected, got Fraction(1, 2)"),
+    "fractional-sublattice": ("check-induced", dict(INDUCED, chi=[1, 2], A1={
+        "ambient_rank": 2, "basis": [["1/2", 0]]}), (),
+        "integer entry expected, got Fraction(1, 2)"),
+    "fractional-z-form": ("verify-thm42", {
+        "form": {"n": 2, "s": 1, "phi": [[[0, "1/2"], ["-1/2", 0]]]},
+        "parts": []}, (), "integer entry expected, got Fraction(1, 2)"),
+    "part-ambient-rank": ("verify-thm42", {
+        "form": _wedge(2, [(0, 1, 1)]),
+        "parts": [{"ambient_rank": 3, "basis": [[1, 0, 0]]}]}, (),
+        "part with wrong ambient rank"),
+    "non-abelian-probe": ("check-ample",
+                          dict(AMPLE, probes=[[[1, 0], [0, 1]]]), (),
+                          "probe is not an abelian subspace of X"),
+    "element-ranks": ("torus-mul", dict(TORUS_MUL, b={"rank": 3, "terms": []}),
+                      (), "rank mismatch"),
+}
+
+
 class TestErrorHandling:
+    @pytest.mark.parametrize("literal", [
+        "0.5", "1e3", " 1/2", "1/2 ", "+3", "1_000", "\u0661",
+        "\uff11\uff12", "3/-4", "1/0", "1e10000000"])
+    def test_rational_outside_the_grammar_exit_two(self, tmp_path, capsys,
+                                                   literal):
+        # a rational is a JSON int or "p" or "p/q" in ASCII digits, q > 0
+        payload = {"fan": LINE_FAN, "point": [literal]}
+        code, out = run_inproc("lc", payload, tmp_path)
+        assert code == 2 and out == ""
+        assert repr(literal) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", ["3", "-7/2", "4/1", "-0", "0/5"])
+    def test_rational_in_the_grammar_accepted(self, tmp_path, literal):
+        payload = {"fan": LINE_FAN, "point": [literal]}
+        assert run_inproc("lc", payload, tmp_path)[0] == 0
+
+    @pytest.mark.parametrize("case", list(BAD_INPUTS))
+    def test_boundary_check_exit_two(self, tmp_path, capsys, case):
+        command, payload, flags, message = BAD_INPUTS[case]
+        code, out = run_inproc(command, payload, tmp_path, *flags)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"qtdelta: {message}\n"
+
     def test_malformed_json_exit_two(self):
         proc = subprocess.run([sys.executable, "-m", "qtdelta.cli", "delta"],
                               input="{bad", capture_output=True, text=True,

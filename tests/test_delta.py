@@ -250,6 +250,17 @@ class TestDimIdentity:
                 assert check_dim_identity(m, chi).holds
 
 
+@pytest.mark.parametrize("check,message", [
+    (lambda m: check_induced(m, Sublattice.full(3), Character((0, 1))),
+     "sublattice ambient rank mismatch"),
+    (lambda m: generic_for(m, Character((0, 1)), Subspace.full(3)),
+     "subspace of wrong dimension"),
+], ids=["induced", "generic"])
+def test_ambient_dimension_checked(check, message):
+    with pytest.raises(ValueError, match=message):
+        check(tropical_line_module())
+
+
 class TestInduced:
     def test_axis_example(self):
         m = module_from_support([(0, 0), (1, 0)], 2)

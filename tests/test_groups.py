@@ -60,6 +60,17 @@ class TestPresentation:
                                ((Fraction(2, 2), 0, (Fraction(4, 2),)),))
         assert p.table == ((0, 1, (-2,)),)
 
+    @pytest.mark.parametrize("a,b", [(0, 2), (-1, 1), (2, 0)])
+    def test_index_out_of_range_rejected(self, a, b):
+        with pytest.raises(ValueError, match="generator index out of range"):
+            Class2Presentation(("a", "b"), ("z",), ((a, b, (1,)),))
+
+    def test_identified_centres_need_equal_ranks(self):
+        with pytest.raises(ValueError, match="centres of different ranks"):
+            central_product(heisenberg(1),
+                            central_product(heisenberg(1), heisenberg(1)),
+                            identify_centres=True)
+
     def test_conflicting_entries_rejected(self):
         with pytest.raises(ValueError):
             Class2Presentation(("a", "b"), ("z",),

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtdelta import jsonio, torus
 from qtdelta.delta import OneRelatorModule, delta_set
@@ -31,6 +32,16 @@ def test_rational_forms():
         jsonio.rational_from_json(True)
     with pytest.raises(ValueError):
         jsonio.rational_from_json("1/0")
+
+
+@settings(derandomize=True, database=None)
+@given(st.integers() | st.fractions())
+def test_rational_roundtrip(x):
+    # the reader reads exactly what the writer writes, type included
+    back = jsonio.rational_from_json(
+        json.loads(json.dumps(jsonio.rational_to_json(x))))
+    assert back == x
+    assert (type(back) is int) == (x.denominator == 1)
 
 
 def test_fan_roundtrip():

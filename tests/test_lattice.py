@@ -199,6 +199,16 @@ class TestSublattice:
             with pytest.raises(ValueError):
                 Sublattice(2, ((bad, 0),))
 
+    @pytest.mark.parametrize("basis,message", [
+        (((1, 0, 0),), "basis row of wrong length"),
+        (((0, 0),), "zero row in sublattice basis"),
+        (((0, 1), (1, 0)), "basis not in row HNF"),
+        (((-1, 0),), "basis not in row HNF"),
+    ], ids=["length", "zero-row", "pivot-order", "pivot-sign"])
+    def test_basis_checked(self, basis, message):
+        with pytest.raises(ValueError, match=message):
+            Sublattice(2, basis)
+
     def test_saturate_index_two(self):
         lat = Sublattice.from_rows(2, [(2, 0)])
         assert saturate(lat).basis == ((1, 0),)

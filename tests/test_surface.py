@@ -153,14 +153,12 @@ def _located(sources, matches,
 
 
 def _fraction_conversions(sources):
-    """Where ``Fraction(...)`` is called with other than two arguments,
-    outside ``jsonio.rational_from_json``."""
+    """Where ``Fraction(...)`` is called with other than two arguments."""
     return _located(sources, lambda node, module, where: (
         isinstance(node, ast.Call)
         and getattr(node.func, "id",
                     getattr(node.func, "attr", None)) == "Fraction"
-        and len(node.args) + len(node.keywords) != 2
-        and (module, where) != ("jsonio", "rational_from_json")))
+        and len(node.args) + len(node.keywords) != 2))
 
 
 def test_fraction_only_where_a_division_happens():
@@ -186,7 +184,8 @@ def test_guard_flags_a_fraction_conversion():
               "def rational_to_json(x):\n"
               "    return Fraction(x)\n")
     assert _fraction_conversions({"jsonio": jsonio, "planted": planted}) \
-        == ["jsonio.rational_to_json", "planted.rational_from_json",
+        == ["jsonio.rational_from_json", "jsonio.rational_to_json",
+            "planted.rational_from_json",
             "planted.widen", "planted.one", "planted.<module>"]
 
 

@@ -106,6 +106,11 @@ def test_map_validated():
     assert all(type(x) is int for m in forms for row in m for x in row)
 
 
+def test_map_takes_one_matrix_per_target_coordinate():
+    with pytest.raises(ValueError, match="one matrix per target coordinate"):
+        AlternatingMapQ(2, 2, (((0, 1), (-1, 0)),))
+
+
 class TestCenterCentralizer:
     def test_zero_form(self):
         phi = AlternatingMapQ(3, 1, (tuple(tuple(0 for _ in range(3))

@@ -575,6 +575,17 @@ def test_restrict_hands_canonical_forms(drawn, data):
         assert all(type(x) is int for row in m for x in row)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: QTorusElement(1, 1, {(0,): {(0, 0): 1}}),
+     "parameter exponent of wrong length"),
+    (lambda: chi_min(QTorusElement.one(2, 0), (1,)),
+     "character of wrong length"),
+], ids=["qexp", "chi-min"])
+def test_lengths_checked(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_monomial_inverse_checks_its_exponent():
     c = CocycleForm(2, ())
     with pytest.raises(ValueError):
