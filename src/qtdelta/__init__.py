@@ -2,6 +2,7 @@
 
 The package is organized in layers, each importing only those above it:
 
+* :mod:`qtdelta._record` -- the frozen value base of every data type;
 * :mod:`qtdelta.lattice` -- exact integer/rational linear algebra
   (Hermite forms, saturation, kernels, subspaces);
 * :mod:`qtdelta.rng` -- deterministic seeded random streams;

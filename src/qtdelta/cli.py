@@ -34,6 +34,8 @@ def _load(args):
         raise ValueError(
             f"malformed JSON at line {exc.lineno} column {exc.colno} "
             f"(char {exc.pos}): {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply") from exc
 
 
 def _emit(args, result):

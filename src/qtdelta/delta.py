@@ -35,10 +35,10 @@ constructor ``QTorusElement._trusted``, which checks nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import polyhedral, torus
+from ._record import Record
 from .lattice import (
     Sublattice,
     Subspace,
@@ -53,8 +53,7 @@ from .polyhedral import Fan
 from .rng import derive, rational
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Record):
     """Rational point of Hom(A, R) for A = Z^n.
 
     ``coords`` are kept as given; ``ray`` is the primitive integer vector
@@ -62,7 +61,7 @@ class Character:
 
     coords: tuple
 
-    def __post_init__(self):
+    def _post_init(self):
         object.__setattr__(self, "coords",
                            tuple(as_rational(x) for x in self.coords))
 
@@ -88,14 +87,13 @@ class Character:
         return 0 if self.is_zero else 1
 
 
-@dataclass(frozen=True)
-class OneRelatorModule:
+class OneRelatorModule(Record):
     """Cyclic module presented by a single nonzero relator."""
 
     relator: torus.QTorusElement
     cocycle: torus.CocycleForm
 
-    def __post_init__(self):
+    def _post_init(self):
         if self.relator.is_zero:
             raise ValueError("relator must be nonzero")
         if self.relator.rank != self.cocycle.rank:
@@ -132,7 +130,6 @@ def delta_set(module: OneRelatorModule) -> Fan:
     return module._delta_fan
 
 
-@dataclass(frozen=True)
 class InitialFormResult(OneRelatorModule):
     """The initial form as a one-relator module over B = saturate(ker chi):
     relator and cocycle are in the coordinates of ``kernel.basis``."""
@@ -192,8 +189,7 @@ def tc_delta(module: OneRelatorModule, chi: Character) -> Fan:
     return delta_set(initial_form(module, chi))
 
 
-@dataclass(frozen=True)
-class LocalConeReport:
+class LocalConeReport(Record):
     chi: Character
     lhs: Fan
     rhs: Fan
@@ -211,8 +207,7 @@ def check_lemma31(module: OneRelatorModule, chi: Character) -> LocalConeReport:
     return LocalConeReport(chi, lhs, rhs, polyhedral.fan_equal(lhs, rhs))
 
 
-@dataclass(frozen=True)
-class DimReport:
+class DimReport(Record):
     chi: Character
     chi_rank: int
     tc_dim: int

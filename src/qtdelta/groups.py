@@ -10,9 +10,8 @@ one per block, and a free abelian part of rank equal to the radical rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import symplectic, torus
+from ._record import Record
 from .lattice import (
     as_int,
     congruence,
@@ -23,15 +22,14 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class Class2Presentation:
+class Class2Presentation(Record):
     """Commutator table of a finitely generated class-2 nilpotent group."""
 
     generators: tuple
     central: tuple
     table: tuple  # ((a, b, exps), ...) with 0 <= a < b < n, exps in Z^s
 
-    def __post_init__(self):
+    def _post_init(self):
         n = len(self.generators)
         s = len(self.central)
         folded = {}
@@ -140,20 +138,18 @@ def commutator_form(pres: Class2Presentation) -> torus.AlternatingFormZ:
     return torus.AlternatingFormZ(n, tuple(mats))
 
 
-@dataclass(frozen=True)
-class HeisenbergBlock:
+class HeisenbergBlock(Record):
     rank: int
     basis: tuple          # saturated lattice basis, quotient coordinates
     lifted_basis: tuple   # representatives in the original generator lattice
     line: tuple           # primitive image line in Z^s
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(Record):
     heisenberg_blocks: tuple
     cyclic_rank: int
     decomposed: bool
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
 
 def structure_report(pres: Class2Presentation, seed: int = 0,

@@ -7,7 +7,7 @@ nonzero denominator, and raise ValueError on any other data.
 
 This is the one module that writes JSON: :func:`to_json` turns any value
 the CLI outputs into JSON data.  Reports, sublattices and subspaces are
-written as objects of their dataclass fields plus their verdict property,
+written as objects of their record fields plus their verdict property,
 so a new report field needs no writer; fans, elements and symplectic bases
 have the writers below.
 """
@@ -15,7 +15,6 @@ have the writers below.
 from __future__ import annotations
 
 import re
-from dataclasses import fields
 from fractions import Fraction
 
 from . import groups, symplectic, torus
@@ -35,7 +34,7 @@ def to_json(value):
     ints and Fractions by ``rational_to_json``, tuples and lists as arrays,
     dicts as objects, a Character as its coords, fans, elements and
     symplectic bases by their writers, and any other record as an object of
-    its dataclass fields plus its verdict (``passed`` or ``holds``)."""
+    its record fields plus its verdict (``passed`` or ``holds``)."""
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, (int, Fraction)):
@@ -52,7 +51,7 @@ def to_json(value):
         return element_to_json(value)
     if isinstance(value, symplectic.SymplecticBase):
         return base_to_json(value)
-    out = {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    out = {name: to_json(getattr(value, name)) for name in value._fields}
     for verdict in ("passed", "holds"):
         if hasattr(value, verdict):
             out[verdict] = getattr(value, verdict)

@@ -20,10 +20,11 @@ echelon basis, with no further elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+
+from ._record import Record
 
 
 def dot(a, b):
@@ -289,14 +290,13 @@ def null_space_int(matrix, n):
     return tuple(basis)
 
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(Record):
     """Sublattice of Z^n given by independent generator rows in row HNF."""
 
     ambient_rank: int
     basis: tuple
 
-    def __post_init__(self):
+    def _post_init(self):
         object.__setattr__(self, "basis", tuple(tuple(as_int(x) for x in row)
                                                 for row in self.basis))
         n = self.ambient_rank
@@ -392,8 +392,7 @@ def commensurable(l1, l2):
     return saturate(l1) == saturate(l2)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """Linear subspace of Q^n with canonical RREF basis rows."""
 
     ambient_dim: int

@@ -16,10 +16,10 @@ off one Gram matrix per form of the stacked block bases (``_block_pairings``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from ._record import Record
 from .lattice import (
     Subspace,
     as_rational,
@@ -52,15 +52,14 @@ def _check_antisymmetric(mat, n):
     return rows, (ints, den)
 
 
-@dataclass(frozen=True)
-class AlternatingMapQ:
+class AlternatingMapQ(Record):
     """phi(u, v) = (u^T Phi_1 v, ..., u^T Phi_s v) with antisymmetric Phi_k."""
 
     n: int
     s: int
     forms: tuple
 
-    def __post_init__(self):
+    def _post_init(self):
         if len(self.forms) != self.s:
             raise ValueError("expected one matrix per target coordinate")
         checked = [_check_antisymmetric(m, self.n) for m in self.forms]
@@ -155,22 +154,20 @@ def _line_key(space: Subspace):
     return vec_primitive_signed(space.basis[0])
 
 
-@dataclass(frozen=True)
-class SymplecticBase:
+class SymplecticBase(Record):
     """Candidate decomposition: radical, blocks and their image lines."""
 
     V0: Subspace
     blocks: tuple
     lines: tuple
 
-    def __post_init__(self):
+    def _post_init(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
         object.__setattr__(self, "lines",
                            tuple(vec_primitive_signed(w) for w in self.lines))
 
 
-@dataclass(frozen=True)
-class BaseReport:
+class BaseReport(Record):
     direct_sum: bool
     centre_is_v0: bool        # (1)
     blocks_orthogonal: bool   # (2)
@@ -221,8 +218,7 @@ def _verify(phi: AlternatingMapQ, cand: SymplecticBase) -> BaseReport:
     return BaseReport(direct, centre_ok, orth, nondeg, distinct, consistent)
 
 
-@dataclass(frozen=True)
-class NoBaseFound:
+class NoBaseFound(Record):
     """Negative (Monte Carlo) outcome of the base search."""
 
     attempts: int
@@ -362,8 +358,7 @@ def decompose_abelian(phi: AlternatingMapQ, base: SymplecticBase,
     return components
 
 
-@dataclass(frozen=True)
-class AmpleReport:
+class AmpleReport(Record):
     m: int | None
     dim_ok: bool
     cond1: bool | None      # skipped (None) when dim(X / centre(X)) <= 2

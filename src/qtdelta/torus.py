@@ -13,8 +13,7 @@ when all its twist exponents vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .lattice import (Sublattice, Subspace, as_int, as_rational, congruence,
                       dot, kernel_lattice, matrix_rank, row_times, saturate)
 from .symplectic import AlternatingMapQ, _block_pairings, is_abelian
@@ -27,14 +26,13 @@ def _check_square_int(mat, n):
     return rows
 
 
-@dataclass(frozen=True)
-class CocycleForm:
+class CocycleForm(Record):
     """Bilinear integer forms B_1..B_s defining the monomial twist."""
 
     rank: int
     forms: tuple
 
-    def __post_init__(self):
+    def _post_init(self):
         object.__setattr__(self, "forms",
                            tuple(_check_square_int(m, self.rank)
                                  for m in self.forms))
@@ -63,7 +61,6 @@ class CocycleForm:
             congruence(lattice.basis, m) for m in self.forms))
 
 
-@dataclass(frozen=True)
 class AlternatingFormZ(AlternatingMapQ):
     """Integral ``AlternatingMapQ`` on Z^rank: commutator data of the twist."""
 
@@ -277,8 +274,7 @@ def cocycle_image(form: AlternatingFormZ, lattice: Sublattice) -> Sublattice:
     return Sublattice.from_rows(form.s, pairs)
 
 
-@dataclass(frozen=True)
-class Theorem42Report:
+class Theorem42Report(Record):
     """Audit of a direct decomposition against the four block conditions."""
 
     pairwise_commute: bool

@@ -485,6 +485,24 @@ class TestErrorHandling:
         assert proc.returncode == 2
         assert "line 1" in proc.stderr
 
+    @pytest.mark.parametrize("text", [
+        "[" * 3000 + "]" * 3000,
+        json.dumps({"fan": LINE_FAN, "point": None}).replace(
+            "null", "[" * 3000 + "]" * 3000)], ids=["bare", "lc-point"])
+    def test_deeply_nested_json_exit_two(self, tmp_path, capsys, text):
+        # nesting past the recursion limit is bad input, not an internal
+        # error: bare, and as the point of an otherwise valid lc payload
+        inp, out = tmp_path / "in.json", tmp_path / "out.json"
+        inp.write_text(text)
+        assert main(["lc", "--input", str(inp), "--output", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "qtdelta: JSON nested too deeply\n"
+        proc = subprocess.run([sys.executable, "-m", "qtdelta.cli", "lc"],
+                              input=text, capture_output=True, text=True,
+                              env=child_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) \
+            == (2, "", "qtdelta: JSON nested too deeply\n")
+
     def test_missing_field_exit_two(self, tmp_path):
         code, _ = run_inproc("delta", {"cocycle": TROPICAL["cocycle"]},
                              tmp_path)

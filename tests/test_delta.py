@@ -13,6 +13,9 @@ from hypothesis import given, settings, strategies as st
 from qtdelta import delta, jsonio, polyhedral, torus
 from qtdelta.delta import (
     Character,
+    DimReport,
+    InitialFormResult,
+    LocalConeReport,
     OneRelatorModule,
     check_dim_identity,
     check_induced,
@@ -39,6 +42,8 @@ from oracles import (
     random_saturated_sublattice,
     random_unimodular,
 )
+from records import (assert_distinct_classes, assert_record, field_values,
+                     one_changed)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.append(os.path.join(ROOT, "perfbench"))
@@ -1049,3 +1054,43 @@ class TestDeltaCache:
             if values.count(min(values)) == 1:
                 vertices.add(values.index(min(values)))
         assert len(norms) <= 1 + len(vertices)
+
+
+class TestRecords:
+    @PROPERTY
+    @given(st.lists(GRID, min_size=1, max_size=4))
+    def test_character(self, coords):
+        coords = tuple(coords)
+        moved = (coords[0] + 1,) + coords[1:]
+        assert_record(Character, (coords,), [(moved,)])
+
+    @PROPERTY
+    @given(st.data())
+    def test_module_initial_form_and_reports(self, data):
+        module = data.draw(_free_modules())
+        relator, cocycle = module.relator, module.cocycle
+        n = module.rank
+        bumped = torus.CocycleForm(n, tuple(
+            ((m[0][0] + 1,) + m[0][1:],) + m[1:] for m in cocycle.forms))
+        assert_record(OneRelatorModule, (relator, cocycle),
+                      [(relator + relator, cocycle), (relator, bumped)])
+
+        chi = data.draw(st.sampled_from(_characters(data.draw, module)))
+        init = initial_form(module, chi)
+        args = field_values(init)
+        other = (Sublattice.zero(n) if init.kernel.basis
+                 else Sublattice.full(n))
+        assert_record(InitialFormResult, args, [args[:2] + (other,)])
+        assert_distinct_classes(init, OneRelatorModule(*args[:2]))
+
+        report = check_lemma31(module, chi)
+        assert type(report) is LocalConeReport
+        args = field_values(report)
+        assert_record(LocalConeReport, args, one_changed(args))
+
+    @PROPERTY
+    @given(st.lists(GRID, min_size=1, max_size=3),
+           st.tuples(*[st.integers(-1, 4)] * 3))
+    def test_dim_report(self, coords, dims):
+        args = (Character(tuple(coords)),) + dims
+        assert_record(DimReport, args, one_changed(args))

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtdelta import groups, torus
 from qtdelta.groups import (
     Class2Presentation,
+    HeisenbergBlock,
+    StructureReport,
     add_cyclic,
     central_product,
     commutator_form,
@@ -15,6 +18,7 @@ from qtdelta.groups import (
 from qtdelta.lattice import Sublattice
 
 from oracles import standard_j
+from records import assert_record, one_changed
 
 
 class TestPresentation:
@@ -176,3 +180,45 @@ class TestStructureReport:
                             Sublattice.from_rows(n, [(2, 0, 0), (0, 1, 0)]))
         with pytest.raises(AssertionError, match="not surjective"):
             structure_report(add_cyclic(heisenberg(1)), seed=0)
+
+
+class TestRecords:
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2), st.data())
+    def test_presentation(self, m, extra, data):
+        pres = central_product(heisenberg(m), add_cyclic(heisenberg(1)))
+        for _ in range(extra):
+            pres = add_cyclic(pres)
+        args = (pres.generators, pres.central, pres.table)
+        i = data.draw(st.integers(0, len(pres.table) - 1))
+        a, b, exps = pres.table[i]
+        doubled = (pres.table[:i] + ((a, b, tuple(2 * e for e in exps)),)
+                   + pres.table[i + 1:])
+        assert_record(Class2Presentation, args, [
+            (args[0][::-1],) + args[1:],
+            (args[0], args[1][::-1], args[2]),
+            args[:2] + (doubled,)])
+
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=None)
+    @given(st.tuples(
+        st.integers(1, 3),
+        *[st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                   max_size=2).map(tuple)] * 2,
+        st.tuples(st.integers(-2, 2))))
+    def test_heisenberg_block(self, args):
+        assert_record(HeisenbergBlock, args, one_changed(args))
+
+    @settings(max_examples=30, derandomize=True, database=None,
+              deadline=None)
+    @given(st.integers(1, 2), st.integers(0, 1), st.integers(0, 100))
+    def test_structure_report(self, m, cyclic, seed):
+        pres = heisenberg(m)
+        for _ in range(cyclic):
+            pres = add_cyclic(pres)
+        report = structure_report(pres, seed=seed)
+        args = (report.heisenberg_blocks, report.cyclic_rank,
+                report.decomposed, report.diagnostics)
+        # diagnostics is a dict, so the report has no hash, like the tuple
+        assert_record(StructureReport, args, one_changed(args))

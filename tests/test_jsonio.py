@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtdelta import jsonio, torus
+from qtdelta._record import Record
 from qtdelta.delta import OneRelatorModule, delta_set
 from qtdelta.lattice import Sublattice, Subspace
 from qtdelta.polyhedral import Cone, Fan
@@ -152,3 +153,46 @@ def test_malformed_inputs():
             {"exp": [1], "coeff": [{"qexp": [0, 1], "c": 1}]}]})
     with pytest.raises(ValueError):
         jsonio.cocycle_from_json({"rank": 2, "s": 2, "B": [[[0, 0], [0, 0]]]})
+
+
+# The field names of every record, as dataclasses.fields listed them before
+# the records had their own base: to_json writes exactly these keys.
+RECORD_FIELDS = {
+    "Sublattice": ("ambient_rank", "basis"),
+    "Subspace": ("ambient_dim", "basis"),
+    "Character": ("coords",),
+    "OneRelatorModule": ("relator", "cocycle"),
+    "InitialFormResult": ("relator", "cocycle", "kernel"),
+    "LocalConeReport": ("chi", "lhs", "rhs", "equal"),
+    "DimReport": ("chi", "chi_rank", "tc_dim", "delta_dim"),
+    "AlternatingMapQ": ("n", "s", "forms"),
+    "SymplecticBase": ("V0", "blocks", "lines"),
+    "BaseReport": ("direct_sum", "centre_is_v0", "blocks_orthogonal",
+                   "blocks_nondegenerate", "lines_distinct",
+                   "lines_consistent"),
+    "NoBaseFound": ("attempts", "evidence", "reason"),
+    "AmpleReport": ("m", "dim_ok", "cond1", "cond2", "probes",
+                    "degenerate"),
+    "CocycleForm": ("rank", "forms"),
+    "AlternatingFormZ": ("n", "s", "forms"),
+    "Theorem42Report": ("pairwise_commute", "trivial_centres",
+                        "rank_one_images", "distinct_image_lines",
+                        "finite_index", "image_lines"),
+    "Class2Presentation": ("generators", "central", "table"),
+    "HeisenbergBlock": ("rank", "basis", "lifted_basis", "line"),
+    "StructureReport": ("heisenberg_blocks", "cyclic_rank", "decomposed",
+                        "diagnostics"),
+}
+
+
+def _records(cls=Record):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("qtdelta."):
+            yield sub
+        yield from _records(sub)
+
+
+def test_record_fields_pinned():
+    # jsonio imports every layer, so every record class exists here
+    assert {cls.__name__: cls._fields for cls in _records()} == RECORD_FIELDS
+

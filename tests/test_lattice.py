@@ -32,6 +32,7 @@ from oracles import (
     rref_fraction,
     saturation_points_bruteforce,
 )
+from records import assert_record, one_changed
 
 
 def inverse_times(U, H):
@@ -557,3 +558,30 @@ class TestSolve:
 
     def test_empty(self):
         assert solve([], []) == ()
+
+
+# a rank n and up to three integer rows of length n
+_ROWS = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=3)))
+
+
+class TestRecords:
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=None)
+    @given(_ROWS)
+    def test_sublattice(self, drawn):
+        n, rows = drawn
+        lat = Sublattice.from_rows(n, rows)
+        other = Sublattice.zero(n) if lat.basis else Sublattice.full(n)
+        changes = [(n, other.basis)]
+        if not lat.basis:
+            changes.append((n + 1, ()))
+        assert_record(Sublattice, (n, lat.basis), changes)
+
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=None)
+    @given(_ROWS)
+    def test_subspace(self, drawn):
+        n, rows = drawn
+        args = (n, Subspace.from_rows(n, rows).basis)
+        assert_record(Subspace, args, one_changed(args))

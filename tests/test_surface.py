@@ -25,7 +25,11 @@ names ``rational_to_json``.
 
 sympy, whose import costs more than the rest of a cold CLI run, is imported
 in one place only, inside the function ``symplectic._integer_roots``, so
-commands that find no pencil spectrum never load it.
+commands that find no pencil spectrum never load it.  No module imports
+``dataclasses``, which loads ``inspect`` and ``ast`` and ``exec``s the
+methods of each class: the records derive from ``_record.Record``.
+``hashlib`` is imported inside ``rng.derive``, so a command that draws no
+random stream does not load OpenSSL.
 """
 
 import ast
@@ -223,19 +227,19 @@ def test_guard_flags_a_trusted_call_at_the_boundary():
     assert _trusted_callers(sources) == ["torus", "jsonio", "jsonio", "cli"]
 
 
-def _sympy_imports(sources):
-    """Where a statement imports ``sympy`` or one of its submodules."""
-    def is_sympy(name):
-        return name is not None and name.split(".")[0] == "sympy"
+def _imports_of(sources, package):
+    """Where a statement imports ``package`` or one of its submodules."""
+    def is_package(name):
+        return name is not None and name.split(".")[0] == package
 
     return _located(sources, lambda node, module, where: (
         isinstance(node, ast.Import)
-        and any(is_sympy(alias.name) for alias in node.names)
-        or isinstance(node, ast.ImportFrom) and is_sympy(node.module)))
+        and any(is_package(alias.name) for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and is_package(node.module)))
 
 
 def test_sympy_imported_once_inside_a_function():
-    assert _sympy_imports(_sources()) == ["symplectic._integer_roots"]
+    assert _imports_of(_sources(), "sympy") == ["symplectic._integer_roots"]
 
 
 def test_guard_flags_a_sympy_import():
@@ -248,9 +252,24 @@ def test_guard_flags_a_sympy_import():
                "    return sp, Poly, factor_list, p\n\n\n"
                "class Box:\n"
                "    from sympy import ZZ\n")
-    assert _sympy_imports({"planted": planted}) \
+    assert _imports_of({"planted": planted}, "sympy") \
         == ["planted.<module>", "planted.<module>", "planted.roots",
             "planted.roots", "planted.<module>"]
+
+
+def test_no_module_imports_dataclasses():
+    assert _imports_of(_sources(), "dataclasses") == []
+
+
+def test_guard_flags_a_dataclasses_import():
+    planted = ("from dataclasses import dataclass\n"
+               "import dataclasses as dc, json\n"
+               "import dataclassesque\n\n\n"
+               "def fields_of(x):\n"
+               "    from dataclasses import fields\n"
+               "    return fields(x), dc, dataclass\n")
+    assert _imports_of({"planted": planted}, "dataclasses") \
+        == ["planted.<module>", "planted.<module>", "planted.fields_of"]
 
 
 def _json_writers(sources):
@@ -293,7 +312,8 @@ def test_guard_flags_a_second_json_writer():
 
 
 # delta, then lc on the delta command's output, in one fresh interpreter;
-# a symbase run afterwards shows that the probe does see sympy when loaded
+# a symbase run afterwards, which draws and finds a pencil spectrum, shows
+# that the probe does see sympy and hashlib when loaded
 _COLD_COMMANDS = """
 import json, sys
 from qtdelta.cli import main
@@ -305,11 +325,14 @@ def run(command, payload):
                  "--output", work + "/out.json"])
     with open(work + "/out.json") as f:
         return code, json.load(f)
+def loaded():
+    return [name for name in ("sympy", "dataclasses", "inspect", "hashlib")
+            if name in sys.modules]
 code, fan = run("delta", tropical)
 codes = [code, run("lc", {"fan": fan, "point": [0, 1]})[0]]
-loaded = ["sympy" in sys.modules]
+before = loaded()
 codes.append(run("symbase", two_block)[0])
-print(json.dumps([codes, loaded + ["sympy" in sys.modules]]))
+print(json.dumps([codes, before, loaded()]))
 """
 
 
@@ -321,4 +344,7 @@ def test_delta_and_lc_never_load_sympy(tmp_path):
         [sys.executable, "-c", _COLD_COMMANDS,
          json.dumps([TROPICAL, TWO_BLOCK, str(tmp_path)])],
         capture_output=True, text=True, env=env, check=True)
-    assert json.loads(proc.stdout) == [[0, 0, 0], [False, True]]
+    codes, before, after = json.loads(proc.stdout)
+    assert codes == [0, 0, 0]
+    assert before == []
+    assert {"sympy", "hashlib"} <= set(after)

@@ -16,6 +16,8 @@ from qtdelta.lattice import (
 from qtdelta import jsonio, symplectic
 from qtdelta.symplectic import (
     AlternatingMapQ,
+    AmpleReport,
+    BaseReport,
     NoBaseFound,
     SymplecticBase,
     center,
@@ -49,6 +51,7 @@ from oracles import (
     rref_fraction,
     standard_j,
 )
+from records import assert_record, one_changed
 
 
 def J_map(n, s=1, coord=0):
@@ -849,3 +852,74 @@ class TestPencilSpectrum:
         assert _eigenspaces(M) is None
         P = random_unimodular(random.Random(len(M)), len(M))
         assert _eigenspaces(_similar(P, M)) is None
+
+
+@st.composite
+def _antisymmetric_forms(draw, n, s):
+    forms = []
+    for _ in range(s):
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                m[i][j] = draw(st.integers(-3, 3))
+                m[j][i] = -m[i][j]
+        forms.append(tuple(map(tuple, m)))
+    return tuple(forms)
+
+
+def _bumped(forms):
+    """The forms with 1 added at (0, 1) and -1 at (1, 0) of the first."""
+    m = [list(row) for row in forms[0]]
+    m[0][1] += 1
+    m[1][0] -= 1
+    return (tuple(map(tuple, m)),) + forms[1:]
+
+
+class TestRecords:
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=None)
+    @given(st.data(), st.integers(2, 4), st.integers(1, 2))
+    def test_alternating_map(self, data, n, s):
+        forms = data.draw(_antisymmetric_forms(n, s))
+        zero = tuple((0,) * n for _ in range(n))
+        assert_record(AlternatingMapQ, (n, s, forms),
+                      [(n, s, _bumped(forms)), (n, s + 1, forms + (zero,))])
+
+    @settings(max_examples=20, derandomize=True, database=None,
+              deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_symplectic_base(self, seed):
+        rng = random.Random(seed)
+        phi, _ = conjugated_block_instance(rng, [2, 2], [(1, 0), (0, 1)], 2,
+                                           central=1, ops=6)
+        base = compute_symplectic_base(phi, seed=seed)
+        args = (base.V0, base.blocks, base.lines)
+        assert_record(SymplecticBase, args, [
+            (object(),) + args[1:],
+            (args[0], args[1][::-1], args[2]),
+            args[:2] + (args[2][::-1],)])
+
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=None)
+    @given(st.tuples(*[st.booleans()] * 6))
+    def test_base_report(self, args):
+        assert_record(BaseReport, args, one_changed(args))
+
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=None)
+    @given(st.integers(0, 8), st.none() | st.builds(BaseReport,
+                                                     *[st.booleans()] * 6),
+           st.text(max_size=8))
+    def test_no_base_found(self, attempts, evidence, reason):
+        args = (attempts, evidence, reason)
+        assert_record(NoBaseFound, args, one_changed(args))
+
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=None)
+    @given(st.tuples(
+        st.none() | st.integers(0, 4), st.booleans(),
+        st.none() | st.booleans(), st.booleans(),
+        st.lists(st.tuples(st.integers(-2, 2)), max_size=2).map(tuple),
+        st.booleans()))
+    def test_ample_report(self, args):
+        assert_record(AmpleReport, args, one_changed(args))

@@ -12,6 +12,7 @@ from qtdelta.torus import (
     AlternatingFormZ,
     CocycleForm,
     QTorusElement,
+    Theorem42Report,
     center_lattice,
     chi_min,
     cocycle_image,
@@ -25,6 +26,7 @@ from qtdelta.torus import (
 from oracles import (assert_canonical_element, block_conditions_oracle,
                      pairing_double_sum, random_cocycle, random_relator,
                      random_unimodular, restrict_double_sum, rref_fraction)
+from records import assert_distinct_classes, assert_record, one_changed
 
 J2 = AlternatingFormZ(2, (((0, 1), (-1, 0)),))
 
@@ -592,3 +594,44 @@ def test_monomial_inverse_checks_its_exponent():
         monomial_inverse((1, 0, 0), 1, c)
     with pytest.raises(ValueError):
         monomial_inverse((Fraction(1, 2), 0), 1, c)
+
+
+def _square_forms(n, s):
+    return st.lists(st.tuples(*[st.tuples(*[st.integers(-3, 3)] * n)] * n),
+                    min_size=s, max_size=s).map(tuple)
+
+
+class TestRecords:
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=None)
+    @given(st.data(), st.integers(1, 3), st.integers(1, 2))
+    def test_cocycle_form(self, data, n, s):
+        forms = data.draw(_square_forms(n, s))
+        bumped = (((forms[0][0][0] + 1,) + forms[0][0][1:],)
+                  + forms[0][1:],) + forms[1:]
+        zero = tuple((0,) * n for _ in range(n))
+        assert_record(CocycleForm, (n, forms),
+                      [(n, bumped), (n, forms + (zero,))])
+
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=None)
+    @given(st.data(), st.integers(2, 3), st.integers(1, 2))
+    def test_alternating_form_z(self, data, n, s):
+        # its own __init__ takes (rank, forms); the fields are (n, s, forms)
+        forms = commutator_form(CocycleForm(
+            n, data.draw(_square_forms(n, s)))).forms
+        m = [list(row) for row in forms[0]]
+        m[0][1] += 1
+        m[1][0] -= 1
+        bumped = (tuple(map(tuple, m)),) + forms[1:]
+        form = assert_record(AlternatingFormZ, (n, forms), [(n, bumped)])
+        assert (form.n, form.s, form.forms) == (n, s, forms)
+        assert_distinct_classes(form, AlternatingMapQ(n, s, forms))
+
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=None)
+    @given(st.tuples(*[st.booleans()] * 5,
+                     st.lists(st.tuples(st.integers(-2, 2)),
+                              max_size=2).map(tuple)))
+    def test_theorem42_report(self, args):
+        assert_record(Theorem42Report, args, one_changed(args))
