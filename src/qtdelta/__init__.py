@@ -18,107 +18,19 @@ The package is organized in layers, each importing only those above it:
   Heisenberg/cyclic structure report;
 * :mod:`qtdelta.jsonio` -- the JSON readers and writer of the CLI;
 * :mod:`qtdelta.cli` -- the ``qtdelta`` command-line front end.
+
+Each layer from ``lattice`` to ``groups`` lists the names it exports in
+its own ``__all__``; ``qtdelta.__all__`` is their union, sorted.
 """
 
-from .delta import (
-    Character,
-    OneRelatorModule,
-    check_dim_identity,
-    check_induced,
-    check_lemma31,
-    delta_set,
-    generic_for,
-    initial_form,
-    sample_delta_point,
-    tc_delta,
-)
-from .groups import (
-    Class2Presentation,
-    add_cyclic,
-    central_product,
-    heisenberg,
-    structure_report,
-)
-from .lattice import Sublattice, Subspace, commensurable, hnf, kernel_lattice, saturate
-from .polyhedral import (
-    Cone,
-    Fan,
-    carrier_spaces,
-    delta_star,
-    fan_dim,
-    fan_equal,
-    local_cone,
-    preimage,
-)
-from .symplectic import (
-    AlternatingMapQ,
-    NoBaseFound,
-    SymplecticBase,
-    check_ample,
-    compute_symplectic_base,
-    decompose_abelian,
-    verify_symplectic_base,
-)
-from .torus import (
-    AlternatingFormZ,
-    CocycleForm,
-    QTorusElement,
-    center_lattice,
-    chi_min,
-    cocycle_image,
-    commutator_form,
-    is_commutative,
-    multiply,
-    verify_theorem42,
-)
+from .delta import *
+from .groups import *
+from .lattice import *
+from .polyhedral import *
+from .symplectic import *
+from .torus import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlternatingFormZ",
-    "AlternatingMapQ",
-    "Character",
-    "Class2Presentation",
-    "CocycleForm",
-    "Cone",
-    "Fan",
-    "NoBaseFound",
-    "OneRelatorModule",
-    "QTorusElement",
-    "Sublattice",
-    "Subspace",
-    "SymplecticBase",
-    "add_cyclic",
-    "carrier_spaces",
-    "center_lattice",
-    "central_product",
-    "check_ample",
-    "check_dim_identity",
-    "check_induced",
-    "check_lemma31",
-    "chi_min",
-    "cocycle_image",
-    "commensurable",
-    "commutator_form",
-    "compute_symplectic_base",
-    "decompose_abelian",
-    "delta_set",
-    "delta_star",
-    "fan_dim",
-    "fan_equal",
-    "generic_for",
-    "heisenberg",
-    "hnf",
-    "initial_form",
-    "is_commutative",
-    "kernel_lattice",
-    "local_cone",
-    "multiply",
-    "preimage",
-    "sample_delta_point",
-    "saturate",
-    "structure_report",
-    "tc_delta",
-    "verify_symplectic_base",
-    "verify_theorem42",
-]
+__all__ = sorted(delta.__all__ + groups.__all__ + lattice.__all__
+                 + polyhedral.__all__ + symplectic.__all__ + torus.__all__)

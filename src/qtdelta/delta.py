@@ -52,6 +52,10 @@ from .lattice import (
 from .polyhedral import Fan
 from .rng import derive, rational
 
+__all__ = ["Character", "OneRelatorModule", "check_dim_identity",
+           "check_induced", "check_lemma31", "delta_set", "generic_for",
+           "initial_form", "sample_delta_point", "tc_delta"]
+
 
 class Character(Record):
     """Rational point of Hom(A, R) for A = Z^n.

@@ -21,6 +21,9 @@ from .lattice import (
     subspace_to_lattice,
 )
 
+__all__ = ["Class2Presentation", "add_cyclic", "central_product", "heisenberg",
+           "structure_report"]
+
 
 class Class2Presentation(Record):
     """Commutator table of a finitely generated class-2 nilpotent group."""
@@ -39,10 +42,8 @@ class Class2Presentation(Record):
                 raise ValueError("commutator exponent vector of wrong length")
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError("generator index out of range")
-            if a == b:
-                if any(exps):
-                    raise ValueError("a generator cannot fail to commute with itself")
-                continue
+            if a == b and any(exps):
+                raise ValueError("a generator cannot fail to commute with itself")
             if a > b:
                 a, b = b, a
                 exps = tuple(-e for e in exps)
@@ -63,8 +64,6 @@ class Class2Presentation(Record):
         return len(self.central)
 
     def commutator(self, a, b):
-        if a == b:
-            return (0,) * self.s
         sign = 1
         if a > b:
             a, b = b, a

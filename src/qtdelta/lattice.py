@@ -10,12 +10,12 @@ int.  Matrices are tuples of row tuples and every public value is
 immutable, hence safe to share between threads.
 
 ``rref_int`` is the one rational elimination, run fraction-free on integer
-rows; ``rref`` divides each of its rows once, and ``solve`` (A^-1 B) is read
-off ``rref``.  ``hnf`` is the one integer (unimodular) elimination, one HNF
-of the augmented rows ``[M | I]``, so its transform U is canonical: a
-lattice kernel is read off the U of one ``hnf(M^T)``, lifts off the rows of
-U, and coordinates in a sublattice are found by back-substitution on the
-echelon basis, with no further elimination.
+rows, and ``rref`` divides each of its rows once.  ``hnf`` is the one
+integer (unimodular) elimination, one HNF of the augmented rows
+``[M | I]``, so its transform U is canonical: a lattice kernel is read off
+the U of one ``hnf(M^T)``, lifts off the rows of U, and coordinates in a
+sublattice are found by back-substitution on the echelon basis, with no
+further elimination.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ from math import gcd, lcm
 from operator import mul
 
 from ._record import Record
+
+__all__ = ["Sublattice", "Subspace", "commensurable", "hnf", "kernel_lattice",
+           "saturate"]
 
 
 def dot(a, b):
@@ -232,18 +235,6 @@ def rref(matrix):
     return tuple(tuple(row) if row[c] == 1
                  else tuple(Fraction(x, row[c]) for x in row)
                  for row, c in zip(rows, pivots)), pivots
-
-
-def solve(A, B):
-    """``A^-1 B`` (Fraction rows) for a square rational ``A``, read off one
-    ``rref`` of ``[A | B]``; ValueError when ``A`` is singular."""
-    n = len(A)
-    if len(B) != n or any(len(row) != n for row in A):
-        raise ValueError("dimension mismatch in solve")
-    rows, pivots = rref([tuple(a) + tuple(b) for a, b in zip(A, B)])
-    if pivots[:n] != tuple(range(n)):
-        raise ValueError("singular matrix")
-    return tuple(row[n:] for row in rows)
 
 
 def complement_columns(rows, n):

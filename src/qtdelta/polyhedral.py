@@ -33,6 +33,9 @@ from .lattice import (
     vec_primitive_signed,
 )
 
+__all__ = ["Cone", "Fan", "carrier_spaces", "delta_star", "fan_dim",
+           "fan_equal", "local_cone", "preimage"]
+
 
 def _norm_constraints(vectors, dim):
     out = []

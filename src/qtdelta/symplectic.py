@@ -6,7 +6,8 @@ nondegenerate with a one-dimensional image line in W, and the image lines
 are pairwise distinct.  ``compute_symplectic_base`` searches for such a
 decomposition with a seeded pencil-eigenspace method and certifies any
 candidate through ``verify_symplectic_base``; a failure after the retry
-budget is reported as a NoBaseFound value, not an error.  The pencil's
+budget is reported as a NoBaseFound value, not an error.  The pencil is
+read as an integer matrix off one elimination (``_pencil_matrix``), its
 spectrum is found over Z (``_eigenspaces``), and sympy is imported only
 inside ``_integer_roots``.
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from ._record import Record
 from .lattice import (
@@ -32,12 +34,16 @@ from .lattice import (
     matrix_rank,
     null_space_int,
     row_times,
-    solve,
+    rref_int,
     subspace_intersection,
     subspace_sum,
     vec_primitive_signed,
 )
 from .rng import derive
+
+__all__ = ["AlternatingMapQ", "NoBaseFound", "SymplecticBase", "check_ample",
+           "compute_symplectic_base", "decompose_abelian",
+           "verify_symplectic_base"]
 
 
 def _check_antisymmetric(mat, n):
@@ -272,6 +278,17 @@ def _eigenspaces(mat):
     return spaces if sum(map(len, spaces)) == d else None
 
 
+def _pencil_matrix(A, B):
+    """``D A^-1 B`` for a nonsingular rational ``A``, D the least common
+    denominator of ``A^-1 B``, read off one ``rref_int`` of ``[A | B]``:
+    its row i is the primitive integer row ``p_i [e_i | (A^-1 B)_i]``, so
+    p_i, its pivot, is the least common denominator of ``(A^-1 B)_i``."""
+    n = len(A)
+    rows, _ = rref_int([[*a, *b] for a, b in zip(A, B)])
+    D = lcm(*(row[i] for i, row in enumerate(rows)))
+    return [[x * (D // row[i]) for x in row[n:]] for i, row in enumerate(rows)]
+
+
 def compute_symplectic_base(phi: AlternatingMapQ, seed: int = 0,
                             retries: int = 8):
     """Seeded pencil-eigenspace construction of a symplectic base.
@@ -309,7 +326,7 @@ def compute_symplectic_base(phi: AlternatingMapQ, seed: int = 0,
         else:
             reason = "could not draw an invertible pencil member"
             continue
-        split = _eigenspaces(solve(phi_t, pencil(rng)))
+        split = _eigenspaces(_pencil_matrix(phi_t, pencil(rng)))
         if split is None:
             reason = "pencil spectrum not rational-diagonalizable"
             continue
@@ -339,8 +356,6 @@ def decompose_abelian(phi: AlternatingMapQ, base: SymplecticBase,
         raise ValueError("base does not verify")
     if base.V0.dim != 0:
         raise ValueError("base has nontrivial centre; quotient it out first")
-    if phi.n % 2 != 0:
-        raise ValueError("space dimension must be even")
     m = phi.n // 2
     if not is_abelian(phi, space):
         raise ValueError("subspace is not abelian")

@@ -18,6 +18,10 @@ from .lattice import (Sublattice, Subspace, as_int, as_rational, congruence,
                       dot, kernel_lattice, matrix_rank, row_times, saturate)
 from .symplectic import AlternatingMapQ, _block_pairings, is_abelian
 
+__all__ = ["AlternatingFormZ", "CocycleForm", "QTorusElement",
+           "center_lattice", "chi_min", "cocycle_image", "commutator_form",
+           "is_commutative", "multiply", "verify_theorem42"]
+
 
 def _check_square_int(mat, n):
     rows = tuple(tuple(as_int(x) for x in row) for row in mat)

@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtdelta import cli
+from qtdelta import cli, delta
 from qtdelta.cli import main
 
 TROPICAL = {
@@ -484,6 +484,47 @@ class TestErrorHandling:
                               env=child_env())
         assert proc.returncode == 2
         assert "line 1" in proc.stderr
+
+    def test_malformed_json_message(self, tmp_path, capsys):
+        inp = tmp_path / "in.json"
+        inp.write_text('{"relator": 1,\n  bad}')
+        assert main(["delta", "--input", str(inp)]) == 2
+        assert capsys.readouterr() == ("", (
+            "qtdelta: malformed JSON at line 2 column 3 (char 17): "
+            "Expecting property name enclosed in double quotes\n"))
+
+    @pytest.mark.parametrize("command,check,failed,key", [
+        ("check-lemma31", "check_lemma31",
+         lambda r: delta.LocalConeReport(r.chi, r.lhs, r.rhs, False),
+         "all_equal"),
+        ("check-dim", "check_dim_identity",
+         lambda r: delta.DimReport(r.chi, r.chi_rank, r.tc_dim + 1,
+                                   r.delta_dim),
+         "all_hold"),
+    ], ids=["lemma31", "dim"])
+    def test_failed_check_exit_one_with_witness(self, tmp_path, monkeypatch,
+                                                command, check, failed, key):
+        # the third and fifth of six sampled checks fail; the witness is
+        # the first of them
+        passing = json.loads(run_inproc(command, WIDE3, tmp_path,
+                                        "--sample", "6")[1])
+        real = getattr(delta, check)
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            report = real(*args)
+            return failed(report) if len(calls) in (3, 5) else report
+
+        monkeypatch.setattr(delta, check, failing)
+        code, out = run_inproc(command, WIDE3, tmp_path, "--sample", "6")
+        result = json.loads(out)
+        assert code == 1 and len(calls) == 6
+        assert result[key] is False and passing[key] is True
+        assert result["witness"] == result["checks"][2] \
+            != passing["checks"][2]
+        assert [c for i, c in enumerate(result["checks"]) if i not in (2, 4)] \
+            == [c for i, c in enumerate(passing["checks"]) if i not in (2, 4)]
 
     @pytest.mark.parametrize("text", [
         "[" * 3000 + "]" * 3000,

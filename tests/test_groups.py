@@ -38,6 +38,18 @@ class TestPresentation:
         with pytest.raises(ValueError):
             heisenberg(0)
 
+    def test_zero_diagonal_entry_folded_away(self):
+        p = Class2Presentation(("a", "b"), ("z",),
+                               ((0, 0, (0,)), (1, 0, (2,)), (1, 1, (0,))))
+        assert p.table == ((0, 1, (-2,)),)
+        assert p == Class2Presentation(("a", "b"), ("z",), ((0, 1, (-2,)),))
+
+    def test_commutator_with_itself_and_of_an_absent_pair(self):
+        p = heisenberg(2)  # generators x1, x2, y1, y2; [x_i, y_i] = z
+        assert [p.commutator(a, a) for a in range(4)] == [(0,)] * 4
+        assert p.commutator(0, 1) == p.commutator(1, 0) == (0,)
+        assert p.commutator(0, 3) == p.commutator(3, 0) == (0,)
+
     def test_direct_product_with_cyclic(self):
         p = add_cyclic(heisenberg(1))
         assert p.n == 3

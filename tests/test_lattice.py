@@ -17,7 +17,6 @@ from qtdelta.lattice import (
     rref,
     rref_int,
     saturate,
-    solve,
     subspace_intersection,
     subspace_sum,
     subspace_to_lattice,
@@ -530,36 +529,6 @@ class TestRref:
         assert rref_int(M) == ([[1, 0, -4], [0, 1, -2]], (0, 1))
 
 
-class TestSolve:
-    def test_matches_oracle_inverse(self):
-        rng = random.Random(515)
-        solved = 0
-        while solved < 200:
-            n = rng.randint(1, 5)
-            A = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                  for _ in range(n)] for _ in range(n)]
-            if det_fraction(A) == 0:
-                continue
-            width = rng.randint(1, 4)
-            B = tuple(tuple(rng.randint(-4, 4) for _ in range(width))
-                      for _ in range(n))
-            X = solve(A, B)
-            assert X == mat_mul(inverse_fraction(A), B)
-            assert mat_mul(A, X) == B
-            solved += 1
-
-    def test_singular_raises(self):
-        with pytest.raises(ValueError):
-            solve([(1, 2), (2, 4)], [(1, 0), (0, 1)])
-        with pytest.raises(ValueError):
-            solve([(0, 0), (0, 0)], [(1,), (1,)])
-        with pytest.raises(ValueError):
-            inverse_fraction([(1, 2), (Fraction(1, 2), 1)])
-
-    def test_empty(self):
-        assert solve([], []) == ()
-
-
 # a rank n and up to three integer rows of length n
 _ROWS = st.integers(1, 3).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=3)))
@@ -585,3 +554,38 @@ class TestRecords:
         n, rows = drawn
         args = (n, Subspace.from_rows(n, rows).basis)
         assert_record(Subspace, args, one_changed(args))
+
+
+# ---------------------------------------------------------------------------
+# boundary checks: each case is a call on bad input and its ValueError
+
+BAD_INPUTS = {
+    "dot": (lambda: lattice.dot((1, 2), (1,)),
+            "dimension mismatch in dot product"),
+    "row-times": (lambda: lattice.row_times((1,), ((1, 2), (3, 4))),
+                  "dimension mismatch in row_times"),
+    "sublattice-generator": (lambda: Sublattice.from_rows(2, [(1, 2, 3)]),
+                             "generator of wrong length"),
+    "kernel-lattice": (lambda: kernel_lattice([(1, 2, 3)], 2),
+                       "dimension mismatch"),
+    "commensurable": (lambda: commensurable(Sublattice.full(2),
+                                            Sublattice.full(3)),
+                      "ambient rank mismatch"),
+    "subspace-row": (lambda: Subspace.from_rows(2, [(1, 2, 3)]),
+                     "row of wrong length"),
+    "contains-vector": (lambda: Subspace.zero(2).contains_vector((1, 2, 3)),
+                        "dimension mismatch"),
+    "contains": (lambda: Subspace.zero(2).contains(Subspace.full(3)),
+                 "dimension mismatch"),
+    "intersection": (lambda: subspace_intersection(Subspace.full(2),
+                                                   Subspace.zero(3)),
+                     "dimension mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_boundary_raises(case):
+    call, message = BAD_INPUTS[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -728,3 +728,25 @@ class TestFanEqualProperties:
         assert fan_equal(_fan(n, [cone]), _fan(n, rest)) == covered
         _covers(n, [cone], rest, covered)
         _covers(n, rest, [cone], True)
+
+
+# ---------------------------------------------------------------------------
+# boundary checks: each case is a call on bad input and its ValueError
+
+BAD_INPUTS = {
+    "constraint": (lambda: Cone.from_constraints(2, inequalities=[(1, 0, 0)]),
+                   "constraint of wrong dimension"),
+    "member": (lambda: halfplane().member((1,)), "dimension mismatch"),
+    "tangent-outside": (lambda: halfplane().tangent_cone((-1, 0)),
+                        "point is not in the cone"),
+    # on an empty fan, where no Cone.member call checks the point
+    "local-cone": (lambda: local_cone(Fan(2), (0,)), "dimension mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_boundary_raises(case):
+    call, message = BAD_INPUTS[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -10,6 +10,12 @@ export and document it.
 Every name a module other than ``__init__`` imports is also used in that
 module, so a refactor that moves a call leaves no stale import behind.
 
+Each exported name is declared once, in the layer that defines it: the
+``__all__`` of each of the six layers lists only that layer's own top-level
+``def`` and ``class`` names, so a star import re-exports no imported name;
+no name is listed by two layers; and ``qtdelta.__all__`` is their union,
+sorted, with ``__init__`` spelling out none of the names.
+
 An exact value keeps its type, so no call converts one to a Fraction:
 ``Fraction(...)`` takes two arguments, a division, everywhere except in
 ``jsonio.rational_from_json``, which parses a "p/q" string.
@@ -134,6 +140,64 @@ def test_guard_flags_an_unused_import():
     sources = {"__init__": "import os\n", "planted": planted}
     assert _unused_imports(sources) \
         == ["planted.os", "planted.solve_left", "planted.re"]
+
+
+LAYERS = ("lattice", "polyhedral", "symplectic", "torus", "delta", "groups")
+
+
+def _exports(sources):
+    """``(declared, faults)``: the literal ``__all__`` list of each module
+    that has one, and as "module.name" each listed name the module does not
+    define by a top-level ``def`` or ``class``, and each name listed again
+    by a later module."""
+    declared, faults, owner = {}, [], {}
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        defined = {top.name for top in tree.body
+                   if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))}
+        for top in tree.body:
+            if isinstance(top, ast.Assign) and any(
+                    getattr(target, "id", None) == "__all__"
+                    for target in top.targets):
+                declared[module] = ast.literal_eval(top.value)
+        for name in declared.get(module, ()):
+            if name not in defined:
+                faults.append(f"{module}.{name}")
+            if name in owner:
+                faults.append(f"{owner[name]}.{name} again in {module}")
+            owner.setdefault(name, module)
+    return declared, faults
+
+
+def test_each_export_declared_once_where_defined():
+    sources = _sources()
+    init = ast.parse(sources.pop("__init__"))
+    declared, faults = _exports(sources)
+    assert faults == []
+    assert sorted(declared) == sorted(LAYERS)
+    assert qtdelta.__all__ == sorted(name for names in declared.values()
+                                     for name in names)
+    spelled = set(_names(init)) | {node.value for node in ast.walk(init)
+                                   if isinstance(node, ast.Constant)}
+    assert not spelled & set(qtdelta.__all__)
+
+
+def test_guard_flags_a_reexport_and_a_duplicate():
+    first = ("from .lattice import Subspace\n\n"
+             "__all__ = [\"Cone\", \"Subspace\", \"shared\"]\n\n\n"
+             "class Cone:\n    pass\n\n\n"
+             "def shared():\n    pass\n")
+    second = ("from .first import *\n\n"
+              "__all__ = [\"shared\", \"later\"]\n\n\n"
+              "def shared():\n    pass\n\n\n"
+              "later = shared\n")
+    declared, faults = _exports({"first": first, "second": second,
+                                 "plain": "X = 1\n"})
+    assert declared == {"first": ["Cone", "Subspace", "shared"],
+                        "second": ["shared", "later"]}
+    assert faults == ["first.Subspace", "first.shared again in second",
+                      "second.later"]
 
 
 def _located(sources, matches,

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from qtdelta.symplectic import (
     verify_symplectic_base,
 )
 from qtdelta.symplectic import (_block_pairings, _charpoly, _eigenspaces,
-                                _integer_roots)
+                                _integer_roots, _pencil_matrix)
 from qtdelta.torus import AlternatingFormZ
 from qtdelta.rng import derive
 
@@ -44,6 +45,7 @@ from oracles import (
     det_fraction,
     distinct_lines,
     inverse_fraction,
+    mat_mul,
     pairing_double_sum,
     random_unimodular,
     rational_roots_oracle,
@@ -515,6 +517,22 @@ class TestDecomposeAbelian:
         with pytest.raises(ValueError):
             decompose_abelian(phi, base, U)
 
+    def test_odd_dimension_rejected_by_the_earlier_checks(self):
+        # a verified base with trivial centre has even blocks, so an odd
+        # space fails one of the first two checks: the cross product on
+        # Q^3 has trivial centre but no base, the forged one does not verify
+        cross = wedge_form(3, [(1, 2, 1)], [(0, 2, -1)], [(0, 1, 1)])
+        assert center(cross).dim == 0
+        forged = SymplecticBase(Subspace.zero(3), [Subspace.full(3)],
+                                [(1, 0, 0)])
+        with pytest.raises(ValueError, match="^base does not verify$"):
+            decompose_abelian(cross, forged, Subspace.zero(3))
+        phi = block_form([2], [(1,)], 1, central=1)
+        base = compute_symplectic_base(phi, seed=0)
+        with pytest.raises(ValueError, match="^base has nontrivial centre"):
+            decompose_abelian(phi, base,
+                              Subspace.from_rows(3, [(1, 0, 0)]))
+
     @pytest.mark.parametrize("seed", range(15))
     def test_random_lagrangian_split(self, seed):
         rng = random.Random(4200 + seed)
@@ -776,6 +794,35 @@ def _check_roots(coeffs, roots):
     assert got == rational_roots_oracle(coeffs)
 
 
+class TestPencilMatrix:
+    def test_matches_oracle_inverse(self):
+        # D A^-1 B, D the least common denominator of A^-1 B
+        rng = random.Random(515)
+        solved = 0
+        while solved < 200:
+            n = rng.randint(1, 5)
+            A = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                  for _ in range(n)] for _ in range(n)]
+            if det_fraction(A) == 0:
+                continue
+            width = rng.randint(1, 4)
+            B = tuple(tuple(rng.randint(-4, 4) for _ in range(width))
+                      for _ in range(n))
+            X = mat_mul(inverse_fraction(A), B)
+            D = math.lcm(*(Fraction(x).denominator for row in X for x in row))
+            got = _pencil_matrix(A, B)
+            assert got == [[int(x * D) for x in row] for row in X]
+            assert all(type(x) is int for row in got for x in row)
+            solved += 1
+
+    def test_oracle_inverse_rejects_singular(self):
+        with pytest.raises(ValueError):
+            inverse_fraction([(1, 2), (Fraction(1, 2), 1)])
+
+    def test_empty(self):
+        assert _pencil_matrix([], []) == []
+
+
 class TestPencilSpectrum:
     def test_degrees_zero_and_one(self):
         _check_roots([1], [])
@@ -923,3 +970,24 @@ class TestRecords:
         st.booleans()))
     def test_ample_report(self, args):
         assert_record(AmpleReport, args, one_changed(args))
+
+
+# ---------------------------------------------------------------------------
+# boundary checks: each case is a call on bad input and its ValueError
+
+BAD_INPUTS = {
+    "centralizer": (lambda: centralizer(J_map(2), Subspace.zero(3)),
+                    "dimension mismatch"),
+    "is-abelian": (lambda: is_abelian(J_map(2), Subspace.zero(3)),
+                   "dimension mismatch"),
+    "ample-subspace": (lambda: check_ample(J_map(2), Subspace.full(3), []),
+                       "subspace of wrong dimension"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_boundary_raises(case):
+    call, message = BAD_INPUTS[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

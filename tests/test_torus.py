@@ -635,3 +635,24 @@ class TestRecords:
                               max_size=2).map(tuple)))
     def test_theorem42_report(self, args):
         assert_record(Theorem42Report, args, one_changed(args))
+
+
+# ---------------------------------------------------------------------------
+# boundary checks: each case is a call on bad input and its ValueError
+
+BAD_INPUTS = {
+    "add-rank": (lambda: QTorusElement.one(2, 1) + QTorusElement.one(3, 1),
+                 "rank mismatch"),
+    "add-parameters": (lambda: QTorusElement.one(2, 1)
+                       + QTorusElement.one(2, 2), "rank mismatch"),
+    "cocycle-image": (lambda: cocycle_image(J2, Sublattice.full(3)),
+                      "ambient rank mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_boundary_raises(case):
+    call, message = BAD_INPUTS[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
