@@ -12,8 +12,7 @@ the library does not load ``dataclasses`` or ``inspect``):
   ``NotImplemented`` for any other class, subclasses included;
 * ``__hash__``, the hash of the tuple of the fields;
 
-each unless the class body defines it (``AlternatingFormZ`` keeps its own
-``__init__``).
+each unless the class body defines it.
 
 Assigning or deleting an attribute raises AttributeError.  Instances keep
 a ``__dict__``, where ``functools.cached_property`` stores its values, and

@@ -202,19 +202,19 @@ def cmd_verify_base(args, data):
 def cmd_abelian_split(args, data):
     phi = jsonio.alternating_q_from_json(_require(data, "form"))
     base = jsonio.base_from_json(_require(data, "base"), phi.n)
-    space = jsonio.subspace_from_json(_require(data, "U"), ambient=phi.n)
+    space = jsonio.subspace_from_json(_require(data, "U"), phi.n)
     components = symplectic.decompose_abelian(phi, base, space)
     return {"components": components}, True
 
 
 def cmd_check_ample(args, data):
     phi = jsonio.alternating_q_from_json(_require(data, "form"))
-    space = jsonio.subspace_from_json(_require(data, "X"), ambient=phi.n)
-    omega = [jsonio.subspace_from_json(u, ambient=phi.n)
+    space = jsonio.subspace_from_json(_require(data, "X"), phi.n)
+    omega = [jsonio.subspace_from_json(u, phi.n)
              for u in jsonio._array(_require(data, "Omega"), "Omega")]
     probes = None
     if "probes" in data:
-        probes = [jsonio.subspace_from_json(u, ambient=phi.n)
+        probes = [jsonio.subspace_from_json(u, phi.n)
                   for u in jsonio._array(data["probes"], "probes")]
     report = symplectic.check_ample(phi, space, omega, probes=probes,
                                     seed=args.seed)

@@ -14,7 +14,6 @@ from . import symplectic, torus
 from ._record import Record
 from .lattice import (
     as_int,
-    congruence,
     hnf,
     kernel_lattice,
     row_times,
@@ -125,16 +124,13 @@ def central_product(p1: Class2Presentation, p2: Class2Presentation,
     return Class2Presentation(tuple(gens), tuple(central), tuple(table))
 
 
-def commutator_form(pres: Class2Presentation) -> torus.AlternatingFormZ:
-    n, s = pres.n, pres.s
-    mats = []
-    for k in range(s):
-        mat = [[0] * n for _ in range(n)]
-        for a, b, exps in pres.table:
-            mat[a][b] = exps[k]
-            mat[b][a] = -exps[k]
-        mats.append(tuple(map(tuple, mat)))
-    return torus.AlternatingFormZ(n, tuple(mats))
+def commutator_form(pres: Class2Presentation) -> symplectic.AlternatingMapQ:
+    """B - B^T for the table read as an upper triangular cocycle B."""
+    upper = [[[0] * pres.n for _ in range(pres.n)] for _ in range(pres.s)]
+    for a, b, exps in pres.table:
+        for m, e in zip(upper, exps):
+            m[a][b] = e
+    return torus.commutator_form(torus.CocycleForm(pres.n, upper))
 
 
 class HeisenbergBlock(Record):
@@ -176,8 +172,7 @@ def structure_report(pres: Class2Presentation, seed: int = 0,
     if H[:m] != tuple(tuple(int(i == j) for j in range(m)) for i in range(m)):
         raise AssertionError("quotient projection is not surjective")
     lifts = U[:m]
-    quotient_form = torus.AlternatingFormZ(
-        m, tuple(congruence(lifts, mat) for mat in form.forms))
+    quotient_form = form.restrict(lifts)
     outcome = symplectic.compute_symplectic_base(quotient_form, seed=seed,
                                                  retries=retries)
     diagnostics = {

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import groups, symplectic, torus
 from .delta import Character
-from .lattice import Sublattice, Subspace
+from .lattice import Sublattice, Subspace, as_int
 from .polyhedral import Cone, Fan
 
 
@@ -180,7 +180,7 @@ def _matrices(data, what, size_key, mats_key):
     s = size_from_json(data.get("s"))
     mats = _array(data.get(mats_key, []), f"{what} {mats_key}")
     if len(mats) != s:
-        raise ValueError(f"expected s {what} matrices")
+        raise ValueError(f"expected s = {s} {what} matrices, got {len(mats)}")
     return size, s, tuple(matrix_from_json(m, size) for m in mats)
 
 
@@ -189,9 +189,11 @@ def cocycle_from_json(data) -> torus.CocycleForm:
     return torus.CocycleForm(rank, mats)
 
 
-def alternating_z_from_json(data) -> torus.AlternatingFormZ:
-    n, _, mats = _matrices(data, "form", "n", "phi")
-    return torus.AlternatingFormZ(n, mats)
+def alternating_z_from_json(data) -> symplectic.AlternatingMapQ:
+    """An alternating form whose entries are all integers."""
+    n, s, mats = _matrices(data, "form", "n", "phi")
+    return symplectic.AlternatingMapQ(n, s, tuple(
+        tuple(tuple(as_int(x) for x in row) for row in m) for m in mats))
 
 
 def alternating_q_from_json(data) -> symplectic.AlternatingMapQ:
@@ -204,16 +206,17 @@ def sublattice_from_json(data) -> Sublattice:
     return Sublattice.from_rows(n, matrix_from_json(data.get("basis", []), n))
 
 
-def subspace_from_json(data, ambient=None) -> Subspace:
+def subspace_from_json(data, n) -> Subspace:
+    """A subspace of Q^n: a basis matrix, or an object of ``basis`` and
+    ``ambient_dim`` n."""
     if isinstance(data, dict):
-        n = size_from_json(data.get("ambient_dim"))
-        rows = matrix_from_json(data.get("basis", []), n)
-    elif isinstance(data, list) and ambient is not None:
-        n = ambient
-        rows = matrix_from_json(data, n)
-    else:
+        dim = size_from_json(data.get("ambient_dim"))
+        if dim != n:
+            raise ValueError(f"subspace in Q^{dim}, expected Q^{n}")
+        data = data.get("basis", [])
+    elif not isinstance(data, list):
         raise ValueError("subspace must be an object or a basis matrix")
-    return Subspace.from_rows(n, rows)
+    return Subspace.from_rows(n, matrix_from_json(data, n))
 
 
 def character_from_json(data, n) -> Character:

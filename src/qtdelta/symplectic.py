@@ -11,8 +11,9 @@ read as an integer matrix off one elimination (``_pencil_matrix``), its
 spectrum is found over Z (``_eigenspaces``), and sympy is imported only
 inside ``_integer_roots``.
 
-Both block verifiers, here and in ``torus``, read every pairing they need
-off one Gram matrix per form of the stacked block bases (``_block_pairings``).
+``AlternatingMapQ`` is the one alternating-form type, over Z too.  Both
+block verifiers, here and in ``torus``, read every pairing they need off
+one Gram matrix per form of the stacked block bases (``_block_pairings``).
 """
 
 from __future__ import annotations
@@ -78,6 +79,12 @@ class AlternatingMapQ(Record):
         vi, dv = clear_denominators(v)
         return tuple(Fraction(dot(row_times(ui, m), vi), den * du * dv)
                      for m, den in self._cleared)
+
+    def restrict(self, basis) -> "AlternatingMapQ":
+        """The map on the span of the rows of ``basis``, in their
+        coordinates; integral on integral forms and rows."""
+        return AlternatingMapQ(len(basis), self.s, tuple(
+            congruence(basis, m, den) for m, den in self._cleared))
 
     def left_rows(self, v):
         """Rows (v^T Phi_k), the matrix of w -> phi(v, w)."""

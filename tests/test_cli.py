@@ -451,6 +451,19 @@ BAD_INPUTS = {
                           "probe is not an abelian subspace of X"),
     "element-ranks": ("torus-mul", dict(TORUS_MUL, b={"rank": 3, "terms": []}),
                       (), "rank mismatch"),
+    "form-count": ("center", {"form": {"n": 2, "s": 2, "phi": [
+        [[0, 1], [-1, 0]]]}}, (), "expected s = 2 form matrices, got 1"),
+    # a subspace object in the wrong ambient dimension, in each field
+    "ample-x-dim": ("check-ample", dict(AMPLE, X={
+        "ambient_dim": 3, "basis": []}), (), "subspace in Q^3, expected Q^2"),
+    "ample-omega-dim": ("check-ample", dict(AMPLE, Omega=[{
+        "ambient_dim": 3, "basis": []}]), (), "subspace in Q^3, expected Q^2"),
+    "ample-probe-dim": ("check-ample", dict(AMPLE, probes=[{
+        "ambient_dim": 1, "basis": []}]), (), "subspace in Q^1, expected Q^2"),
+    "split-u-dim": ("abelian-split", dict(
+        TWO_BLOCK, base={"V0": [], "blocks": [], "lines": []},
+        U={"ambient_dim": 3, "basis": [[1, 0, 0]]}), (),
+        "subspace in Q^3, expected Q^4"),
 }
 
 

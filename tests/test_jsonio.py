@@ -91,7 +91,8 @@ def test_sublattice_subspace_roundtrip():
     lat = Sublattice.from_rows(3, [(1, 2, 3), (0, 4, 5)])
     assert jsonio.sublattice_from_json(jsonio.to_json(lat)) == lat
     space = Subspace.from_rows(3, [(1, Fraction(1, 2), 0)])
-    assert jsonio.subspace_from_json(jsonio.to_json(space)) == space
+    assert jsonio.subspace_from_json(jsonio.to_json(space), 3) == space
+    assert jsonio.subspace_from_json([[1, "1/2", 0]], 3) == space
 
 
 def test_alternating_roundtrip():
@@ -99,6 +100,13 @@ def test_alternating_roundtrip():
                                   (Fraction(-1, 2), 0)),))
     data = {"n": 2, "s": 1, "phi": [[[0, "1/2"], ["-1/2", 0]]]}
     assert jsonio.alternating_q_from_json(data) == phi
+    # the Z reader checks every entry integral and keeps it an int
+    with pytest.raises(ValueError, match=r"got Fraction\(1, 2\)"):
+        jsonio.alternating_z_from_json(data)
+    data["phi"] = [[[0, "4/2"], [-2, 0]]]
+    forms = jsonio.alternating_z_from_json(data).forms
+    assert forms == (((0, 2), (-2, 0)),)
+    assert all(type(x) is int for row in forms[0] for x in row)
 
 
 def test_base_roundtrip():
@@ -174,7 +182,6 @@ RECORD_FIELDS = {
     "AmpleReport": ("m", "dim_ok", "cond1", "cond2", "probes",
                     "degenerate"),
     "CocycleForm": ("rank", "forms"),
-    "AlternatingFormZ": ("n", "s", "forms"),
     "Theorem42Report": ("pairwise_commute", "trivial_centres",
                         "rank_one_images", "distinct_image_lines",
                         "finite_index", "image_lines"),

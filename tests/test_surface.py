@@ -24,6 +24,13 @@ Input is validated at the boundary: the private ``_trusted`` constructors,
 which check nothing, are called only from ``torus`` and ``delta``, where
 the library hands over data it has just built.
 
+There is one alternating-form type, ``symplectic.AlternatingMapQ``.
+``torus.AlternatingFormZ`` is a second name for it, bound once in ``torus``
+(``perfbench/spans.py`` looks it up) and listed in no ``__all__``, so it can
+be deleted but not grow back into a subtype.  ``congruence`` restricts a
+form in ``AlternatingMapQ.restrict``, ``symplectic._block_pairings`` and
+``CocycleForm.restrict`` only.
+
 JSON is written in one place: ``jsonio.to_json`` writes every CLI result,
 so ``to_json`` is defined only there and in ``symplectic.AmpleReport``
 (whose probes the recorded check-ample output pins), and only ``jsonio``
@@ -289,6 +296,44 @@ def test_guard_flags_a_trusted_call_at_the_boundary():
     sources = {"torus": "X = QTorusElement._trusted(1, 0, {})\n",
                "jsonio": planted, "cli": "Y = CocycleForm._trusted(1, ())\n"}
     assert _trusted_callers(sources) == ["torus", "jsonio", "jsonio", "cli"]
+
+
+def _uses(sources, name):
+    """Where ``name`` is used: read, assigned, imported, an attribute, or
+    defined by a ``def`` or ``class``."""
+    return _located(sources, lambda node, module, where: name in (
+        getattr(node, "id", None), getattr(node, "attr", None),
+        getattr(node, "name", None)))
+
+
+def test_one_alternating_form_type():
+    from qtdelta import symplectic, torus
+
+    assert torus.AlternatingFormZ is symplectic.AlternatingMapQ
+    sources = _sources()
+    declared, _ = _exports({module: text for module, text in sources.items()
+                            if module != "__init__"})
+    assert all("AlternatingFormZ" not in names
+               for names in [qtdelta.__all__, *declared.values()])
+    assert _uses(sources, "AlternatingFormZ") == ["torus.<module>"]
+    assert _uses(sources, "congruence") == [
+        "lattice.<module>", "symplectic.<module>", "symplectic.restrict",
+        "symplectic._block_pairings", "torus.<module>", "torus.restrict"]
+
+
+def test_guard_flags_a_second_form_type():
+    planted = ("from .symplectic import AlternatingMapQ\n"
+               "from . import torus\n\n\n"
+               "class AlternatingFormZ(AlternatingMapQ):\n"
+               "    def restrict(self, lattice):\n"
+               "        return AlternatingFormZ(self.n, self.forms)\n\n\n"
+               "def read(data):\n"
+               "    return torus.AlternatingFormZ(2, data)\n")
+    binding = "AlternatingFormZ = AlternatingMapQ\n"
+    assert _uses({"torus": binding, "planted": planted},
+                 "AlternatingFormZ") \
+        == ["torus.<module>", "planted.<module>", "planted.restrict",
+            "planted.read"]
 
 
 def _imports_of(sources, package):

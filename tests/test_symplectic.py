@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtdelta.lattice import (
-    Sublattice,
     Subspace,
     congruence,
     matrix_rank,
@@ -33,7 +32,6 @@ from qtdelta.symplectic import (
 )
 from qtdelta.symplectic import (_block_pairings, _charpoly, _eigenspaces,
                                 _integer_roots, _pencil_matrix)
-from qtdelta.torus import AlternatingFormZ
 from qtdelta.rng import derive
 
 from oracles import (
@@ -721,11 +719,21 @@ class TestIntegerKernel:
                              for i in own for j in own if i < j]
             assert rank == len(rref_fraction(
                 [[G[i][j] for j in own] for G in grams for i in own])[1])
-        # the integral restriction, on the numerators of phi
-        form = AlternatingFormZ(n, tuple(m for m, _ in phi._cleared))
-        lattice = Sublattice.from_rows(n, [vec_primitive(b) for b in basis])
-        assert form.restrict(lattice).forms == tuple(
-            restrict_double_sum(m, lattice.basis) for m in form.forms)
+        # the restriction to the rows with one dependent row added, then
+        # to their doubled primitive int rows on the numerators of phi,
+        # where every entry stays an int
+        rows = basis + [tuple(2 * x for x in basis[-1])]
+        restricted = phi.restrict(rows)
+        assert (restricted.n, restricted.s) == (r + 1, s)
+        assert restricted.forms == tuple(restrict_double_sum(m, rows)
+                                         for m in phi.forms)
+        form = AlternatingMapQ(n, s, tuple(m for m, _ in phi._cleared))
+        rows = [tuple(2 * x for x in vec_primitive(b)) for b in rows]
+        restricted = form.restrict(rows)
+        assert restricted.forms == tuple(restrict_double_sum(m, rows)
+                                         for m in form.forms)
+        assert all(type(x) is int for m in restricted.forms for row in m
+                   for x in row)
         units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
         for u in basis:
             for v in basis:

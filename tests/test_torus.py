@@ -9,7 +9,6 @@ from qtdelta.lattice import (Sublattice, Subspace, saturate,
 from qtdelta.symplectic import (AlternatingMapQ, SymplecticBase, center,
                                 verify_symplectic_base)
 from qtdelta.torus import (
-    AlternatingFormZ,
     CocycleForm,
     QTorusElement,
     Theorem42Report,
@@ -26,9 +25,9 @@ from qtdelta.torus import (
 from oracles import (assert_canonical_element, block_conditions_oracle,
                      pairing_double_sum, random_cocycle, random_relator,
                      random_unimodular, restrict_double_sum, rref_fraction)
-from records import assert_distinct_classes, assert_record, one_changed
+from records import assert_record, one_changed
 
-J2 = AlternatingFormZ(2, (((0, 1), (-1, 0)),))
+J2 = AlternatingMapQ(2, 1, (((0, 1), (-1, 0)),))
 
 
 def shift_qexp(element, shift):
@@ -153,12 +152,13 @@ class TestCenter:
         assert center_lattice(J2).rank == 0
 
     def test_zero_form(self):
-        z = AlternatingFormZ(2, (((0, 0), (0, 0)),))
+        z = AlternatingMapQ(2, 1, (((0, 0), (0, 0)),))
         assert center_lattice(z) == Sublattice.full(2)
 
     def test_block_kernel(self):
         m = ((0, 1, 0), (-1, 0, 0), (0, 0, 0))
-        assert center_lattice(AlternatingFormZ(3, (m,))).basis == ((0, 0, 1),)
+        assert center_lattice(AlternatingMapQ(3, 1, (m,))).basis \
+            == ((0, 0, 1),)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_largest_commuting_sublattice(self, seed):
@@ -215,7 +215,8 @@ def two_block_form():
     m2 = [[0] * 4 for _ in range(4)]
     m1[0][1], m1[1][0] = 1, -1
     m2[2][3], m2[3][2] = 1, -1
-    return AlternatingFormZ(4, (tuple(map(tuple, m1)), tuple(map(tuple, m2))))
+    return AlternatingMapQ(4, 2, (tuple(map(tuple, m1)),
+                                  tuple(map(tuple, m2))))
 
 
 def twisted_same_line_form():
@@ -223,7 +224,8 @@ def twisted_same_line_form():
     m1[0][1], m1[1][0] = 1, -1
     m1[2][3], m1[3][2] = 1, -1
     m2 = [[0] * 4 for _ in range(4)]
-    return AlternatingFormZ(4, (tuple(map(tuple, m1)), tuple(map(tuple, m2))))
+    return AlternatingMapQ(4, 2, (tuple(map(tuple, m1)),
+                                  tuple(map(tuple, m2))))
 
 
 BLOCK1 = Sublattice.from_rows(4, [(1, 0, 0, 0), (0, 1, 0, 0)])
@@ -245,7 +247,7 @@ class TestTheorem42:
         assert not report.passed
 
     def test_single_block(self):
-        phi = AlternatingFormZ(2, (((0, 1), (-1, 0)),))
+        phi = AlternatingMapQ(2, 1, (((0, 1), (-1, 0)),))
         report = verify_theorem42(phi, [Sublattice.full(2)])
         assert report.passed
 
@@ -260,8 +262,8 @@ class TestTheorem42:
         m1[0][1], m1[1][0] = 2, -2
         m1[2][3], m1[3][2] = 3, -3
         m2 = [[0] * 4 for _ in range(4)]
-        phi = AlternatingFormZ(4, (tuple(map(tuple, m1)),
-                                   tuple(map(tuple, m2))))
+        phi = AlternatingMapQ(4, 2, (tuple(map(tuple, m1)),
+                                     tuple(map(tuple, m2))))
         report = verify_theorem42(phi, [BLOCK1, BLOCK2])
         assert report.rank_one_images
         assert not report.distinct_image_lines
@@ -275,7 +277,7 @@ def wedge_z(n, s, *pairs):
         for m, x in zip(mats, w):
             m[i][j] += x
             m[j][i] -= x
-    return AlternatingFormZ(n, tuple(tuple(map(tuple, m)) for m in mats))
+    return AlternatingMapQ(n, s, tuple(tuple(map(tuple, m)) for m in mats))
 
 
 def units(n, *cols):
@@ -361,11 +363,11 @@ class TestBlockConditionsOracle:
 
 def test_antisymmetry_validated():
     with pytest.raises(ValueError):
-        AlternatingFormZ(2, (((0, 1), (1, 0)),))
+        AlternatingMapQ(2, 1, (((0, 1), (1, 0)),))
+    with pytest.raises(ValueError):
+        AlternatingMapQ(2, 1, (((0, 1.0), (-1.0, 0)),))
     # entries must be integral rationals; none is truncated to an int
     for bad in (Fraction(1, 2), Fraction(3, 2), 1.0):
-        with pytest.raises(ValueError):
-            AlternatingFormZ(2, (((0, bad), (-bad, 0)),))
         with pytest.raises(ValueError):
             CocycleForm(2, (((0, bad), (0, 0)),))
         with pytest.raises(ValueError):
@@ -375,7 +377,7 @@ def test_antisymmetry_validated():
         with pytest.raises(ValueError):
             monomial_inverse((bad, 1), 1, CocycleForm(2, (((0, 1), (0, 0)),)))
     two = Fraction(4, 2)
-    forms = AlternatingFormZ(2, (((0, two), (-two, 0)),)).forms
+    forms = commutator_form(CocycleForm(2, (((0, two), (0, 0)),))).forms
     assert forms == (((0, 2), (-2, 0)),)
     assert all(type(x) is int for m in forms for row in m for x in row)
     assert QTorusElement(1, 1, {(two,): {(two,): 1}}) \
@@ -395,31 +397,23 @@ def test_element_rejects_float_coefficients():
         .coefficient((1,)) == {(0,): Fraction(1, 2)}
 
 
-def test_integral_subtype_of_rational_map():
-    """AlternatingFormZ is an AlternatingMapQ with integer matrices whose
-    pairing matches the double sum and whose restriction stays integral."""
-    assert issubclass(AlternatingFormZ, AlternatingMapQ)
-    assert "restrict" in vars(AlternatingFormZ)
-    assert "pairing" not in vars(AlternatingFormZ)
+def test_commutator_form_is_an_integral_map():
+    """The commutator form is an AlternatingMapQ with int matrices whose
+    pairing matches the double sum."""
     rng = random.Random(31)
     for _ in range(10):
         n, s = rng.randint(2, 4), rng.randint(1, 2)
         form = commutator_form(random_cocycle(rng, n, s))
-        assert (form.n, form.s) == (n, s)
+        assert type(form) is AlternatingMapQ and (form.n, form.s) == (n, s)
+        assert all(type(x) is int for m in form.forms for row in m
+                   for x in row)
         for _ in range(5):
             a, b = ([rng.randint(-3, 3) for _ in range(n)] for _ in "ab")
             assert form.pairing(a, b) == pairing_double_sum(form, a, b)
-        rows = [tuple(rng.randint(-2, 2) for _ in range(n))
-                for _ in range(rng.randint(1, n))]
-        lattice = Sublattice.from_rows(n, rows)
-        restricted = form.restrict(lattice)
-        assert type(restricted) is AlternatingFormZ
-        assert all(type(x) is int for m in restricted.forms
-                   for row in m for x in row)
 
 
 def test_saturate_image_line():
-    lat = cocycle_image(AlternatingFormZ(2, (((0, 2), (-2, 0)),)),
+    lat = cocycle_image(AlternatingMapQ(2, 1, (((0, 2), (-2, 0)),)),
                         Sublattice.full(2))
     assert saturate(lat).basis == ((1,),)
 
@@ -487,7 +481,7 @@ def test_restrict_matches_double_sum():
         restricted = cocycle.restrict(lattice)
         assert restricted.forms == tuple(
             restrict_double_sum(m, lattice.basis) for m in cocycle.forms)
-        alt = commutator_form(cocycle).restrict(lattice)
+        alt = commutator_form(cocycle).restrict(lattice.basis)
         assert alt.forms == tuple(
             restrict_double_sum(m, lattice.basis)
             for m in commutator_form(cocycle).forms)
@@ -612,21 +606,6 @@ class TestRecords:
         zero = tuple((0,) * n for _ in range(n))
         assert_record(CocycleForm, (n, forms),
                       [(n, bumped), (n, forms + (zero,))])
-
-    @settings(max_examples=60, derandomize=True, database=None,
-              deadline=None)
-    @given(st.data(), st.integers(2, 3), st.integers(1, 2))
-    def test_alternating_form_z(self, data, n, s):
-        # its own __init__ takes (rank, forms); the fields are (n, s, forms)
-        forms = commutator_form(CocycleForm(
-            n, data.draw(_square_forms(n, s)))).forms
-        m = [list(row) for row in forms[0]]
-        m[0][1] += 1
-        m[1][0] -= 1
-        bumped = (tuple(map(tuple, m)),) + forms[1:]
-        form = assert_record(AlternatingFormZ, (n, forms), [(n, bumped)])
-        assert (form.n, form.s, form.forms) == (n, s, forms)
-        assert_distinct_classes(form, AlternatingMapQ(n, s, forms))
 
     @settings(max_examples=60, derandomize=True, database=None,
               deadline=None)
