@@ -8,7 +8,8 @@ coordinate complement of the lineality, scaled to primitive integer vectors.
 Two cones are equal as point sets iff they carry identical (rays, lineality)
 data, which gives cheap structural equality and hashing.  The tie cones of
 the edges of a polytope (``edge_normal_fan``) share one lineality and read
-their rays off its facets; every other cone takes one double description.
+their rays off its facets, and a tangent cone reads its rays off the cone's
+own; every other cone takes one double description.
 
 Fans are plain unions of cones (no face structure is maintained):
 containment-redundant cones are pruned and the rest deterministically
@@ -50,24 +51,13 @@ def _norm_constraints(vectors, dim):
     return tuple(out)
 
 
-def _adjacent(masks, i, j, need):
-    """Combinatorial adjacency test on tight sets held as int bitmasks: no
-    element but i and j is tight on every constraint the two share.  Pairs
-    sharing fewer than ``need`` constraints are rejected before the scan;
-    ``need`` must be a necessary bound (0 when there is none)."""
-    common = masks[i] & masks[j]
-    if common.bit_count() < need:
-        return False
-    return not any(k != i and k != j and m & common == common
-                   for k, m in enumerate(masks))
-
-
 def _dd_pointed(constraints, dim):
     """Extreme rays of the pointed cone {z in Q^dim : a.z >= 0 for all a}.
 
     Incremental double description: start from a simplicial cone cut out by
     ``dim`` independent constraints, then clip with the remaining ones,
-    keeping only adjacent positive/negative ray pairs (combinatorial test).
+    keeping only adjacent positive/negative ray pairs (combinatorial test:
+    no third ray is tight on every constraint the pair shares).
     Pointedness (constraint rank equal to ``dim``) is a precondition.
 
     The start comes from one fraction-free ``rref_int`` of ``[A^T | I]``,
@@ -105,13 +95,16 @@ def _dd_pointed(constraints, dim):
         neg = [i for i, v in enumerate(vals) if v < 0]
         new = [rays[i] for i in keep]
         new_masks = [masks[i] if vals[i] else masks[i] | bit for i in keep]
-        for p in keep:
+        for p in [i for i in keep if vals[i]]:
             for q in neg:
-                if vals[p] and _adjacent(masks, p, q, dim - 2):
+                common = masks[p] & masks[q]
+                # adjacent iff no ray but p and q is tight on all of common
+                if (common.bit_count() >= dim - 2
+                        and [m & common for m in masks].count(common) == 2):
                     new.append(vec_primitive(
                         [vals[p] * y - vals[q] * x
                          for x, y in zip(rays[p], rays[q])]))
-                    new_masks.append((masks[p] & masks[q]) | bit)
+                    new_masks.append(common | bit)
         rays, masks = new, new_masks
     return tuple(sorted(rays))
 
@@ -236,8 +229,24 @@ class Cone:
         small eps >= 0.  Requires ``point`` to be a member."""
         if not self.member(point):
             raise ValueError("point is not in the cone")
-        active = [a for a in self._raw_ineq if dot(a, point) == 0]
-        return Cone.from_constraints(self.ambient_dim, self._raw_eq, active)
+        active = tuple(a for a in self._raw_ineq if dot(a, point) == 0)
+        # It is C + span(F), F the face of C cut out by the active rows: its
+        # lineality is the kernel of the raw equalities and active rows, and
+        # its rays are among C's rays off F, moved into the complement of
+        # it, each extreme iff no other is tight on all active rows it is.
+        lineality = null_space_int(self._raw_eq + active, self.ambient_dim)
+        rows, pivots = rref_int(lineality)
+        candidates = {}
+        for r in self.rays:
+            mask = sum(1 << i for i, a in enumerate(active) if not dot(a, r))
+            if mask != (1 << len(active)) - 1:
+                candidates[_into_complement(r, rows, pivots)] = mask
+        rays = tuple(sorted(
+            r for r, m in candidates.items()
+            if not any(o is not r and n & m == m
+                       for o, n in candidates.items())))
+        _check_generators(rays + lineality, self._raw_eq, active)
+        return Cone(self.ambient_dim, rays, lineality, self._raw_eq, active)
 
     def relint_point(self):
         """Canonical rational point in the relative interior (sum of the
@@ -314,21 +323,34 @@ class Fan:
         return f"Fan(dim={self.ambient_dim}, cones={len(self.cones)})"
 
 
+def _bits(mask):
+    """The indices of the set bits of an int bitmask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def edge_normal_fan(dim, points):
     """Tie cones {chi : chi(u) = chi(v) <= chi(w), w in points} of the edges
     [u, v] of conv(points), pairwise distinct and all of dimension dim - 1,
     so none contains another.
 
     One double description over the (1, p) gives the facets (f0, f),
-    f0 + f.p >= 0, of conv(points).  A point is a vertex iff no other point
-    is tight on every facet it is tight on, and two vertices span an edge
-    iff no third vertex is tight on every facet the two share (the smallest
-    face holding both is the intersection of those facets).  The inner
-    normals f of the shared facets are the rays of the edge's tie cone
-    modulo its lineality, the characters constant on the points, which all
-    edges share.  So one check per fan covers every edge cone: a canonical
-    normal r minimal exactly on its facet has r.(u - v) = 0 and
-    r.(w - u) = r.w - min >= 0 for each edge [u, v] on that facet.
+    f0 + f.p >= 0, of conv(points), and ``on[b]``, the bitmask of the points
+    tight on facet b.  The points tight on every facet of a set are the AND
+    of their columns.  A point is a vertex iff that AND over its facets is
+    the point alone, and two vertices span an edge iff the AND over the
+    facets they share holds no third vertex (the smallest face holding both
+    is the intersection of those facets).  The inner normals f of the shared
+    facets are the rays of the edge's tie cone modulo its lineality, the
+    characters constant on the points, which all edges share.  So one check
+    per fan covers every edge cone: a canonical normal r minimal exactly on
+    its facet has r.(u - v) = 0 and r.(w - u) = r.w - min >= 0 for each edge
+    [u, v] on that facet.  The cone at u is cut out by the rows w - u of u's
+    neighbours w in the edge graph alone: a vertex minimal among its
+    neighbours is minimal on the polytope (Ziegler, Lectures on Polytopes,
+    Lecture 3).
     """
     if len(points) < 2:  # no edge
         return Fan.irredundant(dim, ())
@@ -337,38 +359,56 @@ def edge_normal_fan(dim, points):
     diffs = [tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]]
     lineality = null_space_int(diffs, dim)
     _check_generators(lineality, diffs, ())
-    # The incidence is recomputed by dot products, not read off the double
-    # description, because this pass is also the check of the facets.
-    tight = []
-    for g in lifted:
-        values = [dot(f, g) for f in facets]
-        if any(v < 0 for v in values):
-            raise AssertionError("facet inequality cuts off a point")
-        tight.append(sum(1 << i for i, v in enumerate(values) if v == 0))
-    vertices = [i for i in range(len(tight)) if _adjacent(tight, i, i, 0)]
-    vtight = [tight[i] for i in vertices]
-    edges = [(i, j, vtight[x] & vtight[y])
-             for x, i in enumerate(vertices)
-             for y, j in enumerate(vertices[x + 1:], x + 1)
-             if _adjacent(vtight, x, y, 0)]
     rows, pivots = rref_int(lineality)
     normals = [_into_complement(f[1:], rows, pivots) for f in facets]
-    for b, r in enumerate(normals):
+    # The incidence is recomputed by dot products, not read off the double
+    # description, because this pass is also the check of the facets.
+    on = []
+    tight = [0] * len(points)
+    meet = [(1 << len(points)) - 1] * len(points)
+    for b, (f, r) in enumerate(zip(facets, normals)):
+        values = [dot(f, g) for g in lifted]
+        if min(values) < 0:
+            raise AssertionError("facet inequality cuts off a point")
+        mask = sum(1 << i for i, v in enumerate(values) if not v)
         values = [dot(r, p) for p in points]
         low = min(values)
-        if any((v == low) != bool(t >> b & 1) for v, t in zip(values, tight)):
+        if sum(1 << i for i, v in enumerate(values) if v == low) != mask:
             raise AssertionError("facet normal not minimal on its facet")
-    # The rows w - u, w in points, normalised once per vertex u and shared by
-    # its edges [u, v] to later vertices v: w = u gives the zero row, which
-    # is dropped, and v - u >= 0 is implied by the equality u - v = 0.
-    ineq = {i: _norm_constraints([tuple(a - b for a, b in zip(w, points[i]))
-                                  for w in points], dim)
-            for i in vertices[:-1]}
+        on.append(mask)
+        for i in _bits(mask):
+            tight[i] |= 1 << b
+            meet[i] &= mask
+    vmask = sum(1 << i for i, m in enumerate(meet) if m == 1 << i)
+    vertices = list(_bits(vmask))
+    # an edge is a 2-face of the cone over the (1, p), on facets of rank
+    # one less than the polytope's dimension
+    need = dim - len(lineality) - 1
+    edges = []
+    nbrs = [0] * len(points)
+    for x, i in enumerate(vertices):
+        for j in vertices[x + 1:]:
+            common = tight[i] & tight[j]
+            if common.bit_count() < need:
+                continue
+            pts = vmask
+            for b in _bits(common):
+                pts &= on[b]
+            if pts == (1 << i) | (1 << j):
+                edges.append((i, j, common))
+                nbrs[i] |= 1 << j
+                nbrs[j] |= 1 << i
+    # The rows w - u, w a neighbour of u, normalised once per vertex u and
+    # shared by its edges [u, v] to later vertices v: v - u >= 0 is implied
+    # by the equality u - v = 0.
+    ineq = {i: _norm_constraints(
+                [tuple(a - b for a, b in zip(points[w], points[i]))
+                 for w in _bits(nbrs[i])], dim)
+            for i in {e[0] for e in edges}}
     cones = []
     for i, j, common in edges:
         eq = (vec_primitive([a - b for a, b in zip(points[i], points[j])]),)
-        rays = tuple(sorted(r for b, r in enumerate(normals)
-                            if common >> b & 1))
+        rays = tuple(sorted(normals[b] for b in _bits(common)))
         cone = Cone(dim, rays, lineality, eq, ineq[i])
         cone._dim = dim - 1  # known, so no rank is computed for it
         cones.append(cone)

@@ -439,7 +439,9 @@ def check_ample(phi: AlternatingMapQ, space: Subspace, omega,
         return AmpleReport(None, False, None, False, (), True)
     m = twice_m // 2
     for u in omega:
-        if u.ambient_dim != phi.n or not space.contains(u):
+        if u.ambient_dim != phi.n:
+            raise ValueError("Omega member of wrong dimension")
+        if not space.contains(u):
             raise ValueError("Omega member outside the subspace")
         if u.dim != m or not is_abelian(phi, u):
             raise ValueError("Omega member is not an m-dimensional abelian subspace")

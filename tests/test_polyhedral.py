@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qtdelta import polyhedral
 from qtdelta.delta import OneRelatorModule, delta_set
@@ -728,6 +728,126 @@ class TestFanEqualProperties:
         assert fan_equal(_fan(n, [cone]), _fan(n, rest)) == covered
         _covers(n, [cone], rest, covered)
         _covers(n, rest, [cone], True)
+
+
+@st.composite
+def _planted_cone(draw):
+    """A drawn cone in Q^n, 2 <= n <= 4, as (equalities, inequalities): the
+    cone spanned by drawn rays and maybe a drawn line, given by the
+    lineality and the rays of its dual cone, cut by maybe a drawn
+    hyperplane.  When asked, the equalities are planted as pairs of
+    opposite inequalities, and a redundant row (the sum of two rows) is
+    added."""
+    n = draw(st.integers(2, 4))
+    vectors = st.tuples(*[st.integers(-2, 2)] * n)
+    line = draw(st.lists(vectors, max_size=1))
+    dual = Cone.from_constraints(
+        n, line, draw(st.lists(vectors, min_size=1, max_size=5)))
+    eqs = list(dual.lineality) + draw(st.lists(vectors, max_size=1))
+    ineqs = list(dual.rays)
+    if draw(st.booleans()):
+        ineqs += eqs + [tuple(-x for x in e) for e in eqs]
+        eqs = []
+    if len(ineqs) > 1 and draw(st.booleans()):
+        ineqs.append(tuple(x + y for x, y in zip(ineqs[0], ineqs[-1])))
+    return n, eqs, ineqs
+
+
+class TestTangentCone:
+    """``Cone.tangent_cone``, read off the cone's rays, against the double
+    description of the raw equalities and the rows active at the point."""
+
+    # The cone over the square with corners (+-1, 0), (0, +-1): at its ray
+    # (1, 0, 1) the opposite ray (-1, 0, 1) is twice the apex direction
+    # minus (1, 0, 1), so modulo the tangent cone's line it is the sum of
+    # the two side rays, a candidate that is not extreme.
+    @settings(PROPERTY, max_examples=200)
+    @given(drawn=_planted_cone())
+    @example(drawn=(3, [], [(-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1)]))
+    def test_every_face_against_the_double_description(self, drawn):
+        # one point per face: the ray sum of the rays on which a set of raw
+        # rows vanishes, a relative-interior point of the face they cut out
+        n, eqs, ineqs = drawn
+        cone = Cone.from_constraints(n, eqs, ineqs)
+        faces = {(0,) * n}
+        for k in range(len(cone._raw_ineq) + 1):
+            for rows in itertools.combinations(cone._raw_ineq, k):
+                faces.add(polyhedral._ray_sum(n, [
+                    r for r in cone.rays
+                    if all(dot(a, r) == 0 for a in rows)]))
+        for x in faces:
+            tangent = cone.tangent_cone(x)
+            active = [a for a in cone._raw_ineq if dot(a, x) == 0]
+            dd = Cone.from_constraints(n, cone._raw_eq, active)
+            assert tangent.key == dd.key
+            assert ((tangent._raw_eq, tangent._raw_ineq)
+                    == (dd._raw_eq, dd._raw_ineq))
+
+
+def _wide_supports():
+    """Seeded supports of 12 to 16 points in [-3, 3]^n, n = 2, 3, 4; those
+    with a flat flag lie on the hyperplane x_n = x_1."""
+    rng = random.Random(2727)
+    out = []
+    for n, flat in ((2, False), (3, False), (4, False), (3, True),
+                    (4, True), (3, False)):
+        size = rng.randint(12, 16)
+        points = set()
+        while len(points) < size:
+            p = [rng.randint(-3, 3) for _ in range(n)]
+            if flat:
+                p[-1] = p[0]
+            points.add(tuple(p))
+        out.append((n, sorted(points)))
+    return out
+
+
+class TestEdgeConesOnTheGraph:
+    """Edge cones of 12- to 16-point supports against the tie cones cut out
+    by the rows w - u over every support point w."""
+
+    @pytest.mark.parametrize("n,points", _wide_supports())
+    def test_against_rows_over_all_points(self, n, points):
+        def diff(w, u):
+            return tuple(a - b for a, b in zip(w, u))
+        # vertices: full-dimensional normal cones; edges: vertex pairs with
+        # a tie cone of dimension n - 1
+        vertices = [i for i, u in enumerate(points)
+                    if Cone.from_constraints(
+                        n, (), [diff(w, u) for w in points]).dim == n]
+        oracle, neighbours = {}, {i: set() for i in vertices}
+        for i, j in itertools.combinations(vertices, 2):
+            u = points[i]
+            cone = Cone.from_constraints(n, [diff(u, points[j])],
+                                         [diff(w, u) for w in points])
+            if cone.dim == n - 1:
+                oracle[cone.key] = (i, cone)
+                neighbours[i].add(j)
+                neighbours[j].add(i)
+        fan = polyhedral.edge_normal_fan(n, points)
+        assert sorted(c.key for c in fan.cones) == sorted(oracle)
+        for cone in fan.cones:
+            i, _ = oracle[cone.key]
+            rows = polyhedral._norm_constraints(
+                [diff(points[w], points[i]) for w in neighbours[i]], n)
+            assert sorted(cone._raw_ineq) == sorted(rows)
+        # the local cones of the fan at a ray and at the ray sum of sampled
+        # cones against the epsilon oracle of the fan cut out by the rows
+        # over all points
+        all_rows = Fan(n, [cone for _, cone in oracle.values()])
+        rng = random.Random(len(points) * 10 + n)
+        answers = set()
+        for cone in rng.sample(fan.cones, min(6, len(fan.cones))):
+            shift = cone.lineality[0] if cone.lineality else (0,) * n
+            for x in (polyhedral._ray_sum(n, cone.rays), cone.rays[0]):
+                x = tuple(a + b for a, b in zip(x, shift))
+                lc = local_cone(fan, x)
+                for y in [tuple(rng.randint(-2, 2) for _ in range(n))
+                          for _ in range(3)] + list(cone.rays[:2]):
+                    claimed = lc.member(y)
+                    assert claimed == local_cone_eps_oracle(all_rows, x, y)
+                    answers.add(claimed)
+        assert answers == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -990,6 +990,13 @@ BAD_INPUTS = {
                    "dimension mismatch"),
     "ample-subspace": (lambda: check_ample(J_map(2), Subspace.full(3), []),
                        "subspace of wrong dimension"),
+    "ample-omega-dim": (lambda: check_ample(
+        J_map(2), Subspace.full(2), [Subspace.from_rows(3, [(1, 0, 0)])]),
+        "Omega member of wrong dimension"),
+    "ample-omega-outside": (lambda: check_ample(
+        J_map(2), Subspace.from_rows(2, [(1, 0)]),
+        [Subspace.from_rows(2, [(0, 1)])]),
+        "Omega member outside the subspace"),
 }
 
 
