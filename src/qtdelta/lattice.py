@@ -20,6 +20,7 @@ further elimination.
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -81,8 +82,12 @@ def _primitive(ints):
 
 def vec_primitive(v):
     """Scale a rational vector to the primitive integer vector with the same
-    direction (the zero vector stays zero)."""
-    return tuple(_primitive(clear_denominators(v)[0]))
+    direction (the zero vector stays zero); int vectors skip clearing."""
+    for x in v:
+        if type(x) is not int:
+            return tuple(_primitive(clear_denominators(v)[0]))
+    g = gcd(*v)
+    return tuple([x // g for x in v]) if g > 1 else tuple(v)
 
 
 def vec_primitive_signed(v):
@@ -191,38 +196,42 @@ def rref_int(matrix):
     with each nonzero RREF row scaled to a primitive integer list whose
     pivot entry is positive, and the pivot column of each row.
 
-    Rows are cleared of denominators once.  Pivot ``p`` of row r clears
-    entry ``a`` of row i by ``row_i <- (p/g) row_i - (a/g) row_r``,
-    ``g = gcd(p, a)``, after which row_i is divided by the gcd of its
-    entries, so every row stays a primitive integer multiple of its
-    Gauss-Jordan counterpart (integer-preserving elimination, Bareiss,
-    Math. Comp. 22, 1968).
+    Every row is cleared of denominators once.  Then each row is reduced
+    by the pivot rows so far and, if nonzero, gives a new pivot that is
+    cleared from them: pivot ``p`` clears entry ``a`` by ``row <- (p/g) row
+    - (a/g) prow``, ``g = gcd(p, a)``, and the row is divided by the gcd of
+    its entries (Bareiss, Math. Comp. 22, 1968).  The primitive RREF with
+    positive pivots is unique, so the elimination stops once every column
+    holds a pivot: about n^2 row operations on a tall full-rank matrix.
     """
     M = [_primitive(clear_denominators(row)[0]) for row in matrix]
-    m = len(M)
-    n = len(M[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot_row = next((i for i in range(r, m) if M[i][c]), None)
-        if pivot_row is None:
-            continue
-        M[r], M[pivot_row] = M[pivot_row], M[r]
-        prow = M[r]
-        p = prow[c]
-        for i in range(m):
-            a = M[i][c]
-            if a and i != r:
-                g = gcd(p, a)
-                pg, ag = p // g, a // g
-                M[i] = _primitive([pg * x - ag * y
-                                   for x, y in zip(M[i], prow)])
-        pivots.append(c)
-        r += 1
-        if r == m:
+    n = len(M[0]) if M else 0
+    rows, pivots = [], []
+    for row in M:
+        if len(pivots) == n:
             break
-    rows = [row if row[c] > 0 else [-x for x in row]
-            for row, c in zip(M, pivots)]
+        for prow, c in zip(rows, pivots):
+            a = row[c]
+            if a:
+                g = gcd(prow[c], a)
+                p, a = prow[c] // g, a // g
+                row = _primitive([p * x - a * y for x, y in zip(row, prow)])
+        for c, p in enumerate(row):
+            if p:
+                break
+        else:
+            continue
+        if p < 0:
+            row, p = [-x for x in row], -p
+        for k, prow in enumerate(rows):
+            a = prow[c]
+            if a:
+                g = gcd(p, a)
+                rows[k] = _primitive([p // g * x - a // g * y
+                                      for x, y in zip(prow, row)])
+        k = bisect(pivots, c)
+        rows.insert(k, row)
+        pivots.insert(k, c)
     return rows, tuple(pivots)
 
 

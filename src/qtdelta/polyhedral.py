@@ -21,8 +21,11 @@ top-dimensional cell decides once the other fan's hyperplanes cut a cone.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .lattice import (
     Subspace,
+    _primitive,
     complement_columns,
     dot,
     lift_columns,
@@ -82,7 +85,7 @@ def _dd_pointed(constraints, dim):
                           for t in range(dim)])
     if sel[-1] >= k:
         raise ValueError("cone is not pointed")
-    rays = [vec_primitive(row[k:]) for row in rows]
+    rays = [tuple(_primitive(row[k:])) for row in rows]
     start = sum(1 << i for i in sel)
     masks = [start ^ (1 << i) for i in sel]
     selset = set(sel)
@@ -90,20 +93,22 @@ def _dd_pointed(constraints, dim):
         if idx in selset:
             continue
         bit = 1 << idx
-        vals = [dot(a, r) for r in rays]
-        keep = [i for i, v in enumerate(vals) if v >= 0]
-        neg = [i for i, v in enumerate(vals) if v < 0]
-        new = [rays[i] for i in keep]
-        new_masks = [masks[i] if vals[i] else masks[i] | bit for i in keep]
-        for p in [i for i in keep if vals[i]]:
-            for q in neg:
-                common = masks[p] & masks[q]
+        new, new_masks, pos, neg = [], [], [], []
+        for r, m in zip(rays, masks):
+            v = sum(map(mul, a, r))
+            if v >= 0:
+                new.append(r)
+                new_masks.append(m if v else m | bit)
+            if v:
+                (pos if v > 0 else neg).append((r, m, v))
+        for rp, mp, vp in pos:
+            for rq, mq, vq in neg:
+                common = mp & mq
                 # adjacent iff no ray but p and q is tight on all of common
                 if (common.bit_count() >= dim - 2
                         and [m & common for m in masks].count(common) == 2):
-                    new.append(vec_primitive(
-                        [vals[p] * y - vals[q] * x
-                         for x, y in zip(rays[p], rays[q])]))
+                    new.append(tuple(_primitive(
+                        [vp * y - vq * x for x, y in zip(rp, rq)])))
                     new_masks.append(common | bit)
         rays, masks = new, new_masks
     return tuple(sorted(rays))
@@ -354,8 +359,7 @@ def edge_normal_fan(dim, points):
     """
     if len(points) < 2:  # no edge
         return Fan.irredundant(dim, ())
-    lifted = [(1,) + p for p in points]
-    facets = _vrep(dim + 1, (), lifted)[0]
+    facets = _vrep(dim + 1, (), [(1,) + p for p in points])[0]
     diffs = [tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]]
     lineality = null_space_int(diffs, dim)
     _check_generators(lineality, diffs, ())
@@ -367,16 +371,18 @@ def edge_normal_fan(dim, points):
     tight = [0] * len(points)
     meet = [(1 << len(points)) - 1] * len(points)
     for b, (f, r) in enumerate(zip(facets, normals)):
-        values = [dot(f, g) for g in lifted]
+        f0, f = f[0], f[1:]
+        values = [f0 + sum(map(mul, f, p)) for p in points]
         if min(values) < 0:
             raise AssertionError("facet inequality cuts off a point")
-        mask = sum(1 << i for i, v in enumerate(values) if not v)
-        values = [dot(r, p) for p in points]
+        zeros = [i for i, v in enumerate(values) if not v]
+        values = [sum(map(mul, r, p)) for p in points]
         low = min(values)
-        if sum(1 << i for i, v in enumerate(values) if v == low) != mask:
+        if [i for i, v in enumerate(values) if v == low] != zeros:
             raise AssertionError("facet normal not minimal on its facet")
+        mask = sum([1 << i for i in zeros])
         on.append(mask)
-        for i in _bits(mask):
+        for i in zeros:
             tight[i] |= 1 << b
             meet[i] &= mask
     vmask = sum(1 << i for i, m in enumerate(meet) if m == 1 << i)

@@ -249,7 +249,8 @@ def _charpoly(A):
     for k in range(1, d + 1):
         AN = [row_times(row, N) for row in A]
         ck, rem = divmod(-sum(AN[i][i] for i in range(d)), k)
-        assert rem == 0, "inexact division in the trace recursion"
+        if rem:
+            raise AssertionError("inexact division in the trace recursion")
         coeffs.append(ck)
         for i in range(d):
             AN[i][i] += ck

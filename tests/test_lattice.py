@@ -528,6 +528,57 @@ class TestRref:
         assert rref(M) == rref_fraction(M)
         assert rref_int(M) == ([[1, 0, -4], [0, 1, -2]], (0, 1))
 
+    def test_tall_matches_fraction_gauss_jordan(self):
+        # the elimination stops once every column holds a pivot: the rows
+        # after that point are dependent, Fraction or zero rows
+        rng = random.Random(4343)
+        ranks = set()
+        for _ in range(600):
+            M = _random_tall_matrix(rng)
+            rows, pivots = rref_int(M)
+            frac_rows, frac_pivots = rref_fraction(M)
+            assert pivots == frac_pivots
+            assert [[Fraction(x, row[c]) for x in row]
+                    for row, c in zip(rows, pivots)] \
+                == [list(row) for row in frac_rows]
+            assert all(vec_primitive(row) == tuple(row) for row in rows)
+            assert matrix_rank(M) == len(pivots)
+            ranks.add((len(pivots) == len(M[0]), len(M) > 12))
+        assert ranks == {(True, True), (True, False), (False, True),
+                         (False, False)}
+
+    @pytest.mark.parametrize("late", [0.5, 1.0, "1"])
+    def test_entry_after_full_rank_is_validated(self, late):
+        M = [(1, 0), (0, 1), (Fraction(1, 2), 3), (late, 1)]
+        with pytest.raises(ValueError) as info:
+            rref_int(M)
+        assert str(info.value) == f"rational entry expected, got {late!r}"
+        with pytest.raises(ValueError):
+            matrix_rank(M)
+
+
+def _random_tall_matrix(rng):
+    """Up to 16 rows of length n <= 5 spanning a drawn rank r <= n: r
+    random rows first or shuffled in, the others rational combinations of
+    them (with zero rows), some cleared to ints and some with Fractions."""
+    n = rng.randint(1, 5)
+    r = n if rng.random() < 0.5 else rng.randint(1, n)
+    m = rng.randint(r, 16)
+    basis = [[rng.choice((0, rng.randint(-4, 4), Fraction(rng.randint(-5, 5),
+                                                           rng.randint(1, 3))))
+              for _ in range(n)] for _ in range(r)]
+    rows = [list(b) for b in basis]
+    for _ in range(m - r):
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                  if rng.random() < 0.7 else 0 for _ in basis]
+        row = [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n)]
+        if rng.random() < 0.3:
+            row = list(vec_primitive(row))
+        rows.append(row)
+    if rng.random() < 0.5:
+        rng.shuffle(rows)
+    return rows
+
 
 # a rank n and up to three integer rows of length n
 _ROWS = st.integers(1, 3).flatmap(lambda n: st.tuples(

@@ -509,6 +509,33 @@ class TestDoubleDescriptionOracle:
                 assert all(dot(e, g) == 0 for e in eqs for g in rays)
                 checked += 1
 
+    def test_hull_shaped_inputs(self):
+        # the lifted (1, p) in Z^3, Z^4 and Z^5 of 12-16 points (12 in
+        # Z^5, where the oracle is slowest), as edge_normal_fan passes
+        # them; a planted coplanar subset on a supporting plane, and the
+        # small boxes, give rays tight on many more than dim - 1 rows
+        rng = random.Random(1996)
+        shapes = set()
+        for n in (2, 2, 3) * 6 + (4,) * 3:
+            box = rng.choice({2: (2, 3), 3: (1, 3), 4: (1,)}[n])
+            grid = list(itertools.product(range(-box, box + 1), repeat=n))
+            size = rng.randint(12, 16 if n < 4 else 12)
+            points = set()
+            if rng.random() < 0.5:
+                f = tuple(rng.randint(-2, 2) for _ in range(n))
+                if any(f):
+                    low = min(dot(f, p) for p in grid)
+                    plane = [p for p in grid if dot(f, p) == low]
+                    points.update(rng.sample(plane, min(len(plane), 6)))
+            while len(points) < size:
+                points.add(rng.choice(grid))
+            lifted = [(1,) + p for p in sorted(points)]
+            if matrix_rank(lifted) == n + 1:
+                rays = self.rays(lifted, n + 1)
+                shapes.add((n, max(sum(dot(a, r) == 0 for a in lifted)
+                                   for r in rays) > n))
+        assert shapes >= {(2, True), (3, True), (4, True)}
+
 
 class TestSelfChecks:
     def test_not_pointed(self):

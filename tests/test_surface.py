@@ -31,6 +31,9 @@ be deleted but not grow back into a subtype.  ``congruence`` restricts a
 form in ``AlternatingMapQ.restrict``, ``symplectic._block_pairings`` and
 ``CocycleForm.restrict`` only.
 
+No ``assert`` statement checks anything in ``src/qtdelta``: ``python -O``
+strips them, so every internal check raises ``AssertionError`` itself.
+
 JSON is written in one place: ``jsonio.to_json`` writes every CLI result,
 so ``to_json`` is defined only there and in ``symplectic.AmpleReport``
 (whose probes the recorded check-ample output pins), and only ``jsonio``
@@ -379,6 +382,31 @@ def test_guard_flags_a_dataclasses_import():
                "    return fields(x), dc, dataclass\n")
     assert _imports_of({"planted": planted}, "dataclasses") \
         == ["planted.<module>", "planted.<module>", "planted.fields_of"]
+
+
+def _assert_statements(sources):
+    """Where an ``assert`` statement stands."""
+    return _located(sources, lambda node, module, where:
+                    isinstance(node, ast.Assert))
+
+
+def test_no_assert_statement():
+    assert _assert_statements(_sources()) == []
+
+
+def test_guard_flags_an_assert_statement():
+    planted = ("assert True\n\n\n"
+               "def checked(x):\n"
+               "    if x < 0:\n"
+               "        raise AssertionError(\"negative\")\n"
+               "    assert x, \"zero\"\n"
+               "    return x\n\n\n"
+               "class Box:\n"
+               "    def open(self):\n"
+               "        assert self\n"
+               "        return AssertionError\n")
+    assert _assert_statements({"planted": planted}) \
+        == ["planted.<module>", "planted.checked", "planted.open"]
 
 
 def _json_writers(sources):
