@@ -9,7 +9,8 @@ of characters whose minimum over S is attained at least twice:
 That is the tropical hypersurface of r with trivial valuation, so its
 maximal cones are the tie cones of the edges of the Newton polytope
 conv(S), and ``polyhedral.edge_normal_fan`` computes the fan that way, once
-per module object, from the facets of conv(S).
+per module object, from the facets of conv(S): one double description in
+the complement of the characters constant on S.
 
 The initial form of r at a rational character chi keeps the chi-minimal
 terms, normalizes them into the kernel lattice B of chi, and generates the
@@ -171,13 +172,12 @@ def initial_form(module: OneRelatorModule, chi: Character) -> InitialFormResult:
     if ray in cache:
         return cache[ray]
     r = module.relator
-    values = {a: dot(ray, a) for a in r.support}
+    values = {a: dot(ray, a) for a in r._terms}
     minimum = min(values.values())
-    min_support = [a for a in r.support if values[a] == minimum]
-    base = min_support[0]
+    min_support = [a for a, v in values.items() if v == minimum]
     trimmed = torus.QTorusElement._trusted(
         r.rank, r.s, {a: r._terms[a] for a in min_support})
-    inverse = torus.monomial_inverse(base, r.s, module.cocycle)
+    inverse = torus.monomial_inverse(min(min_support), r.s, module.cocycle)
     shifted = torus.multiply(inverse, trimmed, module.cocycle)
     B = kernel_lattice([ray], module.rank)
     restricted = _in_coordinates(shifted, B)

@@ -157,35 +157,40 @@ def hnf(matrix):
     if any(len(row) != n for row in A):
         raise ValueError("ragged matrix")
     for i, row in enumerate(A):
-        row.extend(int(i == j) for j in range(m))
-
-    def subtract(i, q, j):
-        if q:
-            A[i] = [a - q * b for a, b in zip(A[i], A[j])]
+        row[n:] = [0] * i + [1] + [0] * (m - 1 - i)
 
     r = 0
     for c in range(n + m):
         if r == m:
             break
         while True:
-            nz = [i for i in range(r, m) if A[i][c] != 0]
-            if not nz:
+            # the smallest nonzero |entry| at or below row r, first on a tie
+            i0, low = r, 0
+            for i in range(r, m):
+                x = A[i][c]
+                if x and (not low or abs(x) < low):
+                    i0, low = i, abs(x)
+            if not low:
                 break
-            i0 = min(nz, key=lambda i: (abs(A[i][c]), i))
             A[r], A[i0] = A[i0], A[r]
+            prow, p = A[r], A[r][c]
             done = True
             for i in range(r + 1, m):
-                if A[i][c] != 0:
-                    subtract(i, A[i][c] // A[r][c], r)
-                    if A[i][c] != 0:
-                        done = False
+                q = A[i][c] // p
+                if q:
+                    A[i] = [a - q * b for a, b in zip(A[i], prow)]
+                if A[i][c]:
+                    done = False
             if done:
                 break
-        if A[r][c] != 0:
-            if A[r][c] < 0:
-                A[r] = [-a for a in A[r]]
+        prow = A[r]
+        if prow[c]:
+            if prow[c] < 0:
+                prow = A[r] = [-a for a in prow]
             for i in range(r):
-                subtract(i, A[i][c] // A[r][c], r)
+                q = A[i][c] // prow[c]
+                if q:
+                    A[i] = [a - q * b for a, b in zip(A[i], prow)]
             r += 1
     return (tuple(tuple(row[:n]) for row in A),
             tuple(tuple(row[n:]) for row in A))

@@ -8,8 +8,9 @@ coordinate complement of the lineality, scaled to primitive integer vectors.
 Two cones are equal as point sets iff they carry identical (rays, lineality)
 data, which gives cheap structural equality and hashing.  The tie cones of
 the edges of a polytope (``edge_normal_fan``) share one lineality and read
-their rays off its facets, and a tangent cone reads its rays off the cone's
-own; every other cone takes one double description.
+their rays off its facets, found by one double description in the
+complement of that lineality, and a tangent cone reads its rays off the
+cone's own; every other cone takes one double description.
 
 Fans are plain unions of cones (no face structure is maintained):
 containment-redundant cones are pruned and the rest deterministically
@@ -341,10 +342,11 @@ def edge_normal_fan(dim, points):
     [u, v] of conv(points), pairwise distinct and all of dimension dim - 1,
     so none contains another.
 
-    One double description over the (1, p) gives the facets (f0, f),
-    f0 + f.p >= 0, of conv(points), and ``on[b]``, the bitmask of the points
-    tight on facet b.  The points tight on every facet of a set are the AND
-    of their columns.  A point is a vertex iff that AND over its facets is
+    One double description over the (1, p_W), W the columns off the
+    pivots of the lineality's RREF, gives the facets (f0, f), f0 + f.p >= 0,
+    of conv(points), and ``on[b]``, the bitmask of the points tight on facet
+    b.  The points tight on every facet of a set are the AND of their
+    columns.  A point is a vertex iff that AND over its facets is
     the point alone, and two vertices span an edge iff the AND over the
     facets they share holds no third vertex (the smallest face holding both
     is the intersection of those facets).  The inner normals f of the shared
@@ -359,11 +361,17 @@ def edge_normal_fan(dim, points):
     """
     if len(points) < 2:  # no edge
         return Fan.irredundant(dim, ())
-    facets = _vrep(dim + 1, (), [(1,) + p for p in points])[0]
     diffs = [tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]]
     lineality = null_space_int(diffs, dim)
     _check_generators(lineality, diffs, ())
     rows, pivots = rref_int(lineality)
+    # W is a column basis of the differences, so the rows (1, p_W), distinct
+    # and primitive, have full rank, and each facet of their cone, lifted by
+    # zeros off W, is a facet of the cone over the (1, p).
+    cols = [0] + [j + 1 for j in range(dim) if j not in pivots]
+    hull = [(1,) + tuple([p[j - 1] for j in cols[1:]]) for p in points]
+    facets = [lift_columns(f, cols, dim + 1)
+              for f in _dd_pointed(hull, len(cols))]
     normals = [_into_complement(f[1:], rows, pivots) for f in facets]
     # The incidence is recomputed by dot products, not read off the double
     # description, because this pass is also the check of the facets.

@@ -16,6 +16,8 @@ integer matrices; a cocycle restricts to a sublattice, so it stays integral.
 
 from __future__ import annotations
 
+from operator import add, mul
+
 from ._record import Record
 from .lattice import (Sublattice, Subspace, as_int, as_rational, congruence,
                       dot, kernel_lattice, matrix_rank, row_times, saturate)
@@ -212,19 +214,23 @@ def multiply(alpha: QTorusElement, beta: QTorusElement,
     if alpha.rank != beta.rank or alpha.rank != cocycle.rank:
         raise ValueError("rank mismatch")
     s = max(alpha.s, beta.s, cocycle.s)
+    pad = (0,) * (s - cocycle.s)
+    right = [(b, [(q + (0,) * (s - len(q)), v) for q, v in cb.items()])
+             for b, cb in beta._terms.items()]
     terms = {}
     for a, ca in alpha._terms.items():
-        for b, cb in beta._terms.items():
-            shift = cocycle.twist(a, b)
-            exp = tuple(x + y for x, y in zip(a, b))
-            acc = terms.setdefault(exp, {})
-            for qa, va in ca.items():
-                qa_s = qa + (0,) * (s - len(qa))
-                for qb, vb in cb.items():
-                    qb_s = qb + (0,) * (s - len(qb))
-                    q = tuple(x + y + z for x, y, z in
-                              zip(qa_s, qb_s, shift + (0,) * (s - len(shift))))
-                    acc[q] = acc.get(q, 0) + va * vb
+        # x^a x^b twists by the dot products of the rows a.B_k with b
+        rows = [row_times(a, m) for m in cocycle.forms]
+        left = [(q + (0,) * (s - len(q)), v) for q, v in ca.items()]
+        for b, cb in right:
+            shift = tuple([sum(map(mul, row, b)) for row in rows]) + pad
+            acc = terms.setdefault(tuple(map(add, a, b)), {})
+            for qa, va in left:
+                twisted = tuple(map(add, qa, shift))
+                for qb, vb in cb:
+                    q = tuple(map(add, twisted, qb))
+                    v = va * vb
+                    acc[q] = acc[q] + v if q in acc else v
     return QTorusElement._trusted(alpha.rank, s, _drop_zeros(terms))
 
 

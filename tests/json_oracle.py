@@ -1,0 +1,110 @@
+"""Checks of CLI answers against their inputs that read JSON only.
+
+Each ``check_<command>(payload, output)`` takes the parsed input payload and
+the parsed stdout of one CLI run and returns None when the output answers
+the input, or a one-line reason when it does not.  The checks follow the
+definitions, not the library's algorithms, and this module imports the
+standard library only (``tests/test_surface.py`` guards that), so no code
+path of ``qtdelta`` is shared with what it checks (McKeeman, "Differential
+Testing for Software", Digital Technical Journal 10(1), 1998).
+
+- ``torus-mul``: the naive product, term by term, from
+  x^a x^b = q^(a B b) x^(a+b), every parameter exponent padded with zeros
+  to the cocycle's count.
+- ``delta``: on every integer character chi of [-2, 2]^n, membership in the
+  printed H-representation equals "the minimum of chi over the relator's
+  support is attained at least twice".
+"""
+
+import itertools
+from fractions import Fraction
+
+
+def _nonzero(terms):
+    """{exp: {qexp: value}} without zero values and empty coefficients."""
+    out = {}
+    for exp, coeff in terms.items():
+        kept = {q: v for q, v in coeff.items() if v}
+        if kept:
+            out[exp] = kept
+    return out
+
+
+def _element(data, width=None):
+    """The terms of an element as {exp: {qexp: value}}, each parameter
+    exponent padded to ``width`` (by default the longest one), repeated
+    exponents and parameter exponents summed."""
+    coeffs = [c for term in data["terms"] for c in term["coeff"]]
+    if width is None:
+        width = max((len(c["qexp"]) for c in coeffs), default=0)
+    terms = {}
+    for term in data["terms"]:
+        coeff = terms.setdefault(tuple(term["exp"]), {})
+        for c in term["coeff"]:
+            q = tuple(c["qexp"]) + (0,) * (width - len(c["qexp"]))
+            coeff[q] = coeff.get(q, 0) + Fraction(c["c"])
+    return _nonzero(terms)
+
+
+def check_torus_mul(payload, output):
+    """The printed product against the naive one; JSON numbers and "p/q"
+    strings are read by ``Fraction``."""
+    cocycle = payload["cocycle"]
+    n, forms = cocycle["rank"], cocycle["B"]
+    width = cocycle["s"]
+    a = _element(payload["a"], width)
+    b = _element(payload["b"], width)
+    expected = {}
+    for (ea, ca), (eb, cb) in itertools.product(a.items(), b.items()):
+        twist = tuple(sum(ea[i] * m[i][j] * eb[j]
+                          for i in range(n) for j in range(n)) for m in forms)
+        twist += (0,) * (width - len(twist))
+        coeff = expected.setdefault(
+            tuple(x + y for x, y in zip(ea, eb)), {})
+        for (qa, va), (qb, vb) in itertools.product(ca.items(), cb.items()):
+            q = tuple(x + y + z for x, y, z in zip(qa, qb, twist))
+            coeff[q] = coeff.get(q, 0) + va * vb
+    expected = _nonzero(expected)
+    if output.get("rank") != n:
+        return f"rank {output.get('rank')!r}, expected {n}"
+    got = {}
+    for term in output["terms"]:
+        exp = tuple(term["exp"])
+        if exp in got:
+            return f"exponent {list(exp)} printed twice"
+        got[exp] = {tuple(c["qexp"]): Fraction(c["c"])
+                    for c in term["coeff"]}
+        if any(len(q) != width for q in got[exp]):
+            return f"parameter exponent of exponent {list(exp)} not of " \
+                   f"length {width}"
+    for exp in sorted(set(got) | set(expected)):
+        if got.get(exp) != expected.get(exp):
+            return (f"coefficient of x^{list(exp)} is {got.get(exp)}, "
+                    f"expected {expected.get(exp)}")
+    return None
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def check_delta(payload, output, box=2):
+    """The printed fan against direct min-evaluation on the integer points
+    of [-box, box]^n."""
+    n = payload["relator"]["rank"]
+    support = list(_element(payload["relator"]))
+    if output.get("dim") != n:
+        return f"fan dimension {output.get('dim')!r}, expected {n}"
+    cones = [([[Fraction(x) for x in row] for row in cone.get("eq", [])],
+              [[Fraction(x) for x in row] for row in cone.get("ineq", [])])
+             for cone in output["cones"]]
+    for chi in itertools.product(range(-box, box + 1), repeat=n):
+        values = [_dot(chi, a) for a in support]
+        on_delta = values.count(min(values)) >= 2
+        in_fan = any(all(_dot(e, chi) == 0 for e in eq)
+                     and all(_dot(a, chi) >= 0 for a in ineq)
+                     for eq, ineq in cones)
+        if on_delta != in_fan:
+            return (f"chi {list(chi)}: minimum attained twice is "
+                    f"{on_delta}, printed fan member is {in_fan}")
+    return None

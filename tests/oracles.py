@@ -255,6 +255,30 @@ def delta_set_pairwise(module):
     return Fan(module.rank, cones)
 
 
+def edge_graph_oracle(n, points):
+    """Edges of conv(points) from the tie cones cut out by the rows w - u
+    over every point w: the vertices are the points with a full-dimensional
+    normal cone, the edges the vertex pairs (i, j), i < j, whose tie cone
+    has dimension n - 1.  Returns ``({key: (i, cone)}, neighbours)``, i the
+    first vertex of the edge and ``neighbours[i]`` the set of vertices that
+    share an edge with vertex i."""
+    def diff(w, u):
+        return tuple(a - b for a, b in zip(w, u))
+    vertices = [i for i, u in enumerate(points)
+                if Cone.from_constraints(
+                    n, (), [diff(w, u) for w in points]).dim == n]
+    edges, neighbours = {}, {i: set() for i in vertices}
+    for i, j in itertools.combinations(vertices, 2):
+        u = points[i]
+        cone = Cone.from_constraints(n, [diff(u, points[j])],
+                                     [diff(w, u) for w in points])
+        if cone.dim == n - 1:
+            edges[cone.key] = (i, cone)
+            neighbours[i].add(j)
+            neighbours[j].add(i)
+    return edges, neighbours
+
+
 def local_cone_eps_oracle(fan, x, y):
     """Exact decision of `x + eps*y in fan for all small eps >= 0`.
 
@@ -548,6 +572,21 @@ def distinct_lines(rng, t, s):
             keys.add(key)
             lines.append(w)
     return lines
+
+
+def affine_sublattice_points(rng, n, d, size, box=2):
+    """At most ``size`` distinct points of a translate of a rank-d
+    sublattice of Z^n, sorted: points of [-box, box]^d padded by zeros,
+    mapped by a random unimodular matrix and translated.  The sublattice is
+    in general not a coordinate subspace."""
+    U = random_unimodular(rng, n)
+    base = [rng.randint(-3, 3) for _ in range(n)]
+    points = set()
+    for _ in range(size):
+        x = [rng.randint(-box, box) for _ in range(d)]
+        points.add(tuple(base[i] + sum(x[k] * U[k][i] for k in range(d))
+                         for i in range(n)))
+    return sorted(points)
 
 
 def random_saturated_sublattice(rng, n, rank):

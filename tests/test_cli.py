@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -14,6 +15,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import json_oracle
+from oracles import affine_sublattice_points
 from qtdelta import cli, delta
 from qtdelta.cli import main
 
@@ -96,6 +99,27 @@ TORUS_MUL = {
         {"exp": [0, 1], "coeff": [{"qexp": [0], "c": 1}]}]},
     "cocycle": {"rank": 2, "s": 1, "B": [[[0, 1], [0, 0]]]},
 }
+
+# (x1 + x2)(x2 - x1) without a twist: the two x1 x2 terms cancel
+TORUS_MUL_CANCEL = {
+    "a": {"rank": 2, "terms": [
+        {"exp": [1, 0], "coeff": [{"qexp": [], "c": 1}]},
+        {"exp": [0, 1], "coeff": [{"qexp": [], "c": 1}]}]},
+    "b": {"rank": 2, "terms": [
+        {"exp": [0, 1], "coeff": [{"qexp": [], "c": 1}]},
+        {"exp": [1, 0], "coeff": [{"qexp": [], "c": -1}]}]},
+    "cocycle": {"rank": 2, "s": 0, "B": []},
+}
+
+# TORUS_MUL with a = x1 written as 1/2 x1 + 1/2 x1 and b = x2 as 2 x2 - x2
+_HALF = {"qexp": [0], "c": "1/2"}
+TORUS_MUL_SPLIT = dict(
+    TORUS_MUL,
+    a=dict(TORUS_MUL["a"], terms=[{"exp": [1, 0], "coeff": [_HALF]},
+                                  {"exp": [1, 0], "coeff": [_HALF]}]),
+    b=dict(TORUS_MUL["b"], terms=[
+        {"exp": [0, 1], "coeff": [{"qexp": [0], "c": 2}]},
+        {"exp": [0, 1], "coeff": [{"qexp": [0], "c": -1}]}]))
 
 AMPLE = {"form": {"n": 2, "s": 1, "phi": [[[0, 1], [-1, 0]]]},
          "X": [[1, 0], [0, 1]],
@@ -263,15 +287,8 @@ class TestSubcommands:
             {"exp": [1, 1], "coeff": [{"qexp": [1], "c": 1}]}]}
 
     def test_torus_mul_repeated_exponents_summed(self, tmp_path):
-        # a = x1 written as 1/2 x1 + 1/2 x1, and b as 2 x2 - x2: the
-        # product is the one of TORUS_MUL
-        half = {"qexp": [0], "c": "1/2"}
-        a = dict(TORUS_MUL["a"], terms=[
-            {"exp": [1, 0], "coeff": [half]}, {"exp": [1, 0], "coeff": [half]}])
-        b = dict(TORUS_MUL["b"], terms=[
-            {"exp": [0, 1], "coeff": [{"qexp": [0], "c": 2}]},
-            {"exp": [0, 1], "coeff": [{"qexp": [0], "c": -1}]}])
-        assert run_inproc("torus-mul", dict(TORUS_MUL, a=a, b=b), tmp_path) \
+        # the product is the one of TORUS_MUL
+        assert run_inproc("torus-mul", TORUS_MUL_SPLIT, tmp_path) \
             == run_inproc("torus-mul", TORUS_MUL, tmp_path)
 
     @pytest.mark.parametrize("qexp_a,qexp_b", [([], [0]), ([0], []),
@@ -893,3 +910,148 @@ def test_cli_contract_fuzz(valid_payloads, monkeypatch, command):
             assert stdout.getvalue() == ""
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# answers checked against their inputs by ``json_oracle``, which reads JSON
+# only: torus-mul and delta so far (ROADMAP item 13)
+
+ORACLE = {"delta": json_oracle.check_delta,
+          "torus-mul": json_oracle.check_torus_mul}
+CLI_CASES = json.loads((SRC.parent / "perfbench" / "cli_cases.json")
+                       .read_text(encoding="utf-8"))["cases"]
+
+
+def _answer(command, payload, *flags):
+    """Exit code and parsed stdout of one in-process run on ``payload``."""
+    stdin, stdout = io.StringIO(json.dumps(payload)), io.StringIO()
+    with mock.patch.object(sys, "stdin", stdin), \
+            contextlib.redirect_stdout(stdout):
+        code = main([command, *flags])
+    return code, json.loads(stdout.getvalue() or "null")
+
+
+def _oracle_verdict(command, payload, *flags):
+    code, output = _answer(command, payload, *flags)
+    assert code == 0, (command, payload)
+    return ORACLE[command](payload, output)
+
+
+def _negated(c):
+    """A JSON rational (int or "p/q" string) negated, in the same form."""
+    if isinstance(c, int):
+        return -c
+    return c[1:] if c.startswith("-") else "-" + c
+
+
+COEFFS = st.sampled_from([1, -1, 2, -3, "1/2", "-2/3"])
+
+
+@st.composite
+def _products(draw):
+    """torus-mul payloads of rank 1-3 and 0-2 parameters; each factor has
+    its own parameter count, at most the cocycle's, and some terms are
+    written a second time, negated, so that they cancel.  Exponents and
+    parameter exponents are 0 or 1, so products of distinct term pairs
+    often meet and sum."""
+    n, s = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    small = st.integers(0, 1)
+
+    def element():
+        width = draw(st.integers(0, s))
+        terms = []
+        for _ in range(draw(st.integers(0, 4))):
+            exp = draw(st.lists(small, min_size=n, max_size=n))
+            coeff = [{"qexp": draw(st.lists(small, min_size=width,
+                                            max_size=width)),
+                      "c": draw(COEFFS)}
+                     for _ in range(draw(st.integers(1, 2)))]
+            terms.append({"exp": exp, "coeff": coeff})
+            if draw(st.booleans()):
+                terms.append({"exp": exp, "coeff": [
+                    dict(c, c=_negated(c["c"])) for c in coeff]})
+        return {"rank": n, "terms": terms}
+    forms = draw(st.lists(st.lists(st.lists(st.integers(-2, 2), min_size=n,
+                                            max_size=n),
+                                   min_size=n, max_size=n),
+                          min_size=s, max_size=s))
+    return {"a": element(), "b": element(),
+            "cocycle": {"rank": n, "s": s, "B": forms}}
+
+
+@st.composite
+def _flat_relators(draw):
+    """delta payloads whose support, 1-8 points, lies in a translate of a
+    proper sublattice of Z^n, n = 2..4 (``affine_sublattice_points``); a
+    point may be written twice with cancelling coefficients, which drops
+    it from the support while another point is left."""
+    n = draw(st.integers(2, 4))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    support = affine_sublattice_points(rng, n, draw(st.integers(1, n - 1)),
+                                       draw(st.integers(1, 8)))
+    s = draw(st.integers(0, 1))
+    width = draw(st.sampled_from([0, s]))
+    terms = [{"exp": list(a), "coeff": [{"qexp": [0] * width,
+                                         "c": draw(COEFFS)}]}
+             for a in support]
+    if len(terms) > 1 and draw(st.booleans()):
+        terms.append(dict(terms[0], coeff=[
+            dict(c, c=_negated(c["c"])) for c in terms[0]["coeff"]]))
+    forms = [[[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+             for _ in range(s)]
+    return {"relator": {"rank": n, "terms": terms},
+            "cocycle": {"rank": n, "s": s, "B": forms}}
+
+
+class TestJsonOracle:
+    @pytest.mark.parametrize(
+        "case", [c for c in CLI_CASES if c["command"] in ORACLE],
+        ids=lambda c: c["command"])
+    def test_cli_cases(self, case):
+        assert _oracle_verdict(case["command"], case["payload"],
+                               *case["flags"]) is None
+
+    @pytest.mark.parametrize("command,payload", [
+        ("delta", TROPICAL),
+        ("delta", TWISTED),
+        ("delta", with_scalar_relator(TWISTED)),
+        ("delta", WIDE3),
+        ("delta", _sized_inputs(0)["delta"]),
+        ("torus-mul", TORUS_MUL),
+        ("torus-mul", TORUS_MUL_SPLIT),
+        ("torus-mul", TORUS_MUL_CANCEL),
+        ("torus-mul", dict(TORUS_MUL, a=_element_qexp(TORUS_MUL["a"], []))),
+        ("torus-mul", dict(TORUS_MUL, b=_element_qexp(TORUS_MUL["b"], []))),
+        ("torus-mul", _sized_inputs(0)["torus-mul"]),
+    ])
+    def test_payloads(self, command, payload):
+        assert _oracle_verdict(command, payload) is None
+
+    def test_flipped_q_exponent_caught(self):
+        _, output = _answer("torus-mul", TORUS_MUL)
+        output["terms"][0]["coeff"][0]["qexp"][0] *= -1
+        assert json_oracle.check_torus_mul(TORUS_MUL, output) \
+            == "coefficient of x^[1, 1] is {(-1,): Fraction(1, 1)}, " \
+               "expected {(1,): Fraction(1, 1)}"
+
+    def test_dropped_cone_caught(self):
+        _, output = _answer("delta", TROPICAL)
+        for k in range(len(output["cones"])):
+            dropped = dict(output, cones=output["cones"][:k]
+                           + output["cones"][k + 1:])
+            reason = json_oracle.check_delta(TROPICAL, dropped)
+            assert reason.endswith(
+                "minimum attained twice is True, printed fan member is "
+                "False")
+
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=None)
+    @given(payload=_products())
+    def test_drawn_products(self, payload):
+        assert _oracle_verdict("torus-mul", payload) is None
+
+    @settings(max_examples=40, derandomize=True, database=None,
+              deadline=None)
+    @given(payload=_flat_relators())
+    def test_drawn_flat_supports(self, payload):
+        assert _oracle_verdict("delta", payload) is None

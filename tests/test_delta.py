@@ -8,7 +8,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qtdelta import delta, jsonio, polyhedral, torus
 from qtdelta.delta import (
@@ -27,13 +27,15 @@ from qtdelta.delta import (
     tc_delta,
 )
 from qtdelta.lattice import (Sublattice, Subspace, dot, matrix_rank,
-                             row_times, saturate)
+                             null_space_int, row_times, rref_int, saturate)
 from qtdelta.polyhedral import Cone, Fan, fan_dim, fan_equal
 
 from oracles import (
+    affine_sublattice_points,
     assert_canonical_element,
     delta_member_bruteforce,
     delta_set_pairwise,
+    edge_graph_oracle,
     exposed_faces_bruteforce,
     extreme_rays_bruteforce,
     random_character,
@@ -820,6 +822,25 @@ def _flat_supports(draw):
                             for i in range(n)) for x in local})
 
 
+@st.composite
+def _sublattice_supports(draw):
+    """Rank 2-5 and 2-10 points of a translate of a rank-d sublattice,
+    d < rank, that is not a coordinate subspace: points of [-2, 2]^d padded
+    by zeros, mapped by a random unimodular matrix and translated.  Draws
+    whose columns off the pivots of their lineality's RREF are the leading
+    columns are dropped, so the hull is built in a complement that the
+    leading coordinates do not give."""
+    n = draw(st.integers(2, 5))
+    d = draw(st.integers(1, n - 1))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    support = affine_sublattice_points(rng, n, d, draw(st.integers(2, 10)))
+    diffs = [tuple(a - b for a, b in zip(p, support[0])) for p in support]
+    pivots = rref_int(null_space_int(diffs, n))[1]
+    free = [j for j in range(n) if j not in pivots]
+    assume(free != list(range(len(free))))
+    return n, support
+
+
 class TestEdgeConstruction:
     @settings(max_examples=60, derandomize=True, database=None,
               deadline=None)
@@ -828,6 +849,27 @@ class TestEdgeConstruction:
         n, support = drawn
         m = module_from_support(support, n)
         assert _keys(delta_set(m)) == _keys(delta_set_pairwise(m))
+
+    @settings(max_examples=40, derandomize=True, database=None,
+              deadline=None)
+    @given(drawn=_sublattice_supports())
+    def test_supports_in_a_sublattice(self, drawn):
+        # the fan equals the pairwise one, and each edge cone at its first
+        # vertex u carries the rows w - u of u's neighbours w and the row
+        # of its edge, as TestEdgeConesOnTheGraph checks on wide supports
+        n, support = drawn
+        m = module_from_support(support, n)
+        fan = delta_set(m)
+        assert fan == delta_set_pairwise(m)
+        oracle, neighbours = edge_graph_oracle(n, support)
+        assert sorted(c.key for c in fan.cones) == sorted(oracle)
+        for cone in fan.cones:
+            i, edge = oracle[cone.key]
+            rows = polyhedral._norm_constraints(
+                [tuple(a - b for a, b in zip(support[w], support[i]))
+                 for w in neighbours[i]], n)
+            assert sorted(cone._raw_ineq) == sorted(rows)
+            assert cone._raw_eq == edge._raw_eq
 
     @pytest.mark.parametrize("n,support", [
         (1, [(2,)]),
@@ -886,12 +928,11 @@ class TestEdgeConstruction:
             assert cone.dim == matrix_rank(cone.rays + cone.lineality)
 
     def test_facet_check(self, monkeypatch):
-        vrep = polyhedral._vrep
+        dd = polyhedral._dd_pointed
 
         def negated(*args):
-            facets, lineality = vrep(*args)
-            return tuple(tuple(-x for x in f) for f in facets), lineality
-        monkeypatch.setattr(polyhedral, "_vrep", negated)
+            return tuple(tuple(-x for x in f) for f in dd(*args))
+        monkeypatch.setattr(polyhedral, "_dd_pointed", negated)
         with pytest.raises(AssertionError, match="cuts off a point"):
             delta_set(tropical_line_module())
 
@@ -1021,17 +1062,17 @@ class TestDeltaCache:
     ])
     def test_one_double_description(self, monkeypatch, n, support, edges):
         # the facets of conv(S) give every edge's tie cone its rays, and
-        # every edge shares one lineality: two kernels per fan, the double
-        # description's and the lineality's; the constraints are normalised
-        # once for the double description and once per vertex, not per edge.
-        # A one-point support has no edge and runs none of these.
+        # every edge shares one lineality: one kernel per fan, whose
+        # complement holds the double description; the constraints are
+        # normalised once per vertex, not per edge.  A one-point support
+        # has no edge and runs none of these.
         calls, kernels, norms = [], [], []
-        vrep, kernel = polyhedral._vrep, polyhedral.null_space_int
+        dd, kernel = polyhedral._dd_pointed, polyhedral.null_space_int
         norm = polyhedral._norm_constraints
 
         def counted(*args):
             calls.append(args)
-            return vrep(*args)
+            return dd(*args)
 
         def counted_kernel(*args):
             kernels.append(args)
@@ -1040,13 +1081,13 @@ class TestDeltaCache:
         def counted_norm(*args):
             norms.append(args)
             return norm(*args)
-        monkeypatch.setattr(polyhedral, "_vrep", counted)
+        monkeypatch.setattr(polyhedral, "_dd_pointed", counted)
         monkeypatch.setattr(polyhedral, "null_space_int", counted_kernel)
         monkeypatch.setattr(polyhedral, "_norm_constraints", counted_norm)
         fan = delta_set(module_from_support(support, n))
         assert len(fan.cones) == edges
         assert len(calls) == int(len(support) > 1)
-        assert len(kernels) == 2 * int(len(support) > 1)
+        assert len(kernels) == int(len(support) > 1)
         # a vertex is the only minimiser of some character of a small box
         vertices = set()
         for chi in itertools.product(range(-3, 4), repeat=n):

@@ -22,6 +22,7 @@ from qtdelta.polyhedral import (
 
 from oracles import (
     dyadic_eps_agreement,
+    edge_graph_oracle,
     extreme_rays_bruteforce,
     fans_distinguishable,
     local_cone_eps_oracle,
@@ -535,6 +536,28 @@ class TestDoubleDescriptionOracle:
                 shapes.add((n, max(sum(dot(a, r) == 0 for a in lifted)
                                    for r in rays) > n))
         assert shapes >= {(2, True), (3, True), (4, True)}
+        # lifted supports in Z^4 of the wide-support op lists (seeds 101
+        # and 102) on which the tight-set scan rejects 2, 5 and 2 pairs that
+        # pass the popcount pre-test: no other input above reaches it
+        for points in _SCAN_REJECTS:
+            self.rays([(1,) + p for p in points], 5)
+
+
+# (seed, op) 101/22, 102/37 and 102/33 of the wide-support stream
+_SCAN_REJECTS = (
+    [(-2, -3, -2, 1), (-1, -3, -1, -1), (1, -2, -2, 3), (1, -2, 1, 1),
+     (2, -2, -3, 2), (2, -2, -2, 2), (2, -2, 1, 2), (2, -2, 2, 2),
+     (3, -3, 1, -3), (3, -3, 1, 1), (3, -2, -3, 0), (3, -2, 1, -1),
+     (3, -1, -1, 2), (3, 0, -3, 2), (3, 0, -2, 1)],
+    [(-3, 0, -2, 2), (-3, 2, -1, 0), (-3, 2, 2, 3), (-3, 3, 1, 1),
+     (-3, 3, 2, 0), (1, 0, 2, 2), (1, 2, 1, 2), (2, 0, -2, -1),
+     (2, 0, 0, -2), (2, 0, 3, 2), (2, 2, 1, 1), (2, 3, -3, 1),
+     (3, 0, -1, 0)],
+    [(-3, -2, 3, 1), (-3, 2, 2, 3), (-2, -3, -2, 2), (-2, -2, 1, 1),
+     (-2, -1, 0, 1), (-2, 3, 3, 3), (-1, -3, 2, 1), (-1, -2, 3, 0),
+     (-1, -1, -2, 3), (-1, 1, 1, 3), (0, -1, -1, 3), (1, 0, 1, 3),
+     (1, 0, 2, 1), (2, -1, 2, 3), (3, -1, 2, 3), (3, 0, 2, 2)],
+)
 
 
 class TestSelfChecks:
@@ -835,28 +858,14 @@ class TestEdgeConesOnTheGraph:
 
     @pytest.mark.parametrize("n,points", _wide_supports())
     def test_against_rows_over_all_points(self, n, points):
-        def diff(w, u):
-            return tuple(a - b for a, b in zip(w, u))
-        # vertices: full-dimensional normal cones; edges: vertex pairs with
-        # a tie cone of dimension n - 1
-        vertices = [i for i, u in enumerate(points)
-                    if Cone.from_constraints(
-                        n, (), [diff(w, u) for w in points]).dim == n]
-        oracle, neighbours = {}, {i: set() for i in vertices}
-        for i, j in itertools.combinations(vertices, 2):
-            u = points[i]
-            cone = Cone.from_constraints(n, [diff(u, points[j])],
-                                         [diff(w, u) for w in points])
-            if cone.dim == n - 1:
-                oracle[cone.key] = (i, cone)
-                neighbours[i].add(j)
-                neighbours[j].add(i)
+        oracle, neighbours = edge_graph_oracle(n, points)
         fan = polyhedral.edge_normal_fan(n, points)
         assert sorted(c.key for c in fan.cones) == sorted(oracle)
         for cone in fan.cones:
             i, _ = oracle[cone.key]
             rows = polyhedral._norm_constraints(
-                [diff(points[w], points[i]) for w in neighbours[i]], n)
+                [tuple(a - b for a, b in zip(points[w], points[i]))
+                 for w in neighbours[i]], n)
             assert sorted(cone._raw_ineq) == sorted(rows)
         # the local cones of the fan at a ray and at the ray sum of sampled
         # cones against the epsilon oracle of the fan cut out by the rows

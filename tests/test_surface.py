@@ -46,6 +46,9 @@ commands that find no pencil spectrum never load it.  No module imports
 methods of each class: the records derive from ``_record.Record``.
 ``hashlib`` is imported inside ``rng.derive``, so a command that draws no
 random stream does not load OpenSSL.
+
+``tests/json_oracle.py``, which checks CLI answers from their JSON alone,
+imports the standard library only, so it shares no code with ``qtdelta``.
 """
 
 import ast
@@ -471,6 +474,42 @@ before = loaded()
 codes.append(run("symbase", two_block)[0])
 print(json.dumps([codes, before, loaded()]))
 """
+
+
+def _outside_stdlib_imports(sources):
+    """Where a statement imports a module outside the standard library, a
+    relative import included."""
+    def outside(name):
+        return (name is None
+                or name.split(".")[0] not in sys.stdlib_module_names)
+
+    return _located(sources, lambda node, module, where: (
+        isinstance(node, ast.Import)
+        and any(outside(alias.name) for alias in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or outside(node.module))))
+
+
+def test_json_oracle_imports_the_stdlib_only():
+    # the JSON-only oracle shares no code path with what it checks
+    path = pathlib.Path(__file__).with_name("json_oracle.py")
+    assert _outside_stdlib_imports(
+        {"json_oracle": path.read_text(encoding="utf-8")}) == []
+
+
+def test_guard_flags_an_import_outside_the_stdlib():
+    planted = ("import itertools\n"
+               "from fractions import Fraction\n"
+               "import qtdelta.torus\n"
+               "from qtdelta import delta\n"
+               "from . import oracles\n\n\n"
+               "def check(payload):\n"
+               "    from qtdelta.jsonio import to_json\n"
+               "    import json, sympy\n"
+               "    return to_json, json, sympy, Fraction, itertools\n")
+    assert _outside_stdlib_imports({"planted": planted}) \
+        == ["planted.<module>", "planted.<module>", "planted.<module>",
+            "planted.check", "planted.check"]
 
 
 def test_delta_and_lc_never_load_sympy(tmp_path):
