@@ -114,11 +114,8 @@ def matrix_from_json(data, width):
 
 
 def cone_to_json(cone: Cone):
-    return {
-        "dim": cone.ambient_dim,
-        "eq": to_json(cone.equalities),
-        "ineq": to_json(cone.inequalities),
-    }
+    eq, ineq = cone.canonical_hrep()
+    return {"dim": cone.ambient_dim, "eq": to_json(eq), "ineq": to_json(ineq)}
 
 
 def cone_from_json(data) -> Cone:

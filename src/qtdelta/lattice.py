@@ -111,23 +111,24 @@ def row_times(v, matrix):
 
 def congruence(basis, matrix, den=1):
     """Exact ``B M B^T / den`` for basis rows ``B`` (r x n) and a square
-    rational matrix ``M`` (n x n): entry (i, j) is ``b_i . M . b_j / den``.
+    int matrix ``M`` (n x n): entry (i, j) is ``b_i . M . b_j / den``.
 
-    The denominators of ``M`` and of each row of ``B`` are cleared once, so
-    the rows of ``B M`` (O(r n^2)) and their pairings with ``B`` (O(r^2 n))
-    accumulate in ints, skipping zero coordinates of ``B``.  Each entry is
-    divided once at the end: an int where the divisor is 1, else a Fraction.
+    The callers pass forms their constructors have already cleared
+    (``CocycleForm.forms``, ``AlternatingMapQ._cleared``).  The denominators
+    of each row of ``B`` are cleared once, so the rows of ``B M``
+    (O(r n^2)) and their pairings with ``B`` (O(r^2 n)) accumulate in ints,
+    skipping zero coordinates of ``B``.  Each entry is divided once at the
+    end: an int where the divisor is 1, else a Fraction.
     """
-    M, dm = clear_matrix(matrix)
-    den *= dm
-    n = len(M)
-    if any(len(row) != n for row in M) or any(len(b) != n for b in basis):
+    n = len(matrix)
+    if (any(len(row) != n for row in matrix)
+            or any(len(b) != n for b in basis)):
         raise ValueError("dimension mismatch in congruence")
     rows = [clear_denominators(b) for b in basis]
     support = [[(k, x) for k, x in enumerate(b) if x] for b, _ in rows]
     out = []
     for b, db in rows:
-        bm = row_times(b, M)
+        bm = row_times(b, matrix)
         line = []
         for nz, (_, dc) in zip(support, rows):
             num = sum(bm[k] * x for k, x in nz)

@@ -1,10 +1,12 @@
 """Rational polyhedral cones and cone-union fans, all arithmetic exact.
 
-A Cone carries an H-representation (equalities and inequalities) and a
-V-representation (extreme rays plus a lineality basis).  The V-side is
-canonical: the lineality basis comes from an RREF null-space computation and
-the rays are the extreme rays of the cone intersected with the canonical
-coordinate complement of the lineality, scaled to primitive integer vectors.
+A Cone carries an H-representation, the raw rows (equalities and
+inequalities) it was cut out by, which ``member``, ``tangent_cone``,
+``preimage`` and the covering test read, and a V-representation (extreme
+rays plus a lineality basis).  The V-side is canonical: the lineality
+basis comes from an RREF null-space computation and the rays are the
+extreme rays of the cone intersected with the canonical coordinate
+complement of the lineality, scaled to primitive integer vectors.
 Two cones are equal as point sets iff they carry identical (rays, lineality)
 data, which gives cheap structural equality and hashing.  The tie cones of
 the edges of a polytope (``edge_normal_fan``) share one lineality and read
@@ -17,7 +19,9 @@ containment-redundant cones are pruned and the rest deterministically
 sorted.  ``Fan.irredundant`` skips the prune for cone lists that have no
 redundant cone by construction.  ``fan_equal`` compares point sets: equal
 canonical cone sets, or each fan covered by the other, which one point per
-top-dimensional cell decides once the other fan's hyperplanes cut a cone.
+top-dimensional cell decides once the hyperplanes of the other fan's raw
+rows cut a cone.  The canonical H-representation (equalities and facets)
+is computed only where a cone is written, by ``Cone.canonical_hrep``.
 """
 
 from __future__ import annotations
@@ -161,7 +165,7 @@ class Cone:
     """Closed rational polyhedral cone containing 0."""
 
     __slots__ = ("ambient_dim", "rays", "lineality", "_raw_eq", "_raw_ineq",
-                 "_hrep", "_dim")
+                 "_dim")
 
     def __init__(self, ambient_dim, rays, lineality, raw_eq, raw_ineq):
         self.ambient_dim = ambient_dim
@@ -169,7 +173,6 @@ class Cone:
         self.lineality = lineality
         self._raw_eq = raw_eq
         self._raw_ineq = raw_ineq
-        self._hrep = None
         self._dim = None
 
     @classmethod
@@ -195,23 +198,13 @@ class Cone:
     def key(self):
         return (self.rays, self.lineality)
 
-    def _canonical_hrep(self):
-        if self._hrep is None:
-            # double dualization: the facets are the extreme rays of the
-            # dual cone, the equalities span the orthogonal complement of
-            # the span (the dual cone's lineality)
-            ineq, eq = _vrep(self.ambient_dim, self.lineality, self.rays)
-            _check_generators(self.rays + self.lineality, eq, ineq)
-            self._hrep = (eq, ineq)
-        return self._hrep
-
-    @property
-    def equalities(self):
-        return self._canonical_hrep()[0]
-
-    @property
-    def inequalities(self):
-        return self._canonical_hrep()[1]
+    def canonical_hrep(self):
+        """(equalities, facets) read off the generators, a function of the
+        point set alone: the facets are the extreme rays of the dual cone,
+        the equalities span its lineality (one double description)."""
+        facets, eq = _vrep(self.ambient_dim, self.lineality, self.rays)
+        _check_generators(self.rays + self.lineality, eq, facets)
+        return eq, facets
 
     @property
     def dim(self):
@@ -491,19 +484,21 @@ def _uncovered(fan, other):
     """A rational point of ``fan`` outside ``other``, or None when ``other``
     covers ``fan``.
 
-    Each cone C of ``fan`` is cut by the hyperplanes of ``other`` only, and
-    a region is split only where a hyperplane takes both signs on it (on a
-    ray of its closure, or on a lineality vector).  Every final region is
-    a cell of the dimension of C on whose relative interior each hyperplane
-    has one sign, so each cone of ``other`` either holds the cell or misses
-    its relative interior, and the cell's ray sum decides which.  The cells
-    cover C and ``other`` is closed, so C is covered iff every cell is.
+    Each cone C of ``fan`` is cut by the hyperplanes of the raw rows of
+    ``other`` only, and a region is split only where a hyperplane takes
+    both signs on it (on a ray of its closure, or on a lineality vector).
+    Every final region is a cell of the dimension of C on whose relative
+    interior each hyperplane has one sign; the raw rows of a cone of
+    ``other`` cut out its point set, so the cone either holds the cell or
+    misses its relative interior, and the cell's ray sum decides which.
+    The cells cover C and ``other`` is closed, so C is covered iff every
+    cell is.
     """
     n = fan.ambient_dim
     hyperplanes = sorted({vec_primitive_signed(a) for c in other.cones
-                          for a in c.equalities + c.inequalities})
+                          for a in c._raw_eq + c._raw_ineq})
     for cone in fan.cones:
-        regions = [(cone.inequalities, cone.rays, cone.lineality)]
+        regions = [(cone._raw_ineq, cone.rays, cone.lineality)]
         for h in hyperplanes:
             cut = []
             for region in regions:
@@ -515,7 +510,7 @@ def _uncovered(fan, other):
                     continue
                 for half in (h, tuple(-x for x in h)):
                     halves = ineq + (half,)
-                    cut.append((halves,) + _vrep(n, cone.equalities, halves))
+                    cut.append((halves,) + _vrep(n, cone._raw_eq, halves))
             regions = cut
         for _, rays, _ in regions:
             point = _ray_sum(n, rays)

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import json_oracle
 from oracles import affine_sublattice_points
-from qtdelta import cli, delta
+from qtdelta import cli, delta, polyhedral
 from qtdelta.cli import main
 
 TROPICAL = {
@@ -1055,3 +1055,32 @@ class TestJsonOracle:
     @given(payload=_flat_relators())
     def test_drawn_flat_supports(self, payload):
         assert _oracle_verdict("delta", payload) is None
+
+
+# ---------------------------------------------------------------------------
+# the canonical H-representation of a cone is computed where it is written
+# and nowhere else: once per cone printed
+
+WRITTEN_CONES = {"delta": 3, "tc": 1, "lc": 1, "check-lemma31": 10}
+
+
+def _printed_cones(value):
+    """The number of cone objects ({"dim", "eq", "ineq"}) in a JSON value."""
+    if isinstance(value, list):
+        return sum(map(_printed_cones, value))
+    if isinstance(value, dict):
+        return (set(value) == {"dim", "eq", "ineq"}) + sum(
+            map(_printed_cones, value.values()))
+    return 0
+
+
+@pytest.mark.parametrize("case", CLI_CASES, ids=lambda c: c["command"])
+def test_canonical_hrep_once_per_written_cone(case, monkeypatch):
+    calls = []
+    canonical_hrep = polyhedral.Cone.canonical_hrep
+    monkeypatch.setattr(polyhedral.Cone, "canonical_hrep", lambda self: (
+        calls.append(self), canonical_hrep(self))[1])
+    code, output = _answer(case["command"], case["payload"], *case["flags"])
+    assert code == case["exit"]
+    assert len(calls) == _printed_cones(output) \
+        == WRITTEN_CONES.get(case["command"], 0)

@@ -377,7 +377,7 @@ class TestSamplePoint:
             cone = fan.cones[idx]
             assert cone.member(chi.coords)
             # strict on every non-vanishing facet
-            for a in cone.inequalities:
+            for a in cone.canonical_hrep()[1]:
                 value = sum(x * y for x, y in zip(a, chi.coords))
                 vanishes = all(
                     sum(x * y for x, y in zip(a, g)) == 0

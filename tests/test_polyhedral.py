@@ -89,12 +89,12 @@ class TestConeBasics:
         a = Cone.from_constraints(2, equalities=[(1, 0)])
         b = Cone.from_constraints(2, inequalities=[(1, 0), (-1, 0)])
         assert a == b and hash(a) == hash(b)
-        assert a.equalities == b.equalities
+        assert a.canonical_hrep() == b.canonical_hrep()
 
     def test_redundant_constraints_removed(self):
         c = Cone.from_constraints(2, inequalities=[(1, 0), (2, 0), (1, 1),
                                                    (1, 2), (0, 1)])
-        assert set(c.inequalities) == {(1, 0), (0, 1)}
+        assert set(c.canonical_hrep()[1]) == {(1, 0), (0, 1)}
 
     def test_generator_roundtrip(self):
         rng = random.Random(5)
@@ -106,7 +106,7 @@ class TestConeBasics:
                  for _ in range(rng.randint(0, 1))],
                 [tuple(rng.randint(-2, 2) for _ in range(n))
                  for _ in range(rng.randint(0, 3))])
-            back = Cone.from_constraints(n, c.equalities, c.inequalities)
+            back = Cone.from_constraints(n, *c.canonical_hrep())
             assert back == c
             assert fan_equal(Fan(n, [back]), Fan(n, [c]))
 
@@ -119,7 +119,7 @@ class TestConeBasics:
                         for _ in range(rng.randint(1, 4))])
             p = c.relint_point()
             assert c.member(p)
-            for a in c.inequalities:
+            for a in c.canonical_hrep()[1]:
                 value = sum(x * y for x, y in zip(a, p))
                 vanishes = all(
                     sum(x * y for x, y in zip(a, g)) == 0
@@ -379,7 +379,7 @@ class TestDoubleDescriptionStress:
             c = Cone.from_constraints(n, eqs, ineqs)
             # V -> H -> V is the identity on canonical data: the canonical
             # H-rep, read off the generators, describes the same cone
-            canon = Cone.from_constraints(n, c.equalities, c.inequalities)
+            canon = Cone.from_constraints(n, *c.canonical_hrep())
             assert canon == c
             # nonnegative ray combinations plus lineality stay inside
             for _ in range(5):
@@ -405,8 +405,7 @@ class TestDoubleDescriptionStress:
             rng.shuffle(shuffled)
             b = Cone.from_constraints(n, eqs, shuffled)
             assert a == b
-            assert a.equalities == b.equalities
-            assert a.inequalities == b.inequalities
+            assert a.canonical_hrep() == b.canonical_hrep()
 
     def test_scaled_constraints_same_cone(self):
         c1 = Cone.from_constraints(3, [(1, -2, 0)], [(0, 2, 4), (3, 0, -6)])
@@ -597,7 +596,7 @@ class TestSelfChecks:
             quadrant()
         # the canonical H-representation's facets are checked too
         with pytest.raises(AssertionError, match="violates a constraint"):
-            cone.inequalities
+            cone.canonical_hrep()
 
 
 def _fan(n, hreps):
@@ -778,6 +777,74 @@ class TestFanEqualProperties:
         assert fan_equal(_fan(n, [cone]), _fan(n, rest)) == covered
         _covers(n, [cone], rest, covered)
         _covers(n, rest, [cone], True)
+
+
+@st.composite
+def _delta_split(draw):
+    """The raw rows, as (equalities, inequalities), of the cones of a drawn
+    Delta-shaped fan and a drawn hyperplane h: the edge cones of 3 to 7
+    points of [-2, 2]^n, n = 2 or 3, or the tangent cones of those at a ray
+    of one of them (a local cone)."""
+    n = draw(st.integers(2, 3))
+    vectors = st.tuples(*[st.integers(-2, 2)] * n)
+    points = sorted(draw(st.sets(vectors, min_size=3, max_size=7)))
+    fan = polyhedral.edge_normal_fan(n, points)
+    if draw(st.booleans()):
+        cone = draw(st.sampled_from(fan.cones))
+        fan = local_cone(fan, (cone.rays + cone.lineality)[0])
+    return n, fan, draw(vectors)
+
+
+class TestCoveringDeltaFans:
+    """The covering test on the raw rows of Delta-shaped fans, which hold
+    rows that are no facets: an edge cone at [u, v] keeps the row v - u,
+    implied by its equality u - v = 0."""
+
+    @PROPERTY
+    @given(split=_delta_split())
+    @example(split=(3, polyhedral.edge_normal_fan(
+        3, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]), (1, -1, 1)))
+    def test_split_by_a_hyperplane(self, split):
+        n, fan, h = split
+        hreps = [(c._raw_eq, c._raw_ineq) for c in fan.cones]
+        assert all(len(c._raw_ineq) > len(c.canonical_hrep()[1])
+                   for c in fan.cones)
+        pieces = [(eq, ineq + (tuple(sign * x for x in h),))
+                  for eq, ineq in hreps for sign in (1, -1)]
+        assert fan_equal(_fan(n, hreps), _fan(n, pieces))
+        assert fan_equal(_fan(n, pieces), _fan(n, hreps))
+        _covers(n, hreps, pieces, True)
+        _covers(n, pieces, hreps, True)
+        # A piece of a cone on which h takes both signs has the cone's
+        # dimension, and the cones of the fan meet in lower-dimensional
+        # faces only, so no other piece covers it once it is dropped.
+        for k, cone in enumerate(fan.cones):
+            values = [dot(h, g) for g in cone.rays]
+            if (any(dot(h, g) for g in cone.lineality)
+                    or max(values, default=0) > 0 > min(values, default=0)):
+                rest = pieces[:2 * k] + pieces[2 * k + 1:]
+                assert not fan_equal(_fan(n, hreps), _fan(n, rest))
+                _covers(n, hreps, rest, False)
+                _covers(n, rest, hreps, True)
+                break
+
+    def test_no_canonical_hrep_read(self, monkeypatch):
+        # the covering test reads raw rows only
+        calls = []
+        canonical_hrep = Cone.canonical_hrep
+        monkeypatch.setattr(Cone, "canonical_hrep", lambda self: (
+            calls.append(self), canonical_hrep(self))[1])
+        fan = polyhedral.edge_normal_fan(
+            3, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)])
+        hreps = [(c._raw_eq, c._raw_ineq) for c in fan.cones]
+        pieces = [(eq, ineq + (half,)) for eq, ineq in hreps
+                  for half in ((0, 0, 1), (0, 0, -1))]
+        # h = (0, 0, 1) cuts the first cone only
+        assert fan != _fan(3, pieces)
+        assert fan_equal(fan, _fan(3, pieces))
+        assert fan_equal(_fan(3, pieces), fan)
+        assert not fan_equal(fan, _fan(3, pieces[1:]))
+        assert calls == []
 
 
 @st.composite

@@ -47,6 +47,11 @@ methods of each class: the records derive from ``_record.Record``.
 ``hashlib`` is imported inside ``rng.derive``, so a command that draws no
 random stream does not load OpenSSL.
 
+A cone keeps one H-representation, the raw rows it was cut out by: its
+canonical equalities and facets take a second double description, so
+``canonical_hrep`` is named in ``src`` only by its ``def`` in
+``polyhedral.Cone`` and by ``jsonio.cone_to_json``, which writes it.
+
 ``tests/json_oracle.py``, which checks CLI answers from their JSON alone,
 imports the standard library only, so it shares no code with ``qtdelta``.
 """
@@ -304,12 +309,12 @@ def test_guard_flags_a_trusted_call_at_the_boundary():
     assert _trusted_callers(sources) == ["torus", "jsonio", "jsonio", "cli"]
 
 
-def _uses(sources, name):
+def _uses(sources, name, scopes=(ast.FunctionDef, ast.AsyncFunctionDef)):
     """Where ``name`` is used: read, assigned, imported, an attribute, or
     defined by a ``def`` or ``class``."""
     return _located(sources, lambda node, module, where: name in (
         getattr(node, "id", None), getattr(node, "attr", None),
-        getattr(node, "name", None)))
+        getattr(node, "name", None)), scopes)
 
 
 def test_one_alternating_form_type():
@@ -340,6 +345,33 @@ def test_guard_flags_a_second_form_type():
                  "AlternatingFormZ") \
         == ["torus.<module>", "planted.<module>", "planted.restrict",
             "planted.read"]
+
+
+CLASS_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def test_canonical_hrep_only_where_a_cone_is_written():
+    assert _uses(_sources(), "canonical_hrep", CLASS_SCOPES) \
+        == ["jsonio.cone_to_json", "polyhedral.Cone"]
+
+
+def test_guard_flags_a_second_canonical_hrep_reader():
+    polyhedral = ("class Cone:\n"
+                  "    def canonical_hrep(self):\n"
+                  "        return (), ()\n\n"
+                  "    equalities = property(lambda c: c.canonical_hrep()[0])"
+                  "\n\n"
+                  "    def member(self, point):\n"
+                  "        return self.canonical_hrep()\n\n\n"
+                  "def _uncovered(fan, other):\n"
+                  "    return [c.canonical_hrep() for c in other.cones]\n")
+    jsonio = ("def cone_to_json(cone):\n"
+              "    return cone.canonical_hrep()\n\n\n"
+              "HREP = Cone.canonical_hrep\n")
+    assert _uses({"jsonio": jsonio, "polyhedral": polyhedral},
+                 "canonical_hrep", CLASS_SCOPES) \
+        == ["jsonio.cone_to_json", "jsonio.<module>", "polyhedral.Cone",
+            "polyhedral.Cone", "polyhedral.member", "polyhedral._uncovered"]
 
 
 def _imports_of(sources, package):
@@ -423,7 +455,7 @@ def _json_writers(sources):
         and "rational_to_json" in (getattr(node, "id", None),
                                    getattr(node, "attr", None),
                                    getattr(node, "name", None))),
-        scopes=(ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        scopes=CLASS_SCOPES)
 
 
 def test_one_json_writer():
