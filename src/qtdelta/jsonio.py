@@ -6,10 +6,10 @@ that grammar only, a JSON int or a string ``-?[0-9]+(/[0-9]+)?`` with a
 nonzero denominator, and raise ValueError on any other data.
 
 This is the one module that writes JSON: :func:`to_json` turns any value
-the CLI outputs into JSON data.  Reports, sublattices and subspaces are
-written as objects of their record fields plus their verdict property,
-so a new report field needs no writer; fans, elements and symplectic bases
-have the writers below.
+the CLI outputs into JSON data.  Reports and sublattices are written as
+objects of their record fields plus their verdict property, so a new
+report field needs no writer; a subspace is written by its divided basis,
+and fans, elements and symplectic bases have the writers below.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ def rational_to_json(x):
 def to_json(value):
     """JSON data of an output value: None, bools and strings as they are,
     ints and Fractions by ``rational_to_json``, tuples and lists as arrays,
-    dicts as objects, a Character as its coords, fans, elements and
-    symplectic bases by their writers, and any other record as an object of
-    its record fields plus its verdict (``passed`` or ``holds``)."""
+    dicts as objects, a Character as its coords, a Subspace by its divided
+    basis, fans, elements and symplectic bases by their writers, and any
+    other record as its record fields plus its verdict."""
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, (int, Fraction)):
@@ -45,6 +45,9 @@ def to_json(value):
         return {key: to_json(x) for key, x in value.items()}
     if isinstance(value, Character):
         return to_json(value.coords)
+    if isinstance(value, Subspace):
+        return {"ambient_dim": value.ambient_dim,
+                "basis": to_json(value.basis)}
     if isinstance(value, Fan):
         return fan_to_json(value)
     if isinstance(value, torus.QTorusElement):

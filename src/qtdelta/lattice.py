@@ -9,9 +9,9 @@ Fraction is made only where a division happens, so integral data stays
 int.  Matrices are tuples of row tuples and every public value is
 immutable, hence safe to share between threads.
 
-``rref_int`` is the one rational elimination, run fraction-free on integer
-rows, and ``rref`` divides each of its rows once.  ``hnf`` is the one
-integer (unimodular) elimination, one HNF of the augmented rows
+``rref`` is the one rational elimination, run fraction-free: it returns
+primitive integer RREF rows, which a ``Subspace`` stores.  ``hnf`` is the
+one integer (unimodular) elimination, one HNF of the augmented rows
 ``[M | I]``, so its transform U is canonical: a lattice kernel is read off
 the U of one ``hnf(M^T)``, lifts off the rows of U, and coordinates in a
 sublattice are found by back-substitution on the echelon basis, with no
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
@@ -197,7 +198,7 @@ def hnf(matrix):
             tuple(tuple(row[n:]) for row in A))
 
 
-def rref_int(matrix):
+def rref(matrix):
     """Reduced row echelon form over Q, fraction-free: ``(rows, pivots)``
     with each nonzero RREF row scaled to a primitive integer list whose
     pivot entry is positive, and the pivot column of each row.
@@ -241,21 +242,10 @@ def rref_int(matrix):
     return rows, tuple(pivots)
 
 
-def rref(matrix):
-    """Reduced row echelon form over Q: ``(rows, pivots)``, the nonzero
-    rows and the pivot column of each.  The rows of ``rref_int`` are
-    divided by their pivots, once each: a row whose pivot is 1 stays ints,
-    every other row has Fraction entries."""
-    rows, pivots = rref_int(matrix)
-    return tuple(tuple(row) if row[c] == 1
-                 else tuple(Fraction(x, row[c]) for x in row)
-                 for row, c in zip(rows, pivots)), pivots
-
-
 def complement_columns(rows, n):
     """The non-pivot columns of ``rows`` among 0..n-1: their unit vectors
     span the canonical complement of the row space."""
-    pivots = set(rref_int(rows)[1])
+    pivots = set(rref(rows)[1])
     return [j for j in range(n) if j not in pivots]
 
 
@@ -269,7 +259,7 @@ def lift_columns(vec, cols, n):
 
 
 def matrix_rank(matrix):
-    return len(rref_int(matrix)[1])
+    return len(rref(matrix)[1])
 
 
 def null_space_int(matrix, n):
@@ -280,7 +270,7 @@ def null_space_int(matrix, n):
     Free column f gets the value L, the lcm of the pivots of the rows that
     meet it, so every pivot coordinate -row[f] * L / row[c] is an int.
     """
-    R, piv = rref_int(matrix)
+    R, piv = rref(matrix)
     pivset = set(piv)
     basis = []
     for f in range(n):
@@ -399,10 +389,11 @@ def commensurable(l1, l2):
 
 
 class Subspace(Record):
-    """Linear subspace of Q^n with canonical RREF basis rows."""
+    """Linear subspace of Q^n, stored as the rows of its ``rref``: primitive
+    integer rows with positive pivots, unique to the subspace."""
 
     ambient_dim: int
-    basis: tuple
+    rows: tuple
 
     @staticmethod
     def from_rows(ambient_dim, rows):
@@ -410,51 +401,56 @@ class Subspace(Record):
             if len(row) != ambient_dim:
                 raise ValueError("row of wrong length")
         R, _ = rref(rows)
-        return Subspace(ambient_dim, R)
+        return Subspace(ambient_dim, tuple(map(tuple, R)))
 
     @staticmethod
     def full(ambient_dim):
-        return Subspace.from_rows(
-            ambient_dim,
-            [[1 if i == j else 0 for j in range(ambient_dim)]
-             for i in range(ambient_dim)])
+        return Subspace(ambient_dim, Sublattice.full(ambient_dim).basis)
 
     @staticmethod
     def zero(ambient_dim):
         return Subspace(ambient_dim, ())
 
+    @cached_property
+    def basis(self):
+        """The rows divided by their pivots, for where a row's scale shows
+        (a subspace written or ordered): Fractions unless the pivot is 1."""
+        return tuple(row if (p := next(filter(None, row))) == 1
+                     else tuple(Fraction(x, p) for x in row)
+                     for row in self.rows)
+
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.rows)
 
     def contains_vector(self, v):
         if len(v) != self.ambient_dim:
             raise ValueError("dimension mismatch")
-        return matrix_rank(self.basis + (tuple(v),)) == self.dim
+        return matrix_rank(self.rows + (tuple(v),)) == self.dim
 
     def contains(self, other):
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("dimension mismatch")
-        return matrix_rank(self.basis + other.basis) == self.dim
+        return matrix_rank(self.rows + other.rows) == self.dim
 
 
 def subspace_sum(s1, s2):
     if s1.ambient_dim != s2.ambient_dim:
         raise ValueError("dimension mismatch")
-    return Subspace.from_rows(s1.ambient_dim, list(s1.basis) + list(s2.basis))
+    return Subspace.from_rows(s1.ambient_dim, s1.rows + s2.rows)
 
 
 def subspace_intersection(s1, s2):
     if s1.ambient_dim != s2.ambient_dim:
         raise ValueError("dimension mismatch")
     n = s1.ambient_dim
-    k1 = null_space_int(s1.basis, n)
-    k2 = null_space_int(s2.basis, n)
-    return Subspace.from_rows(n, null_space_int(list(k1) + list(k2), n))
+    k1 = null_space_int(s1.rows, n)
+    k2 = null_space_int(s2.rows, n)
+    return Subspace.from_rows(n, null_space_int(k1 + k2, n))
 
 
 def subspace_to_lattice(subspace):
     """Saturated lattice of integer points of a rational subspace."""
     n = subspace.ambient_dim
-    perp = null_space_int(subspace.basis, n)
+    perp = null_space_int(subspace.rows, n)
     return kernel_lattice(perp, n)

@@ -37,7 +37,7 @@ from .lattice import (
     matrix_rank,
     null_space_int,
     row_times,
-    rref_int,
+    rref,
     vec_primitive,
     vec_primitive_signed,
 )
@@ -68,7 +68,7 @@ def _dd_pointed(constraints, dim):
     no third ray is tight on every constraint the pair shares).
     Pointedness (constraint rank equal to ``dim``) is a precondition.
 
-    The start comes from one fraction-free ``rref_int`` of ``[A^T | I]``,
+    The start comes from one fraction-free ``rref`` of ``[A^T | I]``,
     A the constraint rows: its pivots are the first ``dim`` independent
     constraints ``sel`` and its right block is then a positive row scaling
     of ``(A_sel^T)^-1``, whose primitive rows are the rays of the
@@ -85,9 +85,9 @@ def _dd_pointed(constraints, dim):
     if dim == 0:
         return ()
     k = len(constraints)
-    rows, sel = rref_int([[a[t] for a in constraints]
-                          + [int(t == j) for j in range(dim)]
-                          for t in range(dim)])
+    rows, sel = rref([[a[t] for a in constraints]
+                      + [int(t == j) for j in range(dim)]
+                      for t in range(dim)])
     if sel[-1] >= k:
         raise ValueError("cone is not pointed")
     rays = [tuple(_primitive(row[k:])) for row in rows]
@@ -234,7 +234,7 @@ class Cone:
         # its rays are among C's rays off F, moved into the complement of
         # it, each extreme iff no other is tight on all active rows it is.
         lineality = null_space_int(self._raw_eq + active, self.ambient_dim)
-        rows, pivots = rref_int(lineality)
+        rows, pivots = rref(lineality)
         candidates = {}
         for r in self.rays:
             mask = sum(1 << i for i, a in enumerate(active) if not dot(a, r))
@@ -357,7 +357,7 @@ def edge_normal_fan(dim, points):
     diffs = [tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]]
     lineality = null_space_int(diffs, dim)
     _check_generators(lineality, diffs, ())
-    rows, pivots = rref_int(lineality)
+    rows, pivots = rref(lineality)
     # W is a column basis of the differences, so the rows (1, p_W), distinct
     # and primitive, have full rank, and each facet of their cone, lifted by
     # zeros off W, is a facet of the cone over the (1, p).

@@ -35,7 +35,7 @@ from .lattice import (
     matrix_rank,
     null_space_int,
     row_times,
-    rref_int,
+    rref,
     subspace_intersection,
     subspace_sum,
     vec_primitive_signed,
@@ -115,16 +115,16 @@ def center(phi: AlternatingMapQ) -> Subspace:
 def centralizer(phi: AlternatingMapQ, space: Subspace) -> Subspace:
     if space.ambient_dim != phi.n:
         raise ValueError("dimension mismatch")
-    rows = [row for b in space.basis for row in phi.left_rows(b)]
+    rows = [row for b in space.rows for row in phi.left_rows(b)]
     return Subspace.from_rows(phi.n, null_space_int(rows, phi.n))
 
 
 def is_abelian(phi: AlternatingMapQ, space: Subspace) -> bool:
     if space.ambient_dim != phi.n:
         raise ValueError("dimension mismatch")
-    basis = space.basis
+    rows = space.rows
     return not any(any(phi.pairing(u, v))
-                   for i, u in enumerate(basis) for v in basis[i + 1:])
+                   for i, u in enumerate(rows) for v in rows[i + 1:])
 
 
 def _block_pairings(phi: AlternatingMapQ, bases):
@@ -157,14 +157,14 @@ def _block_pairings(phi: AlternatingMapQ, bases):
 
 def image_space(phi: AlternatingMapQ, space: Subspace) -> Subspace:
     """Span of the pairings of basis pairs, a subspace of Q^s."""
-    _, [(pairs, _)] = _block_pairings(phi, [space.basis])
+    _, [(pairs, _)] = _block_pairings(phi, [space.rows])
     return Subspace.from_rows(phi.s, pairs)
 
 
 def _line_key(space: Subspace):
     if space.dim != 1:
         return None
-    return vec_primitive_signed(space.basis[0])
+    return space.rows[0]  # primitive, its pivot positive: signed
 
 
 class SymplecticBase(Record):
@@ -211,11 +211,11 @@ def verify_symplectic_base(phi: AlternatingMapQ,
 def _verify(phi: AlternatingMapQ, cand: SymplecticBase) -> BaseReport:
     n = phi.n
     pieces = [cand.V0] + list(cand.blocks)
-    stacked = [row for p in pieces for row in p.basis]
+    stacked = [row for p in pieces for row in p.rows]
     direct = (sum(p.dim for p in pieces) == n
               and matrix_rank(stacked) == n)
     centre_ok = cand.V0 == center(phi)
-    orth, per_block = _block_pairings(phi, [b.basis for b in cand.blocks])
+    orth, per_block = _block_pairings(phi, [b.rows for b in cand.blocks])
     nondeg = True
     lines = []
     for block, (pairs, rank) in zip(cand.blocks, per_block):
@@ -288,11 +288,11 @@ def _eigenspaces(mat):
 
 def _pencil_matrix(A, B):
     """``D A^-1 B`` for a nonsingular rational ``A``, D the least common
-    denominator of ``A^-1 B``, read off one ``rref_int`` of ``[A | B]``:
+    denominator of ``A^-1 B``, read off one ``rref`` of ``[A | B]``:
     its row i is the primitive integer row ``p_i [e_i | (A^-1 B)_i]``, so
     p_i, its pivot, is the least common denominator of ``(A^-1 B)_i``."""
     n = len(A)
-    rows, _ = rref_int([[*a, *b] for a, b in zip(A, B)])
+    rows, _ = rref([[*a, *b] for a, b in zip(A, B)])
     D = lcm(*(row[i] for i, row in enumerate(rows)))
     return [[x * (D // row[i]) for x in row[n:]] for i, row in enumerate(rows)]
 
@@ -314,7 +314,7 @@ def compute_symplectic_base(phi: AlternatingMapQ, seed: int = 0,
         raise ValueError(f"retries must be at least 1, got {retries}")
     n, s = phi.n, phi.s
     V0 = center(phi)
-    wcols = complement_columns(V0.basis, n)
+    wcols = complement_columns(V0.rows, n)
     m = len(wcols)
     # phi on the unit vectors of wcols: the principal wcols submatrices
     sub = [[[f[i][j] for j in wcols] for i in wcols] for f in phi.forms]
@@ -372,7 +372,7 @@ def decompose_abelian(phi: AlternatingMapQ, base: SymplecticBase,
     components = [subspace_intersection(space, block)
                   for block in base.blocks]
     total = Subspace.from_rows(phi.n, [row for c in components
-                                       for row in c.basis])
+                                       for row in c.rows])
     if (total != space
             or sum(c.dim for c in components) != space.dim
             or any(2 * c.dim != b.dim
@@ -418,7 +418,7 @@ def random_abelian_subspace(phi: AlternatingMapQ, space: Subspace, dim: int,
         v = row_times(coeffs, space.basis)
         if not any(v) or chosen.contains_vector(v):
             continue
-        if all(not any(phi.pairing(v, b)) for b in chosen.basis):
+        if all(not any(phi.pairing(v, b)) for b in chosen.rows):
             chosen = subspace_sum(chosen, Subspace.from_rows(phi.n, [v]))
     return chosen
 

@@ -14,6 +14,9 @@ Testing for Software", Digital Technical Journal 10(1), 1998).
 - ``delta``: on every integer character chi of [-2, 2]^n, membership in the
   printed H-representation equals "the minimum of chi over the relator's
   support is attained at least twice".
+- ``center``: the printed subspace basis is in reduced row echelon form,
+  every row v has v^T Phi_k = 0 for every form, its dimension is n minus the
+  rank of the forms stacked, and the printed lattice has that rank.
 """
 
 import itertools
@@ -107,4 +110,73 @@ def check_delta(payload, output, box=2):
         if on_delta != in_fan:
             return (f"chi {list(chi)}: minimum attained twice is "
                     f"{on_delta}, printed fan member is {in_fan}")
+    return None
+
+
+def _rank(rows):
+    """Rank of a list of rational rows, by Gauss elimination on Fractions."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _rref_fault(rows):
+    """Why the rows are not in reduced row echelon form with pivot entries
+    1, or None."""
+    last = -1
+    for k, row in enumerate(rows):
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None:
+            return f"row {k} is zero"
+        if c <= last:
+            return f"row {k} has its pivot in column {c}, not right of {last}"
+        if row[c] != 1:
+            return f"row {k} has pivot entry {row[c]}, expected 1"
+        if any(other[c] for other in rows[:k] + rows[k + 1:]):
+            return f"column {c}, the pivot of row {k}, is nonzero elsewhere"
+        last = c
+    return None
+
+
+def check_center(payload, output):
+    """The printed radical {v : v^T Phi_k = 0 for all k} against the forms.
+    Each Phi_k is antisymmetric, so the radical is the kernel of the forms
+    stacked; the printed lattice is integral, inside it and of full rank."""
+    form = payload["form"]
+    n = form["n"]
+    forms = [[[Fraction(x) for x in row] for row in m] for m in form["phi"]]
+    sub, lat = output["subspace"], output["lattice"]
+    if sub.get("ambient_dim") != n or lat.get("ambient_rank") != n:
+        return f"ambient dimensions {sub.get('ambient_dim')!r} and " \
+               f"{lat.get('ambient_rank')!r}, expected {n}"
+    basis = [[Fraction(x) for x in row] for row in sub["basis"]]
+    lattice = [[Fraction(x) for x in row] for row in lat["basis"]]
+    if any(len(row) != n for row in basis + lattice):
+        return f"basis row of length other than {n}"
+    fault = _rref_fault(basis)
+    if fault:
+        return fault
+    for name, rows in (("subspace", basis), ("lattice", lattice)):
+        for k, v in enumerate(rows):
+            for f, m in enumerate(forms):
+                if any(sum(v[i] * m[i][j] for i in range(n))
+                       for j in range(n)):
+                    return f"{name} row {k} is not in the radical of form {f}"
+    dim = n - _rank([row for m in forms for row in m])
+    if len(basis) != dim:
+        return f"subspace dimension {len(basis)}, expected {dim}"
+    if any(x.denominator != 1 for row in lattice for x in row):
+        return "lattice row with a non-integer entry"
+    if len(lattice) != dim or _rank(lattice) != dim:
+        return f"lattice of {len(lattice)} rows and rank {_rank(lattice)}, " \
+               f"expected rank {dim}"
     return None

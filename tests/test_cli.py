@@ -10,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -917,7 +918,8 @@ def test_cli_contract_fuzz(valid_payloads, monkeypatch, command):
 # only: torus-mul and delta so far (ROADMAP item 13)
 
 ORACLE = {"delta": json_oracle.check_delta,
-          "torus-mul": json_oracle.check_torus_mul}
+          "torus-mul": json_oracle.check_torus_mul,
+          "center": json_oracle.check_center}
 CLI_CASES = json.loads((SRC.parent / "perfbench" / "cli_cases.json")
                        .read_text(encoding="utf-8"))["cases"]
 
@@ -1003,6 +1005,37 @@ def _flat_relators(draw):
             "cocycle": {"rank": n, "s": s, "B": forms}}
 
 
+# a radical of dimension 2 whose RREF basis has a Fraction entry
+CENTER_RATIONAL = {"form": {"n": 4, "s": 2, "phi": [
+    [[0, "1/2", 0, 3], ["-1/2", 0, 0, 0], [0, 0, 0, 0], [-3, 0, 0, 0]],
+    [[0] * 4] * 4]}}
+
+
+@st.composite
+def _degenerate_forms(draw):
+    """center payloads Phi_k = C^T A_k C on Q^3..Q^5, for 1-3 drawn
+    antisymmetric integer r x r matrices A_k and one small rational r x n
+    matrix C, r < n, so that the radical holds the kernel of C; with r odd
+    one form alone is degenerate on the rest.  Entries are written as "p"
+    or "p/q" strings."""
+    n, s = draw(st.integers(3, 5)), draw(st.integers(1, 3))
+    r = draw(st.integers(2, n - 1))
+    entry = st.sampled_from([1, 0, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+    C = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                      min_size=r, max_size=r))
+    forms = []
+    for _ in range(s):
+        A = [[0] * r for _ in range(r)]
+        for i in range(r):
+            for j in range(i + 1, r):
+                A[i][j] = draw(st.integers(-2, 2))
+                A[j][i] = -A[i][j]
+        forms.append([[str(sum(C[a][i] * A[a][b] * C[b][j]
+                               for a in range(r) for b in range(r)))
+                       for j in range(n)] for i in range(n)])
+    return {"form": {"n": n, "s": s, "phi": forms}}
+
+
 class TestJsonOracle:
     @pytest.mark.parametrize(
         "case", [c for c in CLI_CASES if c["command"] in ORACLE],
@@ -1023,6 +1056,9 @@ class TestJsonOracle:
         ("torus-mul", dict(TORUS_MUL, a=_element_qexp(TORUS_MUL["a"], []))),
         ("torus-mul", dict(TORUS_MUL, b=_element_qexp(TORUS_MUL["b"], []))),
         ("torus-mul", _sized_inputs(0)["torus-mul"]),
+        ("center", TWO_BLOCK),
+        ("center", HALF_FORM),
+        ("center", CENTER_RATIONAL),
     ])
     def test_payloads(self, command, payload):
         assert _oracle_verdict(command, payload) is None
@@ -1044,6 +1080,22 @@ class TestJsonOracle:
                 "minimum attained twice is True, printed fan member is "
                 "False")
 
+    def test_wrong_centre_caught(self):
+        _, output = _answer("center", CENTER_RATIONAL)
+        assert output["subspace"]["basis"] == [[0, 1, 0, "-1/6"],
+                                               [0, 0, 1, 0]]
+
+        def verdict(row, entries):
+            wrong = json.loads(json.dumps(output))
+            wrong["subspace"]["basis"][row:row + 1] = entries
+            return json_oracle.check_center(CENTER_RATIONAL, wrong)
+
+        assert verdict(1, []) == "subspace dimension 1, expected 2"
+        assert verdict(0, [[0, 1, 0, "1/6"]]) \
+            == "subspace row 0 is not in the radical of form 0"
+        assert verdict(0, [[0, -1, 0, "1/6"]]) \
+            == "row 0 has pivot entry -1, expected 1"
+
     @settings(max_examples=60, derandomize=True, database=None,
               deadline=None)
     @given(payload=_products())
@@ -1055,6 +1107,12 @@ class TestJsonOracle:
     @given(payload=_flat_relators())
     def test_drawn_flat_supports(self, payload):
         assert _oracle_verdict("delta", payload) is None
+
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=None)
+    @given(payload=_degenerate_forms())
+    def test_drawn_centres(self, payload):
+        assert _oracle_verdict("center", payload) is None
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from qtdelta.delta import (
     tc_delta,
 )
 from qtdelta.lattice import (Sublattice, Subspace, dot, matrix_rank,
-                             null_space_int, row_times, rref_int, saturate)
+                             null_space_int, row_times, rref, saturate)
 from qtdelta.polyhedral import Cone, Fan, fan_dim, fan_equal
 
 from oracles import (
@@ -835,7 +835,7 @@ def _sublattice_supports(draw):
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     support = affine_sublattice_points(rng, n, d, draw(st.integers(2, 10)))
     diffs = [tuple(a - b for a, b in zip(p, support[0])) for p in support]
-    pivots = rref_int(null_space_int(diffs, n))[1]
+    pivots = rref(null_space_int(diffs, n))[1]
     free = [j for j in range(n) if j not in pivots]
     assume(free != list(range(len(free))))
     return n, support

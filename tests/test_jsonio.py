@@ -91,6 +91,10 @@ def test_sublattice_subspace_roundtrip():
     lat = Sublattice.from_rows(3, [(1, 2, 3), (0, 4, 5)])
     assert jsonio.sublattice_from_json(jsonio.to_json(lat)) == lat
     space = Subspace.from_rows(3, [(1, Fraction(1, 2), 0)])
+    assert space.rows == ((2, 1, 0),)
+    # written by its divided basis, under the keys it always had
+    assert jsonio.to_json(space) == {"ambient_dim": 3,
+                                     "basis": [[1, "1/2", 0]]}
     assert jsonio.subspace_from_json(jsonio.to_json(space), 3) == space
     assert jsonio.subspace_from_json([[1, "1/2", 0]], 3) == space
 
@@ -167,7 +171,7 @@ def test_malformed_inputs():
 # the records had their own base: to_json writes exactly these keys.
 RECORD_FIELDS = {
     "Sublattice": ("ambient_rank", "basis"),
-    "Subspace": ("ambient_dim", "basis"),
+    "Subspace": ("ambient_dim", "rows"),
     "Character": ("coords",),
     "OneRelatorModule": ("relator", "cocycle"),
     "InitialFormResult": ("relator", "cocycle", "kernel"),

@@ -15,7 +15,6 @@ from qtdelta.lattice import (
     matrix_rank,
     null_space_int,
     rref,
-    rref_int,
     saturate,
     subspace_intersection,
     subspace_sum,
@@ -95,6 +94,37 @@ def _subspace_pairs(draw):
     rows = [[sum(c * r[j] for c, r in zip(cs, a.basis)) for j in range(n)]
             for cs in coeffs]
     return a, Subspace.from_rows(n, rows + draw(st.lists(row, max_size=1)))
+
+
+@st.composite
+def _spanning_sets(draw):
+    """``(n, S, T, U, v)``: rational rows S in Q^n, n = 1..4; T, the rows
+    of S rescaled by nonzero rationals, with zero rows and a duplicate
+    added and then permuted, so it spans the same space; U, a few
+    combinations of S, sometimes with a row from outside; and a vector v,
+    a combination of S or drawn freely."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-3, 3),
+                      st.builds(Fraction, st.integers(-4, 4),
+                                st.integers(1, 4)))
+    row = st.lists(entry, min_size=n, max_size=n)
+    S = draw(st.lists(row, max_size=n + 1))
+    scale = st.builds(Fraction, st.integers(-5, 5).filter(bool),
+                      st.integers(1, 5))
+    T = [[c * x for x in r] for r, c in zip(S, (draw(scale) for _ in S))]
+    T += [[0] * n] * draw(st.integers(0, 2))
+    if S and draw(st.booleans()):
+        T.append(list(draw(st.sampled_from(S))))
+    T = draw(st.permutations(T))
+
+    def combination():
+        coeffs = [draw(st.integers(-2, 2)) for _ in S]
+        return [sum(c * r[j] for c, r in zip(coeffs, S)) for j in range(n)]
+
+    U = [combination() for _ in range(draw(st.integers(0, 2)))]
+    U += draw(st.lists(row, max_size=1))
+    v = combination() if draw(st.booleans()) else draw(row)
+    return n, S, T, U, v
 
 
 def _check_augmented_hnf(M):
@@ -416,6 +446,30 @@ class TestSubspaces:
         assert a.contains(b) == all(a.contains_vector(r) for r in b.basis)
         assert b.contains(a) == all(b.contains_vector(r) for r in a.basis)
 
+    @settings(max_examples=300, derandomize=True, database=None,
+              deadline=None)
+    @given(drawn=_spanning_sets())
+    def test_stored_rows_match_gauss_jordan(self, drawn):
+        n, S, T, U, v = drawn
+        space = Subspace.from_rows(n, S)
+        frac_rows, _ = rref_fraction(S)
+        assert space.rows == tuple(vec_primitive(row) for row in frac_rows)
+        assert space.basis == frac_rows
+        for row, divided in zip(space.rows, space.basis, strict=True):
+            pivot = next(filter(None, row))
+            assert pivot > 0
+            # a Fraction only where a division happens
+            kind = int if pivot == 1 else Fraction
+            assert all(type(x) is kind for x in divided)
+        # another spanning set of the same space gives an equal record
+        other = Subspace.from_rows(n, T)
+        assert other == space and hash(other) == hash(space)
+        rank = len(frac_rows)
+        assert space.contains_vector(v) \
+            == (len(rref_fraction(S + [v])[1]) == rank)
+        assert space.contains(Subspace.from_rows(n, U)) \
+            == (len(rref_fraction(S + U)[1]) == rank)
+
     def test_subspace_to_lattice(self):
         s = Subspace.from_rows(2, [(Fraction(1, 2), Fraction(1, 3))])
         lat = subspace_to_lattice(s)
@@ -507,26 +561,25 @@ def _random_rational_matrix(rng):
 
 class TestRref:
     def test_matches_fraction_gauss_jordan(self):
+        # the int rows, each divided by its pivot, are the Gauss-Jordan rows
         rng = random.Random(4242)
         for _ in range(1500):
             M = _random_rational_matrix(rng)
             rows, pivots = rref(M)
-            assert (rows, pivots) == rref_fraction(M)
-            int_rows, int_pivots = rref_int(M)
-            assert int_pivots == pivots
-            for row, c, frac_row in zip(int_rows, pivots, rows):
+            frac_rows, frac_pivots = rref_fraction(M)
+            assert pivots == frac_pivots
+            for row, c, frac_row in zip(rows, pivots, frac_rows, strict=True):
                 assert all(type(x) is int for x in row) and row[c] > 0
-                # a Fraction only where a division happens: a row whose
-                # pivot is 1 stays ints, any other row is all Fractions
-                kind = int if row[c] == 1 else Fraction
-                assert all(type(x) is kind for x in frac_row)
                 assert vec_primitive(row) == tuple(row)
                 assert [Fraction(x, row[c]) for x in row] == list(frac_row)
 
     def test_negative_pivot_and_zero_rows(self):
         M = [(0, 0, 0), (0, -2, 4), (Fraction(-3, 2), 3, 0), (0, 0, 0)]
-        assert rref(M) == rref_fraction(M)
-        assert rref_int(M) == ([[1, 0, -4], [0, 1, -2]], (0, 1))
+        rows, pivots = rref(M)
+        assert (tuple(tuple(Fraction(x, row[c]) for x in row)
+                      for row, c in zip(rows, pivots)), pivots) \
+            == rref_fraction(M)
+        assert (rows, pivots) == ([[1, 0, -4], [0, 1, -2]], (0, 1))
 
     def test_tall_matches_fraction_gauss_jordan(self):
         # the elimination stops once every column holds a pivot: the rows
@@ -535,7 +588,7 @@ class TestRref:
         ranks = set()
         for _ in range(600):
             M = _random_tall_matrix(rng)
-            rows, pivots = rref_int(M)
+            rows, pivots = rref(M)
             frac_rows, frac_pivots = rref_fraction(M)
             assert pivots == frac_pivots
             assert [[Fraction(x, row[c]) for x in row]
@@ -551,7 +604,7 @@ class TestRref:
     def test_entry_after_full_rank_is_validated(self, late):
         M = [(1, 0), (0, 1), (Fraction(1, 2), 3), (late, 1)]
         with pytest.raises(ValueError) as info:
-            rref_int(M)
+            rref(M)
         assert str(info.value) == f"rational entry expected, got {late!r}"
         with pytest.raises(ValueError):
             matrix_rank(M)
@@ -603,7 +656,7 @@ class TestRecords:
     @given(_ROWS)
     def test_subspace(self, drawn):
         n, rows = drawn
-        args = (n, Subspace.from_rows(n, rows).basis)
+        args = (n, Subspace.from_rows(n, rows).rows)
         assert_record(Subspace, args, one_changed(args))
 
 

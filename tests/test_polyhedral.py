@@ -334,6 +334,13 @@ class TestDeltaStarCarriers:
         spans = carrier_spaces(Fan(2, [Cone.full(2)]))
         assert spans == [Subspace.full(2)]
 
+    def test_ordered_by_divided_basis(self):
+        # span{(3, 1)} has the basis row (1, 1/3), below (1, 1/2) of
+        # span{(2, 1)}, though its int row (3, 1) sorts after (2, 1)
+        fan = Fan(2, [Cone.from_constraints(2, [(1, -k)], [(1, 0)])
+                      for k in (2, 3)])
+        assert [s.rows for s in carrier_spaces(fan)] == [((3, 1),), ((2, 1),)]
+
 
 def _fans_of_every_origin(seed):
     """One fan from each of delta_set, local_cone, preimage and

@@ -52,6 +52,11 @@ canonical equalities and facets take a second double description, so
 ``canonical_hrep`` is named in ``src`` only by its ``def`` in
 ``polyhedral.Cone`` and by ``jsonio.cone_to_json``, which writes it.
 
+There is one rational elimination, ``lattice.rref``, which returns primitive
+integer rows: no other function in ``src/qtdelta`` has a name starting with
+``rref``, and its retired name, ``rref`` with the suffix ``_int``, occurs
+nowhere in ``src`` or ``tests``.
+
 ``tests/json_oracle.py``, which checks CLI answers from their JSON alone,
 imports the standard library only, so it shares no code with ``qtdelta``.
 """
@@ -372,6 +377,51 @@ def test_guard_flags_a_second_canonical_hrep_reader():
                  "canonical_hrep", CLASS_SCOPES) \
         == ["jsonio.cone_to_json", "jsonio.<module>", "polyhedral.Cone",
             "polyhedral.Cone", "polyhedral.member", "polyhedral._uncovered"]
+
+
+def _eliminations(sources):
+    """"module.name" of every function whose name starts with ``rref``."""
+    return [f"{module}.{node.name}" for module, text in sources.items()
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("rref")]
+
+
+# spelled apart, so that this file does not hold the retired name
+RETIRED_RREF = "rref" + "_int"
+
+
+def _mentions(texts, name):
+    """The keys of the texts in which ``name`` occurs."""
+    return [key for key, text in texts.items() if name in text]
+
+
+def test_one_rational_elimination():
+    assert _eliminations(_sources()) == ["lattice.rref"]
+    tests = pathlib.Path(__file__).parent
+    texts = {str(path.relative_to(tests.parent)): path.read_text(
+        encoding="utf-8") for path in [*SRC.glob("*.py"), *tests.glob("*.py")]}
+    assert "tests/test_surface.py" in texts
+    assert _mentions(texts, RETIRED_RREF) == []
+
+
+def test_guard_flags_a_second_elimination():
+    planted = ("from .lattice import rref\n\n\n"
+               "def rref_fraction(matrix):\n"
+               "    return rref(matrix)\n\n\n"
+               "class Kernel:\n"
+               "    def rrefs(self, m):\n"
+               "        def rref_exact(r):\n"
+               "            return r\n"
+               "        return rref_exact(m)\n\n\n"
+               "def fraction_rref(matrix):\n"
+               "    return rref(matrix)\n")
+    lattice = f"def rref(m):\n    return {RETIRED_RREF}(m)\n"
+    assert _eliminations({"lattice": lattice, "planted": planted}) \
+        == ["lattice.rref", "planted.rref_fraction", "planted.rrefs",
+            "planted.rref_exact"]
+    assert _mentions({"lattice": lattice, "planted": planted},
+                     RETIRED_RREF) == ["lattice"]
 
 
 def _imports_of(sources, package):

@@ -323,6 +323,20 @@ class TestComputeBase:
         assert base.blocks == (Subspace.full(2),)
         assert base.lines == ((1,),)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_blocks_ordered_by_divided_basis(self, seed):
+        # blocks span{(2, 1, 0, 0), e3} and span{(3, 1, 0, 0), e4}, with the
+        # image lines e1 and e2: the second block's basis row (1, 1/3, 0, 0)
+        # sorts first, though its int row (3, 1, 0, 0) sorts after
+        phi = AlternatingMapQ(4, 2, (
+            ((0, 0, -1, 0), (0, 0, 3, 0), (1, -3, 0, 0), (0, 0, 0, 0)),
+            ((0, 0, 0, 1), (0, 0, 0, -2), (0, 0, 0, 0), (-1, 2, 0, 0))))
+        base = compute_symplectic_base(phi, seed=seed)
+        assert base.blocks == (
+            Subspace.from_rows(4, [(3, 1, 0, 0), (0, 0, 0, 1)]),
+            Subspace.from_rows(4, [(2, 1, 0, 0), (0, 0, 1, 0)]))
+        assert base.lines == ((0, 1), (1, 0))
+
     def test_merged_line(self):
         base = compute_symplectic_base(merged_line_form(), seed=0)
         assert isinstance(base, SymplecticBase)
