@@ -16,7 +16,9 @@ each unless the class body defines it.
 
 Assigning or deleting an attribute raises AttributeError.  Instances keep
 a ``__dict__``, where ``functools.cached_property`` stores its values, and
-``_fields`` lists the field names in order.
+``_fields`` lists the field names in order.  The private classmethod
+``_trusted(*values)`` sets the fields in that order and skips ``_post_init``,
+for values the library has just built in the form ``_post_init`` keeps.
 """
 
 from __future__ import annotations
@@ -66,6 +68,14 @@ class Record:
         for method in (__init__, __eq__, __hash__):
             if method.__name__ not in cls.__dict__:
                 setattr(cls, method.__name__, method)
+
+    @classmethod
+    def _trusted(cls, *values):
+        """The record of these field values, with no ``_post_init``."""
+        self = object.__new__(cls)
+        for name, value in zip(cls._fields, values, strict=True):
+            _set(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -29,9 +29,10 @@ Delta fan, that cache lives on the object, so equal modules never share it.
 
 Input is validated at the boundary: ``Character``, ``OneRelatorModule``
 and the public constructors of ``torus`` check what a caller hands them.
-Elements this module builds from data it has just computed (the trimmed
-relator, coordinates in a lattice basis) go through the trusted private
-constructor ``QTorusElement._trusted``, which checks nothing.
+Values this module builds from data it has just computed (the trimmed
+relator, coordinates in a lattice basis, the initial form, the module
+inside a sublattice) go through the private constructors
+``QTorusElement._trusted`` and ``Record._trusted``, which check nothing.
 """
 
 from __future__ import annotations
@@ -183,7 +184,8 @@ def initial_form(module: OneRelatorModule, chi: Character) -> InitialFormResult:
     restricted = _in_coordinates(shifted, B)
     if restricted is None:
         raise AssertionError("initial form support escaped the kernel lattice")
-    cache[ray] = InitialFormResult(restricted, module.cocycle.restrict(B), B)
+    cache[ray] = InitialFormResult._trusted(restricted,
+                                            module.cocycle.restrict(B), B)
     return cache[ray]
 
 
@@ -251,7 +253,7 @@ def check_induced(module: OneRelatorModule, sublattice: Sublattice,
         inner_relator = _in_coordinates(module.relator, sublattice)
         if inner_relator is None:
             raise ValueError("relator support outside the sublattice")
-        inner_module = module._inner_modules[H1] = OneRelatorModule(
+        inner_module = module._inner_modules[H1] = OneRelatorModule._trusted(
             inner_relator, module.cocycle.restrict(sublattice))
     chi1 = Character(tuple(dot(chi.ray, h) for h in H1))
 

@@ -28,8 +28,7 @@ from operator import mul
 
 from ._record import Record
 
-__all__ = ["Sublattice", "Subspace", "commensurable", "hnf", "kernel_lattice",
-           "saturate"]
+__all__ = ["Sublattice", "Subspace", "hnf", "kernel_lattice", "saturate"]
 
 
 def dot(a, b):
@@ -313,8 +312,8 @@ class Sublattice(Record):
             if len(row) != ambient_rank:
                 raise ValueError("generator of wrong length")
         H, _ = hnf(rows)
-        nonzero = tuple(row for row in H if any(row))
-        return Sublattice(ambient_rank, nonzero)
+        return Sublattice._trusted(ambient_rank,
+                                   tuple(row for row in H if any(row)))
 
     @staticmethod
     def full(ambient_rank):
@@ -370,7 +369,7 @@ def kernel_lattice(matrix, n):
             raise ValueError("dimension mismatch")
         cleared.append(vec_primitive(row))
     H, U = hnf([tuple(row[i] for row in cleared) for i in range(n)])
-    return Sublattice(n, tuple(u for h, u in zip(H, U) if not any(h)))
+    return Sublattice._trusted(n, tuple(u for h, u in zip(H, U) if not any(h)))
 
 
 def saturate(lattice):
@@ -378,14 +377,6 @@ def saturate(lattice):
     points of the rational span of L, one HNF."""
     n = lattice.ambient_rank
     return kernel_lattice(null_space_int(lattice.basis, n), n)
-
-
-def commensurable(l1, l2):
-    """True iff the two sublattices have equal saturations (equivalently,
-    their intersection has finite index in both)."""
-    if l1.ambient_rank != l2.ambient_rank:
-        raise ValueError("ambient rank mismatch")
-    return saturate(l1) == saturate(l2)
 
 
 class Subspace(Record):
@@ -441,12 +432,17 @@ def subspace_sum(s1, s2):
 
 
 def subspace_intersection(s1, s2):
+    """One elimination (Zassenhaus): the rows ``[a | a]``, a in s1, and
+    ``[b | 0]``, b in s2, span the pairs (a + b, a), so the rows of their
+    RREF that are zero on the left half hold the primitive RREF rows of
+    s1 cap s2 on the right half."""
     if s1.ambient_dim != s2.ambient_dim:
         raise ValueError("dimension mismatch")
     n = s1.ambient_dim
-    k1 = null_space_int(s1.rows, n)
-    k2 = null_space_int(s2.rows, n)
-    return Subspace.from_rows(n, null_space_int(k1 + k2, n))
+    R, pivots = rref([[*a, *a] for a in s1.rows]
+                     + [[*b] + [0] * n for b in s2.rows])
+    return Subspace(n, tuple(tuple(row[n:])
+                             for row, c in zip(R, pivots) if c >= n))
 
 
 def subspace_to_lattice(subspace):

@@ -184,16 +184,6 @@ class Cone:
         _check_generators(rays + lineality, eq, ineq)
         return cls(ambient_dim, rays, lineality, eq, ineq)
 
-    @classmethod
-    def full(cls, ambient_dim):
-        return cls.from_constraints(ambient_dim)
-
-    @classmethod
-    def origin(cls, ambient_dim):
-        eye = [[1 if i == j else 0 for j in range(ambient_dim)]
-               for i in range(ambient_dim)]
-        return cls.from_constraints(ambient_dim, equalities=eye)
-
     @property
     def key(self):
         return (self.rays, self.lineality)

@@ -19,13 +19,12 @@ from __future__ import annotations
 from operator import add, mul
 
 from ._record import Record
-from .lattice import (Sublattice, Subspace, as_int, as_rational, congruence,
-                      dot, kernel_lattice, matrix_rank, row_times, saturate)
-from .symplectic import AlternatingMapQ, _block_pairings, is_abelian
+from .lattice import (Sublattice, as_int, as_rational, congruence, dot,
+                      kernel_lattice, matrix_rank, row_times, saturate)
+from .symplectic import AlternatingMapQ, _block_pairings
 
-__all__ = ["CocycleForm", "QTorusElement", "center_lattice", "chi_min",
-           "cocycle_image", "commutator_form", "is_commutative", "multiply",
-           "verify_theorem42"]
+__all__ = ["CocycleForm", "QTorusElement", "center_lattice", "cocycle_image",
+           "commutator_form", "multiply", "verify_theorem42"]
 
 
 def _check_square_int(mat, n):
@@ -53,15 +52,6 @@ class CocycleForm(Record):
     def twist(self, a, b):
         """Parameter exponents of x^a * x^b relative to x^(a+b)."""
         return tuple(dot(row_times(a, m), b) for m in self.forms)
-
-    @classmethod
-    def _trusted(cls, rank, forms):
-        """Private constructor over canonical data: ``forms`` a tuple of
-        rank x rank tuples of int tuples.  It checks nothing."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "forms", forms)
-        return self
 
     def restrict(self, lattice: Sublattice) -> "CocycleForm":
         """Twist forms in the coordinates of a sublattice basis; the
@@ -247,27 +237,10 @@ def monomial_inverse(exp, s, cocycle: CocycleForm) -> QTorusElement:
                                   {tuple(-x for x in a): {q: 1}})
 
 
-def chi_min(alpha: QTorusElement, chi):
-    """Minimum of the character over the support of a nonzero element, exact:
-    an int when the character is integral."""
-    if alpha.is_zero:
-        raise ValueError("the zero element has no support minimum")
-    coords = tuple(as_rational(x) for x in chi)
-    if len(coords) != alpha.rank:
-        raise ValueError("character of wrong length")
-    return min(sum(c * e for c, e in zip(coords, exp))
-               for exp in alpha.support)
-
-
 def center_lattice(form: AlternatingMapQ) -> Sublattice:
     """Saturated sublattice of exponents whose monomials are central:
     the radical of the commutator pairing intersected with Z^n."""
     return kernel_lattice([row for m in form.forms for row in m], form.n)
-
-
-def is_commutative(form: AlternatingMapQ, lattice: Sublattice) -> bool:
-    return is_abelian(form, Subspace.from_rows(lattice.ambient_rank,
-                                               lattice.basis))
 
 
 def cocycle_image(form: AlternatingMapQ, lattice: Sublattice) -> Sublattice:

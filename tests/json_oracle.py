@@ -17,6 +17,10 @@ Testing for Software", Digital Technical Journal 10(1), 1998).
 - ``center``: the printed subspace basis is in reduced row echelon form,
   every row v has v^T Phi_k = 0 for every form, its dimension is n minus the
   rank of the forms stacked, and the printed lattice has that rank.
+- ``abelian-split``: one component per block of the given base, each in
+  reduced row echelon form, inside U and its block, of dimension
+  dim U + dim V_i - rank(U + V_i), so the whole of U cap V_i, and of half
+  the block's dimension; the components together span U.
 """
 
 import itertools
@@ -179,4 +183,49 @@ def check_center(payload, output):
     if len(lattice) != dim or _rank(lattice) != dim:
         return f"lattice of {len(lattice)} rows and rank {_rank(lattice)}, " \
                f"expected rank {dim}"
+    return None
+
+
+def _rows(data):
+    return [[Fraction(x) for x in row] for row in data]
+
+
+def check_abelian_split(payload, output):
+    """The printed components against U and the blocks of the base: each
+    is U cap V_i, found by ranks, and half of V_i; together they span U."""
+    n = payload["form"]["n"]
+    space = _rows(payload["U"])
+    blocks = [_rows(b) for b in payload["base"]["blocks"]]
+    components = output["components"]
+    if len(components) != len(blocks):
+        return f"{len(components)} components, expected {len(blocks)}"
+    dim_u = _rank(space)
+    stacked = []
+    for i, (comp, block) in enumerate(zip(components, blocks)):
+        if comp.get("ambient_dim") != n:
+            return f"component {i} has ambient dimension " \
+                   f"{comp.get('ambient_dim')!r}, expected {n}"
+        basis = _rows(comp["basis"])
+        if any(len(row) != n for row in basis):
+            return f"component {i} has a row of length other than {n}"
+        fault = _rref_fault(basis)
+        if fault:
+            return f"component {i}: {fault}"
+        dim_v = _rank(block)
+        for k, row in enumerate(basis):
+            if _rank(space + [row]) != dim_u:
+                return f"component {i} row {k} is not in U"
+            if _rank(block + [row]) != dim_v:
+                return f"component {i} row {k} is not in block {i}"
+        meet = dim_u + dim_v - _rank(space + block)
+        if len(basis) != meet:
+            return f"component {i} has dimension {len(basis)}, expected " \
+                   f"{meet}, that of U cap block {i}"
+        if 2 * len(basis) != dim_v:
+            return f"component {i} has dimension {len(basis)}, not half " \
+                   f"of block {i}'s {dim_v}"
+        stacked += basis
+    if _rank(stacked) != dim_u:
+        return f"components span rank {_rank(stacked)}, expected " \
+               f"dim U = {dim_u}"
     return None

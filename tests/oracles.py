@@ -7,7 +7,9 @@ description, for Delta fans (the library takes one tie cone per edge of
 the Newton polytope, its rays read off the polytope's facets), argmin sets
 of box characters for the faces of a Newton polytope, subset
 enumeration for extreme rays, exact epsilon thresholds for local cones,
-Fraction double sums for bilinear restrictions and block conditions,
+Fraction double sums for bilinear restrictions and block conditions, the
+kernel of the stacked kernels for a subspace intersection (the library
+runs one Zassenhaus elimination),
 sympy's root finder over Q for the pencil spectrum (the library reads
 integer roots off a factorization over Z), and a pencil determinant root
 search (via sympy) for symplectic base existence.
@@ -20,8 +22,8 @@ import random
 from fractions import Fraction
 
 from qtdelta import torus
-from qtdelta.lattice import (Sublattice, Subspace, dot, vec_primitive,
-                             vec_primitive_signed)
+from qtdelta.lattice import (Sublattice, Subspace, dot, null_space_int,
+                             vec_primitive, vec_primitive_signed)
 from qtdelta.polyhedral import Cone, Fan
 from qtdelta.symplectic import (
     AlternatingMapQ,
@@ -114,6 +116,15 @@ def rref_fraction(matrix):
         if r == m:
             break
     return tuple(tuple(row) for row in M[:r]), tuple(pivots)
+
+
+def subspace_intersection_oracle(s1, s2):
+    """s1 cap s2 as the kernel of the stacked kernels of s1 and s2 (three
+    null spaces), the reference for ``lattice.subspace_intersection``."""
+    n = s1.ambient_dim
+    k1 = null_space_int(s1.rows, n)
+    k2 = null_space_int(s2.rows, n)
+    return Subspace.from_rows(n, null_space_int(k1 + k2, n))
 
 
 def inverse_fraction(matrix):

@@ -159,7 +159,7 @@ def test_criterion_4_tropical_line_golden():
     lc = polyhedral.local_cone(fan, chi.coords)
     assert fan_equal(lc, Fan(2, [Cone.from_constraints(2, [(1, 0)])]))
     tc = tc_delta(module, chi)
-    assert fan_equal(tc, Fan(1, [Cone.origin(1)]))
+    assert fan_equal(tc, Fan(1, [Cone.from_constraints(1, [(1,)])]))
     report(4, "tropical-line golden fixtures", t0)
 
 

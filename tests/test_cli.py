@@ -919,7 +919,8 @@ def test_cli_contract_fuzz(valid_payloads, monkeypatch, command):
 
 ORACLE = {"delta": json_oracle.check_delta,
           "torus-mul": json_oracle.check_torus_mul,
-          "center": json_oracle.check_center}
+          "center": json_oracle.check_center,
+          "abelian-split": json_oracle.check_abelian_split}
 CLI_CASES = json.loads((SRC.parent / "perfbench" / "cli_cases.json")
                        .read_text(encoding="utf-8"))["cases"]
 
@@ -1011,6 +1012,27 @@ CENTER_RATIONAL = {"form": {"n": 4, "s": 2, "phi": [
     [[0] * 4] * 4]}}
 
 
+# U = span{(2, 1, 0, 0), (0, 0, 2, -1)} given by mixed rational rows, over
+# the two blocks of TWO_BLOCK spanned by other rows than the unit vectors
+SPLIT_TWO = dict(TWO_BLOCK, base={
+    "V0": [], "blocks": [[[1, 1, 0, 0], [0, 2, 0, 0]],
+                         [[0, 0, 1, 3], [0, 0, 0, "1/2"]]],
+    "lines": [[1, 0], [0, 1]]},
+    U=[[2, 1, 2, -1], ["1/2", "1/4", -2, 1]])
+
+# three blocks e1^e2, e3^e4, e5^e6 with image lines (1, 0), (1, 1), (0, 1);
+# U = span{v1, v2, v3}, v_i in block i, given as v1 + v2, v2 - v3, v1/2 + v3
+SPLIT_THREE = {
+    "form": _wedge(6, [(0, 1, 1), (2, 3, 1)], [(2, 3, 1), (4, 5, 2)]),
+    "base": {"V0": [], "blocks": [[[1, "1/2", 0, 0, 0, 0],
+                                   [0, 1, 0, 0, 0, 0]],
+                                  [[0, 0, 1, 0, 0, 0],
+                                   [0, 0, "2/3", 1, 0, 0]],
+                                  [[0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 0, 2]]],
+             "lines": [[1, 0], [1, 1], [0, 1]]},
+    "U": [[2, 1, 3, 2, 0, 0], [0, 0, 3, 2, -1, 1], [1, "1/2", 0, 0, 1, -1]]}
+
+
 @st.composite
 def _degenerate_forms(draw):
     """center payloads Phi_k = C^T A_k C on Q^3..Q^5, for 1-3 drawn
@@ -1059,6 +1081,9 @@ class TestJsonOracle:
         ("center", TWO_BLOCK),
         ("center", HALF_FORM),
         ("center", CENTER_RATIONAL),
+        ("abelian-split", SPLIT_TWO),
+        ("abelian-split", SPLIT_THREE),
+        ("abelian-split", _sized_inputs(0)["abelian-split"]),
     ])
     def test_payloads(self, command, payload):
         assert _oracle_verdict(command, payload) is None
@@ -1095,6 +1120,19 @@ class TestJsonOracle:
             == "subspace row 0 is not in the radical of form 0"
         assert verdict(0, [[0, -1, 0, "1/6"]]) \
             == "row 0 has pivot entry -1, expected 1"
+
+    def test_wrong_split_caught(self):
+        _, output = _answer("abelian-split", SPLIT_TWO)
+        assert [c["basis"] for c in output["components"]] \
+            == [[[1, "1/2", 0, 0]], [[0, 0, 1, "-1/2"]]]
+        dropped = json.loads(json.dumps(output))
+        dropped["components"][1]["basis"] = []
+        assert json_oracle.check_abelian_split(SPLIT_TWO, dropped) \
+            == "component 1 has dimension 0, expected 1, that of U cap " \
+               "block 1"
+        swapped = dict(output, components=output["components"][::-1])
+        assert json_oracle.check_abelian_split(SPLIT_TWO, swapped) \
+            == "component 0 row 0 is not in block 0"
 
     @settings(max_examples=60, derandomize=True, database=None,
               deadline=None)

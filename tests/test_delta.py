@@ -190,7 +190,7 @@ class TestTcDelta:
     def test_tropical_cases(self):
         m = tropical_line_module()
         tc = tc_delta(m, Character((0, 1)))
-        assert fan_equal(tc, Fan(1, [Cone.origin(1)]))
+        assert fan_equal(tc, Fan(1, [Cone.from_constraints(1, [(1,)])]))
         assert tc_delta(m, Character((1, 1))).is_empty
         tc0 = tc_delta(m, Character.zero(2))
         assert fan_equal(tc0, delta_set(m))
@@ -441,7 +441,7 @@ class TestEdgeCases:
     def test_rank_one_ambient(self):
         m = module_from_support([(0,), (1,), (3,)], 1)
         fan = delta_set(m)
-        assert fan_equal(fan, Fan(1, [Cone.origin(1)]))
+        assert fan_equal(fan, Fan(1, [Cone.from_constraints(1, [(1,)])]))
         assert check_lemma31(m, Character((0,))).equal
         assert check_lemma31(m, Character((Fraction(2, 3),))).equal
         assert check_lemma31(m, Character((-1,))).equal
@@ -492,7 +492,7 @@ class TestInitialFormTwist:
             m = random_module(rng)
             chi = Character(random_character(rng, m.rank))
             init = initial_form(m, chi)
-            minimum = torus.chi_min(m.relator, chi.coords)
+            minimum = min(dot(chi.coords, a) for a in m.relator.support)
             minimal_terms = {
                 a: m.relator.coefficient(a)
                 for a in m.relator.support if dot(chi.coords, a) == minimum}
@@ -1011,12 +1011,24 @@ class TestDeltaCache:
                 initial_form(m, chi)
 
     def test_internal_elements_are_canonical(self):
-        # the trimmed relator and the coordinates in a lattice basis are
-        # built through the trusted constructor; each must equal its
-        # validated construction
+        # the trimmed relator, the coordinates in a lattice basis, the
+        # initial form and the module inside a sublattice are built through
+        # the trusted constructors; each must equal its validated
+        # construction
         rng = random.Random(4242)
         built = []
         multiply = torus.multiply
+
+        def assert_validated(module):
+            c = module.cocycle
+            values = [module.relator, torus.CocycleForm(c.rank, c.forms)]
+            rows = [row for m in c.forms for row in m]
+            if isinstance(module, InitialFormResult):
+                k = module.kernel
+                values.append(Sublattice(k.ambient_rank, k.basis))
+                rows += k.basis
+            assert module == type(module)(*values)
+            assert all(type(x) is int for row in rows for x in row)
 
         def recorded(alpha, beta, cocycle):
             built.extend((alpha, beta))
@@ -1028,6 +1040,7 @@ class TestDeltaCache:
                 for chi in (Character(random_character(rng, n)),
                             Character.zero(n)):
                     init = initial_form(module, chi)
+                    assert_validated(init)
                     built.extend((init.relator, module.relator))
                 lattice = random_saturated_sublattice(rng, n,
                                                       rng.randint(1, n))
@@ -1036,11 +1049,17 @@ class TestDeltaCache:
                     coeffs = [rng.randint(-2, 2) for _ in lattice.basis]
                     a = tuple(row_times(coeffs, lattice.basis))
                     inside[a] = {(0,): Fraction(1, 2)}
-                coords = delta._in_coordinates(
-                    torus.QTorusElement(n, 1, inside), lattice)
+                element = torus.QTorusElement(n, 1, inside)
+                coords = delta._in_coordinates(element, lattice)
                 assert coords.support == tuple(sorted(
                     lattice.coordinates(a) for a in inside))
                 built.append(coords)
+                outer = OneRelatorModule(element, module.cocycle)
+                check_induced(outer, lattice,
+                              Character(random_character(rng, n)))
+                inner = outer._inner_modules[lattice.basis]
+                assert inner.relator == coords
+                assert_validated(inner)
         assert len(built) > 150
         for element in built:
             assert_canonical_element(element)

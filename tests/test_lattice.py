@@ -9,7 +9,6 @@ from qtdelta import lattice
 from qtdelta.lattice import (
     Sublattice,
     Subspace,
-    commensurable,
     hnf,
     kernel_lattice,
     matrix_rank,
@@ -29,6 +28,7 @@ from oracles import (
     mat_mul,
     rref_fraction,
     saturation_points_bruteforce,
+    subspace_intersection_oracle,
 )
 from records import assert_record, one_changed
 
@@ -94,6 +94,24 @@ def _subspace_pairs(draw):
     rows = [[sum(c * r[j] for c, r in zip(cs, a.basis)) for j in range(n)]
             for cs in coeffs]
     return a, Subspace.from_rows(n, rows + draw(st.lists(row, max_size=1)))
+
+
+@st.composite
+def _planted_pairs(draw):
+    """``(c, d, shared)``: two subspaces of Q^n, n = 1..6, that both
+    contain ``shared`` (the span of up to two rational rows), each with up
+    to three more rows of its own; with few rows the extras are often
+    disjoint from each other."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-3, 3),
+                      st.builds(Fraction, st.integers(-3, 3),
+                                st.integers(1, 3)))
+    rows = st.lists(st.lists(entry, min_size=n, max_size=n), max_size=3)
+    common = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                           max_size=2))
+    return (Subspace.from_rows(n, common + draw(rows)),
+            Subspace.from_rows(n, draw(rows) + common),
+            Subspace.from_rows(n, common))
 
 
 @st.composite
@@ -300,24 +318,28 @@ class TestSublattice:
 
 
 class TestCommensurable:
+    # two sublattices are commensurable (their intersection has finite
+    # index in both) exactly when their saturations are equal
+
     def test_trivial_scalings(self):
         lat = Sublattice.from_rows(2, [(1, 2), (0, 5)])
         tripled = Sublattice.from_rows(2, [(3, 6), (0, 15)])
-        assert commensurable(lat, tripled)
+        assert saturate(lat) == saturate(tripled) == Sublattice.full(2)
 
     def test_transverse_lines(self):
         a = Sublattice.from_rows(2, [(1, 0)])
         b = Sublattice.from_rows(2, [(0, 1)])
-        assert not commensurable(a, b)
+        assert saturate(a) != saturate(b)
 
     def test_parallel_lines(self):
         a = Sublattice.from_rows(2, [(2, 4)])
         b = Sublattice.from_rows(2, [(3, 6)])
-        assert commensurable(a, b)
+        assert saturate(a) == saturate(b)
         assert saturate(a).basis == ((1, 2),)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_equivalence_relation(self, seed):
+        # equal saturations iff a, b and a + b all have one rank
         rng = random.Random(200 + seed)
         n = 3
         lats = [Sublattice.from_rows(
@@ -325,14 +347,10 @@ class TestCommensurable:
                 for _ in range(rng.randint(1, 2))]) for _ in range(3)]
         lats = [l for l in lats if l.rank]
         for a in lats:
-            assert commensurable(a, a)
+            assert saturate(saturate(a)) == saturate(a)
             for b in lats:
-                assert commensurable(a, b) == commensurable(b, a)
-        for a in lats:
-            for b in lats:
-                for c in lats:
-                    if commensurable(a, b) and commensurable(b, c):
-                        assert commensurable(a, c)
+                same = a.rank == b.rank == matrix_rank(a.basis + b.basis)
+                assert (saturate(a) == saturate(b)) == same
 
 
 class TestKernels:
@@ -366,6 +384,23 @@ class TestKernels:
         assert [[tuple(row) for row in c] for c in calls] == [
             [tuple(vec_primitive(r)[i] for r in M) for i in range(n)]]
         assert K.rank == n - matrix_rank(M)
+
+    @settings(max_examples=200, derandomize=True, database=None,
+              deadline=None)
+    @given(M=_int_matrices(), half=st.booleans())
+    def test_trusted_sublattices_equal_validated(self, M, half):
+        # kernel_lattice and from_rows skip the validating constructor; the
+        # rows they hand over must be the int row HNF it would keep
+        n = len(M[0]) if M else 3
+        if half:
+            M = [[Fraction(x, 2) for x in row] for row in M]
+        built = [kernel_lattice(M, n)]
+        if not half:
+            built.append(Sublattice.from_rows(n, M))
+            built.append(Sublattice.from_rows(n, built[0].basis))
+        for lat in built:
+            assert lat == Sublattice(n, lat.basis)
+            assert all(type(x) is int for row in lat.basis for x in row)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_character_kernel_rank(self, seed):
@@ -437,6 +472,25 @@ class TestSubspaces:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             subspace_sum(Subspace.full(2), Subspace.full(3))
+
+    @settings(max_examples=300, derandomize=True, database=None,
+              deadline=None)
+    @given(pair=_subspace_pairs(), planted=_planted_pairs())
+    def test_intersection_matches_three_kernels(self, pair, planted):
+        # one elimination of [a | a], [b | 0] against the kernel of the
+        # stacked kernels; zero, full, equal, nested and disjoint operands
+        a, b = pair
+        n = a.ambient_dim
+        c, d, shared = planted
+        cases = [(a, b), (b, a), (a, a), (a, Subspace.zero(n)),
+                 (Subspace.full(n), a), (c, d), (d, c)]
+        for s1, s2 in cases:
+            meet = subspace_intersection(s1, s2)
+            assert meet == subspace_intersection_oracle(s1, s2)
+            assert all(type(x) is int for row in meet.rows for x in row)
+        meet = subspace_intersection(c, d)
+        assert meet.contains(shared)
+        assert meet.dim == c.dim + d.dim - subspace_sum(c, d).dim
 
     @settings(max_examples=300, derandomize=True, database=None,
               deadline=None)
@@ -672,9 +726,6 @@ BAD_INPUTS = {
                              "generator of wrong length"),
     "kernel-lattice": (lambda: kernel_lattice([(1, 2, 3)], 2),
                        "dimension mismatch"),
-    "commensurable": (lambda: commensurable(Sublattice.full(2),
-                                            Sublattice.full(3)),
-                      "ambient rank mismatch"),
     "subspace-row": (lambda: Subspace.from_rows(2, [(1, 2, 3)]),
                      "row of wrong length"),
     "contains-vector": (lambda: Subspace.zero(2).contains_vector((1, 2, 3)),

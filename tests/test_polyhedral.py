@@ -67,7 +67,7 @@ def random_fan(rng, n, max_cones=3):
 
 class TestConeBasics:
     def test_full_space_dim(self):
-        assert Cone.full(2).dim == 2
+        assert Cone.from_constraints(2).dim == 2
 
     def test_ray_dim(self):
         ray = Cone.from_constraints(2, [(0, 1)], [(1, 0)])
@@ -75,7 +75,7 @@ class TestConeBasics:
         assert ray.rays == ((1, 0),)
 
     def test_origin(self):
-        o = Cone.origin(3)
+        o = Cone.from_constraints(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert o.dim == 0 and o.rays == () and o.lineality == ()
 
     def test_membership(self):
@@ -129,7 +129,7 @@ class TestConeBasics:
 
 class TestFanBasics:
     def test_dims(self):
-        assert fan_dim(Fan(2, [Cone.full(2)])) == 2
+        assert fan_dim(Fan(2, [Cone.from_constraints(2)])) == 2
         ray = Cone.from_constraints(2, [(0, 1)], [(1, 0)])
         assert fan_dim(Fan(2, [ray])) == 1
         assert fan_dim(Fan(2)) == -1
@@ -142,7 +142,8 @@ class TestFanBasics:
 
     def test_containment_pruning(self):
         hp = halfplane()
-        f = Fan(2, [hp, quadrant(), Cone.origin(2)])
+        origin = Cone.from_constraints(2, [(1, 0), (0, 1)])
+        f = Fan(2, [hp, quadrant(), origin])
         assert f.cones == (hp,)
 
     def test_deterministic_order(self):
@@ -218,13 +219,13 @@ class TestLocalCone:
 
 class TestPreimage:
     def test_origin_pullback(self):
-        pre = preimage(Fan(1, [Cone.origin(1)]), [(1, 0)], 2)
+        pre = preimage(Fan(1, [Cone.from_constraints(1, [(1,)])]), [(1, 0)], 2)
         assert fan_equal(pre, Fan(2, [Cone.from_constraints(2, [(1, 0)])]))
 
     def test_full_and_empty(self):
-        full = Fan(1, [Cone.full(1)])
+        full = Fan(1, [Cone.from_constraints(1)])
         assert fan_equal(preimage(full, [(1, 0)], 2),
-                         Fan(2, [Cone.full(2)]))
+                         Fan(2, [Cone.from_constraints(2)]))
         assert preimage(Fan(1), [(1, 0)], 2).is_empty
 
     def test_argument_check(self):
@@ -235,8 +236,8 @@ class TestPreimage:
             preimage(fan, [(1, 0, 0), (0, 1, 0, 0)], 3)
 
     def test_empty_matrix(self):
-        full = preimage(Fan(0, [Cone.full(0)]), [], 3)
-        assert full == Fan(3, [Cone.full(3)])
+        full = preimage(Fan(0, [Cone.from_constraints(0)]), [], 3)
+        assert full == Fan(3, [Cone.from_constraints(3)])
         assert preimage(Fan(0), [], 3) == Fan(3)
 
     def test_commutes_with_union(self):
@@ -276,18 +277,19 @@ class TestFanEqual:
 
     def test_empty_fans(self):
         assert fan_equal(Fan(3), Fan(3))
-        assert not fan_equal(Fan(3), Fan(3, [Cone.origin(3)]))
+        origin = Cone.from_constraints(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        assert not fan_equal(Fan(3), Fan(3, [origin]))
 
     def test_split_by_interior_line(self):
         # full plane vs four quadrants
         quads = [quadrant(sx, sy) for sx in (1, -1) for sy in (1, -1)]
-        assert fan_equal(Fan(2, [Cone.full(2)]), Fan(2, quads))
+        assert fan_equal(Fan(2, [Cone.from_constraints(2)]), Fan(2, quads))
 
     def test_strict_subset_detected(self):
         assert not fan_equal(Fan(2, [halfplane()]), Fan(2, [quadrant()]))
         # subset sharing all generators of the smaller fan
         three = [quadrant(), quadrant(1, -1), quadrant(-1, 1)]
-        assert not fan_equal(Fan(2, [Cone.full(2)]), Fan(2, three))
+        assert not fan_equal(Fan(2, [Cone.from_constraints(2)]), Fan(2, three))
 
     @pytest.mark.parametrize("seed", range(15))
     def test_monte_carlo_agreement(self, seed):
@@ -331,7 +333,7 @@ class TestDeltaStarCarriers:
         assert {s.basis for s in spans} == expected
 
     def test_single_full_cone(self):
-        spans = carrier_spaces(Fan(2, [Cone.full(2)]))
+        spans = carrier_spaces(Fan(2, [Cone.from_constraints(2)]))
         assert spans == [Subspace.full(2)]
 
     def test_ordered_by_divided_basis(self):

@@ -112,3 +112,20 @@ def test_repr_and_pickle():
     assert repr(triple) == "Triple(left=1, right=(2,), extra='a')"
     copy = pickle.loads(pickle.dumps(triple))
     assert copy == triple and copy is not triple
+
+
+def test_trusted_sets_the_fields_in_order_and_skips_the_hook():
+    assert Pair._trusted(1, (2, 3)) == Pair(1, [2, 3])
+    assert Triple._trusted(1, (2,), "a") == Triple(1, (2,), "a")
+    # a custom __init__ is bypassed too: the values go in _fields order
+    assert Swapped._trusted(1, (2,)) == Swapped((2,), 1)
+    assert Single._trusted(None) == Single(None)
+    # no hook: the value is kept as given, checked or not
+    unchecked = Pair._trusted(-1, [2])
+    assert (unchecked.left, unchecked.right) == (-1, [2])
+    assert type(Triple._trusted(0, (), "")) is Triple
+    with pytest.raises(AttributeError):
+        unchecked.left = 0
+    for values in [(1,), (1, (), "a")]:
+        with pytest.raises(ValueError):
+            Pair._trusted(*values)

@@ -21,8 +21,10 @@ An exact value keeps its type, so no call converts one to a Fraction:
 ``jsonio.rational_from_json``, which parses a "p/q" string.
 
 Input is validated at the boundary: the private ``_trusted`` constructors,
-which check nothing, are called only from ``torus`` and ``delta``, where
-the library hands over data it has just built.
+which check nothing, are called only from ``torus``, ``delta`` and
+``lattice``, where the library hands over data it has just built.  There
+are two of them, ``_record.Record._trusted`` for every record and
+``torus.QTorusElement._trusted``, so no per-class copy grows back.
 
 There is one alternating-form type, ``symplectic.AlternatingMapQ``.
 ``torus.AlternatingFormZ`` is a second name for it, bound once in ``torus``
@@ -295,10 +297,25 @@ def _trusted_callers(sources):
 
 def test_trusted_constructors_stay_inside():
     # input is validated at the boundary: the readers and front ends
-    # (jsonio, cli) and the layers that build no elements (groups,
-    # symplectic) go through the validating constructors
+    # (jsonio, cli) and the layers whose records canonicalise in their
+    # constructors (groups, symplectic) go through the validating ones
     callers = set(_trusted_callers(_sources()))
-    assert callers == {"torus", "delta"}
+    assert callers == {"torus", "delta", "lattice"}
+
+
+def _trusted_definitions(sources):
+    """"module.Class" ("module.<module>" outside a class) of every ``def``
+    of, or assignment to, a name ``_trusted``."""
+    return _located(sources, lambda node, module, where: (
+        isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name == "_trusted"
+        or isinstance(node, ast.Name) and node.id == "_trusted"
+        and isinstance(node.ctx, ast.Store)), CLASS_SCOPES)
+
+
+def test_trusted_defined_on_records_and_elements_only():
+    assert _trusted_definitions(_sources()) \
+        == ["_record.Record", "torus.QTorusElement"]
 
 
 def test_guard_flags_a_trusted_call_at_the_boundary():
@@ -312,6 +329,26 @@ def test_guard_flags_a_trusted_call_at_the_boundary():
     sources = {"torus": "X = QTorusElement._trusted(1, 0, {})\n",
                "jsonio": planted, "cli": "Y = CocycleForm._trusted(1, ())\n"}
     assert _trusted_callers(sources) == ["torus", "jsonio", "jsonio", "cli"]
+
+
+def test_guard_flags_a_second_trusted_definition():
+    record = ("class Record:\n"
+              "    @classmethod\n"
+              "    def _trusted(cls, *values):\n"
+              "        return cls\n")
+    planted = ("class CocycleForm(Record):\n"
+               "    @classmethod\n"
+               "    def _trusted(cls, rank, forms):\n"
+               "        return cls\n\n\n"
+               "class Cone(Record):\n"
+               "    _trusted = classmethod(lambda cls: cls)\n\n"
+               "    def restrict(self):\n"
+               "        return self._trusted()\n\n\n"
+               "def _trusted(*values):\n"
+               "    return values\n")
+    assert _trusted_definitions({"_record": record, "planted": planted}) \
+        == ["_record.Record", "planted.CocycleForm", "planted.Cone",
+            "planted.<module>"]
 
 
 def _uses(sources, name, scopes=(ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -7,16 +7,14 @@ from hypothesis import given, settings, strategies as st
 from qtdelta.lattice import (Sublattice, Subspace, saturate,
                              vec_primitive_signed)
 from qtdelta.symplectic import (AlternatingMapQ, SymplecticBase, center,
-                                verify_symplectic_base)
+                                is_abelian, verify_symplectic_base)
 from qtdelta.torus import (
     CocycleForm,
     QTorusElement,
     Theorem42Report,
     center_lattice,
-    chi_min,
     cocycle_image,
     commutator_form,
-    is_commutative,
     monomial_inverse,
     multiply,
     verify_theorem42,
@@ -125,28 +123,6 @@ class TestCommutatorForm:
         assert ab == shift_qexp(ba, phi.pairing(a, b))
 
 
-class TestChiMin:
-    def test_single_monomial(self):
-        x = QTorusElement.monomial(2, 1, (2, -1))
-        assert chi_min(x, (Fraction(1), Fraction(3))) == -1
-
-    def test_two_terms(self):
-        alpha = QTorusElement.one(2, 1) + QTorusElement.monomial(2, 1, (1, 0))
-        assert chi_min(alpha, (2, 0)) == 0
-
-    def test_three_terms(self):
-        alpha = (QTorusElement.one(2, 1)
-                 + QTorusElement.monomial(2, 1, (1, 0))
-                 + QTorusElement.monomial(2, 1, (0, 1)))
-        assert chi_min(alpha, (-1, 3)) == -1
-        assert type(chi_min(alpha, (-1, 3))) is int
-        assert chi_min(alpha, (Fraction(-1, 2), 3)) == Fraction(-1, 2)
-
-    def test_zero_error(self):
-        with pytest.raises(ValueError):
-            chi_min(QTorusElement.zero(2, 1), (1, 0))
-
-
 class TestCenter:
     def test_nondegenerate(self):
         assert center_lattice(J2).rank == 0
@@ -192,11 +168,11 @@ class TestImages:
 
     def test_rank_one_sublattice_abelian(self):
         lat = Sublattice.from_rows(2, [(1, 0)])
-        assert is_commutative(J2, lat)
+        assert is_abelian(J2, Subspace.from_rows(2, lat.basis))
         assert cocycle_image(J2, lat).rank == 0
 
     def test_full_not_abelian(self):
-        assert not is_commutative(J2, Sublattice.full(2))
+        assert not is_abelian(J2, Subspace.full(2))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_commutative_iff_rank_zero(self, seed):
@@ -206,7 +182,7 @@ class TestImages:
         rows = [tuple(rng.randint(-2, 2) for _ in range(n))
                 for _ in range(rng.randint(1, n))]
         lat = Sublattice.from_rows(n, rows)
-        assert is_commutative(phi, lat) \
+        assert is_abelian(phi, Subspace.from_rows(n, lat.basis)) \
             == (cocycle_image(phi, lat).rank == 0)
 
 
@@ -391,8 +367,6 @@ def test_element_rejects_float_coefficients():
             QTorusElement(1, 1, {(0,): {(0,): bad}})
         with pytest.raises(ValueError):
             QTorusElement.monomial(1, 1, (0,), coeff=bad)
-        with pytest.raises(ValueError):
-            chi_min(QTorusElement.one(1, 1), (bad,))
     assert QTorusElement.monomial(1, 1, (1,), coeff=Fraction(1, 2)) \
         .coefficient((1,)) == {(0,): Fraction(1, 2)}
 
@@ -487,9 +461,10 @@ def test_restrict_matches_double_sum():
             for m in commutator_form(cocycle).forms)
 
 
-# Internal producers build their results through the trusted constructor
-# ``QTorusElement._trusted`` (``CocycleForm._trusted``), which checks nothing;
-# each must hand it exactly what the validating constructor would keep.
+# Internal producers build their results through the trusted constructors
+# ``QTorusElement._trusted`` and, for ``CocycleForm.restrict``,
+# ``Record._trusted``, which check nothing; each must hand them exactly
+# what the validating constructor would keep.
 
 @st.composite
 def _producer_inputs(draw):
@@ -574,9 +549,7 @@ def test_restrict_hands_canonical_forms(drawn, data):
 @pytest.mark.parametrize("build,message", [
     (lambda: QTorusElement(1, 1, {(0,): {(0, 0): 1}}),
      "parameter exponent of wrong length"),
-    (lambda: chi_min(QTorusElement.one(2, 0), (1,)),
-     "character of wrong length"),
-], ids=["qexp", "chi-min"])
+], ids=["qexp"])
 def test_lengths_checked(build, message):
     with pytest.raises(ValueError, match=message):
         build()
