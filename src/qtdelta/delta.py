@@ -10,7 +10,10 @@ That is the tropical hypersurface of r with trivial valuation, so its
 maximal cones are the tie cones of the edges of the Newton polytope
 conv(S), and ``polyhedral.edge_normal_fan`` computes the fan that way, once
 per module object, from the facets of conv(S): one double description in
-the complement of the characters constant on S.
+the complement of the characters constant on S.  When conv(S) is a segment
+[u, v] (a binomial, or the initial form at a character inside a top cone
+of Delta) the fan is the one hyperplane (u - v)^perp, built with no
+double description.
 
 The initial form of r at a rational character chi keeps the chi-minimal
 terms, normalizes them into the kernel lattice B of chi, and generates the

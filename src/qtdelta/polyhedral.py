@@ -11,8 +11,10 @@ Two cones are equal as point sets iff they carry identical (rays, lineality)
 data, which gives cheap structural equality and hashing.  The tie cones of
 the edges of a polytope (``edge_normal_fan``) share one lineality and read
 their rays off its facets, found by one double description in the
-complement of that lineality, and a tangent cone reads its rays off the
-cone's own; every other cone takes one double description.
+complement of that lineality; a segment's one tie cone is the hyperplane
+orthogonal to it, with no rays, so it takes no double description.  A
+tangent cone reads its rays off the cone's own; every other cone takes one
+double description.
 
 Fans are plain unions of cones (no face structure is maintained):
 containment-redundant cones are pruned and the rest deterministically
@@ -341,12 +343,31 @@ def edge_normal_fan(dim, points):
     neighbours w in the edge graph alone: a vertex minimal among its
     neighbours is minimal on the polytope (Ziegler, Lectures on Polytopes,
     Lecture 3).
+
+    When the lineality has dimension dim - 1, conv(points) is a segment
+    [u, v], u before v in input order, its ends the points extreme along
+    any nonzero difference.  Its one edge cone is the hyperplane
+    (u - v)^perp: the lineality, no rays, and the row v - u of u's one
+    neighbour.  That is what the general path builds, so it is returned
+    with no double description.  Every binomial has such a Delta set
+    (Maclagan and Sturmfels, Introduction to Tropical Geometry, Section
+    3.1), and so does the initial form at a character in the relative
+    interior of a top cone of Delta.
     """
     if len(points) < 2:  # no edge
         return Fan.irredundant(dim, ())
     diffs = [tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]]
     lineality = null_space_int(diffs, dim)
     _check_generators(lineality, diffs, ())
+    if len(lineality) == dim - 1:
+        # a segment: its ends are extreme along any nonzero difference
+        d = next(x for x in diffs if any(x))
+        values = [sum(map(mul, d, p)) for p in points]
+        i, j = sorted((values.index(min(values)), values.index(max(values))))
+        e = vec_primitive([a - b for a, b in zip(points[i], points[j])])
+        cone = Cone(dim, (), lineality, (e,), (tuple([-x for x in e]),))
+        cone._dim = dim - 1
+        return Fan.irredundant(dim, (cone,))
     rows, pivots = rref(lineality)
     # W is a column basis of the differences, so the rows (1, p_W), distinct
     # and primitive, have full rank, and each facet of their cone, lifted by

@@ -14,6 +14,15 @@ Testing for Software", Digital Technical Journal 10(1), 1998).
 - ``delta``: on every integer character chi of [-2, 2]^n, membership in the
   printed H-representation equals "the minimum of chi over the relator's
   support is attained at least twice".
+- ``initform``: the printed B is in row Hermite normal form, orthogonal
+  to chi, of rank n - rank(chi) and saturated (the gcd of its maximal
+  minors is 1), so it is the HNF basis of ker chi in Z^n; r_chi is
+  supported on the chi-minimal support points of the relator, less the
+  lexicographically least one, in the coordinates of B.
+- ``tc``: on every integer character psi of [-2, 2]^k, k the rank of B,
+  membership in the printed H-representation equals "the minimum of psi
+  over the chi-minimal support in B's coordinates is attained at least
+  twice", with the B that ``check_initform`` verified.
 - ``center``: the printed subspace basis is in reduced row echelon form,
   every row v has v^T Phi_k = 0 for every form, its dimension is n minus the
   rank of the forms stacked, and the printed lattice has that rank.
@@ -24,6 +33,7 @@ Testing for Software", Digital Technical Journal 10(1), 1998).
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -95,11 +105,9 @@ def _dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
-def check_delta(payload, output, box=2):
-    """The printed fan against direct min-evaluation on the integer points
-    of [-box, box]^n."""
-    n = payload["relator"]["rank"]
-    support = list(_element(payload["relator"]))
+def _fan_fault(output, support, n, box, name):
+    """The printed fan in Q^n against direct min-evaluation over the
+    support on the integer points of [-box, box]^n, or None."""
     if output.get("dim") != n:
         return f"fan dimension {output.get('dim')!r}, expected {n}"
     cones = [([[Fraction(x) for x in row] for row in cone.get("eq", [])],
@@ -112,9 +120,135 @@ def check_delta(payload, output, box=2):
                      and all(_dot(a, chi) >= 0 for a in ineq)
                      for eq, ineq in cones)
         if on_delta != in_fan:
-            return (f"chi {list(chi)}: minimum attained twice is "
+            return (f"{name} {list(chi)}: minimum attained twice is "
                     f"{on_delta}, printed fan member is {in_fan}")
     return None
+
+
+def check_delta(payload, output, box=2):
+    """The printed fan against direct min-evaluation on the integer points
+    of [-box, box]^n."""
+    return _fan_fault(output, list(_element(payload["relator"])),
+                      payload["relator"]["rank"], box, "chi")
+
+
+def _det(rows):
+    """Determinant of a square rational matrix, by Fraction elimination."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        pivot = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return det
+
+
+def _hnf_fault(rows):
+    """Why the integer rows are not in row Hermite normal form (positive
+    pivots, strictly right of the row above, entries above a pivot in
+    [0, pivot)), or None."""
+    last = -1
+    for k, row in enumerate(rows):
+        if any(not isinstance(x, int) for x in row):
+            return f"B row {k} has an entry that is not an integer"
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None:
+            return f"B row {k} is zero"
+        if c <= last:
+            return f"B row {k} has its pivot in column {c}, not right of " \
+                   f"{last}"
+        if row[c] < 0:
+            return f"B row {k} has pivot entry {row[c]}, expected positive"
+        if any(not 0 <= above[c] < row[c] for above in rows[:k]):
+            return f"column {c}, the pivot of B row {k}, is not reduced " \
+                   f"above it"
+        last = c
+    return None
+
+
+def _coordinates(v, basis):
+    """The integer coefficients of v in the rows of a matrix in row
+    Hermite normal form, read pivot by pivot, or None."""
+    residual = [Fraction(x) for x in v]
+    coords = []
+    for row in basis:
+        c = next(j for j, x in enumerate(row) if x)
+        q = residual[c] / row[c]
+        if q.denominator != 1:
+            return None
+        coords.append(int(q))
+        residual = [x - q * y for x, y in zip(residual, row)]
+    return tuple(coords) if not any(residual) else None
+
+
+def _initial_support(payload, basis):
+    """The chi-minimal support points a of the relator, as the coordinates
+    of a - a0 in the basis, a0 the lexicographically least of them; None
+    for a point off the basis's lattice."""
+    chi = [Fraction(x) for x in payload["chi"]]
+    support = list(_element(payload["relator"]))
+    low = min(_dot(chi, a) for a in support)
+    minimal = sorted(a for a in support if _dot(chi, a) == low)
+    coords = [_coordinates([x - y for x, y in zip(a, minimal[0])], basis)
+              for a in minimal]
+    return None if None in coords else coords
+
+
+def check_initform(payload, output):
+    """The printed kernel lattice B and initial form r_chi against chi: B
+    is in row HNF, orthogonal to chi, of rank n - rank(chi) and saturated
+    (its maximal minors have gcd 1), and r_chi is supported on the
+    chi-minimal support points, less the least one, in B's coordinates."""
+    n = payload["relator"]["rank"]
+    chi = [Fraction(x) for x in payload["chi"]]
+    lattice, form = output["B"], output["r_chi"]
+    if lattice.get("ambient_rank") != n:
+        return f"B of ambient rank {lattice.get('ambient_rank')!r}, " \
+               f"expected {n}"
+    basis = lattice["basis"]
+    if any(len(row) != n for row in basis):
+        return f"B row of length other than {n}"
+    fault = _hnf_fault(basis)
+    if fault:
+        return fault
+    for k, row in enumerate(basis):
+        if _dot(row, chi):
+            return f"B row {k} is not orthogonal to chi"
+    rank = n - (1 if any(chi) else 0)
+    if len(basis) != rank:
+        return f"B has {len(basis)} rows, expected {rank}"
+    g = math.gcd(*[int(_det([[row[j] for j in cols] for row in basis]))
+                   for cols in itertools.combinations(range(n), rank)])
+    if g != 1:
+        return f"B is not saturated: its maximal minors have gcd {g}"
+    if form.get("rank") != rank:
+        return f"r_chi of rank {form.get('rank')!r}, expected {rank}"
+    expected = _initial_support(payload, basis)
+    if expected is None:
+        return "a chi-minimal support point is off the lattice of B"
+    got = sorted(_element(form))
+    if got != sorted(expected):
+        return f"r_chi is supported on {[list(a) for a in got]}, expected " \
+               f"{sorted(list(a) for a in expected)}"
+    return None
+
+
+def check_tc(payload, output, basis, box=2):
+    """The printed trailing-coefficient Delta set, in the coordinates of
+    the rows ``basis`` of B as ``check_initform`` verified them, against
+    direct min-evaluation over the chi-minimal support in those
+    coordinates on the integer points of [-box, box]^rank B."""
+    support = _initial_support(payload, basis)
+    if support is None:
+        return "a chi-minimal support point is off the lattice of B"
+    return _fan_fault(output, support, len(basis), box, "psi")
 
 
 def _rank(rows):

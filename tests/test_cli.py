@@ -65,6 +65,25 @@ TWISTED = {
         {"exp": [1, 2], "coeff": [{"qexp": [0], "c": 3}]}]},
     "cocycle": {"rank": 2, "s": 1, "B": [[[0, 0], [1, 0]]]},
 }
+# A binomial, whose initial form at a character on its Delta set is itself,
+# and a relator whose initial form at chi is a collinear trinomial.
+BINOMIAL_AT = {
+    "relator": {"rank": 3, "terms": [
+        {"exp": [1, 0, 0], "coeff": [{"qexp": [0], "c": 1}]},
+        {"exp": [0, 2, 1], "coeff": [{"qexp": [1], "c": "-2/3"}]}]},
+    "cocycle": {"rank": 3, "s": 1,
+                "B": [[[0, 1, 0], [0, 0, -1], [2, 0, 0]]]},
+    "chi": [3, 1, 1],
+}
+
+COLLINEAR_AT = {
+    "relator": {"rank": 3, "terms": [
+        {"exp": e, "coeff": [{"qexp": [0], "c": c}]} for e, c in [
+            ([0, 0, 0], 1), ([1, 1, 0], -2), ([2, 2, 0], 1),
+            ([0, 0, 1], 5)]]},
+    "cocycle": BINOMIAL_AT["cocycle"],
+    "chi": ["1/2", "-1/2", "1/2"],
+}
 
 TWISTED_INDUCED = {
     "relator": {"rank": 2, "terms": [
@@ -917,7 +936,18 @@ def test_cli_contract_fuzz(valid_payloads, monkeypatch, command):
 # answers checked against their inputs by ``json_oracle``, which reads JSON
 # only: torus-mul and delta so far (ROADMAP item 13)
 
+def _check_tc(payload, output):
+    """``check_tc`` in the coordinates of the B that the ``initform`` answer
+    on the same payload prints, once ``check_initform`` has verified it."""
+    code, initform = _answer("initform", payload)
+    assert code == 0, payload
+    return (json_oracle.check_initform(payload, initform)
+            or json_oracle.check_tc(payload, output, initform["B"]["basis"]))
+
+
 ORACLE = {"delta": json_oracle.check_delta,
+          "initform": json_oracle.check_initform,
+          "tc": _check_tc,
           "torus-mul": json_oracle.check_torus_mul,
           "center": json_oracle.check_center,
           "abelian-split": json_oracle.check_abelian_split}
@@ -1084,6 +1114,10 @@ class TestJsonOracle:
         ("abelian-split", SPLIT_TWO),
         ("abelian-split", SPLIT_THREE),
         ("abelian-split", _sized_inputs(0)["abelian-split"]),
+        ("initform", BINOMIAL_AT),
+        ("initform", COLLINEAR_AT),
+        ("tc", BINOMIAL_AT),
+        ("tc", COLLINEAR_AT),
     ])
     def test_payloads(self, command, payload):
         assert _oracle_verdict(command, payload) is None
@@ -1104,6 +1138,25 @@ class TestJsonOracle:
             assert reason.endswith(
                 "minimum attained twice is True, printed fan member is "
                 "False")
+
+    def test_wrong_initial_form_caught(self):
+        _, output = _answer("initform", BINOMIAL_AT)
+        assert output["B"]["basis"] == [[1, 0, -3], [0, 1, -1]]
+
+        def verdict(row):
+            wrong = json.loads(json.dumps(output))
+            wrong["B"]["basis"][1] = row
+            return json_oracle.check_initform(BINOMIAL_AT, wrong)
+
+        assert verdict([0, -1, 1]) \
+            == "B row 1 has pivot entry -1, expected positive"
+        assert verdict([0, 1, 0]) == "B row 1 is not orthogonal to chi"
+        _, output = _answer("tc", BINOMIAL_AT)
+        assert len(output["cones"]) == 1
+        assert json_oracle.check_tc(BINOMIAL_AT, dict(output, cones=[]),
+                                    [[1, 0, -3], [0, 1, -1]]) \
+            == "psi [-2, -1]: minimum attained twice is True, printed fan " \
+               "member is False"
 
     def test_wrong_centre_caught(self):
         _, output = _answer("center", CENTER_RATIONAL)
@@ -1155,19 +1208,21 @@ class TestJsonOracle:
 
 # ---------------------------------------------------------------------------
 # the canonical H-representation of a cone is computed where it is written
-# and nowhere else: once per cone printed
+# and nowhere else: once per distinct cone printed in one output
 
-WRITTEN_CONES = {"delta": 3, "tc": 1, "lc": 1, "check-lemma31": 10}
+# (cones printed, distinct cones printed) per command
+WRITTEN_CONES = {"delta": (3, 3), "tc": (1, 1), "lc": (1, 1),
+                 "check-lemma31": (10, 3)}
 
 
 def _printed_cones(value):
-    """The number of cone objects ({"dim", "eq", "ineq"}) in a JSON value."""
+    """The cone objects ({"dim", "eq", "ineq"}) in a JSON value."""
     if isinstance(value, list):
-        return sum(map(_printed_cones, value))
+        return [c for x in value for c in _printed_cones(x)]
     if isinstance(value, dict):
-        return (set(value) == {"dim", "eq", "ineq"}) + sum(
-            map(_printed_cones, value.values()))
-    return 0
+        return ([value] if set(value) == {"dim", "eq", "ineq"} else []) + [
+            c for x in value.values() for c in _printed_cones(x)]
+    return []
 
 
 @pytest.mark.parametrize("case", CLI_CASES, ids=lambda c: c["command"])
@@ -1178,5 +1233,8 @@ def test_canonical_hrep_once_per_written_cone(case, monkeypatch):
         calls.append(self), canonical_hrep(self))[1])
     code, output = _answer(case["command"], case["payload"], *case["flags"])
     assert code == case["exit"]
-    assert len(calls) == _printed_cones(output) \
-        == WRITTEN_CONES.get(case["command"], 0)
+    cones = _printed_cones(output)
+    distinct = {json.dumps(c, sort_keys=True) for c in cones}
+    assert (len(cones), len(distinct)) \
+        == WRITTEN_CONES.get(case["command"], (0, 0))
+    assert len(calls) == len(set(calls)) == len(distinct)

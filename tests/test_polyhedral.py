@@ -962,6 +962,58 @@ class TestEdgeConesOnTheGraph:
         assert answers == {True, False}
 
 
+@st.composite
+def _collinear_support(draw):
+    """2 to 6 distinct points base + t*d in Z^n, 1 <= n <= 5, d nonzero,
+    sorted by t or shuffled."""
+    n = draw(st.integers(1, 5))
+    base = draw(st.tuples(*[st.integers(-3, 3)] * n))
+    d = draw(st.tuples(*[st.integers(-2, 2)] * n).filter(any))
+    ts = draw(st.lists(st.integers(-4, 4), min_size=2, max_size=6,
+                       unique=True))
+    if not draw(st.booleans()):
+        ts.sort()
+    return n, [tuple(b + t * x for b, x in zip(base, d)) for t in ts]
+
+
+class TestSegmentFans:
+    """A support on a line has one edge, whose tie cone the segment path of
+    ``edge_normal_fan`` builds with no double description; it must equal
+    the tie cone cut out by the rows w - u over every support point."""
+
+    @PROPERTY
+    @given(drawn=_collinear_support())
+    @example(drawn=(2, [(1, 1), (0, 0), (2, 2)]))
+    # an interior point first and last: the ends are not points[0], [-1]
+    @example(drawn=(2, [(1, 1), (3, 3), (0, 0), (2, 2)]))
+    def test_against_rows_over_all_points(self, drawn):
+        n, points = drawn
+        oracle, neighbours = edge_graph_oracle(n, points)
+        fan = polyhedral.edge_normal_fan(n, points)
+        assert len(fan.cones) == 1 and list(oracle) == [fan.cones[0].key]
+        cone = fan.cones[0]
+        (i, _), = oracle.values()
+        (j,) = neighbours[i]
+        u, v = points[i], points[j]
+        assert cone._raw_eq == (vec_primitive(
+            [a - b for a, b in zip(u, v)]),)
+        assert cone._raw_ineq == polyhedral._norm_constraints(
+            [tuple(b - a for a, b in zip(u, v))], n)
+        assert cone.dim == matrix_rank(cone.lineality) == n - 1
+        assert fan_dim(fan) == n - 1
+        # the local cone at the ray sum (the origin) and at a lineality
+        # point, against the epsilon oracle of the oracle's cone
+        all_rows = Fan(n, [c for _, c in oracle.values()])
+        step = tuple(a - b for a, b in zip(v, u))
+        directions = [step, tuple(-x for x in step)] + list(cone.lineality)
+        for x in [polyhedral._ray_sum(n, cone.rays)] + list(
+                cone.lineality[:1]):
+            lc = local_cone(fan, x)
+            for y in directions + [tuple(a + b for a, b in zip(step, w))
+                                   for w in cone.lineality[:1]]:
+                assert lc.member(y) == local_cone_eps_oracle(all_rows, x, y)
+
+
 # ---------------------------------------------------------------------------
 # boundary checks: each case is a call on bad input and its ValueError
 
