@@ -23,7 +23,9 @@ redundant cone by construction.  ``fan_equal`` compares point sets: equal
 canonical cone sets, or each fan covered by the other, which one point per
 top-dimensional cell decides once the hyperplanes of the other fan's raw
 rows cut a cone.  The canonical H-representation (equalities and facets)
-is computed only where a cone is written, by ``Cone.canonical_hrep``.
+is computed only where a cone is written, by ``Cone.canonical_hrep``,
+which reads the facets off the raw rows by the rule that picks a tangent
+cone's rays, with no double description.
 """
 
 from __future__ import annotations
@@ -156,6 +158,30 @@ def _into_complement(vector, rows, pivots):
     return vec_primitive(r)
 
 
+def _extreme_generators(generators, rows, lineality):
+    """The extreme rays of K = cone(generators) + span(lineality), each
+    moved into the complement of the lineality, deduplicated and sorted.
+
+    The rows vanish on the lineality and, with equalities that vanish on
+    every generator, cut out K, so each face of K is cut out by a set of
+    rows (Ziegler, Lectures on Polytopes, Lecture 2).  A generator tight
+    on every row lies in the lineality; any other spans an extreme ray iff
+    no other generator, distinct modulo the lineality, is tight on every
+    row it is tight on.
+    """
+    rows_l, pivots = rref(lineality)
+    full = (1 << len(rows)) - 1
+    candidates = {}
+    for g in generators:
+        mask = sum(1 << i for i, a in enumerate(rows) if not dot(a, g))
+        if mask != full:
+            candidates[_into_complement(g, rows_l, pivots)] = mask
+    return tuple(sorted(
+        r for r, m in candidates.items()
+        if not any(o is not r and n & m == m
+                   for o, n in candidates.items())))
+
+
 def _check_generators(generators, equalities, inequalities):
     for g in generators:
         if (any(dot(e, g) != 0 for e in equalities)
@@ -191,10 +217,12 @@ class Cone:
         return (self.rays, self.lineality)
 
     def canonical_hrep(self):
-        """(equalities, facets) read off the generators, a function of the
-        point set alone: the facets are the extreme rays of the dual cone,
-        the equalities span its lineality (one double description)."""
-        facets, eq = _vrep(self.ambient_dim, self.lineality, self.rays)
+        """(equalities, facets), a function of the point set alone: the
+        lineality and the extreme rays of the dual cone, which the raw
+        inequalities generate and the rays cut out, with no double
+        description."""
+        eq = null_space_int(self.rays + self.lineality, self.ambient_dim)
+        facets = _extreme_generators(self._raw_ineq, self.rays, eq)
         _check_generators(self.rays + self.lineality, eq, facets)
         return eq, facets
 
@@ -217,25 +245,16 @@ class Cone:
 
     def tangent_cone(self, point):
         """Cone of directions y such that point + eps*y stays inside for all
-        small eps >= 0.  Requires ``point`` to be a member."""
+        small eps >= 0.  Requires ``point`` to be a member.  Its rays are
+        read off the cone's own, with no double description."""
         if not self.member(point):
             raise ValueError("point is not in the cone")
         active = tuple(a for a in self._raw_ineq if dot(a, point) == 0)
         # It is C + span(F), F the face of C cut out by the active rows: its
         # lineality is the kernel of the raw equalities and active rows, and
-        # its rays are among C's rays off F, moved into the complement of
-        # it, each extreme iff no other is tight on all active rows it is.
+        # C's rays generate it with that lineality.
         lineality = null_space_int(self._raw_eq + active, self.ambient_dim)
-        rows, pivots = rref(lineality)
-        candidates = {}
-        for r in self.rays:
-            mask = sum(1 << i for i, a in enumerate(active) if not dot(a, r))
-            if mask != (1 << len(active)) - 1:
-                candidates[_into_complement(r, rows, pivots)] = mask
-        rays = tuple(sorted(
-            r for r, m in candidates.items()
-            if not any(o is not r and n & m == m
-                       for o, n in candidates.items())))
+        rays = _extreme_generators(self.rays, active, lineality)
         _check_generators(rays + lineality, self._raw_eq, active)
         return Cone(self.ambient_dim, rays, lineality, self._raw_eq, active)
 

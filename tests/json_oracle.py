@@ -6,7 +6,10 @@ the input, or a one-line reason when it does not.  The checks follow the
 definitions, not the library's algorithms, and this module imports the
 standard library only (``tests/test_surface.py`` guards that), so no code
 path of ``qtdelta`` is shared with what it checks (McKeeman, "Differential
-Testing for Software", Digital Technical Journal 10(1), 1998).
+Testing for Software", Digital Technical Journal 10(1), 1998).  A printed
+fan is read as the canonical H-representations of its cones, which the
+library reads off each cone's raw rows with no double description; the
+checks test membership in them point by point.
 
 - ``torus-mul``: the naive product, term by term, from
   x^a x^b = q^(a B b) x^(a+b), every parameter exponent padded with zeros
@@ -23,6 +26,14 @@ Testing for Software", Digital Technical Journal 10(1), 1998).
   membership in the printed H-representation equals "the minimum of psi
   over the chi-minimal support in B's coordinates is attained at least
   twice", with the B that ``check_initform`` verified.
+- ``lc``: on every integer direction y of [-2, 2]^n, membership in the
+  printed H-representation equals the epsilon rule on the input fan's
+  rows at the point x: some cone holds x, and y satisfies its equalities
+  and its inequalities tight at x.
+- ``check-lemma31``: for every printed character chi, both printed fans
+  hold an integer y of [-2, 2]^n iff the minimum of y over the
+  chi-minimal support points is attained at least twice, and every
+  verdict says equal.
 - ``center``: the printed subspace basis is in reduced row echelon form,
   every row v has v^T Phi_k = 0 for every form, its dimension is n minus the
   rank of the forms stacked, and the printed lattice has that rank.
@@ -105,24 +116,43 @@ def _dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
+def _cones(fan):
+    """The (equalities, inequalities) of each cone of a JSON fan, their
+    entries read by ``Fraction``."""
+    return [([[Fraction(x) for x in row] for row in cone.get("eq", [])],
+             [[Fraction(x) for x in row] for row in cone.get("ineq", [])])
+            for cone in fan["cones"]]
+
+
+def _in_cone(cone, y):
+    eq, ineq = cone
+    return (all(_dot(e, y) == 0 for e in eq)
+            and all(_dot(a, y) >= 0 for a in ineq))
+
+
+def _box_fault(output, n, box, name, rule, expected):
+    """The printed fan in Q^n against ``expected``, a membership test named
+    ``rule``, on the integer points of [-box, box]^n, or None."""
+    if output.get("dim") != n:
+        return f"fan dimension {output.get('dim')!r}, expected {n}"
+    cones = _cones(output)
+    for y in itertools.product(range(-box, box + 1), repeat=n):
+        want = expected(y)
+        in_fan = any(_in_cone(cone, y) for cone in cones)
+        if want != in_fan:
+            return (f"{name} {list(y)}: {rule} is {want}, printed fan "
+                    f"member is {in_fan}")
+    return None
+
+
 def _fan_fault(output, support, n, box, name):
     """The printed fan in Q^n against direct min-evaluation over the
     support on the integer points of [-box, box]^n, or None."""
-    if output.get("dim") != n:
-        return f"fan dimension {output.get('dim')!r}, expected {n}"
-    cones = [([[Fraction(x) for x in row] for row in cone.get("eq", [])],
-              [[Fraction(x) for x in row] for row in cone.get("ineq", [])])
-             for cone in output["cones"]]
-    for chi in itertools.product(range(-box, box + 1), repeat=n):
+    def attained_twice(chi):
         values = [_dot(chi, a) for a in support]
-        on_delta = values.count(min(values)) >= 2
-        in_fan = any(all(_dot(e, chi) == 0 for e in eq)
-                     and all(_dot(a, chi) >= 0 for a in ineq)
-                     for eq, ineq in cones)
-        if on_delta != in_fan:
-            return (f"{name} {list(chi)}: minimum attained twice is "
-                    f"{on_delta}, printed fan member is {in_fan}")
-    return None
+        return values.count(min(values)) >= 2
+    return _box_fault(output, n, box, name, "minimum attained twice",
+                      attained_twice)
 
 
 def check_delta(payload, output, box=2):
@@ -130,6 +160,46 @@ def check_delta(payload, output, box=2):
     of [-box, box]^n."""
     return _fan_fault(output, list(_element(payload["relator"])),
                       payload["relator"]["rank"], box, "chi")
+
+
+def check_lc(payload, output, box=2):
+    """The printed local cone at x against the epsilon rule on the input
+    fan's rows, on the integer points y of [-box, box]^n: x + eps*y lies in
+    the fan for all small eps > 0 iff, for some cone holding x, every
+    equality e has e.y = 0 and every inequality a with a.x = 0 has
+    a.y >= 0 (the others stay positive for small eps)."""
+    fan = payload["fan"]
+    n = fan["dim"]
+    x = [Fraction(v) for v in payload["point"]]
+    # the cones holding x, each cut down to its rows tight at x
+    tangents = [(eq, [a for a in ineq if _dot(a, x) == 0])
+                for eq, ineq in _cones(fan) if _in_cone((eq, ineq), x)]
+    return _box_fault(output, n, box, "y", "the epsilon rule",
+                      lambda y: any(_in_cone(t, y) for t in tangents))
+
+
+def check_lemma31(payload, output, box=2):
+    """Each printed report's two fans against Lemma 3.1's common answer: on
+    the integer points y of [-box, box]^n, both hold y iff the minimum of y
+    over the chi-minimal support points is attained at least twice.  Every
+    report and the verdict say equal, and no witness is printed."""
+    n = payload["relator"]["rank"]
+    support = list(_element(payload["relator"]))
+    for k, report in enumerate(output["checks"]):
+        chi = [Fraction(x) for x in report["chi"]]
+        low = min(_dot(chi, a) for a in support)
+        minimal = [a for a in support if _dot(chi, a) == low]
+        for side in ("lhs", "rhs"):
+            fault = _fan_fault(report[side], minimal, n, box,
+                               f"check {k} {side} y")
+            if fault:
+                return fault
+        if report.get("equal") is not True:
+            return f"check {k} says equal is {report.get('equal')!r}"
+    if output.get("all_equal") is not True or "witness" in output:
+        return f"all_equal is {output.get('all_equal')!r} with " \
+               f"{len(output['checks'])} equal checks"
+    return None
 
 
 def _det(rows):

@@ -4,7 +4,9 @@ The oracles deliberately avoid the code paths they check: brute-force
 enumeration for lattice saturation, direct min-evaluation for Delta
 membership, one tie cone per support pair, each from its own double
 description, for Delta fans (the library takes one tie cone per edge of
-the Newton polytope, its rays read off the polytope's facets), argmin sets
+the Newton polytope, its rays read off the polytope's facets), a double
+description of the dual cone for the canonical H-representation (the
+library reads the facets off the cone's raw rows), argmin sets
 of box characters for the faces of a Newton polytope, subset
 enumeration for extreme rays, exact epsilon thresholds for local cones,
 Fraction double sums for bilinear restrictions and block conditions, the
@@ -21,7 +23,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from qtdelta import torus
+from qtdelta import polyhedral, torus
 from qtdelta.lattice import (Sublattice, Subspace, dot, null_space_int,
                              vec_primitive, vec_primitive_signed)
 from qtdelta.polyhedral import Cone, Fan
@@ -250,6 +252,18 @@ def extreme_rays_bruteforce(constraints, dim):
             if all(dot(a, w) >= 0 for a in constraints):
                 rays.add(vec_primitive(w))
     return tuple(sorted(rays))
+
+
+def canonical_hrep_oracle(cone):
+    """(equalities, facets) of a cone by double dualization: the lineality
+    and the extreme rays, from one double description, of the dual cone
+    {a : a.l = 0 on the cone's lineality, a.r >= 0 on its rays}, the
+    canonical H-representation that ``Cone.canonical_hrep`` reads off the
+    raw rows instead."""
+    facets, eq = polyhedral._vrep(cone.ambient_dim, cone.lineality,
+                                  cone.rays)
+    polyhedral._check_generators(cone.rays + cone.lineality, eq, facets)
+    return eq, facets
 
 
 def delta_set_pairwise(module):

@@ -934,7 +934,7 @@ def test_cli_contract_fuzz(valid_payloads, monkeypatch, command):
 
 # ---------------------------------------------------------------------------
 # answers checked against their inputs by ``json_oracle``, which reads JSON
-# only: torus-mul and delta so far (ROADMAP item 13)
+# only (ROADMAP item 13)
 
 def _check_tc(payload, output):
     """``check_tc`` in the coordinates of the B that the ``initform`` answer
@@ -949,6 +949,8 @@ ORACLE = {"delta": json_oracle.check_delta,
           "initform": json_oracle.check_initform,
           "tc": _check_tc,
           "torus-mul": json_oracle.check_torus_mul,
+          "lc": json_oracle.check_lc,
+          "check-lemma31": json_oracle.check_lemma31,
           "center": json_oracle.check_center,
           "abelian-split": json_oracle.check_abelian_split}
 CLI_CASES = json.loads((SRC.parent / "perfbench" / "cli_cases.json")
@@ -1063,6 +1065,18 @@ SPLIT_THREE = {
     "U": [[2, 1, 3, 2, 0, 0], [0, 0, 3, 2, -1, 1], [1, "1/2", 0, 0, 1, -1]]}
 
 
+# three cones in Q^3 given with redundant, scaled and rational rows: the
+# nonnegative orthant, a 2-dimensional cone on the plane x = y that meets it
+# on the ray of (0, 0, 1), and the ray of (0, -1, 0)
+LC_FAN = {"dim": 3, "cones": [
+    {"dim": 3, "ineq": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]]},
+    {"dim": 3, "eq": [[1, -1, 0]],
+     "ineq": [[-1, 0, 0], [0, 0, 2], ["1/2", 0, 1]]},
+    {"dim": 3, "eq": [[0, 0, 1]], "ineq": [[0, -1, 0], [1, 0, 0], [-1, 0, 0]]},
+]}
+LC_AT_APEX = {"fan": LC_FAN, "point": [0, 0, 0]}
+
+
 @st.composite
 def _degenerate_forms(draw):
     """center payloads Phi_k = C^T A_k C on Q^3..Q^5, for 1-3 drawn
@@ -1118,9 +1132,23 @@ class TestJsonOracle:
         ("initform", COLLINEAR_AT),
         ("tc", BINOMIAL_AT),
         ("tc", COLLINEAR_AT),
+        ("lc", LC_AT_APEX),
+        # on a ray of the orthant, inside it, on the ray two cones share,
+        # and off the fan
+        ("lc", dict(LC_AT_APEX, point=[2, 0, 0])),
+        ("lc", dict(LC_AT_APEX, point=["1/2", 1, 3])),
+        ("lc", dict(LC_AT_APEX, point=[0, 0, 5])),
+        ("lc", dict(LC_AT_APEX, point=[-1, -1, -1])),
     ])
     def test_payloads(self, command, payload):
         assert _oracle_verdict(command, payload) is None
+
+    @pytest.mark.parametrize("payload", [TROPICAL, WIDE3],
+                             ids=["tropical", "wide3"])
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_lemma31_samples(self, payload, seed):
+        assert _oracle_verdict("check-lemma31", payload, "--sample", "6",
+                               "--seed", str(seed)) is None
 
     def test_flipped_q_exponent_caught(self):
         _, output = _answer("torus-mul", TORUS_MUL)
@@ -1157,6 +1185,36 @@ class TestJsonOracle:
                                     [[1, 0, -3], [0, 1, -1]]) \
             == "psi [-2, -1]: minimum attained twice is True, printed fan " \
                "member is False"
+
+    def test_wrong_local_cone_caught(self):
+        _, output = _answer("lc", LC_AT_APEX)
+        assert len(output["cones"]) == 3
+        for k in range(3):
+            dropped = dict(output, cones=output["cones"][:k]
+                           + output["cones"][k + 1:])
+            assert json_oracle.check_lc(LC_AT_APEX, dropped).endswith(
+                "the epsilon rule is True, printed fan member is False")
+        flipped = json.loads(json.dumps(output))
+        assert flipped["cones"][2]["ineq"][0] == [0, 0, 1]
+        flipped["cones"][2]["ineq"][0] = [0, 0, -1]
+        assert json_oracle.check_lc(LC_AT_APEX, flipped) \
+            == "y [0, 0, -2]: the epsilon rule is False, printed fan " \
+               "member is True"
+
+    def test_dropped_rhs_cone_caught(self):
+        _, output = _answer("check-lemma31", TROPICAL, "--sample", "6",
+                            "--seed", "11")
+        report = output["checks"][0]
+        assert report["chi"] == [-1, -1] and len(report["rhs"]["cones"]) == 1
+        dropped = json.loads(json.dumps(output))
+        dropped["checks"][0]["rhs"]["cones"] = []
+        assert json_oracle.check_lemma31(TROPICAL, dropped) \
+            == "check 0 rhs y [-2, -2]: minimum attained twice is True, " \
+               "printed fan member is False"
+        dropped["checks"][0]["rhs"] = report["rhs"]
+        dropped["all_equal"] = False
+        assert json_oracle.check_lemma31(TROPICAL, dropped) \
+            == "all_equal is False with 6 equal checks"
 
     def test_wrong_centre_caught(self):
         _, output = _answer("center", CENTER_RATIONAL)

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,6 +22,7 @@ from qtdelta.polyhedral import (
 )
 
 from oracles import (
+    canonical_hrep_oracle,
     dyadic_eps_agreement,
     edge_graph_oracle,
     extreme_rays_bruteforce,
@@ -603,7 +605,11 @@ class TestSelfChecks:
         monkeypatch.setattr(polyhedral, "_dd_pointed", negated)
         with pytest.raises(AssertionError, match="violates a constraint"):
             quadrant()
-        # the canonical H-representation's facets are checked too
+        # the canonical H-representation's facets, read off the raw rows
+        # with no double description, are checked too
+        into = polyhedral._into_complement
+        monkeypatch.setattr(polyhedral, "_into_complement", lambda *args: (
+            tuple(-x for x in into(*args))))
         with pytest.raises(AssertionError, match="violates a constraint"):
             cone.canonical_hrep()
 
@@ -908,6 +914,68 @@ class TestTangentCone:
             assert tangent.key == dd.key
             assert ((tangent._raw_eq, tangent._raw_ineq)
                     == (dd._raw_eq, dd._raw_ineq))
+
+
+@st.composite
+def _written_cone(draw):
+    """A drawn cone of a kind a written fan holds: a ``_planted_cone`` with
+    a duplicate and a scaled row planted too, a subspace, an edge cone of
+    drawn points, a segment's among them, a tangent cone of a planted cone
+    at its apex, its ray sum or a ray, or the preimage of a planted cone."""
+    kind = draw(st.sampled_from(
+        ["rows", "subspace", "edge", "segment", "tangent", "preimage"]))
+    if kind in ("edge", "segment", "subspace"):
+        n = draw(st.integers(2 if kind == "edge" else 1, 4))
+        vectors = st.tuples(*[st.integers(-2, 2)] * n)
+        if kind == "subspace":
+            pair = draw(vectors)
+            return Cone.from_constraints(
+                n, draw(st.lists(vectors, max_size=2)),
+                [pair, tuple(-x for x in pair)])
+        if kind == "edge":
+            points = draw(st.sets(vectors, min_size=3, max_size=7))
+        else:
+            d = draw(vectors.filter(any))
+            points = {tuple(t * x for x in d) for t in draw(
+                st.sets(st.integers(-3, 3), min_size=2, max_size=4))}
+        fan = polyhedral.edge_normal_fan(n, sorted(points))
+        return draw(st.sampled_from(fan.cones))
+    n, eqs, ineqs = draw(_planted_cone())
+    if ineqs:
+        a = draw(st.sampled_from(ineqs))
+        ineqs += [a, tuple(draw(st.integers(2, 3)) * x for x in a)]
+    cone = Cone.from_constraints(n, eqs, ineqs)
+    if kind == "tangent":
+        points = [(0,) * n, cone.relint_point()] + list(cone.rays)
+        return cone.tangent_cone(draw(st.sampled_from(points)))
+    if kind == "preimage":
+        m = draw(st.integers(1, 4))
+        matrix = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * m),
+                               min_size=n, max_size=n))
+        return preimage(Fan(n, [cone]), matrix, m).cones[0]
+    return cone
+
+
+def _no_double_description(*args):
+    raise AssertionError("a double description on the write path")
+
+
+class TestCanonicalHrep:
+    """``Cone.canonical_hrep``, read off the raw rows, against the double
+    dualization of ``canonical_hrep_oracle``, with ``_dd_pointed`` made to
+    raise so the library path takes no double description."""
+
+    @settings(PROPERTY, max_examples=300)
+    @given(cone=_written_cone())
+    # an implicit equality x = 0 as a pair, a redundant row and a segment
+    @example(cone=Cone.from_constraints(
+        3, (), [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 2, 1)]))
+    @example(cone=polyhedral.edge_normal_fan(2, [(0, 0), (2, 1)]).cones[0])
+    def test_against_the_double_dualization(self, cone):
+        expected = canonical_hrep_oracle(cone)
+        with mock.patch.object(polyhedral, "_dd_pointed",
+                               _no_double_description):
+            assert cone.canonical_hrep() == expected
 
 
 def _wide_supports():
