@@ -11,7 +11,11 @@ Two cones are equal as point sets iff they carry identical (rays, lineality)
 data, which gives cheap structural equality and hashing.  The tie cones of
 the edges of a polytope (``edge_normal_fan``) share one lineality and read
 their rays off its facets, found by one double description in the
-complement of that lineality; a segment's one tie cone is the hyperplane
+complement of that lineality.  The facets are checked, and their point
+incidence read, by evaluating each facet and each normal on every point at
+once: the points' coordinates are packed into the biased slots of one int
+per column, wide enough that no slot carries, so the sign and the zero
+test of every slot are exact.  A segment's one tie cone is the hyperplane
 orthogonal to it, with no rays, so it takes no double description.  A
 tangent cone reads its rays off the cone's own; every other cone takes one
 double description.
@@ -341,6 +345,25 @@ def _bits(mask):
         mask ^= low
 
 
+def _packed_zeros(row, packed, high, low):
+    """The zero slots of row . packed as a mask of their top bits, or None
+    when a slot is negative.
+
+    ``packed[t]`` holds column t of a matrix, entry i in slot i, the bits
+    iB to iB + B - 1, and ``high`` the top bit of every slot.  Each value v
+    of the row on a matrix row must lie in (-2^(B-1), 2^(B-1)).  Adding
+    ``high`` puts v + 2^(B-1), in [0, 2^B), in its slot with no carry or
+    borrow, so that slot's top bit is set iff v >= 0.  When every slot's is,
+    x ^ high holds each v in its slot, and adding ``low`` = 2^(B-1) - 1 per
+    slot sets the top bit iff v > 0, again with no carry (Lamport, "Multiple
+    byte processing with full-word instructions", CACM 18(8), 1975).
+    """
+    x = sum(map(mul, row, packed)) + high
+    if x & high != high:
+        return None
+    return high & ~((x ^ high) + low)
+
+
 def edge_normal_fan(dim, points):
     """Tie cones {chi : chi(u) = chi(v) <= chi(w), w in points} of the edges
     [u, v] of conv(points), pairwise distinct and all of dimension dim - 1,
@@ -349,7 +372,8 @@ def edge_normal_fan(dim, points):
     One double description over the (1, p_W), W the columns off the
     pivots of the lineality's RREF, gives the facets (f0, f), f0 + f.p >= 0,
     of conv(points), and ``on[b]``, the bitmask of the points tight on facet
-    b.  The points tight on every facet of a set are the AND of their
+    b, which one packed evaluation per facet gives (``_packed_zeros``).
+    The points tight on every facet of a set are the AND of their
     columns.  A point is a vertex iff that AND over its facets is
     the point alone, and two vertices span an edge iff the AND over the
     facets they share holds no third vertex (the smallest face holding both
@@ -361,7 +385,8 @@ def edge_normal_fan(dim, points):
     [u, v] on that facet.  The cone at u is cut out by the rows w - u of u's
     neighbours w in the edge graph alone: a vertex minimal among its
     neighbours is minimal on the polytope (Ziegler, Lectures on Polytopes,
-    Lecture 3).
+    Lecture 3).  Each edge's primitive direction is computed once and gives
+    its equality and the rows at both of its ends.
 
     When the lineality has dimension dim - 1, conv(points) is a segment
     [u, v], u before v in input order, its ends the points extreme along
@@ -393,36 +418,59 @@ def edge_normal_fan(dim, points):
     # zeros off W, is a facet of the cone over the (1, p).
     cols = [0] + [j + 1 for j in range(dim) if j not in pivots]
     hull = [(1,) + tuple([p[j - 1] for j in cols[1:]]) for p in points]
-    facets = [lift_columns(f, cols, dim + 1)
-              for f in _dd_pointed(hull, len(cols))]
-    normals = [_into_complement(f[1:], rows, pivots) for f in facets]
-    # The incidence is recomputed by dot products, not read off the double
-    # description, because this pass is also the check of the facets.
+    facets = _dd_pointed(hull, len(cols))
+    normals = [_into_complement(lift_columns(f, cols, dim + 1)[1:], rows,
+                                pivots) for f in facets]
+    # the normals vanish on the pivots: each is a row over the hull's
+    # columns, 0 on the column of ones
+    normals_w = [(0,) + tuple([r[j - 1] for j in cols[1:]]) for r in normals]
+    # The incidence is recomputed, not read off the double description,
+    # because this pass is also the check of the facets.  Column t of the
+    # hull is packed into one int, slot i of width B holding the entry of
+    # point i, so a row c over the columns takes the value c.(1, p) of every
+    # point p in |W| + 1 multiply-adds (_packed_zeros).  With K the largest
+    # |c_0| and sum |c_t| max|p_t| over t >= 1 among the facets and normals,
+    # every value of a facet or of a normal rebased at a point lies in
+    # [-2K, 2K], and 2K < 2^(B - 1) for B = bitlength(K) + 2.
+    columns = list(zip(*hull))
+    sizes = [0] + [max(map(abs, column)) for column in columns[1:]]
+    bound = max(max(abs(c[0]), sum(map(mul, map(abs, c), sizes)))
+                for c in [*facets, *normals_w])
+    width = bound.bit_length() + 2
+    ones = sum(1 << (i * width) for i in range(len(points)))
+    high = ones << (width - 1)
+    low = high - ones
+    packed = [sum(x << (i * width) for i, x in enumerate(column))
+              for column in columns]
     on = []
     tight = [0] * len(points)
     meet = [(1 << len(points)) - 1] * len(points)
-    for b, (f, r) in enumerate(zip(facets, normals)):
-        f0, f = f[0], f[1:]
-        values = [f0 + sum(map(mul, f, p)) for p in points]
-        if min(values) < 0:
+    for b, (f, r) in enumerate(zip(facets, normals_w)):
+        zeros = _packed_zeros(f, packed, high, low)
+        if zeros is None:
             raise AssertionError("facet inequality cuts off a point")
-        zeros = [i for i, v in enumerate(values) if not v]
-        values = [sum(map(mul, r, p)) for p in points]
-        low = min(values)
-        if [i for i, v in enumerate(values) if v == low] != zeros:
+        points_on = [k // width for k in _bits(zeros)]
+        # r is minimal exactly on the facet iff r.(p - z) >= 0 for every
+        # point p, with equality on the facet's points alone, z the first
+        if not points_on or _packed_zeros(
+                (-dot(r, hull[points_on[0]]),) + r[1:], packed, high,
+                low) != zeros:
             raise AssertionError("facet normal not minimal on its facet")
-        mask = sum([1 << i for i in zeros])
+        mask = sum([1 << i for i in points_on])
         on.append(mask)
-        for i in zeros:
+        for i in points_on:
             tight[i] |= 1 << b
             meet[i] &= mask
     vmask = sum(1 << i for i, m in enumerate(meet) if m == 1 << i)
     vertices = list(_bits(vmask))
     # an edge is a 2-face of the cone over the (1, p), on facets of rank
-    # one less than the polytope's dimension
+    # one less than the polytope's dimension.  The primitive direction d of
+    # an edge [u, v], u first, gives its equality -d, the row v - u = d of
+    # u's neighbour v and the row u - v = -d of v's neighbour u; each vertex
+    # gets its rows in ascending order of the neighbour.
     need = dim - len(lineality) - 1
     edges = []
-    nbrs = [0] * len(points)
+    steps = [[] for _ in points]
     for x, i in enumerate(vertices):
         for j in vertices[x + 1:]:
             common = tight[i] & tight[j]
@@ -432,21 +480,19 @@ def edge_normal_fan(dim, points):
             for b in _bits(common):
                 pts &= on[b]
             if pts == (1 << i) | (1 << j):
-                edges.append((i, j, common))
-                nbrs[i] |= 1 << j
-                nbrs[j] |= 1 << i
-    # The rows w - u, w a neighbour of u, normalised once per vertex u and
-    # shared by its edges [u, v] to later vertices v: v - u >= 0 is implied
-    # by the equality u - v = 0.
-    ineq = {i: _norm_constraints(
-                [tuple(a - b for a, b in zip(points[w], points[i]))
-                 for w in _bits(nbrs[i])], dim)
-            for i in {e[0] for e in edges}}
+                d = vec_primitive([q - p for p, q in zip(points[i],
+                                                         points[j])])
+                back = tuple([-y for y in d])
+                steps[i].append(d)
+                steps[j].append(back)
+                edges.append((i, back, common))
+    # The rows w - u, w a neighbour of u, are shared by the edges [u, v] to
+    # later vertices v: v - u >= 0 is implied by the equality u - v = 0.
+    ineq = {i: tuple(steps[i]) for i, _, _ in edges}
     cones = []
-    for i, j, common in edges:
-        eq = (vec_primitive([a - b for a, b in zip(points[i], points[j])]),)
+    for i, eq, common in edges:
         rays = tuple(sorted(normals[b] for b in _bits(common)))
-        cone = Cone(dim, rays, lineality, eq, ineq[i])
+        cone = Cone(dim, rays, lineality, (eq,), ineq[i])
         cone._dim = dim - 1  # known, so no rank is computed for it
         cones.append(cone)
     return Fan.irredundant(dim, cones)

@@ -34,6 +34,12 @@ checks test membership in them point by point.
   hold an integer y of [-2, 2]^n iff the minimum of y over the
   chi-minimal support points is attained at least twice, and every
   verdict says equal.
+- ``check-dim``: for every printed character chi, chi_rank is 1 for chi
+  nonzero and 0 otherwise; delta_dim is n - 1 when the support has two or
+  more points, and -1 otherwise; tc_dim is n - chi_rank - 1 when the
+  chi-minimal support has two or more points, and -1 otherwise; holds says
+  whether chi_rank + tc_dim = delta_dim, and all_hold whether every report
+  does, with the first that does not as the witness.
 - ``center``: the printed subspace basis is in reduced row echelon form,
   every row v has v^T Phi_k = 0 for every form, its dimension is n minus the
   rank of the forms stacked, and the printed lattice has that rank.
@@ -199,6 +205,38 @@ def check_lemma31(payload, output, box=2):
     if output.get("all_equal") is not True or "witness" in output:
         return f"all_equal is {output.get('all_equal')!r} with " \
                f"{len(output['checks'])} equal checks"
+    return None
+
+
+def check_dim(payload, output):
+    """Each printed dimension report against the relator's support.  A
+    Delta set of two or more points is a union of tie cones
+    {chi(a) = chi(b) <= chi(c)}, the top ones of dimension n - 1, and the
+    trailing Delta set at chi is that of the chi-minimal support inside
+    ker chi, of rank n - chi_rank."""
+    n = payload["relator"]["rank"]
+    support = list(_element(payload["relator"]))
+    reports = output["checks"]
+    for k, report in enumerate(reports):
+        chi = [Fraction(x) for x in report["chi"]]
+        low = min(_dot(chi, a) for a in support)
+        ties = sum(_dot(chi, a) == low for a in support)
+        expected = {"chi_rank": 1 if any(chi) else 0,
+                    "delta_dim": n - 1 if len(support) >= 2 else -1}
+        expected["tc_dim"] = (n - expected["chi_rank"] - 1 if ties >= 2
+                              else -1)
+        expected["holds"] = (expected["chi_rank"] + expected["tc_dim"]
+                             == expected["delta_dim"])
+        for key, want in expected.items():
+            if report.get(key) != want:
+                return f"check {k} {key} is {report.get(key)!r}, expected " \
+                       f"{want!r}"
+    failed = [r for r in reports if not r["holds"]]
+    if output.get("all_hold") is not (not failed):
+        return f"all_hold is {output.get('all_hold')!r}, expected " \
+               f"{not failed}"
+    if output.get("witness") != (failed[0] if failed else None):
+        return "the witness is not the first report that fails"
     return None
 
 

@@ -304,6 +304,19 @@ def edge_graph_oracle(n, points):
     return edges, neighbours
 
 
+def edge_rows_oracle(n, points):
+    """The raw rows of the edge cones that ``edge_graph_oracle`` finds:
+    ``{key: (equalities, inequalities)}``, the equality u - v of the edge
+    [u, v], u its first vertex, and the rows w - u of u's neighbours w in
+    ascending order, each primitive."""
+    edges, neighbours = edge_graph_oracle(n, points)
+    return {key: (cone._raw_eq,
+                  tuple(vec_primitive([a - b for a, b in zip(points[w],
+                                                             points[i])])
+                        for w in sorted(neighbours[i])))
+            for key, (i, cone) in edges.items()}
+
+
 def local_cone_eps_oracle(fan, x, y):
     """Exact decision of `x + eps*y in fan for all small eps >= 0`.
 

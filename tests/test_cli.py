@@ -951,6 +951,7 @@ ORACLE = {"delta": json_oracle.check_delta,
           "torus-mul": json_oracle.check_torus_mul,
           "lc": json_oracle.check_lc,
           "check-lemma31": json_oracle.check_lemma31,
+          "check-dim": json_oracle.check_dim,
           "center": json_oracle.check_center,
           "abelian-split": json_oracle.check_abelian_split}
 CLI_CASES = json.loads((SRC.parent / "perfbench" / "cli_cases.json")
@@ -1150,6 +1151,12 @@ class TestJsonOracle:
         assert _oracle_verdict("check-lemma31", payload, "--sample", "6",
                                "--seed", str(seed)) is None
 
+    @pytest.mark.parametrize("payload", [TWISTED, WIDE3],
+                             ids=["twisted", "wide3"])
+    def test_dimension_samples(self, payload):
+        assert _oracle_verdict("check-dim", payload, "--sample", "6",
+                               "--seed", "3") is None
+
     def test_flipped_q_exponent_caught(self):
         _, output = _answer("torus-mul", TORUS_MUL)
         output["terms"][0]["coeff"][0]["qexp"][0] *= -1
@@ -1215,6 +1222,22 @@ class TestJsonOracle:
         dropped["all_equal"] = False
         assert json_oracle.check_lemma31(TROPICAL, dropped) \
             == "all_equal is False with 6 equal checks"
+
+    def test_wrong_dimension_caught(self):
+        _, output = _answer("check-dim", TROPICAL, "--sample", "2")
+        assert [r["tc_dim"] for r in output["checks"]] == [0, 0]
+
+        def verdict(**changes):
+            wrong = json.loads(json.dumps(output))
+            wrong.update(changes.pop("top", {}))
+            wrong["checks"][1].update(changes)
+            return json_oracle.check_dim(TROPICAL, wrong)
+
+        assert verdict(tc_dim=1) == "check 1 tc_dim is 1, expected 0"
+        assert verdict(holds=False) \
+            == "check 1 holds is False, expected True"
+        assert verdict(top={"all_hold": False}) \
+            == "all_hold is False, expected True"
 
     def test_wrong_centre_caught(self):
         _, output = _answer("center", CENTER_RATIONAL)

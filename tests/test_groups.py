@@ -193,6 +193,14 @@ class TestStructureReport:
         with pytest.raises(AssertionError, match="not surjective"):
             structure_report(add_cyclic(heisenberg(1)), seed=0)
 
+    def test_block_ranks_check(self, monkeypatch):
+        # a block that claims one rank more than its lattice has
+        monkeypatch.setattr(groups, "HeisenbergBlock", lambda rank, *rest:
+                            HeisenbergBlock(rank + 1, *rest))
+        with pytest.raises(AssertionError,
+                           match="block ranks inconsistent with the ambient "
+                                 "rank"):
+            structure_report(heisenberg(1), seed=0)
 
 class TestRecords:
     @settings(max_examples=60, derandomize=True, database=None,

@@ -25,6 +25,7 @@ from oracles import (
     canonical_hrep_oracle,
     dyadic_eps_agreement,
     edge_graph_oracle,
+    edge_rows_oracle,
     extreme_rays_bruteforce,
     fans_distinguishable,
     local_cone_eps_oracle,
@@ -1080,6 +1081,73 @@ class TestSegmentFans:
             for y in directions + [tuple(a + b for a, b in zip(step, w))
                                    for w in cone.lineality[:1]]:
                 assert lc.member(y) == local_cone_eps_oracle(all_rows, x, y)
+
+
+@st.composite
+def _scaled_support(draw):
+    """3 to 9 distinct points in Z^n, 2 <= n <= 5, in drawn order: the images
+    q E of distinct points q of [-s, s]^d, 2 <= d <= n, for one scale s of 3,
+    10^6 and 2^80, with E = [I_d | F] up to a drawn column order and F a
+    drawn matrix with entries in [-1, 1].  E is injective, so the support
+    has the affine dimension of the q, d or less."""
+    n = draw(st.integers(2, 5))
+    d = draw(st.integers(2, n))
+    s = draw(st.sampled_from([3, 10 ** 6, 2 ** 80]))
+    qs = draw(st.lists(st.tuples(*[st.integers(-s, s)] * d), min_size=3,
+                       max_size=9, unique=True))
+    F = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * (n - d)),
+                      min_size=d, max_size=d))
+    order = draw(st.permutations(range(n)))
+    points = []
+    for q in qs:
+        p = q + tuple(sum(c * f[j] for c, f in zip(q, F))
+                      for j in range(n - d))
+        points.append(tuple(p[t] for t in order))
+    return n, draw(st.permutations(points))
+
+
+def _kite(m):
+    """A quadrilateral on which the row (1, 1, 1) over (1, x, y) takes -1
+    at (-1, -1) and 2m + 1 at (m, m), whose x + y is at its bound 2m."""
+    return [(-1, -1), (m, m), (m, 0), (0, m)]
+
+
+class TestPackedIncidence:
+    """``edge_normal_fan`` evaluates each facet and each rebased normal on
+    every point at once, the values packed into the slots of one int; its
+    fans must be those of the tie cones over all support points, for
+    coordinates small and huge and supports of every affine dimension."""
+
+    @settings(max_examples=200, derandomize=True, database=None,
+              deadline=None)
+    @given(drawn=_scaled_support())
+    @example(drawn=(2, _kite(2 ** 80)))
+    @example(drawn=(2, _kite(3)[::-1]))
+    # a square whose facet values reach 2K, K = 3: B = 3 would overflow
+    @example(drawn=(2, [(3, 3), (-3, -3), (3, -3), (-3, 3), (0, 0)]))
+    @example(drawn=(3, [(0, 0, 0), (2 ** 80, 0, 0), (0, 2 ** 80, 0),
+                        (0, 0, 2 ** 80), (1, 1, 1)]))
+    def test_against_the_edge_graph(self, drawn):
+        n, points = drawn
+        fan = polyhedral.edge_normal_fan(n, points)
+        assert {c.key: (c._raw_eq, c._raw_ineq) for c in fan.cones} \
+            == edge_rows_oracle(n, points)
+        for cone in fan.cones:
+            assert cone.dim == matrix_rank(cone.rays + cone.lineality) \
+                == n - 1
+
+    @pytest.mark.parametrize("m", [3, 2 ** 80])
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_planted_facet_cuts_off_one_point(self, monkeypatch, m, order):
+        # the row (1, 1, 1) is -1 in one slot and past K in the next, where
+        # a borrow would land; without it the fan is built
+        points = _kite(m)[::order]
+        assert len(polyhedral.edge_normal_fan(2, points).cones) == 4
+        dd = polyhedral._dd_pointed
+        monkeypatch.setattr(polyhedral, "_dd_pointed",
+                            lambda *args: dd(*args) + ((1, 1, 1),))
+        with pytest.raises(AssertionError, match="cuts off a point"):
+            polyhedral.edge_normal_fan(2, points)
 
 
 # ---------------------------------------------------------------------------

@@ -587,6 +587,17 @@ class TestDecomposeAbelian:
             assert 2 * p.dim == b.dim
 
 
+    def test_identity_check(self, monkeypatch):
+        # each block taken whole as its component: they span Q^4, not U
+        phi = two_block_form()
+        base = compute_symplectic_base(phi, seed=0)
+        U = Subspace.from_rows(4, [(1, 0, 0, 0), (0, 0, 1, 0)])
+        monkeypatch.setattr(symplectic, "subspace_intersection",
+                            lambda space, block: block)
+        with pytest.raises(AssertionError,
+                           match="abelian decomposition identity failed"):
+            decompose_abelian(phi, base, U)
+
 class TestCheckAmple:
     def test_plane_with_two_lines(self):
         phi = J_map(2)
@@ -770,6 +781,16 @@ class TestIntegerKernel:
             shifted = [[(lam if i == j else 0) - M[i][j] for j in range(d)]
                        for i in range(d)]
             assert value == det_fraction(shifted)
+
+    def test_charpoly_division_check(self, monkeypatch):
+        # a product of integer matrices made to halve: the trace recursion's
+        # division by k = 1 leaves a remainder
+        times = symplectic.row_times
+        monkeypatch.setattr(symplectic, "row_times", lambda row, N: [
+            Fraction(x, 2) for x in times(row, N)])
+        with pytest.raises(AssertionError,
+                           match="inexact division in the trace recursion"):
+            _charpoly([[1]])
 
 
 # ---------------------------------------------------------------------------
