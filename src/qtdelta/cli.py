@@ -5,6 +5,12 @@ fails (the report carries a witness), 2 on malformed input or bad usage
 (an unreadable ``--input`` or unwritable ``--output`` included), 3 on an
 internal failure (a failed self-check), reported on stderr only.
 
+Answers are exact at any size: an int in the output may have more digits
+than the interpreter's limit on int-string conversion (4300 by default
+where there is one), which is lifted while the answer is written.  The
+limit still holds on input, so a number of more than 4300 digits in the
+input exits 2.
+
 Each ``cmd_*`` maps the parsed arguments and the loaded JSON to
 ``(result, passed)``, the result a value; :func:`main` alone loads the
 input, writes ``jsonio.to_json(result)`` and turns the verdict, or an
@@ -39,12 +45,23 @@ def _load(args):
 
 
 def _emit(args, result):
-    payload = jsonio.to_json(result)
-    if args.format == "pretty":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        text = json.dumps(payload, sort_keys=True,
-                          separators=(",", ":")) + "\n"
+    # the answer is exact at any size: the interpreter's limit on int-string
+    # conversion, where it has one, is lifted for this conversion only and
+    # restored after, since in-process callers share it
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        payload = jsonio.to_json(result)
+        if args.format == "pretty":
+            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        else:
+            text = json.dumps(payload, sort_keys=True,
+                              separators=(",", ":")) + "\n"
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -21,6 +21,17 @@ one-relator module over B whose Delta set describes the local cone of the
 ambient Delta set at chi.  The checkers in this module verify that identity,
 the dimension identity and the induced-module law on concrete instances.
 
+``check_lemma31`` computes its two sides independently.  The local cone
+comes from the membership of chi in the cones of the module's Delta fan.
+The pullback comes from the count of chi-minimal support points: when chi
+attains its minimum over S only once, chi is off the Delta set, the
+initial form is a single term, and its Delta set and that set's pullback
+are empty, so no initial form is built.  An empty local cone never
+decides the pullback side, or the check would compare a fan with itself.
+``tc_delta`` and ``check_induced`` still build the initial form: the first
+returns a fan in the coordinates of the kernel lattice, and in the second
+both sides would come from the one count, which would make it vacuous.
+
 Every question asked of chi here (membership, tangent cones, the
 chi-minimal face, ker chi) depends only on its positive ray, so the
 checkers pass ``Character.ray``, the primitive integer vector on that ray,
@@ -172,13 +183,24 @@ def initial_form(module: OneRelatorModule, chi: Character) -> InitialFormResult:
     if chi.n != module.rank:
         raise ValueError("character of wrong length")
     ray = chi.ray
-    cache = module._initial_forms
-    if ray in cache:
-        return cache[ray]
-    r = module.relator
-    values = {a: dot(ray, a) for a in r._terms}
+    init = module._initial_forms.get(ray)
+    if init is None:
+        init = _initial_form(module, ray,
+                             _minimal_support(module.relator, ray))
+    return init
+
+
+def _minimal_support(relator, ray):
+    """The support points of the relator at which the ray is minimal."""
+    values = {a: dot(ray, a) for a in relator._terms}
     minimum = min(values.values())
-    min_support = [a for a, v in values.items() if v == minimum]
+    return [a for a, v in values.items() if v == minimum]
+
+
+def _initial_form(module, ray, min_support):
+    """``initial_form`` at the ray, given its minimal support points; the
+    result goes into the module's cache."""
+    r = module.relator
     trimmed = torus.QTorusElement._trusted(
         r.rank, r.s, {a: r._terms[a] for a in min_support})
     inverse = torus.monomial_inverse(min(min_support), r.s, module.cocycle)
@@ -187,9 +209,9 @@ def initial_form(module: OneRelatorModule, chi: Character) -> InitialFormResult:
     restricted = _in_coordinates(shifted, B)
     if restricted is None:
         raise AssertionError("initial form support escaped the kernel lattice")
-    cache[ray] = InitialFormResult._trusted(restricted,
-                                            module.cocycle.restrict(B), B)
-    return cache[ray]
+    result = module._initial_forms[ray] = InitialFormResult._trusted(
+        restricted, module.cocycle.restrict(B), B)
+    return result
 
 
 def tc_delta(module: OneRelatorModule, chi: Character) -> Fan:
@@ -207,13 +229,33 @@ class LocalConeReport(Record):
 
 def check_lemma31(module: OneRelatorModule, chi: Character) -> LocalConeReport:
     """Compare the local cone of the Delta set at chi with the pullback of
-    the trailing-coefficient Delta set along the restriction to ker chi."""
-    fan = delta_set(module)
-    lhs = polyhedral.local_cone(fan, chi.ray)
-    init = initial_form(module, chi)
-    rhs = polyhedral.preimage(delta_set(init), init.kernel.basis,
-                              domain_dim=module.rank)
+    the trailing-coefficient Delta set along the restriction to ker chi.
+
+    The two sides are computed independently.  The local cone comes from
+    the membership of chi in the cones of the module's Delta fan.  The
+    pullback comes from the chi-minimal support points: when there is only
+    one, the initial form is a single term, whose Delta set is empty, and
+    so is its pullback (the empty fan that ``preimage`` returns for it), so
+    no initial form is built.  Otherwise chi is evaluated on the support
+    once, for both the count and the initial form.  The pullback is never
+    read off an empty local cone."""
+    lhs = polyhedral.local_cone(delta_set(module), chi.ray)
+    rhs = _pullback(module, chi.ray)
     return LocalConeReport(chi, lhs, rhs, polyhedral.fan_equal(lhs, rhs))
+
+
+def _pullback(module, ray):
+    """The trailing-coefficient Delta set at the ray, pulled back to the
+    characters of the module's lattice."""
+    init = module._initial_forms.get(ray)
+    if init is None:
+        min_support = _minimal_support(module.relator, ray)
+        if len(min_support) == 1:
+            # a single term has an empty Delta set, and so an empty pullback
+            return Fan(module.rank)
+        init = _initial_form(module, ray, min_support)
+    return polyhedral.preimage(delta_set(init), init.kernel.basis,
+                               domain_dim=module.rank)
 
 
 class DimReport(Record):

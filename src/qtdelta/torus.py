@@ -79,7 +79,12 @@ def _normalize_coeff(coeff):
         f = as_rational(c)
         if f:
             key = tuple(as_int(e) for e in qexp)
-            out[key] = out.get(key, 0) + f
+            # a fresh entry takes f itself: 0 + f would dispatch to
+            # Fraction.__radd__ for no change in value or type
+            if key in out:
+                out[key] += f
+            else:
+                out[key] = f
     return {k: v for k, v in out.items() if v}
 
 

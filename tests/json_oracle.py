@@ -1,15 +1,15 @@
 """Checks of CLI answers against their inputs that read JSON only.
 
 Each ``check_<command>(payload, output)`` takes the parsed input payload and
-the parsed stdout of one CLI run and returns None when the output answers
-the input, or a one-line reason when it does not.  The checks follow the
-definitions, not the library's algorithms, and this module imports the
-standard library only (``tests/test_surface.py`` guards that), so no code
-path of ``qtdelta`` is shared with what it checks (McKeeman, "Differential
-Testing for Software", Digital Technical Journal 10(1), 1998).  A printed
-fan is read as the canonical H-representations of its cones, which the
-library reads off each cone's raw rows with no double description; the
-checks test membership in them point by point.
+the stdout of one CLI run, parsed by ``read``, and returns None when the
+output answers the input, or a one-line reason when it does not.  The
+checks follow the definitions, not the library's algorithms, and this
+module imports the standard library only (``tests/test_surface.py`` guards
+that), so no code path of ``qtdelta`` is shared with what it checks
+(McKeeman, "Differential Testing for Software", Digital Technical Journal
+10(1), 1998).  A printed fan is read as the canonical H-representations
+of its cones, which the library reads off each cone's raw rows with no
+double description; the checks test membership in them point by point.
 
 - ``torus-mul``: the naive product, term by term, from
   x^a x^b = q^(a B b) x^(a+b), every parameter exponent padded with zeros
@@ -50,8 +50,26 @@ checks test membership in them point by point.
 """
 
 import itertools
+import json
 import math
+import sys
 from fractions import Fraction
+
+
+def read(text):
+    """A CLI answer parsed from its JSON text.  An exact answer may hold an
+    int of more digits than the interpreter's limit on int-string
+    conversion, so the limit, where there is one, is lifted for the parse
+    and restored after, since the whole process shares it."""
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        return json.loads(text)
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
 
 
 def _nonzero(terms):

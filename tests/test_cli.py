@@ -742,6 +742,57 @@ class TestErrorHandling:
         assert err == "qtdelta: internal error: AssertionError: identity failed\n"
 
 
+# a 3001-digit coefficient: every input number is under the interpreter's
+# 4300-digit limit on int-string conversion, the 6001-digit coefficient of
+# the product is over it
+BIG = 10 ** 3000 + 7
+
+
+def _digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+class TestDigitLimit:
+    """An exact answer is written whatever its size; the limit holds on
+    input and is restored for the rest of the process."""
+
+    @pytest.mark.parametrize("coeff", [BIG, str(BIG)], ids=["int", "string"])
+    def test_answer_past_the_limit(self, coeff):
+        term = {"qexp": [0], "c": coeff}
+        payload = dict(
+            TORUS_MUL,
+            a=dict(TORUS_MUL["a"], terms=[{"exp": [1, 0], "coeff": [term]}]),
+            b=dict(TORUS_MUL["b"], terms=[{"exp": [0, 1], "coeff": [term]}]))
+        limit = _digit_limit()
+        code, output = _answer("torus-mul", payload)
+        assert code == 0
+        assert output["terms"] == [
+            {"exp": [1, 1], "coeff": [{"qexp": [1], "c": BIG * BIG}]}]
+        assert json_oracle.check_torus_mul(payload, output) is None
+        assert _digit_limit() == limit
+
+    def test_limit_restored_after_a_failed_write(self, monkeypatch, capsys):
+        def failing_writer(value):
+            raise AssertionError("writer failed")
+
+        monkeypatch.setattr(cli.jsonio, "to_json", failing_writer)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(TORUS_MUL)))
+        limit = _digit_limit()
+        assert main(["torus-mul"]) == 3
+        assert capsys.readouterr().out == ""
+        assert _digit_limit() == limit
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="the interpreter has no int-string limit")
+    def test_input_past_the_limit_exit_two(self, capsys):
+        digits = "1" + "0" * 4300
+        text = json.dumps(TORUS_MUL).replace('"c": 1', f'"c": {digits}', 1)
+        with mock.patch.object(sys, "stdin", io.StringIO(text)):
+            assert main(["torus-mul"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "4300 digits" in err
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self):
         cases = [
@@ -964,7 +1015,7 @@ def _answer(command, payload, *flags):
     with mock.patch.object(sys, "stdin", stdin), \
             contextlib.redirect_stdout(stdout):
         code = main([command, *flags])
-    return code, json.loads(stdout.getvalue() or "null")
+    return code, json_oracle.read(stdout.getvalue() or "null")
 
 
 def _oracle_verdict(command, payload, *flags):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -38,6 +39,7 @@ from oracles import (
     edge_rows_oracle,
     exposed_faces_bruteforce,
     extreme_rays_bruteforce,
+    local_cone_eps_oracle,
     random_character,
     random_cocycle,
     random_relator,
@@ -664,6 +666,76 @@ class TestCheckerProperties:
 
 
 POSITIVE = st.builds(Fraction, st.integers(1, 6), st.integers(1, 6))
+
+
+def _pullback_reference(module, chi):
+    """The local-cone report built the long way, on a fresh module: the
+    pullback of the initial form's Delta set, whatever chi is."""
+    fresh = OneRelatorModule(module.relator, module.cocycle)
+    init = initial_form(fresh, chi)
+    lhs = polyhedral.local_cone(delta_set(fresh), chi.ray)
+    rhs = polyhedral.preimage(delta_set(init), init.kernel.basis,
+                              domain_dim=module.rank)
+    return LocalConeReport(chi, lhs, rhs, fan_equal(lhs, rhs))
+
+
+class TestOnePointFace:
+    """At a character whose minimum over the support is attained once, the
+    pullback side of Lemma 3.1 is the empty fan, read off the count of
+    minimal support points with no initial form built."""
+
+    @PROPERTY
+    @given(module=_free_modules(), data=st.data())
+    def test_against_the_initial_form(self, module, data):
+        n = module.rank
+        # signed powers of 5 separate the points of [-2, 2]^n, so this
+        # character is minimal at one support point only
+        powers = data.draw(st.permutations(range(n)))
+        signs = data.draw(st.tuples(*[st.sampled_from((1, -1))] * n))
+        generic = Character(tuple(data.draw(POSITIVE) * e * 5 ** k
+                                  for e, k in zip(signs, powers)))
+        values = [dot(generic.ray, a) for a in module.relator.support]
+        assert values.count(min(values)) == 1
+        fan = delta_set(module)
+        directions = list(itertools.product(range(-1, 2), repeat=n))
+        for chi in [generic] + _characters(data.draw, module):
+            report = check_lemma31(module, chi)
+            assert report == _pullback_reference(module, chi)
+            assert report.equal
+            for y in directions:
+                expected = local_cone_eps_oracle(fan, chi.ray, y)
+                assert report.lhs.member(y) == expected
+                assert report.rhs.member(y) == expected
+
+    @pytest.mark.parametrize("support,chi", [
+        ([(2, -1)], (0, 0)),
+        ([(2, -1)], (1, -3)),
+        ([(0, 0), (1, 0), (0, 1)], (1, 1)),
+        ([(0, 0), (1, 0), (0, 1)], (-1, 2)),
+        ([(0, 0), (1, 0), (0, 1)], (Fraction(1, 2), Fraction(-3, 2))),
+    ], ids=["monomial-zero", "monomial", "line-vertex-0", "line-vertex-x",
+            "line-rational"])
+    def test_off_delta_builds_no_initial_form(self, monkeypatch, support,
+                                              chi):
+        calls = []
+        for owner, name in ((delta, "initial_form"), (delta, "kernel_lattice"),
+                            (torus, "multiply")):
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(owner, name, counted)
+        m = module_from_support(support, 2)
+        report = check_lemma31(m, Character(chi))
+        assert report.equal and report.lhs.is_empty and report.rhs.is_empty
+        assert report.rhs == Fan(2)
+        assert calls == []
+        assert m._initial_forms == {}
+        # on the Delta set the initial form is built, so the count is live
+        if len(support) > 1:
+            assert check_lemma31(m, Character((0, 1))).equal
+            assert "multiply" in calls and "kernel_lattice" in calls
 
 
 class TestCharacterRay:
