@@ -105,13 +105,12 @@ def _sample_mixed(module, count, seed):
 
 def _sample_top_cones(module, count, seed):
     """Relative-interior points of the top-dimensional Delta cones, in
-    turn."""
-    full = delta.delta_set(module)
-    dim = polyhedral.fan_dim(full)
-    top = [i for i, c in enumerate(full.cones) if c.dim == dim]
-    if not top:
+    turn.  Every Delta cone is an edge cone of dimension n - 1, so these
+    are all of the Delta cones."""
+    cones = len(delta.delta_set(module).cones)
+    if not cones:
         raise ValueError("the Delta set is empty; nothing to sample")
-    return [delta.sample_delta_point(module, top[i % len(top)], seed + i)
+    return [delta.sample_delta_point(module, i % cones, seed + i)
             for i in range(count)]
 
 

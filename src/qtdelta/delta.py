@@ -134,11 +134,6 @@ class OneRelatorModule(Record):
         # initial_form's results by character ray, per object like the fan
         return {}
 
-    @cached_property
-    def _inner_modules(self):
-        # check_induced's module inside A1, by A1's basis, per object
-        return {}
-
 
 def delta_set(module: OneRelatorModule) -> Fan:
     """Delta set of the module: the union over pairs a != b of the relator
@@ -271,10 +266,11 @@ class DimReport(Record):
 
 def check_dim_identity(module: OneRelatorModule, chi: Character) -> DimReport:
     """Verify rank(chi) + dim Delta(TC_chi) = dim Delta at a character in
-    the closure of the regular part of the Delta set."""
+    the closure of the regular part of the Delta set.  Every cone of the
+    Delta fan is an edge cone of dimension n - 1, so the fan is its own
+    regular part and membership is read off the fan itself."""
     fan = delta_set(module)
-    star = polyhedral.delta_star(fan)
-    if not star.member(chi.ray):
+    if not fan.member(chi.ray):
         raise ValueError("character outside the regular part of the Delta set")
     tc = tc_delta(module, chi)
     return DimReport(chi, chi.rank, polyhedral.fan_dim(tc),
@@ -286,20 +282,19 @@ def check_induced(module: OneRelatorModule, sublattice: Sublattice,
     """Induced-module law: the trailing-coefficient Delta set of a relator
     supported in a saturated sublattice A1 equals the pullback, along the
     restriction of ker(chi) to ker(chi) - cap - A1, of the one computed
-    inside A1 at the restricted character.  The module inside A1 is built
-    once per module object and A1; a rejected A1 raises on every call."""
+    inside A1 at the restricted character.  Each call checks that A1 is
+    saturated and holds the relator's support, and builds the module
+    inside A1."""
     if sublattice.ambient_rank != module.rank:
         raise ValueError("sublattice ambient rank mismatch")
+    if saturate(sublattice) != sublattice:
+        raise ValueError("sublattice must be saturated")
+    inner_relator = _in_coordinates(module.relator, sublattice)
+    if inner_relator is None:
+        raise ValueError("relator support outside the sublattice")
+    inner_module = OneRelatorModule._trusted(
+        inner_relator, module.cocycle.restrict(sublattice))
     H1 = sublattice.basis
-    inner_module = module._inner_modules.get(H1)
-    if inner_module is None:
-        if saturate(sublattice) != sublattice:
-            raise ValueError("sublattice must be saturated")
-        inner_relator = _in_coordinates(module.relator, sublattice)
-        if inner_relator is None:
-            raise ValueError("relator support outside the sublattice")
-        inner_module = module._inner_modules[H1] = OneRelatorModule._trusted(
-            inner_relator, module.cocycle.restrict(sublattice))
     chi1 = Character(tuple(dot(chi.ray, h) for h in H1))
 
     init = initial_form(module, chi)
@@ -321,13 +316,14 @@ def check_induced(module: OneRelatorModule, sublattice: Sublattice,
 def generic_for(module: OneRelatorModule, chi: Character,
                 space: Subspace) -> bool:
     """True iff the local cone of the regular part at chi lies inside the
-    subspace.  The character itself must belong to the subspace."""
+    subspace.  The character itself must belong to the subspace.  Every
+    cone of the Delta fan is an edge cone of dimension n - 1, so the fan is
+    its own regular part."""
     if space.ambient_dim != module.rank:
         raise ValueError("subspace of wrong dimension")
     if not space.contains_vector(chi.ray):
         raise ValueError("character outside the subspace")
-    star = polyhedral.delta_star(delta_set(module))
-    lc = polyhedral.local_cone(star, chi.ray)
+    lc = polyhedral.local_cone(delta_set(module), chi.ray)
     return all(space.contains(c.span()) for c in lc.cones)
 
 

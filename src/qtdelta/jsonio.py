@@ -29,39 +29,36 @@ def rational_to_json(x):
     return f"{x.numerator}/{x.denominator}"
 
 
-def to_json(value, hreps=None):
+def to_json(value):
     """JSON data of an output value: None, bools and strings as they are,
     ints and Fractions by ``rational_to_json``, tuples and lists as arrays,
     dicts as objects, a Character as its coords, a Subspace by its divided
     basis, fans, elements and symplectic bases by their writers, and any
     other record as its record fields plus its verdict.
 
-    ``hreps`` maps each cone written so far to its canonical H-rep; a
-    top-level call starts an empty one, so each distinct cone costs one
-    ``Cone.canonical_hrep`` per call however often it is written."""
-    if hreps is None:
-        hreps = {}
+    Each written cone costs one ``Cone.canonical_hrep``, which reads the
+    facets off the cone's rows with no double description, so a cone
+    written twice is read twice."""
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, (int, Fraction)):
         return rational_to_json(value)
     if isinstance(value, (tuple, list)):
-        return [to_json(x, hreps) for x in value]
+        return [to_json(x) for x in value]
     if isinstance(value, dict):
-        return {key: to_json(x, hreps) for key, x in value.items()}
+        return {key: to_json(x) for key, x in value.items()}
     if isinstance(value, Character):
         return to_json(value.coords)
     if isinstance(value, Subspace):
         return {"ambient_dim": value.ambient_dim,
                 "basis": to_json(value.basis)}
     if isinstance(value, Fan):
-        return fan_to_json(value, hreps)
+        return fan_to_json(value)
     if isinstance(value, torus.QTorusElement):
         return element_to_json(value)
     if isinstance(value, symplectic.SymplecticBase):
         return base_to_json(value)
-    out = {name: to_json(getattr(value, name), hreps)
-           for name in value._fields}
+    out = {name: to_json(getattr(value, name)) for name in value._fields}
     for verdict in ("passed", "holds"):
         if hasattr(value, verdict):
             out[verdict] = getattr(value, verdict)
@@ -123,12 +120,8 @@ def matrix_from_json(data, width):
     return tuple(vector_from_json(row, width) for row in _array(data, "matrix"))
 
 
-def cone_to_json(cone: Cone, hreps=None):
-    if hreps is None:
-        hreps = {}
-    if cone not in hreps:
-        hreps[cone] = cone.canonical_hrep()
-    eq, ineq = hreps[cone]
+def cone_to_json(cone: Cone):
+    eq, ineq = cone.canonical_hrep()
     return {"dim": cone.ambient_dim, "eq": to_json(eq), "ineq": to_json(ineq)}
 
 
@@ -139,10 +132,10 @@ def cone_from_json(data) -> Cone:
     return Cone.from_constraints(dim, eq, ineq)
 
 
-def fan_to_json(fan: Fan, hreps=None):
+def fan_to_json(fan: Fan):
     return {
         "dim": fan.ambient_dim,
-        "cones": [cone_to_json(c, hreps) for c in fan.cones],
+        "cones": [cone_to_json(c) for c in fan.cones],
     }
 
 

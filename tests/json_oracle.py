@@ -10,6 +10,9 @@ that), so no code path of ``qtdelta`` is shared with what it checks
 10(1), 1998).  A printed fan is read as the canonical H-representations
 of its cones, which the library reads off each cone's raw rows with no
 double description; the checks test membership in them point by point.
+Every rational, of the input or of the answer, is read by ``_rational``
+under the same lift of the int-string limit as ``read``, so an exact
+answer of any size can be checked.
 
 - ``torus-mul``: the naive product, term by term, from
   x^a x^b = q^(a B b) x^(a+b), every parameter exponent padded with zeros
@@ -49,6 +52,7 @@ double description; the checks test membership in them point by point.
   the block's dimension; the components together span U.
 """
 
+import contextlib
 import itertools
 import json
 import math
@@ -56,20 +60,34 @@ import sys
 from fractions import Fraction
 
 
-def read(text):
-    """A CLI answer parsed from its JSON text.  An exact answer may hold an
-    int of more digits than the interpreter's limit on int-string
-    conversion, so the limit, where there is one, is lifted for the parse
-    and restored after, since the whole process shares it."""
+@contextlib.contextmanager
+def _exact():
+    """Lift the interpreter's limit on int-string conversion, where there
+    is one, and restore it after, since the whole process shares it."""
     lift = hasattr(sys, "set_int_max_str_digits")
     if lift:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        return json.loads(text)
+        yield
     finally:
         if lift:
             sys.set_int_max_str_digits(limit)
+
+
+def read(text):
+    """A CLI answer parsed from its JSON text.  An exact answer may hold an
+    int of more digits than the interpreter's limit on int-string
+    conversion, so the limit is lifted for the parse."""
+    with _exact():
+        return json.loads(text)
+
+
+def _rational(x):
+    """A JSON int or "p/q" string as a Fraction, under the same lift as
+    ``read``: every rational of an input or an answer is read here."""
+    with _exact():
+        return Fraction(x)
 
 
 def _nonzero(terms):
@@ -94,13 +112,13 @@ def _element(data, width=None):
         coeff = terms.setdefault(tuple(term["exp"]), {})
         for c in term["coeff"]:
             q = tuple(c["qexp"]) + (0,) * (width - len(c["qexp"]))
-            coeff[q] = coeff.get(q, 0) + Fraction(c["c"])
+            coeff[q] = coeff.get(q, 0) + _rational(c["c"])
     return _nonzero(terms)
 
 
 def check_torus_mul(payload, output):
     """The printed product against the naive one; JSON numbers and "p/q"
-    strings are read by ``Fraction``."""
+    strings are read by ``_rational``."""
     cocycle = payload["cocycle"]
     n, forms = cocycle["rank"], cocycle["B"]
     width = cocycle["s"]
@@ -124,15 +142,16 @@ def check_torus_mul(payload, output):
         exp = tuple(term["exp"])
         if exp in got:
             return f"exponent {list(exp)} printed twice"
-        got[exp] = {tuple(c["qexp"]): Fraction(c["c"])
+        got[exp] = {tuple(c["qexp"]): _rational(c["c"])
                     for c in term["coeff"]}
         if any(len(q) != width for q in got[exp]):
             return f"parameter exponent of exponent {list(exp)} not of " \
                    f"length {width}"
     for exp in sorted(set(got) | set(expected)):
         if got.get(exp) != expected.get(exp):
-            return (f"coefficient of x^{list(exp)} is {got.get(exp)}, "
-                    f"expected {expected.get(exp)}")
+            with _exact():  # a coefficient is written at any size
+                return (f"coefficient of x^{list(exp)} is {got.get(exp)}, "
+                        f"expected {expected.get(exp)}")
     return None
 
 
@@ -142,9 +161,9 @@ def _dot(u, v):
 
 def _cones(fan):
     """The (equalities, inequalities) of each cone of a JSON fan, their
-    entries read by ``Fraction``."""
-    return [([[Fraction(x) for x in row] for row in cone.get("eq", [])],
-             [[Fraction(x) for x in row] for row in cone.get("ineq", [])])
+    entries read by ``_rational``."""
+    return [([[_rational(x) for x in row] for row in cone.get("eq", [])],
+             [[_rational(x) for x in row] for row in cone.get("ineq", [])])
             for cone in fan["cones"]]
 
 
@@ -194,7 +213,7 @@ def check_lc(payload, output, box=2):
     a.y >= 0 (the others stay positive for small eps)."""
     fan = payload["fan"]
     n = fan["dim"]
-    x = [Fraction(v) for v in payload["point"]]
+    x = [_rational(v) for v in payload["point"]]
     # the cones holding x, each cut down to its rows tight at x
     tangents = [(eq, [a for a in ineq if _dot(a, x) == 0])
                 for eq, ineq in _cones(fan) if _in_cone((eq, ineq), x)]
@@ -210,7 +229,7 @@ def check_lemma31(payload, output, box=2):
     n = payload["relator"]["rank"]
     support = list(_element(payload["relator"]))
     for k, report in enumerate(output["checks"]):
-        chi = [Fraction(x) for x in report["chi"]]
+        chi = [_rational(x) for x in report["chi"]]
         low = min(_dot(chi, a) for a in support)
         minimal = [a for a in support if _dot(chi, a) == low]
         for side in ("lhs", "rhs"):
@@ -236,7 +255,7 @@ def check_dim(payload, output):
     support = list(_element(payload["relator"]))
     reports = output["checks"]
     for k, report in enumerate(reports):
-        chi = [Fraction(x) for x in report["chi"]]
+        chi = [_rational(x) for x in report["chi"]]
         low = min(_dot(chi, a) for a in support)
         ties = sum(_dot(chi, a) == low for a in support)
         expected = {"chi_rank": 1 if any(chi) else 0,
@@ -260,7 +279,7 @@ def check_dim(payload, output):
 
 def _det(rows):
     """Determinant of a square rational matrix, by Fraction elimination."""
-    rows = [[Fraction(x) for x in row] for row in rows]
+    rows = [[_rational(x) for x in row] for row in rows]
     det = Fraction(1)
     for c in range(len(rows)):
         pivot = next((i for i in range(c, len(rows)) if rows[i][c]), None)
@@ -302,7 +321,7 @@ def _hnf_fault(rows):
 def _coordinates(v, basis):
     """The integer coefficients of v in the rows of a matrix in row
     Hermite normal form, read pivot by pivot, or None."""
-    residual = [Fraction(x) for x in v]
+    residual = [_rational(x) for x in v]
     coords = []
     for row in basis:
         c = next(j for j, x in enumerate(row) if x)
@@ -318,7 +337,7 @@ def _initial_support(payload, basis):
     """The chi-minimal support points a of the relator, as the coordinates
     of a - a0 in the basis, a0 the lexicographically least of them; None
     for a point off the basis's lattice."""
-    chi = [Fraction(x) for x in payload["chi"]]
+    chi = [_rational(x) for x in payload["chi"]]
     support = list(_element(payload["relator"]))
     low = min(_dot(chi, a) for a in support)
     minimal = sorted(a for a in support if _dot(chi, a) == low)
@@ -333,7 +352,7 @@ def check_initform(payload, output):
     (its maximal minors have gcd 1), and r_chi is supported on the
     chi-minimal support points, less the least one, in B's coordinates."""
     n = payload["relator"]["rank"]
-    chi = [Fraction(x) for x in payload["chi"]]
+    chi = [_rational(x) for x in payload["chi"]]
     lattice, form = output["B"], output["r_chi"]
     if lattice.get("ambient_rank") != n:
         return f"B of ambient rank {lattice.get('ambient_rank')!r}, " \
@@ -417,13 +436,13 @@ def check_center(payload, output):
     stacked; the printed lattice is integral, inside it and of full rank."""
     form = payload["form"]
     n = form["n"]
-    forms = [[[Fraction(x) for x in row] for row in m] for m in form["phi"]]
+    forms = [[[_rational(x) for x in row] for row in m] for m in form["phi"]]
     sub, lat = output["subspace"], output["lattice"]
     if sub.get("ambient_dim") != n or lat.get("ambient_rank") != n:
         return f"ambient dimensions {sub.get('ambient_dim')!r} and " \
                f"{lat.get('ambient_rank')!r}, expected {n}"
-    basis = [[Fraction(x) for x in row] for row in sub["basis"]]
-    lattice = [[Fraction(x) for x in row] for row in lat["basis"]]
+    basis = [[_rational(x) for x in row] for row in sub["basis"]]
+    lattice = [[_rational(x) for x in row] for row in lat["basis"]]
     if any(len(row) != n for row in basis + lattice):
         return f"basis row of length other than {n}"
     fault = _rref_fault(basis)
@@ -447,7 +466,7 @@ def check_center(payload, output):
 
 
 def _rows(data):
-    return [[Fraction(x) for x in row] for row in data]
+    return [[_rational(x) for x in row] for row in data]
 
 
 def check_abelian_split(payload, output):

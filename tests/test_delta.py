@@ -301,22 +301,15 @@ class TestInduced:
             check_induced(m, Sublattice.from_rows(2, [(2, 0)]),
                           Character((0, 1)))
 
-    def test_inner_module_cached_per_object(self):
+    def test_equal_modules_equal_reports(self):
         support = [(0, 0, 0), (1, 0, 1), (0, 1, 0)]
         lat = Sublattice.from_rows(3, [(1, 0, 1), (0, 1, 0)])
         m, twin = (module_from_support(support, 3) for _ in range(2))
         assert m == twin and m is not twin
         chis = [Character((1, 0, 0)), Character((0, 1, -1))]
         reports = [check_induced(m, lat, chi) for chi in chis]
-        inner = m._inner_modules[lat.basis]
-        assert list(m._inner_modules) == [lat.basis]
-        # equal modules never share the cache
-        assert "_inner_modules" not in twin.__dict__
         twin_reports = [check_induced(twin, lat, chi) for chi in chis]
-        assert twin._inner_modules[lat.basis] is not inner
-        assert twin._inner_modules[lat.basis] == inner
         assert reports == twin_reports
-        assert m._inner_modules[lat.basis] is inner
 
     def test_rejected_sublattice_raises_on_every_call(self):
         outside = module_from_support([(0, 0), (0, 1)], 2)
@@ -327,7 +320,6 @@ class TestInduced:
                         Character((1, 2))):
                 with pytest.raises(ValueError):
                     check_induced(m, lat, chi)
-            assert m._inner_modules == {}
 
     @pytest.mark.parametrize("seed", range(15))
     def test_random_embeddings(self, seed):
@@ -357,12 +349,16 @@ class TestSelfChecks:
             initial_form(tropical_line_module(), Character((0, 1)))
 
     def test_kernel_intersection_check(self, monkeypatch):
-        # the initial forms and the inner module are cached by a first call,
-        # so only the kernel coordinates of the intersection are refused
+        # the outer initial form is cached by a first call, and A1 is read
+        # on every call, so only coordinates in the kernel lattice B of chi
+        # are refused
         m = module_from_support([(0, 0), (1, 0)], 2)
         lat, chi = Sublattice.from_rows(2, [(1, 0)]), Character((0, 1))
         assert check_induced(m, lat, chi).equal
-        monkeypatch.setattr(Sublattice, "coordinates", lambda *args: None)
+        kernel = initial_form(m, chi).kernel
+        coordinates = Sublattice.coordinates
+        monkeypatch.setattr(Sublattice, "coordinates", lambda self, v: (
+            None if self is kernel else coordinates(self, v)))
         with pytest.raises(AssertionError,
                            match="kernel intersection escaped the kernel"):
             check_induced(m, lat, chi)
@@ -1145,7 +1141,18 @@ class TestDeltaCache:
         def recorded(alpha, beta, cocycle):
             built.extend((alpha, beta))
             return multiply(alpha, beta, cocycle)
-        with mock.patch.object(torus, "multiply", recorded):
+        trusted = OneRelatorModule._trusted.__func__
+        inner_modules = []
+
+        def recorded_inner(cls, *values):
+            # check_induced builds the module inside A1 through this
+            module = trusted(cls, *values)
+            if cls is OneRelatorModule:
+                inner_modules.append(module)
+            return module
+        with mock.patch.object(torus, "multiply", recorded), \
+                mock.patch.object(OneRelatorModule, "_trusted",
+                                  classmethod(recorded_inner)):
             for _ in range(30):
                 module = random_module(rng)
                 n = module.rank
@@ -1167,9 +1174,10 @@ class TestDeltaCache:
                     lattice.coordinates(a) for a in inside))
                 built.append(coords)
                 outer = OneRelatorModule(element, module.cocycle)
+                inner_modules.clear()
                 check_induced(outer, lattice,
                               Character(random_character(rng, n)))
-                inner = outer._inner_modules[lattice.basis]
+                inner, = inner_modules
                 assert inner.relator == coords
                 assert_validated(inner)
         assert len(built) > 150
