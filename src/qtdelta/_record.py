@@ -1,4 +1,6 @@
-"""Frozen value records: the one base class of the library's data types.
+"""Frozen value records: the one base class of the library's data types,
+``polyhedral.Cone`` apart, whose dimension ``edge_normal_fan`` sets after
+building it.
 
 A subclass lists its fields as class annotations, in order; a subclass of
 a record adds its own after the inherited ones.  Each record class gets,
@@ -17,8 +19,10 @@ each unless the class body defines it.
 Assigning or deleting an attribute raises AttributeError.  Instances keep
 a ``__dict__``, where ``functools.cached_property`` stores its values, and
 ``_fields`` lists the field names in order.  The private classmethod
-``_trusted(*values)`` sets the fields in that order and skips ``_post_init``,
-for values the library has just built in the form ``_post_init`` keeps.
+``_trusted(*values)`` sets the fields in that order and skips ``_post_init``
+(or a class's own ``__init__``), for values the library has just built in
+the form the checked constructor keeps; it is the library's one unchecked
+constructor.
 """
 
 from __future__ import annotations

@@ -45,8 +45,8 @@ Input is validated at the boundary: ``Character``, ``OneRelatorModule``
 and the public constructors of ``torus`` check what a caller hands them.
 Values this module builds from data it has just computed (the trimmed
 relator, coordinates in a lattice basis, the initial form, the module
-inside a sublattice) go through the private constructors
-``QTorusElement._trusted`` and ``Record._trusted``, which check nothing.
+inside a sublattice) go through the private constructor
+``Record._trusted``, which checks nothing.
 """
 
 from __future__ import annotations

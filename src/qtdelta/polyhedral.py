@@ -23,19 +23,23 @@ double description.
 Fans are plain unions of cones (no face structure is maintained):
 containment-redundant cones are pruned and the rest deterministically
 sorted.  ``Fan.irredundant`` skips the prune for cone lists that have no
-redundant cone by construction.  ``fan_equal`` compares point sets: equal
-canonical cone sets, or each fan covered by the other, which one point per
-top-dimensional cell decides once the hyperplanes of the other fan's raw
-rows cut a cone.  The canonical H-representation (equalities and facets)
-is computed only where a cone is written, by ``Cone.canonical_hrep``,
-which reads the facets off the raw rows by the rule that picks a tangent
-cone's rays, with no double description.
+redundant cone by construction.  A Fan is a record (``_record.Record``);
+a Cone is the one value type that is not, because ``edge_normal_fan``
+sets the dimension of each edge cone it builds, where computing it on
+first read would cost one rank per edge cone.  ``fan_equal`` compares
+point sets: equal canonical cone sets, or each fan covered by the other,
+which one point per top-dimensional cell decides once the hyperplanes of
+the other fan's raw rows cut a cone.  The canonical H-representation
+(equalities and facets) is computed only where a cone is written, by
+``Cone.canonical_hrep``, which reads the facets off the raw rows by the
+rule that picks a tangent cone's rays, with no double description.
 """
 
 from __future__ import annotations
 
 from operator import mul
 
+from ._record import Record
 from .lattice import (
     Subspace,
     _primitive,
@@ -294,17 +298,18 @@ def _sorted_unique(ambient_dim, cones):
     return tuple(uniq[k] for k in sorted(uniq))
 
 
-class Fan:
+class Fan(Record):
     """Finite union of cones of a common ambient dimension."""
 
-    __slots__ = ("ambient_dim", "cones")
+    ambient_dim: int
+    cones: tuple
 
     def __init__(self, ambient_dim, cones=()):
         items = _sorted_unique(ambient_dim, cones)
-        self.ambient_dim = ambient_dim
-        self.cones = tuple(c for c in items
-                           if not any(o is not c and o.contains_cone(c)
-                                      for o in items))
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "cones", tuple(
+            c for c in items
+            if not any(o is not c and o.contains_cone(c) for o in items)))
 
     @classmethod
     def irredundant(cls, ambient_dim, cones):
@@ -312,10 +317,7 @@ class Fan:
         dimension from a polyhedral fan, or a subset of a Fan's cones):
         duplicates are dropped and the rest sorted, without the quadratic
         containment prune of the constructor."""
-        fan = cls.__new__(cls)
-        fan.ambient_dim = ambient_dim
-        fan.cones = _sorted_unique(ambient_dim, cones)
-        return fan
+        return cls._trusted(ambient_dim, _sorted_unique(ambient_dim, cones))
 
     @property
     def is_empty(self):
@@ -323,15 +325,6 @@ class Fan:
 
     def member(self, point):
         return any(c.member(point) for c in self.cones)
-
-    def __eq__(self, other):
-        return (isinstance(other, Fan)
-                and self.ambient_dim == other.ambient_dim
-                and tuple(c.key for c in self.cones)
-                == tuple(c.key for c in other.cones))
-
-    def __hash__(self):
-        return hash((self.ambient_dim, tuple(c.key for c in self.cones)))
 
     def __repr__(self):
         return f"Fan(dim={self.ambient_dim}, cones={len(self.cones)})"

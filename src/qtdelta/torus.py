@@ -99,24 +99,28 @@ def _drop_zeros(terms):
     return out
 
 
-class QTorusElement:
+class QTorusElement(Record):
     """Finite formal sum of lattice monomials with Laurent coefficients.
 
     ``terms`` maps an exponent a in Z^n to a coefficient, itself a map from
     a parameter exponent in Z^s to a nonzero rational.  Instances are
     immutable value objects.
 
-    The public constructor validates and normalizes its input, then ends in
-    ``_fill``, the body of the private ``_trusted`` constructor through which
-    this module and ``delta`` hand over data they have just built.
+    The public constructor validates and normalizes its input in
+    ``_post_init``; this module and ``delta`` hand over data they have just
+    built through ``Record._trusted``, which keeps ``_terms`` as given: int
+    tuples of length ``rank`` mapped to nonempty dicts from int tuples of
+    length ``s`` to nonzero ints or Fractions.
     """
 
-    __slots__ = ("rank", "s", "_terms")
+    rank: int
+    s: int
+    _terms: dict
 
-    def __init__(self, rank, s, terms):
-        rank, s = as_int(rank), as_int(s)
+    def _post_init(self):
+        rank, s = as_int(self.rank), as_int(self.s)
         clean = {}
-        for exp, coeff in terms.items():
+        for exp, coeff in self._terms.items():
             key = tuple(as_int(x) for x in exp)
             if len(key) != rank:
                 raise ValueError("exponent of wrong rank")
@@ -126,19 +130,9 @@ class QTorusElement:
                     raise ValueError("parameter exponent of wrong length")
             if c:
                 clean[key] = c
-        self._fill(rank, s, clean)
-
-    @classmethod
-    def _trusted(cls, rank, s, terms):
-        """Private constructor over canonical data: int ``rank`` and ``s``,
-        ``terms`` mapping int tuples of length ``rank`` to nonempty dicts
-        from int tuples of length ``s`` to nonzero ints or Fractions.  It
-        checks nothing and keeps ``terms`` as given."""
-        return object.__new__(cls)._fill(rank, s, terms)
-
-    def _fill(self, rank, s, terms):
-        self.rank, self.s, self._terms = rank, s, terms
-        return self
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "_terms", clean)
 
     @staticmethod
     def zero(rank, s):
@@ -186,17 +180,10 @@ class QTorusElement:
     def __sub__(self, other):
         return self + (-other)
 
-    def __eq__(self, other):
-        return (isinstance(other, QTorusElement)
-                and (self.rank, self.s) == (other.rank, other.s)
-                and self._terms == other._terms)
-
     def __hash__(self):
+        # the field tuple holds a dict, which has no hash
         return hash((self.rank, self.s, frozenset(
             (exp, frozenset(c.items())) for exp, c in self._terms.items())))
-
-    def __repr__(self):
-        return f"QTorusElement(rank={self.rank}, s={self.s}, terms={self._terms!r})"
 
 
 def multiply(alpha: QTorusElement, beta: QTorusElement,

@@ -50,6 +50,16 @@ answer of any size can be checked.
   reduced row echelon form, inside U and its block, of dimension
   dim U + dim V_i - rank(U + V_i), so the whole of U cap V_i, and of half
   the block's dimension; the components together span U.
+- ``verify-base``: every report field from its definition, by Fraction
+  Gram sums and ranks: the pieces' dimensions add up to n, V0 is the
+  radical, distinct blocks pair to 0, each block's pairings span a line
+  and its Gram matrices stacked have full rank, no two of those lines
+  coincide, each given line spans its block's, and passed is the
+  conjunction.
+- ``verify-thm42``: the same Gram facts for the parts of Z^n, their
+  ranks adding up to n, and each printed image line the saturated HNF
+  basis of its part's pairings: rows in row HNF, of the pairings' span,
+  with maximal minors of gcd 1.
 """
 
 import contextlib
@@ -295,27 +305,36 @@ def _det(rows):
     return det
 
 
-def _hnf_fault(rows):
-    """Why the integer rows are not in row Hermite normal form (positive
-    pivots, strictly right of the row above, entries above a pivot in
-    [0, pivot)), or None."""
+def _hnf_fault(rows, name="B"):
+    """Why the integer rows, called ``name``, are not in row Hermite normal
+    form (positive pivots, strictly right of the row above, entries above a
+    pivot in [0, pivot)), or None."""
     last = -1
     for k, row in enumerate(rows):
         if any(not isinstance(x, int) for x in row):
-            return f"B row {k} has an entry that is not an integer"
+            return f"{name} row {k} has an entry that is not an integer"
         c = next((j for j, x in enumerate(row) if x), None)
         if c is None:
-            return f"B row {k} is zero"
+            return f"{name} row {k} is zero"
         if c <= last:
-            return f"B row {k} has its pivot in column {c}, not right of " \
-                   f"{last}"
+            return f"{name} row {k} has its pivot in column {c}, not right " \
+                   f"of {last}"
         if row[c] < 0:
-            return f"B row {k} has pivot entry {row[c]}, expected positive"
+            return f"{name} row {k} has pivot entry {row[c]}, expected " \
+                   f"positive"
         if any(not 0 <= above[c] < row[c] for above in rows[:k]):
-            return f"column {c}, the pivot of B row {k}, is not reduced " \
-                   f"above it"
+            return f"column {c}, the pivot of {name} row {k}, is not " \
+                   f"reduced above it"
         last = c
     return None
+
+
+def _minors_gcd(rows, width):
+    """The gcd of the maximal minors of integer rows of length ``width``:
+    1 exactly when the rows span a saturated lattice."""
+    return math.gcd(*[int(_det([[row[j] for j in cols] for row in rows]))
+                      for cols in itertools.combinations(range(width),
+                                                         len(rows))])
 
 
 def _coordinates(v, basis):
@@ -369,8 +388,7 @@ def check_initform(payload, output):
     rank = n - (1 if any(chi) else 0)
     if len(basis) != rank:
         return f"B has {len(basis)} rows, expected {rank}"
-    g = math.gcd(*[int(_det([[row[j] for j in cols] for row in basis]))
-                   for cols in itertools.combinations(range(n), rank)])
+    g = _minors_gcd(basis, n)
     if g != 1:
         return f"B is not saturated: its maximal minors have gcd {g}"
     if form.get("rank") != rank:
@@ -430,6 +448,13 @@ def _rref_fault(rows):
     return None
 
 
+def _in_radical(forms, v):
+    """Whether v^T Phi_k = 0 for every form Phi_k."""
+    n = len(v)
+    return not any(sum(v[i] * m[i][j] for i in range(n))
+                   for m in forms for j in range(n))
+
+
 def check_center(payload, output):
     """The printed radical {v : v^T Phi_k = 0 for all k} against the forms.
     Each Phi_k is antisymmetric, so the radical is the kernel of the forms
@@ -451,8 +476,7 @@ def check_center(payload, output):
     for name, rows in (("subspace", basis), ("lattice", lattice)):
         for k, v in enumerate(rows):
             for f, m in enumerate(forms):
-                if any(sum(v[i] * m[i][j] for i in range(n))
-                       for j in range(n)):
+                if not _in_radical([m], v):
                     return f"{name} row {k} is not in the radical of form {f}"
     dim = n - _rank([row for m in forms for row in m])
     if len(basis) != dim:
@@ -507,4 +531,129 @@ def check_abelian_split(payload, output):
     if _rank(stacked) != dim_u:
         return f"components span rank {_rank(stacked)}, expected " \
                f"dim U = {dim_u}"
+    return None
+
+
+
+def _form(payload):
+    """``(n, s, forms)`` of the payload's alternating form."""
+    form = payload["form"]
+    return form["n"], form["s"], [_rows(m) for m in form["phi"]]
+
+
+def _pairing(forms, u, v):
+    """(u^T Phi_1 v, ..., u^T Phi_s v), by Fraction sums."""
+    return [sum(x * _dot(row, v) for x, row in zip(u, m)) for m in forms]
+
+
+def _block_facts(forms, s, rows):
+    """``(image, gram_rank)`` of a block's rows: the pairings of the pairs
+    i < j, which span phi's image on the block since phi is bilinear and
+    alternating, and the rank of the s Gram matrices stacked, which equals
+    the block's dimension exactly when phi on it has trivial radical."""
+    gram = [[_pairing(forms, u, v) for v in rows] for u in rows]
+    image = [gram[i][j] for i in range(len(rows))
+             for j in range(i + 1, len(rows))]
+    stacked = [[entry[k] for entry in row] for k in range(s) for row in gram]
+    return image, _rank(stacked)
+
+
+def _cross_pairings_vanish(forms, blocks):
+    return not any(any(_pairing(forms, u, v))
+                   for a, rows in enumerate(blocks) for later in blocks[a + 1:]
+                   for u in rows for v in later)
+
+
+def _same_span(rows, other):
+    return _rank(rows) == _rank(other) == _rank(rows + other)
+
+
+def _report_fault(output, expected):
+    """The first printed report field that differs from ``expected``, with
+    the verdict ``passed`` the conjunction of the fields, or None."""
+    expected["passed"] = all(expected.values())
+    for key, want in expected.items():
+        if output.get(key) is not want:
+            return f"{key} is {output.get(key)!r}, expected {want!r}"
+    return None
+
+
+def check_verify_base(payload, output):
+    """Each printed field of the base report against its definition, for
+    the given pieces V0, V_1, ..., V_t: their dimensions, and that of their
+    sum, add up to n (direct_sum); V0 lies in the radical
+    {v : v^T Phi_k = 0 for all k} and has its dimension (centre_is_v0);
+    rows of distinct blocks pair to 0 (blocks_orthogonal); each block's
+    pairings span a line and phi on it has trivial radical
+    (blocks_nondegenerate); no two blocks whose pairings span a line span
+    the same one (lines_distinct); one given line per block, nonzero, spans
+    that block's line (lines_consistent); passed is the conjunction."""
+    n, s, forms = _form(payload)
+    base = payload["base"]
+    v0 = _rows(base["V0"])
+    blocks = [_rows(b) for b in base["blocks"]]
+    lines = _rows(base["lines"])
+    facts = [_block_facts(forms, s, b) for b in blocks]
+    on_line = [_rank(image) == 1 for image, _ in facts]
+    pieces = [v0] + blocks
+    return _report_fault(output, {
+        "direct_sum": (sum(_rank(p) for p in pieces) == n
+                       and _rank([row for p in pieces for row in p]) == n),
+        "centre_is_v0": (all(_in_radical(forms, v) for v in v0)
+                         and _rank(v0) == n - _rank([row for m in forms
+                                                     for row in m])),
+        "blocks_orthogonal": _cross_pairings_vanish(forms, blocks),
+        "blocks_nondegenerate": all(
+            line and gram_rank == _rank(b)
+            for line, (_, gram_rank), b in zip(on_line, facts, blocks)),
+        "lines_distinct": not any(
+            on_line[i] and on_line[j] and _same_span(facts[i][0], facts[j][0])
+            for i in range(len(blocks)) for j in range(i + 1, len(blocks))),
+        "lines_consistent": len(lines) == len(blocks) and all(
+            line and len(w) == s and any(w) and _same_span(image, [w])
+            for line, (image, _), w in zip(on_line, facts, lines)),
+    })
+
+
+def check_verify_thm42(payload, output):
+    """Each printed field of the Theorem 4.2 report against its
+    definition, for the given independent parts A_1, ..., A_t of Z^n: rows
+    of distinct parts pair to 0 (pairwise_commute); phi on each part has
+    trivial radical (trivial_centres); each part's pairings span a line
+    (rank_one_images); no two parts' pairings span the same subspace
+    (distinct_image_lines); the ranks add up to n (finite_index); passed
+    is the conjunction.  image_lines holds, per part, the saturated
+    lattice of its pairings' span in row Hermite normal form: rows in HNF,
+    spanning what the pairings span, with maximal minors of gcd 1."""
+    n, s, forms = _form(payload)
+    parts = [_rows(p["basis"]) for p in payload["parts"]]
+    facts = [_block_facts(forms, s, p) for p in parts]
+    images = [image for image, _ in facts]
+    fault = _report_fault(output, {
+        "pairwise_commute": _cross_pairings_vanish(forms, parts),
+        "trivial_centres": all(gram_rank == _rank(p)
+                               for (_, gram_rank), p in zip(facts, parts)),
+        "rank_one_images": all(_rank(image) == 1 for image in images),
+        "distinct_image_lines": not any(
+            _same_span(images[i], images[j])
+            for i in range(len(parts)) for j in range(i + 1, len(parts))),
+        "finite_index": sum(_rank(p) for p in parts) == n,
+    })
+    if fault:
+        return fault
+    printed = output.get("image_lines")
+    if not isinstance(printed, list) or len(printed) != len(parts):
+        return f"image_lines is {printed!r}, expected {len(parts)} bases"
+    for i, (rows, image) in enumerate(zip(printed, images)):
+        name = f"image line {i}"
+        if any(len(row) != s for row in rows):
+            return f"{name} has a row of length other than {s}"
+        fault = _hnf_fault(rows, name)
+        if fault:
+            return fault
+        if not _same_span(_rows(rows), image):
+            return f"{name} does not span the pairings of part {i}"
+        g = _minors_gcd(rows, s)
+        if g != 1:
+            return f"{name} is not saturated: its maximal minors have gcd {g}"
     return None

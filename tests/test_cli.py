@@ -186,6 +186,24 @@ RANK_TWO_AND_EMPTY_IMAGES = {
 TWIN_LINES = {"form": _wedge(4, [(0, 1, 1), (2, 3, 1)]),
               "parts": THM42["parts"]}
 
+# one block e1, e2 of the two: the pieces do not span Q^4
+ONE_BLOCK_BASE = dict(TWO_BLOCK, base={
+    "V0": [], "blocks": [[[1, 0, 0, 0], [0, 1, 0, 0]]], "lines": [[1, 0]]})
+
+# e1^e2 -> w, whose radical e3 is V0, written as 2 e3; the line as 3 w
+RADICAL_BASE = {"form": _wedge(3, [(0, 1, 1)]),
+                "base": {"V0": [[0, 0, 2]], "blocks": [[[1, 1, 0], [0, 1, 0]]],
+                         "lines": [[3]]}}
+
+# e1^e2 -> (2, 0) and e3^e4 -> (3, 3): saturated lines (1, 0) and (1, 1)
+SCALED_LINES = {"form": _wedge(4, [(0, 1, 2), (2, 3, 3)], [(2, 3, 3)]),
+                "parts": THM42["parts"]}
+
+# e1 and e2 as parts of e1^e2 -> w: they do not commute, and pair to 0
+ANTICOMMUTING = {"form": _wedge(2, [(0, 1, 1)]),
+                 "parts": [{"ambient_rank": 2, "basis": [[1, 0]]},
+                           {"ambient_rank": 2, "basis": [[0, 1]]}]}
+
 # e2^e3 -> w1, e2^e4 -> w2, e1^e4 -> w3: no symplectic base
 CROSSED_WEDGES = {"form": _wedge(4, [(1, 2, 1)], [(1, 3, 1)], [(0, 3, 1)])}
 
@@ -381,10 +399,7 @@ class TestSubcommands:
         assert code == 0 and json.loads(out)["passed"]
 
     def test_verify_base_failure_exits_one(self, tmp_path):
-        bad = {"V0": [], "blocks": [[[1, 0, 0, 0], [0, 1, 0, 0]]],
-               "lines": [[1, 0]]}
-        code, out = run_inproc("verify-base", dict(TWO_BLOCK, base=bad),
-                               tmp_path)
+        code, out = run_inproc("verify-base", ONE_BLOCK_BASE, tmp_path)
         assert code == 1
         assert json.loads(out)["passed"] is False
 
@@ -1000,7 +1015,9 @@ ORACLE = {"delta": json_oracle.check_delta,
           "check-lemma31": json_oracle.check_lemma31,
           "check-dim": json_oracle.check_dim,
           "center": json_oracle.check_center,
-          "abelian-split": json_oracle.check_abelian_split}
+          "abelian-split": json_oracle.check_abelian_split,
+          "verify-base": json_oracle.check_verify_base,
+          "verify-thm42": json_oracle.check_verify_thm42}
 CLI_CASES = json.loads((SRC.parent / "perfbench" / "cli_cases.json")
                        .read_text(encoding="utf-8"))["cases"]
 
@@ -1014,9 +1031,9 @@ def _answer(command, payload, *flags):
     return code, json_oracle.read(stdout.getvalue() or "null")
 
 
-def _oracle_verdict(command, payload, *flags):
+def _oracle_verdict(command, payload, *flags, exit_code=0):
     code, output = _answer(command, payload, *flags)
-    assert code == 0, (command, payload)
+    assert code == exit_code, (command, payload)
     return ORACLE[command](payload, output)
 
 
@@ -1203,6 +1220,67 @@ class TestJsonOracle:
     def test_dimension_samples(self, payload):
         assert _oracle_verdict("check-dim", payload, "--sample", "6",
                                "--seed", "3") is None
+
+    @pytest.mark.parametrize("command,payload,exit_code", [
+        ("verify-base", SPLIT_TWO, 0),
+        ("verify-base", SPLIT_THREE, 0),
+        ("verify-base", RADICAL_BASE, 0),
+        ("verify-base", _sized_inputs(0)["verify-base"], 0),
+        ("verify-base", NON_ORTHOGONAL_BASE, 1),
+        ("verify-base", ONE_BLOCK_BASE, 1),
+        ("verify-base", dict(RADICAL_BASE, base=dict(
+            RADICAL_BASE["base"], V0=[[1, 0, 1]])), 1),
+        ("verify-thm42", THM42, 0),
+        ("verify-thm42", SCALED_LINES, 0),
+        ("verify-thm42", RANK_TWO_AND_EMPTY_IMAGES, 1),
+        ("verify-thm42", TWIN_LINES, 1),
+        ("verify-thm42", ANTICOMMUTING, 1),
+        ("verify-thm42", _sized_inputs(0)["verify-thm42"], 1),
+    ])
+    def test_verifier_payloads(self, command, payload, exit_code):
+        assert _oracle_verdict(command, payload,
+                               exit_code=exit_code) is None
+
+    @pytest.mark.parametrize("payload", [TWO_BLOCK,
+                                         {"form": SPLIT_THREE["form"]}],
+                             ids=["two-block", "three-block"])
+    def test_found_bases(self, payload):
+        code, output = _answer("symbase", payload, "--seed", "1")
+        assert code == 0
+        assert _oracle_verdict("verify-base",
+                               dict(payload, base=output["base"])) is None
+
+    def test_wrong_base_report_caught(self):
+        _, output = _answer("verify-base", SPLIT_TWO)
+        assert output["passed"]
+        assert json_oracle.check_verify_base(
+            SPLIT_TWO, dict(output, blocks_orthogonal=False)) \
+            == "blocks_orthogonal is False, expected True"
+        _, output = _answer("verify-base", NON_ORTHOGONAL_BASE)
+        assert not output["blocks_orthogonal"]
+        assert json_oracle.check_verify_base(
+            NON_ORTHOGONAL_BASE, dict(output, passed=True)) \
+            == "passed is True, expected False"
+
+    def test_wrong_thm42_report_caught(self):
+        _, output = _answer("verify-thm42", SCALED_LINES)
+        assert output["image_lines"] == [[[1, 0]], [[1, 1]]]
+
+        def verdict(lines):
+            return json_oracle.check_verify_thm42(
+                SCALED_LINES, dict(output, image_lines=lines))
+
+        assert verdict(output["image_lines"][::-1]) \
+            == "image line 0 does not span the pairings of part 0"
+        assert verdict([[[2, 0]], [[1, 1]]]) \
+            == "image line 0 is not saturated: its maximal minors have gcd 2"
+        assert verdict([[[1, 0]], [[-1, -1]]]) \
+            == "image line 1 row 0 has pivot entry -1, expected positive"
+        _, output = _answer("verify-thm42", TWIN_LINES)
+        assert not output["distinct_image_lines"]
+        assert json_oracle.check_verify_thm42(
+            TWIN_LINES, dict(output, passed=True)) \
+            == "passed is True, expected False"
 
     def test_rationals_past_the_digit_limit(self):
         # (c/2) x^(1,0) times (c/3) x^(0,1) prints c^2/6, whose numerator has

@@ -1263,6 +1263,28 @@ class TestRecords:
         args = field_values(report)
         assert_record(LocalConeReport, args, one_changed(args))
 
+    def test_elements_and_fans_are_frozen(self):
+        module = tropical_line_module()
+        chi = Character((0, 1))
+        before = check_lemma31(module, chi)
+        fan = delta_set(module)
+        assert fan.cones
+        for value, names in [(module.relator, ("rank", "s", "_terms")),
+                             (fan, ("ambient_dim", "cones"))]:
+            for name in names:
+                kept = getattr(value, name)
+                with pytest.raises(AttributeError):
+                    setattr(value, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(value, name)
+                assert getattr(value, name) is kept
+        with pytest.raises(AttributeError):
+            delta_set(module).cones = ()
+        assert delta_set(module) is fan
+        assert check_lemma31(module, chi) == before
+        cones = GOLDEN_TROPICAL.cones
+        assert_record(Fan, (2, cones), [(2, cones[:2]), (3, ())])
+
     @PROPERTY
     @given(st.lists(GRID, min_size=1, max_size=3),
            st.tuples(*[st.integers(-1, 4)] * 3))

@@ -168,10 +168,12 @@ def test_malformed_inputs():
 
 
 # The field names of every record, as dataclasses.fields listed them before
-# the records had their own base: to_json writes exactly these keys.
+# the records had their own base: to_json writes exactly these keys for each
+# record without a writer of its own (Fan and QTorusElement have one).
 RECORD_FIELDS = {
     "Sublattice": ("ambient_rank", "basis"),
     "Subspace": ("ambient_dim", "rows"),
+    "Fan": ("ambient_dim", "cones"),
     "Character": ("coords",),
     "OneRelatorModule": ("relator", "cocycle"),
     "InitialFormResult": ("relator", "cocycle", "kernel"),
@@ -186,6 +188,7 @@ RECORD_FIELDS = {
     "AmpleReport": ("m", "dim_ok", "cond1", "cond2", "probes",
                     "degenerate"),
     "CocycleForm": ("rank", "forms"),
+    "QTorusElement": ("rank", "s", "_terms"),
     "Theorem42Report": ("pairwise_commute", "trivial_centres",
                         "rank_one_images", "distinct_image_lines",
                         "finite_index", "image_lines"),

@@ -20,11 +20,16 @@ An exact value keeps its type, so no call converts one to a Fraction:
 ``Fraction(...)`` takes two arguments, a division, everywhere except in
 ``jsonio.rational_from_json``, which parses a "p/q" string.
 
-Input is validated at the boundary: the private ``_trusted`` constructors,
-which check nothing, are called only from ``torus``, ``delta`` and
-``lattice``, where the library hands over data it has just built.  There
-are two of them, ``_record.Record._trusted`` for every record and
-``torus.QTorusElement._trusted``, so no per-class copy grows back.
+Input is validated at the boundary: the private ``_trusted`` constructor,
+which checks nothing, is called only from ``torus``, ``delta``,
+``lattice`` and ``polyhedral``, where the library hands over data it has
+just built.  There is one of them, ``_record.Record._trusted``, so no
+per-class copy grows back.
+
+Every value type is a record: each exported class that defines
+``__hash__`` derives from ``_record.Record``, so it is immutable and takes
+its equality from its fields.  ``polyhedral.Cone`` is the one exception:
+``edge_normal_fan`` sets each edge cone's ``_dim`` after building it.
 
 There is one alternating-form type, ``symplectic.AlternatingMapQ``.
 ``torus.AlternatingFormZ`` is a second name for it, bound once in ``torus``
@@ -71,6 +76,7 @@ import subprocess
 import sys
 
 import qtdelta
+from qtdelta._record import Record
 
 SRC = pathlib.Path(qtdelta.__file__).parent
 
@@ -298,9 +304,10 @@ def _trusted_callers(sources):
 def test_trusted_constructors_stay_inside():
     # input is validated at the boundary: the readers and front ends
     # (jsonio, cli) and the layers whose records canonicalise in their
-    # constructors (groups, symplectic) go through the validating ones
+    # constructors (groups, symplectic) go through the validating ones;
+    # polyhedral's Fan.irredundant skips the Fan constructor's prune
     callers = set(_trusted_callers(_sources()))
-    assert callers == {"torus", "delta", "lattice"}
+    assert callers == {"torus", "delta", "lattice", "polyhedral"}
 
 
 def _trusted_definitions(sources):
@@ -313,9 +320,8 @@ def _trusted_definitions(sources):
         and isinstance(node.ctx, ast.Store)), CLASS_SCOPES)
 
 
-def test_trusted_defined_on_records_and_elements_only():
-    assert _trusted_definitions(_sources()) \
-        == ["_record.Record", "torus.QTorusElement"]
+def test_trusted_defined_on_records_only():
+    assert _trusted_definitions(_sources()) == ["_record.Record"]
 
 
 def test_guard_flags_a_trusted_call_at_the_boundary():
@@ -349,6 +355,54 @@ def test_guard_flags_a_second_trusted_definition():
     assert _trusted_definitions({"_record": record, "planted": planted}) \
         == ["_record.Record", "planted.CocycleForm", "planted.Cone",
             "planted.<module>"]
+
+
+def _hashed_outside_records(namespace):
+    """The names of the classes in ``namespace`` that define ``__hash__``
+    (as ``None`` too, which defining ``__eq__`` alone does) but do not
+    derive from ``Record``."""
+    return [name for name, value in namespace.items()
+            if isinstance(value, type) and "__hash__" in vars(value)
+            and not issubclass(value, Record)]
+
+
+def test_value_types_are_records():
+    # Cone stays a slotted class: edge_normal_fan sets each edge cone's
+    # _dim after building it, which a record would refuse, and computing
+    # it on first read instead would cost one rank per edge cone
+    exported = {name: getattr(qtdelta, name) for name in qtdelta.__all__}
+    assert _hashed_outside_records(exported) == ["Cone"]
+
+
+def test_guard_flags_a_value_class_outside_records():
+    class Slotted:
+        __slots__ = ("x",)
+
+        def __init__(self, x):
+            self.x = x
+
+        def __eq__(self, other):
+            return isinstance(other, Slotted) and self.x == other.x
+
+        def __hash__(self):
+            return hash(self.x)
+
+    class Unhashable:
+        def __eq__(self, other):
+            return self is other
+
+    class Kept(Record):
+        x: int
+
+        def __hash__(self):
+            return hash(self.x)
+
+    class Plain:
+        pass
+
+    namespace = {"Slotted": Slotted, "Unhashable": Unhashable, "Kept": Kept,
+                 "Plain": Plain, "value": Slotted(1), "hash": hash}
+    assert _hashed_outside_records(namespace) == ["Slotted", "Unhashable"]
 
 
 def _uses(sources, name, scopes=(ast.FunctionDef, ast.AsyncFunctionDef)):
