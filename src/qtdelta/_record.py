@@ -1,6 +1,6 @@
 """Frozen value records: the one base class of the library's data types,
-``polyhedral.Cone`` apart, whose dimension ``edge_normal_fan`` sets after
-building it.
+``polyhedral.Cone`` apart, which is frozen too but compares by its point
+set, not by its fields, and keeps slots only.
 
 A subclass lists its fields as class annotations, in order; a subclass of
 a record adds its own after the inherited ones.  Each record class gets,

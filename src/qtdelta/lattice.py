@@ -8,8 +8,8 @@ numpy in this package.  An exact value keeps its type (``as_rational``): a
 Fraction is made only where a division happens, so integral data stays
 int.  Matrices are tuples of row tuples, and the value types derive from
 ``_record.Record``, so they are immutable and safe to share between
-threads.  ``polyhedral.Cone`` is the one exception: ``edge_normal_fan``
-sets each edge cone's dimension after building it.
+threads.  ``polyhedral.Cone`` is the one exception, frozen on its own
+slots, since it compares by its point set rather than by its fields.
 
 ``rref`` is the one rational elimination, run fraction-free: it returns
 primitive integer RREF rows, which a ``Subspace`` stores.  ``hnf`` is the

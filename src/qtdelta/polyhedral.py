@@ -24,22 +24,25 @@ Fans are plain unions of cones (no face structure is maintained):
 containment-redundant cones are pruned and the rest deterministically
 sorted.  ``Fan.irredundant`` skips the prune for cone lists that have no
 redundant cone by construction.  A Fan is a record (``_record.Record``);
-a Cone is the one value type that is not, because ``edge_normal_fan``
-sets the dimension of each edge cone it builds, where computing it on
-first read would cost one rank per edge cone.  ``fan_equal`` compares
-point sets: equal canonical cone sets, or each fan covered by the other,
-which one point per top-dimensional cell decides once the hyperplanes of
-the other fan's raw rows cut a cone.  The canonical H-representation
-(equalities and facets) is computed only where a cone is written, by
-``Cone.canonical_hrep``, which reads the facets off the raw rows by the
-rule that picks a tangent cone's rays, with no double description.
+a Cone is the one value type that is not, because its equality is that of
+its point set, the canonical (rays, lineality) key, while its raw rows may
+differ.  A Cone is frozen all the same: only this module fills its ``_dim``
+slot, on first read or, for the edge cones ``edge_normal_fan`` builds, with
+the dimension it already knows, which saves one rank per edge cone.
+``fan_equal`` compares point sets: equal canonical cone sets, or each fan
+covered by the other, which one point per top-dimensional cell decides
+once the hyperplanes of the other fan's raw rows cut a cone.  The
+canonical H-representation (equalities and facets) is computed only where
+a cone is written, by ``Cone.canonical_hrep``, which reads the facets off
+the raw rows by the rule that picks a tangent cone's rays, with no double
+description.
 """
 
 from __future__ import annotations
 
 from operator import mul
 
-from ._record import Record
+from ._record import Record, _set
 from .lattice import (
     Subspace,
     _primitive,
@@ -198,18 +201,26 @@ def _check_generators(generators, equalities, inequalities):
 
 
 class Cone:
-    """Closed rational polyhedral cone containing 0."""
+    """Closed rational polyhedral cone containing 0.  Immutable: assigning
+    or deleting an attribute raises AttributeError, as on a record; only
+    this module fills the ``_dim`` cache, through ``_set``."""
 
     __slots__ = ("ambient_dim", "rays", "lineality", "_raw_eq", "_raw_ineq",
                  "_dim")
 
     def __init__(self, ambient_dim, rays, lineality, raw_eq, raw_ineq):
-        self.ambient_dim = ambient_dim
-        self.rays = rays
-        self.lineality = lineality
-        self._raw_eq = raw_eq
-        self._raw_ineq = raw_ineq
-        self._dim = None
+        _set(self, "ambient_dim", ambient_dim)
+        _set(self, "rays", rays)
+        _set(self, "lineality", lineality)
+        _set(self, "_raw_eq", raw_eq)
+        _set(self, "_raw_ineq", raw_ineq)
+        _set(self, "_dim", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Cone is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Cone is immutable")
 
     @classmethod
     def from_constraints(cls, ambient_dim, equalities=(), inequalities=()):
@@ -237,7 +248,8 @@ class Cone:
     @property
     def dim(self):
         if self._dim is None:
-            self._dim = matrix_rank(list(self.rays) + list(self.lineality))
+            _set(self, "_dim",
+                 matrix_rank(list(self.rays) + list(self.lineality)))
         return self._dim
 
     def member(self, point):
@@ -403,7 +415,7 @@ def edge_normal_fan(dim, points):
         i, j = sorted((values.index(min(values)), values.index(max(values))))
         e = vec_primitive([a - b for a, b in zip(points[i], points[j])])
         cone = Cone(dim, (), lineality, (e,), (tuple([-x for x in e]),))
-        cone._dim = dim - 1
+        _set(cone, "_dim", dim - 1)
         return Fan.irredundant(dim, (cone,))
     rows, pivots = rref(lineality)
     # W is a column basis of the differences, so the rows (1, p_W), distinct
@@ -486,7 +498,7 @@ def edge_normal_fan(dim, points):
     for i, eq, common in edges:
         rays = tuple(sorted(normals[b] for b in _bits(common)))
         cone = Cone(dim, rays, lineality, (eq,), ineq[i])
-        cone._dim = dim - 1  # known, so no rank is computed for it
+        _set(cone, "_dim", dim - 1)  # known, so no rank is computed for it
         cones.append(cone)
     return Fan.irredundant(dim, cones)
 

@@ -9,7 +9,11 @@ candidate through ``verify_symplectic_base``; a failure after the retry
 budget is reported as a NoBaseFound value, not an error.  The pencil is
 read as an integer matrix off one elimination (``_pencil_matrix``), its
 spectrum is found over Z (``_eigenspaces``), and sympy is imported only
-inside ``_integer_roots``.
+inside ``_integer_roots``.  The pencil's characteristic polynomial is a
+square, by Cayley's identity det(x Phi(t) - Phi(t')) =
+Pf(x Phi(t) - Phi(t'))^2, so its roots are read off the exactly checked
+square root (``_square_root``) at half the degree, with sympy's dense
+integer factorizer (``dup_factor_list``) on the coefficient list.
 
 ``AlternatingMapQ`` is the one alternating-form type, over Z too.  Both
 block verifiers, here and in ``torus``, read every pairing they need off
@@ -133,10 +137,11 @@ def _block_pairings(phi: AlternatingMapQ, bases):
     phi_k(b_i, b_j).
 
     Returns ``(orthogonal, blocks)``: whether all pairings between rows of
-    two distinct bases vanish, and per basis ``(pairs, rank)``, its pairings
-    (G_1[i][j], ..., G_s[i][j]) for i < j and the rank of its diagonal Gram
-    blocks stacked, which equals ``len(basis)`` exactly when phi restricted
-    to its span has trivial radical."""
+    two distinct bases vanish, and per basis ``(pairs, diagonal)``, its
+    pairings (G_1[i][j], ..., G_s[i][j]) for i < j and the rows of its
+    diagonal Gram blocks stacked, whose rank equals ``len(basis)`` exactly
+    when phi restricted to its span has trivial radical.  The rank is left
+    to the verifiers, the only callers that read it."""
     stacked = [row for basis in bases for row in basis]
     grams = [congruence(stacked, m, den) for m, den in phi._cleared]
     spans, end = [], 0
@@ -151,7 +156,7 @@ def _block_pairings(phi: AlternatingMapQ, bases):
         pairs = [tuple(G[i][j] for G in grams)
                  for i in own for j in range(i + 1, own.stop)]
         diagonal = [G[i][own.start:own.stop] for G in grams for i in own]
-        blocks.append((pairs, matrix_rank(diagonal)))
+        blocks.append((pairs, diagonal))
     return orthogonal, blocks
 
 
@@ -218,10 +223,10 @@ def _verify(phi: AlternatingMapQ, cand: SymplecticBase) -> BaseReport:
     orth, per_block = _block_pairings(phi, [b.rows for b in cand.blocks])
     nondeg = True
     lines = []
-    for block, (pairs, rank) in zip(cand.blocks, per_block):
+    for block, (pairs, diagonal) in zip(cand.blocks, per_block):
         img = Subspace.from_rows(phi.s, pairs)
         lines.append(_line_key(img))
-        if img.dim != 1 or rank != block.dim:
+        if img.dim != 1 or matrix_rank(diagonal) != block.dim:
             nondeg = False
     distinct = all(lines[i] is None or lines[i] != lines[j]
                    for i in range(len(lines)) for j in range(i + 1, len(lines)))
@@ -258,15 +263,44 @@ def _charpoly(A):
     return coeffs
 
 
+def _square_root(coeffs):
+    """The monic integer g with g * g equal to the monic integer polynomial
+    ``coeffs`` (leading coefficient first), or None when there is none.
+    g's coefficients come from the top half of ``coeffs``: the x^(2h-k)
+    coefficient of g * g is 2 g_k plus products of earlier ones."""
+    d = len(coeffs) - 1
+    if d % 2:
+        return None
+    g = [1]
+    for k in range(1, d // 2 + 1):
+        twice = coeffs[k] - sum(g[i] * g[k - i] for i in range(1, k))
+        if twice % 2:
+            return None
+        g.append(twice // 2)
+    square = [0] * (d + 1)
+    for i, a in enumerate(g):
+        for j, b in enumerate(g):
+            square[i + j] += a * b
+    return g if square == coeffs else None
+
+
 def _integer_roots(coeffs):
     """Integer roots, ascending, of a monic integer polynomial (leading
     coefficient first): all its rational roots, by the rational root
-    theorem.  Read off its linear factors over Z, found by sympy."""
+    theorem.  When the polynomial is a square g * g, which the check
+    ``_square_root`` makes exact, the roots are g's, at half the degree.
+    A pencil's charpoly is always one: by Cayley's identity
+    det(x Phi(t) - Phi(t')) = Pf(x Phi(t) - Phi(t'))^2, and by Gauss's
+    lemma the monic root of an integer square is integral.  The roots are
+    read off the linear factors over Z, found by sympy's dense factorizer
+    on the coefficient list."""
     import sympy
 
-    poly = sympy.Poly(coeffs, sympy.Symbol("x"), domain=sympy.ZZ)
-    return sorted(-int(f.nth(0)) for f, _mult in poly.factor_list()[1]
-                  if f.degree() == 1)
+    coeffs = _square_root(coeffs) or coeffs
+    _, factors = sympy.polys.factortools.dup_factor_list(
+        [sympy.ZZ(c) for c in coeffs], sympy.ZZ)
+    # each factor of a monic polynomial is monic: a linear one is x - mu
+    return sorted(-int(f[1]) for f, _mult in factors if len(f) == 2)
 
 
 def _eigenspaces(mat):

@@ -278,7 +278,8 @@ def verify_theorem42(form: AlternatingMapQ, parts) -> Theorem42Report:
         raise ValueError("parts are not independent")
 
     commute, per_part = _block_pairings(form, [p.basis for p in parts])
-    centres = all(rank == p.rank for p, (_, rank) in zip(parts, per_part))
+    centres = all(matrix_rank(diagonal) == p.rank
+                  for p, (_, diagonal) in zip(parts, per_part))
     images = [Sublattice.from_rows(form.s, pairs) for pairs, _ in per_part]
     rank_one = all(img.rank == 1 for img in images)
     saturated = [saturate(img) for img in images]

@@ -56,6 +56,10 @@ answer of any size can be checked.
   and its Gram matrices stacked have full rank, no two of those lines
   coincide, each given line spans its block's, and passed is the
   conjunction.
+- ``symbase``: a printed base meets every condition ``verify-base``
+  recomputes, its pieces in reduced row echelon form and its lines
+  primitive and signed; a printed "no base" took ``--retries`` attempts,
+  names one of the search's reasons and carries, if any, a failed report.
 - ``verify-thm42``: the same Gram facts for the parts of Z^n, their
   ranks adding up to n, and each printed image line the saturated HNF
   basis of its part's pairings: rows in row HNF, of the pairings' span,
@@ -578,25 +582,24 @@ def _report_fault(output, expected):
     return None
 
 
-def check_verify_base(payload, output):
-    """Each printed field of the base report against its definition, for
-    the given pieces V0, V_1, ..., V_t: their dimensions, and that of their
+def _base_conditions(payload, base):
+    """The base report's fields, each from its definition, for the pieces
+    V0, V_1, ..., V_t of ``base``: their dimensions, and that of their
     sum, add up to n (direct_sum); V0 lies in the radical
     {v : v^T Phi_k = 0 for all k} and has its dimension (centre_is_v0);
     rows of distinct blocks pair to 0 (blocks_orthogonal); each block's
     pairings span a line and phi on it has trivial radical
     (blocks_nondegenerate); no two blocks whose pairings span a line span
     the same one (lines_distinct); one given line per block, nonzero, spans
-    that block's line (lines_consistent); passed is the conjunction."""
+    that block's line (lines_consistent)."""
     n, s, forms = _form(payload)
-    base = payload["base"]
     v0 = _rows(base["V0"])
     blocks = [_rows(b) for b in base["blocks"]]
     lines = _rows(base["lines"])
     facts = [_block_facts(forms, s, b) for b in blocks]
     on_line = [_rank(image) == 1 for image, _ in facts]
     pieces = [v0] + blocks
-    return _report_fault(output, {
+    return {
         "direct_sum": (sum(_rank(p) for p in pieces) == n
                        and _rank([row for p in pieces for row in p]) == n),
         "centre_is_v0": (all(_in_radical(forms, v) for v in v0)
@@ -612,7 +615,71 @@ def check_verify_base(payload, output):
         "lines_consistent": len(lines) == len(blocks) and all(
             line and len(w) == s and any(w) and _same_span(image, [w])
             for line, (image, _), w in zip(on_line, facts, lines)),
-    })
+    }
+
+
+def check_verify_base(payload, output):
+    """Each printed field of the base report against its definition
+    (``_base_conditions``) for the given base; passed is the
+    conjunction."""
+    return _report_fault(output, _base_conditions(payload, payload["base"]))
+
+
+REPORT_FIELDS = ("direct_sum", "centre_is_v0", "blocks_orthogonal",
+                 "blocks_nondegenerate", "lines_distinct", "lines_consistent")
+# every reason the base search gives for its last failed attempt
+SEARCH_REASONS = ("could not draw an invertible pencil member",
+                  "pencil spectrum not rational-diagonalizable",
+                  "candidate block without a one-dimensional image line",
+                  "candidate decomposition failed verification")
+
+
+def check_symbase(payload, output, retries=8):
+    """A printed ``base`` meets every condition ``check_verify_base``
+    recomputes from the input form; V0 and each block are printed in
+    reduced row echelon form and each line is primitive with its first
+    nonzero entry positive.  A printed ``no_base`` took ``retries``
+    attempts (the CLI's default unless given) and names one of the
+    search's reasons; its evidence, if any, is a failed base report whose
+    verdict is the conjunction of its fields, and a candidate that failed
+    verification leaves some."""
+    if set(output) == {"base"}:
+        base = output["base"]
+        pieces = [("V0", base["V0"])] + [
+            (f"block {i}", b) for i, b in enumerate(base["blocks"])]
+        for name, rows in pieces:
+            fault = _rref_fault(_rows(rows))
+            if fault:
+                return f"{name}: {fault}"
+        for i, w in enumerate(base["lines"]):
+            lead = next((x for x in w if x), 0)
+            if (not all(isinstance(x, int) for x in w) or lead <= 0
+                    or math.gcd(*w) != 1):
+                return f"line {i} is {w!r}, not primitive with a " \
+                       f"positive first nonzero entry"
+        for key, holds in _base_conditions(payload, base).items():
+            if not holds:
+                return f"the printed base fails {key}"
+        return None
+    if set(output) != {"no_base"}:
+        return f"output keys {sorted(output)}, expected base or no_base"
+    answer = output["no_base"]
+    if answer.get("attempts") != retries:
+        return f"attempts is {answer.get('attempts')!r}, expected {retries}"
+    reason = answer.get("reason")
+    if reason not in SEARCH_REASONS:
+        return f"reason {reason!r} is none of the search's"
+    evidence = answer.get("evidence")
+    if evidence is None:
+        if reason == SEARCH_REASONS[-1]:
+            return "a failed verification left no evidence"
+        return None
+    if (sorted(evidence) != sorted(REPORT_FIELDS + ("passed",))
+            or not all(isinstance(v, bool) for v in evidence.values())):
+        return f"evidence fields {sorted(evidence)} are not a base report"
+    if evidence["passed"] or all(evidence[key] for key in REPORT_FIELDS):
+        return "the evidence is not a failed base report"
+    return None
 
 
 def check_verify_thm42(payload, output):

@@ -1017,7 +1017,8 @@ ORACLE = {"delta": json_oracle.check_delta,
           "center": json_oracle.check_center,
           "abelian-split": json_oracle.check_abelian_split,
           "verify-base": json_oracle.check_verify_base,
-          "verify-thm42": json_oracle.check_verify_thm42}
+          "verify-thm42": json_oracle.check_verify_thm42,
+          "symbase": json_oracle.check_symbase}
 CLI_CASES = json.loads((SRC.parent / "perfbench" / "cli_cases.json")
                        .read_text(encoding="utf-8"))["cases"]
 
@@ -1249,6 +1250,74 @@ class TestJsonOracle:
         assert code == 0
         assert _oracle_verdict("verify-base",
                                dict(payload, base=output["base"])) is None
+
+    @pytest.mark.parametrize("payload,flags", [
+        (TWO_BLOCK, ("--seed", "1")),
+        ({"form": SPLIT_THREE["form"]}, ("--seed", "1")),
+        ({"form": RADICAL_BASE["form"]}, ()),
+        ({"form": SCALED_LINES["form"]}, ("--seed", "5")),
+        (CROSSED_WEDGES, ()),
+        (_sized_inputs(0)["symbase"], ()),
+    ], ids=["two-block", "three-block", "radical", "scaled", "no-base",
+            "empty"])
+    def test_symbase_answers(self, payload, flags):
+        assert _oracle_verdict("symbase", payload, *flags) is None
+
+    def test_symbase_no_base_attempts(self):
+        _, output = _answer("symbase", CROSSED_WEDGES, "--retries", "3")
+        assert output["no_base"]["attempts"] == 3
+        assert json_oracle.check_symbase(CROSSED_WEDGES, output,
+                                         retries=3) is None
+        assert json_oracle.check_symbase(CROSSED_WEDGES, output) \
+            == "attempts is 3, expected 8"
+
+        def verdict(**changed):
+            return json_oracle.check_symbase(CROSSED_WEDGES, {
+                "no_base": dict(output["no_base"], **changed)}, retries=3)
+
+        assert verdict(reason="unlucky") \
+            == "reason 'unlucky' is none of the search's"
+        assert verdict(evidence=None) \
+            == "a failed verification left no evidence"
+        assert verdict(evidence=dict(output["no_base"]["evidence"],
+                                     blocks_orthogonal=True)) \
+            == "the evidence is not a failed base report"
+
+    def test_wrong_symbase_caught(self):
+        _, output = _answer("symbase", {"form": SPLIT_THREE["form"]},
+                            "--seed", "1")
+        payload = {"form": SPLIT_THREE["form"]}
+        base = output["base"]
+
+        def verdict(**changed):
+            return json_oracle.check_symbase(
+                payload, {"base": dict(base, **changed)})
+
+        assert verdict() is None
+        lines = base["lines"]
+        assert verdict(lines=[lines[1], lines[0]] + lines[2:]) \
+            == "the printed base fails lines_consistent"
+        # e6 moved from block 0 (e5, e6) to block 1 (e3, e4): it pairs
+        # with e5, now in another block
+        blocks = base["blocks"]
+        assert blocks[:2] == [[[0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]],
+                              [[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]]]
+        moved = [blocks[0][:1], blocks[1] + blocks[0][1:]] + blocks[2:]
+        assert verdict(blocks=moved) \
+            == "the printed base fails blocks_orthogonal"
+        assert verdict(lines=[[-x for x in lines[0]]] + lines[1:]) \
+            == f"line 0 is {[-x for x in lines[0]]!r}, not primitive " \
+               f"with a positive first nonzero entry"
+        # a wrong V0: the radical of RADICAL_BASE's form is e3, not e1 + e3
+        radical = {"form": RADICAL_BASE["form"]}
+        _, output = _answer("symbase", radical)
+        assert output["base"]["V0"] == [[0, 0, 1]]
+        assert json_oracle.check_symbase(radical, {"base": dict(
+            output["base"], V0=[[1, 0, 1]])}) \
+            == "the printed base fails centre_is_v0"
+        assert json_oracle.check_symbase(radical, {"base": dict(
+            output["base"], V0=[[0, 0, 2]])}) \
+            == "V0: row 0 has pivot entry 2, expected 1"
 
     def test_wrong_base_report_caught(self):
         _, output = _answer("verify-base", SPLIT_TWO)

@@ -1285,6 +1285,29 @@ class TestRecords:
         cones = GOLDEN_TROPICAL.cones
         assert_record(Fan, (2, cones), [(2, cones[:2]), (3, ())])
 
+    def test_delta_cones_are_frozen(self):
+        # the cones of a Delta fan are shared with the module's cache: an
+        # assignment to one of them, were it accepted, would corrupt every
+        # later check on the module
+        module = tropical_line_module()
+        chi = Character((0, 1))
+        before = check_lemma31(module, chi)
+        assert before.equal
+        cone = delta_set(module).cones[0]
+        names = ("ambient_dim", "rays", "lineality", "_raw_eq", "_raw_ineq",
+                 "_dim", "dim")
+        kept = [getattr(cone, name) for name in names]
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(cone, name, ())
+            with pytest.raises(AttributeError):
+                delattr(cone, name)
+        with pytest.raises(AttributeError):
+            cone.extra = 1
+        assert [getattr(cone, name) for name in names] == kept
+        assert delta_set(module).cones[0] is cone
+        assert check_lemma31(module, chi) == before
+
     @PROPERTY
     @given(st.lists(GRID, min_size=1, max_size=3),
            st.tuples(*[st.integers(-1, 4)] * 3))

@@ -29,7 +29,8 @@ per-class copy grows back.
 Every value type is a record: each exported class that defines
 ``__hash__`` derives from ``_record.Record``, so it is immutable and takes
 its equality from its fields.  ``polyhedral.Cone`` is the one exception:
-``edge_normal_fan`` sets each edge cone's ``_dim`` after building it.
+it compares by its point set, not by its fields, and is frozen on its own
+slots.
 
 There is one alternating-form type, ``symplectic.AlternatingMapQ``.
 ``torus.AlternatingFormZ`` is a second name for it, bound once in ``torus``
@@ -48,7 +49,10 @@ names ``rational_to_json``.
 
 sympy, whose import costs more than the rest of a cold CLI run, is imported
 in one place only, inside the function ``symplectic._integer_roots``, so
-commands that find no pencil spectrum never load it.  No module imports
+commands that find no pencil spectrum never load it.  That function reaches
+the dense factorizer ``dup_factor_list`` as an attribute of the one
+``import sympy``, and factors the checked square root of the pencil's
+charpoly, at half its degree.  No module imports
 ``dataclasses``, which loads ``inspect`` and ``ast`` and ``exec``s the
 methods of each class: the records derive from ``_record.Record``.
 ``hashlib`` is imported inside ``rng.derive``, so a command that draws no
@@ -367,9 +371,9 @@ def _hashed_outside_records(namespace):
 
 
 def test_value_types_are_records():
-    # Cone stays a slotted class: edge_normal_fan sets each edge cone's
-    # _dim after building it, which a record would refuse, and computing
-    # it on first read instead would cost one rank per edge cone
+    # Cone stays a slotted class: it compares by its point set, the
+    # canonical (rays, lineality) key, not by its fields; it is frozen on
+    # its own (tests/test_delta.py::TestRecords)
     exported = {name: getattr(qtdelta, name) for name in qtdelta.__all__}
     assert _hashed_outside_records(exported) == ["Cone"]
 

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from qtdelta.lattice import (
     Subspace,
+    clear_matrix,
+    complement_columns,
     congruence,
     matrix_rank,
     subspace_sum,
@@ -31,7 +33,7 @@ from qtdelta.symplectic import (
     verify_symplectic_base,
 )
 from qtdelta.symplectic import (_block_pairings, _charpoly, _eigenspaces,
-                                _integer_roots, _pencil_matrix)
+                                _integer_roots, _pencil_matrix, _square_root)
 from qtdelta.rng import derive
 
 from oracles import (
@@ -728,22 +730,24 @@ class TestIntegerKernel:
         grams = [restrict_double_sum(m, basis) for m in phi.forms]
         r = len(basis)
         # one part: its self pairings are every entry above the diagonal
-        _, [(pairs, rank)] = _block_pairings(phi, [basis])
+        _, [(pairs, diagonal)] = _block_pairings(phi, [basis])
         assert pairs == [tuple(G[i][j] for G in grams)
                          for i in range(r) for j in range(i + 1, r)]
-        assert rank == len(rref_fraction([row for G in grams
-                                          for row in G])[1])
+        assert matrix_rank(diagonal) == len(rref_fraction(
+            [row for G in grams for row in G])[1])
         # two parts at a seeded cut: self pairings, rank of the diagonal
         # blocks and vanishing of the cross pairings, block by block
         cut = rng.randint(0, r)
         orth, blocks = _block_pairings(phi, [basis[:cut], basis[cut:]])
         assert orth == all(G[i][j] == 0 for G in grams
                            for i in range(cut) for j in range(cut, r))
-        for own, (pairs, rank) in zip((range(cut), range(cut, r)), blocks):
+        for own, (pairs, diagonal) in zip((range(cut), range(cut, r)),
+                                          blocks):
             assert pairs == [tuple(G[i][j] for G in grams)
                              for i in own for j in own if i < j]
-            assert rank == len(rref_fraction(
-                [[G[i][j] for j in own] for G in grams for i in own])[1])
+            assert diagonal == [tuple(G[i][j] for j in own)
+                                for G in grams for i in own]
+            assert matrix_rank(diagonal) == len(rref_fraction(diagonal)[1])
         # the restriction to the rows with one dependent row added, then
         # to their doubled primitive int rows on the numerators of phi,
         # where every entry stays an int
@@ -942,6 +946,102 @@ class TestPencilSpectrum:
         assert _eigenspaces(M) is None
         P = random_unimodular(random.Random(len(M)), len(M))
         assert _eigenspaces(_similar(P, M)) is None
+
+
+class TestPencilSquare:
+    """The pencil charpoly is a square, det(x Phi(t) - Phi(t')) being
+    Pf(x Phi(t) - Phi(t'))^2, and ``_integer_roots`` reads the roots off
+    its checked square root; every other polynomial takes the fallback."""
+
+    @settings(max_examples=40, derandomize=True, database=None,
+              deadline=None)
+    @given(st.integers(0, 10 ** 6),
+           st.lists(st.sampled_from([2, 4]), min_size=1, max_size=3),
+           st.integers(0, 2))
+    def test_pencil_charpolys_are_squares(self, seed, dims, central):
+        # planted blocks conjugated by a unimodular matrix, and the pencil
+        # the base search draws on a complement of the radical
+        rng = random.Random(seed)
+        s = rng.randint(1 if len(dims) == 1 else 2, 3)
+        phi, _ = conjugated_block_instance(
+            rng, dims, distinct_lines(rng, len(dims), s), s,
+            central=central, ops=6)
+        wcols = complement_columns(center(phi).rows, phi.n)
+        m = len(wcols)
+
+        def pencil():
+            t = [rng.randint(-9, 9) for _ in range(s)]
+            return [[sum(t[k] * phi.forms[k][i][j] for k in range(s))
+                     for j in wcols] for i in wcols]
+
+        phi_t = pencil()
+        while matrix_rank(phi_t) != m:
+            phi_t = pencil()
+        A, _ = clear_matrix(_pencil_matrix(phi_t, pencil()))
+        coeffs = _charpoly(A)
+        root = _square_root(coeffs)
+        assert root is not None and _poly_mul(root, root) == coeffs
+        assert _integer_roots(coeffs) == rational_roots_oracle(coeffs)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_even_multiplicities_take_the_square_path(self, seed,
+                                                      monkeypatch):
+        rng = random.Random(1700 + seed)
+        roots = rng.sample(range(-30, 31), rng.randint(0, 4))
+        halves = [rng.randint(1, 3) for _ in roots]
+        irreducible = rng.sample(IRREDUCIBLE, rng.randint(0, 2))
+        coeffs = _planted(roots, [2 * k for k in halves], irreducible * 2)
+        root = _planted(roots, halves, irreducible)
+        assert _square_root(coeffs) == root
+        # sympy factors the root, at half the degree
+        from sympy.polys import factortools
+        factored = []
+
+        def recording(f, K):
+            factored.append([int(c) for c in f])
+            return dup_factor_list(f, K)
+
+        dup_factor_list = factortools.dup_factor_list
+        monkeypatch.setattr(factortools, "dup_factor_list", recording)
+        got = _integer_roots(coeffs)
+        monkeypatch.undo()
+        assert factored == [root]
+        assert got == sorted(roots)
+        _check_roots(coeffs, roots)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_odd_multiplicity_or_irreducible_factor_falls_back(self, seed):
+        rng = random.Random(1800 + seed)
+        roots = rng.sample(range(-30, 31), rng.randint(1, 4))
+        mults = [2 * rng.randint(1, 2) for _ in roots]
+        irreducible = []
+        if seed % 2:
+            mults[rng.randrange(len(mults))] -= 1
+        else:
+            irreducible = [rng.choice(IRREDUCIBLE)]
+        coeffs = _planted(roots, mults, irreducible)
+        assert _square_root(coeffs) is None
+        _check_roots(coeffs, roots)
+
+    def test_square_root_rejects(self):
+        assert _square_root([1]) == [1]
+        assert _square_root([1, -6, 9]) == [1, -3]
+        # odd degree
+        assert _square_root([1, 0, 0, -8]) is None
+        assert _square_root([1, 0]) is None
+        # a top-half coefficient 2 does not divide, the middle one of
+        # degree 2 and of degree 4
+        assert _square_root([1, 3, 2]) is None
+        assert _square_root([1, 2, 4, 0, 0]) is None
+        # g * g + 1: the top half gives g, only the full product tells
+        for g in ([1, 0], [1, -3], [1, 2, -7], [1, -10 ** 12, 5, 0]):
+            square = _poly_mul(g, g)
+            assert _square_root(square) == g
+            square[-1] += 1
+            assert _square_root(square) is None
+            square[-1] -= 1
+            square[len(g)] += 2
+            assert _square_root(square) is None
 
 
 @st.composite
